@@ -130,8 +130,8 @@ class Truncations:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    rtol: float = 1e-8
-    atol: float = 1e-10
+    rtol: float = 1e-8              # long_time integrator tolerances;
+    atol: float = 1e-10             # time traces are propagated exactly
     steady_method: str = "auto"     # auto | nullspace | long_time
     steady_tol: float = 1e-6        # residual ||L rho||_inf target, 1/us
     nullspace_max_dim: int = 40_000  # largest d^2 handled by the direct solve

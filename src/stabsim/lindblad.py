@@ -6,9 +6,15 @@ column stacking: vec(rho) = rho.reshape(-1, order="F"), for which
 vec(A rho B) = (B^T kron A) vec(rho).  The resulting sparse matrix acts on
 vectors of length d^2.
 
-Time evolution uses an adaptive embedded Runge-Kutta 4(5) pair with dense
-output (scipy's RK45), which is deterministic for fixed inputs and
-tolerances.  Positivity is monitored at every stored point, never enforced.
+Time evolution is exact propagation on a uniform time grid: small spaces
+(d^2 <= 1024) form the dense one-step propagator expm(L dt) once and apply
+it per step; larger ones use scipy's ``expm_multiply`` (Al-Mohy & Higham,
+SIAM J. Sci. Comput. 33, 488 (2011)).  No step size is chosen, so neither
+tolerances nor a stability cap steer it.  Trace, hermiticity and positivity
+are monitored at every stored point, never enforced.  Only the
+``long_time`` steady-state path integrates with an adaptive stepper
+(DOP853), steered by ``rtol``/``atol`` and capped by
+:meth:`Liouvillian.stability_max_step`.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
-from scipy.sparse.linalg import eigs, spsolve
+from scipy.linalg import expm
+from scipy.sparse.linalg import eigs, expm_multiply, spsolve
 
 from .hamiltonian import CollapseSet
 from .hilbert import CompositeSpace, DensityMatrix, LinearOperator
@@ -29,6 +35,8 @@ LONG_TIME = "long_time"
 
 #: positivity violation that aborts an evolution
 POSITIVITY_ABORT = 1e-6
+#: largest d^2 propagated with a dense expm(L dt); its 16 MB bounds memory
+_DENSE_PROPAGATOR_MAX = 1024
 
 
 class EvolutionError(RuntimeError):
@@ -82,6 +90,15 @@ class Liouvillian:
         rho = self.spectral_radius()
         return math.inf if rho == 0 else safety / rho
 
+    def shifted(self, dH: LinearOperator) -> "Liouvillian":
+        """Generator of ``H + dH`` with the same collapse set.
+
+        The dissipators do not depend on H, so only -i[dH, .] is added.
+        """
+        return Liouvillian(self.space,
+                           (self.matrix + _commutator_superop(dH.matrix)).tocsr(),
+                           self.hamiltonian + dH, self.collapse)
+
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
     return np.asarray(rho, dtype=complex).reshape(-1, order="F")
@@ -91,14 +108,19 @@ def unvectorize(v: np.ndarray, d: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape(d, d, order="F")
 
 
+def _commutator_superop(Hm: sp.spmatrix) -> sp.csr_matrix:
+    """Vectorized -i[H, .]."""
+    ident = sp.identity(Hm.shape[0], format="csr", dtype=complex)
+    return -1j * (sp.kron(ident, Hm, format="csr")
+                  - sp.kron(Hm.T, ident, format="csr"))
+
+
 def build_liouvillian(H: LinearOperator, collapse: CollapseSet) -> Liouvillian:
     """Vectorized generator -i[H, .] + sum rate * D(L)."""
     space = H.space
     d = space.total_dim
     ident = sp.identity(d, format="csr", dtype=complex)
-    Hm = H.matrix
-    L = -1j * (sp.kron(ident, Hm, format="csr")
-               - sp.kron(Hm.T, ident, format="csr"))
+    L = _commutator_superop(H.matrix)
     for op, rate in collapse:
         if op.space != space:
             raise ValueError("collapse operator lives on a different space")
@@ -120,82 +142,120 @@ class EvolutionResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _observable_value(obs, rho: np.ndarray) -> float | complex:
+def _observable_weights(obs) -> tuple[np.ndarray, bool]:
+    """``(w, is_state)`` with tr(O rho) = w . vec(rho).  A state vector psi
+    stands for O = |psi><psi|; its value is a fidelity, hence real."""
     if isinstance(obs, LinearOperator):
-        return complex((obs.matrix @ rho).diagonal().sum())
-    obs = np.asarray(obs)
-    if obs.ndim == 1:  # pure state -> fidelity
-        return float(np.real(np.vdot(obs, rho @ obs)))
-    return complex(np.trace(obs @ rho))
+        O = obs.toarray()
+    else:
+        O = np.asarray(obs, dtype=complex)
+    is_state = O.ndim == 1
+    if is_state:
+        O = np.outer(O, O.conj())
+    # vec(rho)[b + a*d] = rho[b, a] pairs with O[a, b]: the C-order ravel
+    return O.reshape(-1), is_state
+
+
+def _counted(L: sp.csr_matrix) -> tuple[sp.csr_matrix, list[int]]:
+    """``(A, count)``: ``L`` as a CSR matrix whose ``dot`` adds the number
+    of vectors it is applied to to ``count[0]``.
+
+    Sparse arithmetic rebuilds its results as ``self.__class__``, so the
+    shifted and scaled copies that ``expm_multiply`` derives count too.
+    Products with ``A^H`` in scipy's 1-norm estimator are not counted.
+    """
+    count = [0]
+
+    class Counted(sp.csr_matrix):
+        def dot(self, other):
+            count[0] += 1 if np.ndim(other) == 1 else np.shape(other)[1]
+            return super().dot(other)
+
+    return Counted(L), count
+
+
+def _propagate(L: sp.csr_matrix, y0: np.ndarray, n: int, dt: float
+               ) -> tuple[np.ndarray, int]:
+    """``(Y, matvecs)``: Y[k] = expm(L k dt) y0 for k < n, and the number of
+    generator or propagator matvecs made."""
+    if L.shape[0] <= _DENSE_PROPAGATOR_MAX:
+        P = expm(L.toarray() * dt)
+        Y = np.empty((n, len(y0)), dtype=complex)
+        Y[0] = y0
+        for k in range(1, n):
+            Y[k] = P @ Y[k - 1]
+        return Y, n - 1
+    A, count = _counted(L)
+    Y = expm_multiply(A, y0, start=0.0, stop=(n - 1) * dt, num=n,
+                      endpoint=True)
+    return Y, count[0]
 
 
 def evolve(liouvillian: Liouvillian, rho0: DensityMatrix | np.ndarray,
-           t_grid: np.ndarray, rtol: float = 1e-8, atol: float = 1e-10,
-           observables: dict | None = None,
+           t_grid: np.ndarray, observables: dict | None = None,
            snapshot_times: np.ndarray | None = None,
-           check_positivity: bool = True,
-           max_step: float | None = None) -> EvolutionResult:
-    """Integrate vec(rho) along ``t_grid`` (us), sampling named observables.
+           check_positivity: bool = True) -> EvolutionResult:
+    """Propagate vec(rho) exactly along the uniform ``t_grid`` (us).
 
-    Observables may be ``LinearOperator``s / matrices (expectation values) or
-    state vectors (fidelities).  Snapshots are stored as validated
-    ``DensityMatrix`` values at the requested times (nearest grid point).
-    Aborts with :class:`EvolutionError` on integrator failure or a
-    positivity violation below ``-1e-6``.
+    ``rho0`` is the state at ``t_grid[0]``.  Observables may be
+    ``LinearOperator``s / matrices (expectation values) or state vectors
+    (fidelities).  Snapshots are stored as ``DensityMatrix`` values at the
+    requested times (nearest grid point).  Raises ``ValueError`` for a
+    grid that is not a uniform increasing ``linspace``, and
+    :class:`EvolutionError` on non-finite values or a positivity violation
+    below ``-1e-6``.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2:
         raise ValueError("t_grid must contain at least two times")
+    n = len(t_grid)
+    dt = (t_grid[-1] - t_grid[0]) / (n - 1)
+    # linspace places each point within a few ulps of |t|
+    slack = 1e-9 * abs(dt) + 16 * np.finfo(float).eps * np.abs(t_grid).max()
+    if not dt > 0 or np.abs(np.diff(t_grid) - dt).max() > slack:
+        raise ValueError("t_grid must be uniform and increasing (a linspace)")
     d = liouvillian.dim
     rho_mat = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0)
-    y0 = vectorize(rho_mat)
-    L = liouvillian.matrix
-    if max_step is None:
-        max_step = liouvillian.stability_max_step()
 
-    sol = solve_ivp(lambda t, y: L @ y, (t_grid[0], t_grid[-1]), y0,
-                    method="RK45", t_eval=t_grid, rtol=rtol, atol=atol,
-                    max_step=max_step)
-    if not sol.success:
-        raise EvolutionError(f"integrator failed: {sol.message}",
-                             {"status": sol.status})
+    Y, matvecs = _propagate(liouvillian.matrix, vectorize(rho_mat), n, dt)
+    if not np.isfinite(Y).all():
+        raise EvolutionError("propagation produced non-finite values",
+                             {"rhs_evaluations": int(matvecs)})
 
-    observables = observables or {}
-    values: dict[str, list] = {name: [] for name in observables}
+    # row j of Y is vec(rho(t_j)) in column order: rho = row.reshape(d, d).T
+    rhos = Y.reshape(n, d, d).transpose(0, 2, 1)
+    adj = rhos.conj().transpose(0, 2, 1)
+    drift = np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)
+    herm = np.abs(rhos - adj).max(axis=(1, 2))
+    min_eig = np.linalg.eigvalsh(0.5 * (rhos + adj))[:, 0]
+    if check_positivity:
+        bad = np.flatnonzero(min_eig < -POSITIVITY_ABORT)
+        if bad.size:
+            j = bad[0]
+            raise EvolutionError(
+                f"positivity violated at t={t_grid[j]:.4g} us "
+                f"(min eig {min_eig[j]:.3e})",
+                {"t": float(t_grid[j]), "min_eigenvalue": float(min_eig[j]),
+                 "trace_drift": float(drift[j]), "hermiticity": float(herm[j])})
+
+    values = {}
+    for name, obs in (observables or {}).items():
+        w, is_state = _observable_weights(obs)
+        values[name] = np.real(Y @ w) if is_state else Y @ w
     snapshot_times = (np.asarray(snapshot_times, dtype=float)
                       if snapshot_times is not None else np.empty(0))
-    snaps: list[tuple[float, DensityMatrix]] = []
-    snap_idx = set(int(np.argmin(np.abs(t_grid - ts))) for ts in snapshot_times)
-
-    max_trace_drift = 0.0
-    max_herm = 0.0
-    min_eig = math.inf
-    for j, t in enumerate(t_grid):
-        rho = unvectorize(sol.y[:, j], d)
-        tr = np.trace(rho)
-        max_trace_drift = max(max_trace_drift, abs(tr - 1.0))
-        herm = float(np.abs(rho - rho.conj().T).max())
-        max_herm = max(max_herm, herm)
-        eig0 = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
-        min_eig = min(min_eig, eig0)
-        if check_positivity and eig0 < -POSITIVITY_ABORT:
-            raise EvolutionError(
-                f"positivity violated at t={t:.4g} us (min eig {eig0:.3e})",
-                {"t": float(t), "min_eigenvalue": eig0,
-                 "trace_drift": float(abs(tr - 1.0)), "hermiticity": herm})
-        for name, obs in observables.items():
-            values[name].append(_observable_value(obs, rho))
-        if j in snap_idx:
-            snaps.append((float(t), DensityMatrix(liouvillian.space, rho)))
+    snap_idx = sorted(set(int(np.argmin(np.abs(t_grid - ts)))
+                          for ts in snapshot_times))
+    snaps = [(float(t_grid[j]), DensityMatrix(liouvillian.space, rhos[j].copy()))
+             for j in snap_idx]
 
     diagnostics = {
-        "max_trace_drift": float(max_trace_drift),
-        "max_hermiticity_defect": float(max_herm),
-        "min_eigenvalue": float(min_eig),
-        "rhs_evaluations": int(sol.nfev),
+        "max_trace_drift": float(drift.max()),
+        "max_hermiticity_defect": float(herm.max()),
+        "min_eigenvalue": float(min_eig.min()),
+        "rhs_evaluations": int(matvecs),
     }
-    return EvolutionResult(t_grid, {k: np.asarray(v) for k, v in values.items()},
-                           snaps, diagnostics)
+    return EvolutionResult(t_grid, values, snaps, diagnostics)
 
 
 @dataclass
@@ -299,6 +359,9 @@ def _long_time_steady(liouvillian: Liouvillian, tol: float,
                       rho0: np.ndarray | None, max_time: float,
                       chunk: float, rtol: float, atol: float,
                       window: int = 8) -> SteadyState:
+    # the only adaptive integration left: other runs never load scipy.integrate
+    from scipy.integrate import solve_ivp
+
     d = liouvillian.dim
     L = liouvillian.matrix
     if rho0 is None:

@@ -39,9 +39,9 @@ from .hamiltonian import (
 )
 from .hilbert import (
     CompositeSpace, DensityMatrix, LinearOperator, basis_state,
-    coherent_state, identity_op, lowering_op, partial_trace,
+    coherent_state, identity_op, lowering_op, number_op, partial_trace,
 )
-from .lindblad import build_liouvillian, evolve, steady_state
+from .lindblad import Liouvillian, build_liouvillian, evolve, steady_state
 
 #: extension of the time window used to read off a plateau when the
 #: configuration has no decoherence (us)
@@ -275,8 +275,7 @@ def _run_scenario(config: ScenarioConfig, target: str, scenario_name: str,
     t_end = config.t_final if decohering else max(config.t_final, PLATEAU_WINDOW)
     n_pts = int(round(t_end / config.t_step)) + 1
     t_grid = np.linspace(0.0, t_end, n_pts)
-    result = evolve(liouv, rho0, t_grid, rtol=config.solver.rtol,
-                    atol=config.solver.atol, observables=obs,
+    result = evolve(liouv, rho0, t_grid, observables=obs,
                     snapshot_times=[t_grid[-1]])
 
     fid = np.real(np.asarray(result.observables["F_target"], dtype=complex))
@@ -388,6 +387,31 @@ class SpectroscopyResult:
     total_excitation: np.ndarray
 
 
+def _probe_liouvillians(config: ScenarioConfig, amps: tuple, freqs
+                        ) -> list[Liouvillian]:
+    """Qubit-only probe generators, one per pump frequency.
+
+    The model is built once, at ``freqs[0]``.  With a single pump on the
+    qubit-only model the pump frequency sets only the frame, so
+    H(f) = H(f0) - 2 pi (f - f0) N_q with N_q the total qubit number, and
+    each L(f) is a frame shift of L(f0).
+    """
+    if len(freqs) == 0:
+        return []
+    probe = config.replace(
+        pumps=(PumpDrive(amps, float(freqs[0])),),
+        raman=tuple(ResonatorDrive(detuning=d.detuning, n_bar=0.0)
+                    for d in config.raman))
+    model = build_dispersive(probe, include_resonators=False)
+    collapse = build_collapse_set(probe, include_resonators=False,
+                                  space=model.space)
+    base = build_liouvillian(model.H, collapse)
+    n_q = sum((number_op(model.space, i) for i in range(1, config.n_qubits)),
+              number_op(model.space, 0))
+    return [base.shifted((-2.0 * math.pi * (f - freqs[0])) * n_q)
+            for f in freqs]
+
+
 def run_spectroscopy(config: ScenarioConfig, drive_target: int,
                      freq_range, amplitude: float,
                      duration: float = 4.0) -> SpectroscopyResult:
@@ -412,22 +436,13 @@ def run_spectroscopy(config: ScenarioConfig, drive_target: int,
            for lab in labels}
     amps = tuple(amplitude if i == drive_target else 0.0
                  for i in range(config.n_qubits))
+    rho0 = DensityMatrix.from_state_vector(
+        qspace, named_qubit_state(qspace, "g" * config.n_qubits))
+    t_grid = np.linspace(0.0, duration, 81)
+    sel = t_grid >= duration / 2.0
 
-    for f in freqs:
-        probe_cfg = config.replace(
-            pumps=(PumpDrive(amps, float(f)),),
-            raman=tuple(ResonatorDrive(detuning=d.detuning, n_bar=0.0)
-                        for d in config.raman))
-        model = build_dispersive(probe_cfg, include_resonators=False)
-        collapse = build_collapse_set(probe_cfg, include_resonators=False,
-                                      space=model.space)
-        liouv = build_liouvillian(model.H, collapse)
-        rho0 = DensityMatrix.from_state_vector(
-            model.space, named_qubit_state(model.space,
-                                           "g" * config.n_qubits))
-        t_grid = np.linspace(0.0, duration, 81)
+    for liouv in _probe_liouvillians(config, amps, freqs):
         res = evolve(liouv, rho0, t_grid, observables=obs)
-        sel = t_grid >= duration / 2.0
         for lab in labels:
             sums[lab].append(float(np.real(res.observables[f"P_{lab}"][sel]).mean()))
 

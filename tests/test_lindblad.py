@@ -3,14 +3,16 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.linalg import expm
 
+from stabsim import lindblad
 from stabsim.hamiltonian import CollapseSet
 from stabsim.hilbert import (
     QUBIT, CompositeSpace, DensityMatrix, LinearOperator, ModeSpec,
     basis_state, lowering_op, number_op,
 )
 from stabsim.lindblad import (
-    EvolutionError, SteadyStateError, build_liouvillian, evolve,
+    EvolutionError, Liouvillian, SteadyStateError, build_liouvillian, evolve,
     residual_norm, steady_state, unvectorize, vectorize,
 )
 
@@ -106,8 +108,7 @@ class TestEvolve:
         L = make_liouvillian(h, [])
         rho0 = DensityMatrix.from_state_vector(space, basis_state(space, (0,)))
         t = np.linspace(0.0, 10.0, 401)
-        res = evolve(L, rho0, t, rtol=1e-10, atol=1e-12,
-                     observables={"n": number_op(space, 0)})
+        res = evolve(L, rho0, t, observables={"n": number_op(space, 0)})
         expected = np.sin(omega * t / 2.0) ** 2
         npt.assert_allclose(np.real(res.observables["n"]), expected,
                             atol=1e-6)
@@ -130,22 +131,38 @@ class TestEvolve:
         assert n_ss == pytest.approx(photon_number(eps, delta, kappa),
                                      rel=1e-3)
 
-    def test_tolerance_convergence(self):
-        # halving the tolerance moves the endpoint by far less than 1e-5
-        rng = np.random.default_rng(9)
-        h = rng.normal(size=(4, 4))
-        h = (h + h.T).astype(complex)
-        c = rng.normal(size=(4, 4)).astype(complex)
-        L = make_liouvillian(h, [(c, 0.5)], dims=[4])
-        rho0 = np.zeros((4, 4), dtype=complex)
-        rho0[1, 1] = 1.0
-        t = np.linspace(0.0, 5.0, 11)
-        ends = []
-        for rtol in (1e-8, 5e-9):
-            res = evolve(L, rho0, t, rtol=rtol, atol=rtol * 1e-2,
-                         observables={"p": np.diag([0, 1, 0, 0]).astype(complex)})
-            ends.append(float(np.real(res.observables["p"][-1])))
-        assert abs(ends[0] - ends[1]) < 1e-5
+    # d = 4 takes the dense-propagator path, d = 33 (d^2 = 1089) the
+    # expm_multiply path; the sparser d = 33 model keeps the dense
+    # reference affordable
+    PATHS = [(4, 1.0, False), (33, 0.1, True)]
+
+    @pytest.mark.parametrize("d,density,sparse_path", PATHS)
+    def test_matches_matrix_exponential(self, d, density, sparse_path):
+        L, rho0 = random_lindbladian(d, seed=9, density=density)
+        assert (d * d > lindblad._DENSE_PROPAGATOR_MAX) is sparse_path
+        # every grid point is checked against its own expm(L t)
+        t = np.linspace(0.0, 0.5, 3) if sparse_path else np.linspace(0, 5, 21)
+        res = evolve(L, rho0, t, snapshot_times=t)
+        assert [ts for ts, _ in res.snapshots] == list(t)
+        A = L.matrix.toarray()
+        for tk, (_, dm) in zip(t, res.snapshots):
+            ref = unvectorize(expm(A * tk) @ vectorize(rho0), d)
+            npt.assert_allclose(dm.matrix, ref, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("d,density,sparse_path", PATHS)
+    def test_matvec_count_is_positive_int(self, d, density, sparse_path):
+        L, rho0 = random_lindbladian(d, seed=2, density=density)
+        assert (d * d > lindblad._DENSE_PROPAGATOR_MAX) is sparse_path
+        res = evolve(L, rho0, np.linspace(0.0, 0.5, 6))
+        count = res.diagnostics["rhs_evaluations"]
+        assert type(count) is int and count > 0
+
+    @pytest.mark.parametrize("grid", [[0.0, 0.1, 0.3], [0.0, 0.2, 0.1],
+                                      [1.0, 1.0, 1.0]])
+    def test_non_uniform_grid_rejected(self, grid):
+        L, rho0 = random_lindbladian(4, seed=1)
+        with pytest.raises(ValueError, match="uniform"):
+            evolve(L, rho0, np.asarray(grid))
 
     def test_integrity_diagnostics(self):
         gamma = 0.3
@@ -168,6 +185,47 @@ class TestEvolve:
         with pytest.raises(EvolutionError, match="positivity"):
             evolve(L, bad, np.linspace(0, 1, 5))
 
+    def test_positivity_abort_reports_first_bad_time(self):
+        # time-reversed decay from the mixed state drains |g> until its
+        # population turns negative after t = ln 2
+        space = tls_space()
+        decay = build_liouvillian(
+            LinearOperator(space, np.zeros((2, 2), dtype=complex)),
+            CollapseSet([(lowering_op(space, 0), 1.0)]))
+        reversed_decay = Liouvillian(space, -decay.matrix, decay.hamiltonian,
+                                     decay.collapse)
+        with pytest.raises(EvolutionError, match="t=0.7 us") as exc:
+            evolve(reversed_decay, np.eye(2) / 2, np.linspace(0, 2, 21))
+        assert exc.value.diagnostics["t"] == pytest.approx(0.7)
+
+    def test_stacked_values_match_per_sample_loop(self):
+        L, rho0 = random_lindbladian(4, seed=4)
+        rng = np.random.default_rng(4)
+        op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi /= np.linalg.norm(psi)
+        lin = LinearOperator(L.space, op.T)
+        t = np.linspace(0.0, 3.0, 13)
+        res = evolve(L, rho0, t, snapshot_times=t,
+                     observables={"op": op, "lin": lin, "psi": psi})
+        rhos = [dm.matrix for _, dm in res.snapshots]
+        expect = {
+            "op": [np.trace(op @ r) for r in rhos],
+            "lin": [np.trace(op.T @ r) for r in rhos],
+            "psi": [np.real(np.vdot(psi, r @ psi)) for r in rhos],
+        }
+        for name, ref in expect.items():
+            npt.assert_allclose(res.observables[name], ref, rtol=0, atol=1e-13)
+        assert res.observables["psi"].dtype == float
+        diag = res.diagnostics
+        assert diag["max_trace_drift"] == pytest.approx(
+            max(abs(np.trace(r) - 1.0) for r in rhos), abs=1e-15)
+        assert diag["max_hermiticity_defect"] == pytest.approx(
+            max(np.abs(r - r.conj().T).max() for r in rhos), abs=1e-15)
+        assert diag["min_eigenvalue"] == pytest.approx(
+            min(np.linalg.eigvalsh(0.5 * (r + r.conj().T))[0] for r in rhos),
+            abs=1e-13)
+
     def test_snapshots_validated(self):
         gamma = 0.5
         space = tls_space()
@@ -179,6 +237,21 @@ class TestEvolve:
         assert [t for t, _ in res.snapshots] == [1.0, 2.0]
         for _, dm in res.snapshots:
             dm.validate()
+
+
+def random_lindbladian(d, seed, density=1.0):
+    """Random Hermitian H, one random collapse operator, random state."""
+    rng = np.random.default_rng(seed)
+
+    def rand():
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        return m * (rng.random((d, d)) < density)
+
+    h = rand()
+    L = make_liouvillian(0.5 * (h + h.conj().T), [(rand(), 0.5)], dims=[d])
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho0 = g @ g.conj().T
+    return L, rho0 / np.trace(rho0).real
 
 
 def make_liouvillian_res(space, h, collapse_pairs):

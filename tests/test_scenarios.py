@@ -8,12 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabsim.device import (
-    ResonatorDrive, Truncations, bundled_scenario, default_bell_scenario,
+    PumpDrive, ResonatorDrive, Truncations, bundled_scenario,
+    default_bell_scenario,
 )
+from stabsim.hamiltonian import (
+    build_collapse_set, build_dispersive, named_qubit_state, qubit_space,
+)
+from stabsim.hilbert import DensityMatrix
+from stabsim.lindblad import build_liouvillian, evolve
 from stabsim.scenarios import (
-    DegenerateDataError, ReadoutMatrix, apply_readout_mitigation,
-    fit_exponential, run_bell, run_spectroscopy, run_sweep, run_w,
-    write_report, write_sweep,
+    DegenerateDataError, ReadoutMatrix, _probe_liouvillians,
+    _qubit_state_labels, apply_readout_mitigation, fit_exponential,
+    run_bell, run_spectroscopy, run_sweep, run_w, write_report, write_sweep,
 )
 
 
@@ -236,6 +242,63 @@ class TestSpectroscopy:
         positions = freqs[peaks] - freqs[peaks[0]]
         j = cfg.couplings.j[0]
         npt.assert_allclose(positions, [0.0, j, 3 * j], atol=0.5)
+
+
+def probe_configs():
+    bell = bundled_scenario("bell")
+    return {
+        "bell": bell,
+        "w": bundled_scenario("w"),
+        "bell_qutrit": bell.replace(
+            truncations=Truncations(qubit_dim=3, resonator_dim=4)),
+    }
+
+
+def rebuilt_probe_liouvillian(cfg, amps, freq):
+    """Probe generator built from scratch with the pump at ``freq``."""
+    probe = cfg.replace(
+        pumps=(PumpDrive(amps, float(freq)),),
+        raman=tuple(ResonatorDrive(detuning=d.detuning, n_bar=0.0)
+                    for d in cfg.raman))
+    model = build_dispersive(probe, include_resonators=False)
+    return build_liouvillian(
+        model.H, build_collapse_set(probe, include_resonators=False,
+                                    space=model.space))
+
+
+class TestSpectroscopyFrameShift:
+    @pytest.mark.parametrize("name", ["bell", "w", "bell_qutrit"])
+    def test_shifted_generator_matches_rebuild(self, name):
+        cfg = probe_configs()[name]
+        amps = (0.15,) + (0.0,) * (cfg.n_qubits - 1)
+        work = cfg.qubits[0].working_freq
+        freqs = np.array([work - 7.3, work, work + 2.5, work + 11.0])
+        for f, shifted in zip(freqs, _probe_liouvillians(cfg, amps, freqs)):
+            ref = rebuilt_probe_liouvillian(cfg, amps, f)
+            scale = abs(ref.matrix).max()
+            assert abs(shifted.matrix - ref.matrix).max() <= 1e-9 * scale
+            assert abs(shifted.hamiltonian.matrix
+                       - ref.hamiltonian.matrix).max() <= 1e-9 * scale
+
+    @pytest.mark.parametrize("name", ["bell", "w", "bell_qutrit"])
+    def test_populations_match_per_frequency_rebuild(self, name):
+        cfg = probe_configs()[name]
+        amps = (0.15,) + (0.0,) * (cfg.n_qubits - 1)
+        work = cfg.qubits[0].working_freq
+        freqs = np.linspace(work - 8.0, work + 12.0, 9)
+        result = run_spectroscopy(cfg, 0, freqs, amplitude=0.15)
+        qspace = qubit_space(cfg)
+        labels = _qubit_state_labels(cfg.n_qubits)
+        obs = {lab: named_qubit_state(qspace, lab) for lab in labels}
+        rho0 = DensityMatrix.from_state_vector(
+            qspace, named_qubit_state(qspace, "g" * cfg.n_qubits))
+        t = np.linspace(0.0, 4.0, 81)
+        for k, f in enumerate(freqs):
+            res = evolve(rebuilt_probe_liouvillian(cfg, amps, f), rho0, t,
+                         observables=obs)
+            for lab in labels:
+                ref = np.real(res.observables[lab][t >= 2.0]).mean()
+                assert abs(result.populations[lab][k] - ref) <= 1e-9
 
 
 class TestSweep:
