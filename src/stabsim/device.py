@@ -130,12 +130,10 @@ class Truncations:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    rtol: float = 1e-8              # long_time integrator tolerances;
-    atol: float = 1e-10             # time traces are propagated exactly
-    steady_method: str = "auto"     # auto | nullspace | long_time
-    steady_tol: float = 1e-6        # residual ||L rho||_inf target, 1/us
-    nullspace_max_dim: int = 40_000  # largest d^2 handled by the direct solve
-    long_time_max: float = 400.0    # evolution budget for long_time, us
+    # the steady state has one solver (lindblad.steady_state) and time
+    # traces are propagated exactly, so the only setting is the gate on
+    # the steady-state residual ||L rho||_inf, 1/us
+    steady_tol: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -252,8 +250,6 @@ def validate_config(cfg: ScenarioConfig) -> None:
     if cfg.dephasing_convention not in DEPHASING_CONVENTIONS:
         raise ConfigError("dephasing_convention",
                           f"must be one of {DEPHASING_CONVENTIONS}")
-    if cfg.solver.steady_method not in ("auto", "nullspace", "long_time"):
-        raise ConfigError("solver.steady_method", "must be auto, nullspace or long_time")
     if isinstance(cfg.initial_state, tuple):
         if len(cfg.initial_state) != L:
             raise ConfigError("initial_state", f"expected {L} qubit occupations")
@@ -351,15 +347,8 @@ def load_scenario(text: str) -> ScenarioConfig:
                         if tr_raw.get("resonator_dims") is not None else None))
 
     sv_raw = raw.get("solver", {})
-    _require_keys(sv_raw, {"rtol", "atol", "steady_method", "steady_tol",
-                           "nullspace_max_dim", "long_time_max"}, set(), "solver")
-    solver = SolverSettings(
-        rtol=float(sv_raw.get("rtol", 1e-8)),
-        atol=float(sv_raw.get("atol", 1e-10)),
-        steady_method=sv_raw.get("steady_method", "auto"),
-        steady_tol=float(sv_raw.get("steady_tol", 1e-6)),
-        nullspace_max_dim=int(sv_raw.get("nullspace_max_dim", 40_000)),
-        long_time_max=float(sv_raw.get("long_time_max", 400.0)))
+    _require_keys(sv_raw, {"steady_tol"}, set(), "solver")
+    solver = SolverSettings(steady_tol=float(sv_raw.get("steady_tol", 1e-6)))
 
     init = raw.get("initial_state", "ground")
     if isinstance(init, list):
@@ -413,12 +402,7 @@ def scenario_to_jsonable(cfg: ScenarioConfig) -> dict:
             "resonator_dim": cfg.truncations.resonator_dim,
             "resonator_dims": (list(cfg.truncations.resonator_dims)
                                if cfg.truncations.resonator_dims else None)},
-        "solver": {
-            "rtol": cfg.solver.rtol, "atol": cfg.solver.atol,
-            "steady_method": cfg.solver.steady_method,
-            "steady_tol": cfg.solver.steady_tol,
-            "nullspace_max_dim": cfg.solver.nullspace_max_dim,
-            "long_time_max": cfg.solver.long_time_max},
+        "solver": {"steady_tol": cfg.solver.steady_tol},
         "dephasing_convention": cfg.dephasing_convention,
         "ac_stark_compensation": cfg.ac_stark_compensation,
         "raman_pull_correction": cfg.raman_pull_correction,
@@ -552,9 +536,7 @@ def default_w_scenario() -> ScenarioConfig:
         t_final=10.0,
         t_step=0.1,
         truncations=Truncations(qubit_dim=2, resonator_dim=3),
-        # d^2 = 46656 forces the long-time steady-state method; a residual
-        # of 1e-4 bounds the fidelity error well below 1e-2
-        solver=SolverSettings(steady_tol=1e-4, long_time_max=150.0),
+        solver=SolverSettings(steady_tol=1e-8),
     )
     validate_config(cfg)
     return cfg

@@ -11,32 +11,50 @@ Time evolution is exact propagation on a uniform time grid: small spaces
 it per step; larger ones use scipy's ``expm_multiply`` (Al-Mohy & Higham,
 SIAM J. Sci. Comput. 33, 488 (2011)).  No step size is chosen, so neither
 tolerances nor a stability cap steer it.  Trace, hermiticity and positivity
-are monitored at every stored point, never enforced.  Only the
-``long_time`` steady-state path integrates with an adaptive stepper
-(DOP853), steered by ``rtol``/``atol`` and capped by
-:meth:`Liouvillian.stability_max_step`.
+are monitored at every stored point, never enforced.
+
+The steady state is one matrix-free solve: the no-jump (Sylvester) part of
+L is inverted from one eigendecomposition of the effective Hamiltonian
+(Bartels & Stewart, Commun. ACM 15, 820 (1972)) and preconditions
+restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 856
+(1986)); an Arnoldi run on the same operator checks that the kernel is
+unique.
 """
 
 from __future__ import annotations
 
-import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
-from scipy.sparse.linalg import eigs, expm_multiply, spsolve
+from scipy.sparse.linalg import LinearOperator as ScipyLinearOperator
+from scipy.sparse.linalg import eigs, expm_multiply, gmres
 
 from .hamiltonian import CollapseSet
 from .hilbert import CompositeSpace, DensityMatrix, LinearOperator
 
-NULLSPACE = "nullspace"
-LONG_TIME = "long_time"
+SYLVESTER_GMRES = "sylvester_gmres"
 
 #: positivity violation that aborts an evolution
 POSITIVITY_ABORT = 1e-6
 #: largest d^2 propagated with a dense expm(L dt); its 16 MB bounds memory
 _DENSE_PROPAGATOR_MAX = 1024
+#: steady-state shift sigma as a fraction of the mean damping
+#: tr(sum r_k O_k^dag O_k)/d
+_SHIFT_FRACTION = 0.01
+#: largest condition number of Heff's eigenvectors accepted for S^-1
+_MAX_EIGVEC_COND = 1e6
+#: kernel gap 1 - |mu_2| below which the steady state is not unique; the
+#: smallest measured gap of a bundled scenario (decoherence-free
+#: bell_single_channel) is ~1.5e-4, a degenerate kernel reads ~1e-16
+_MIN_KERNEL_GAP = 1e-8
+#: GMRES: relative target of the preconditioned residual, Krylov
+#: dimension per restart, and number of restarts
+_GMRES_RTOL = 1e-12
+_GMRES_RESTART = 50
+_GMRES_MAXITER = 4
 
 
 class EvolutionError(RuntimeError):
@@ -59,36 +77,10 @@ class Liouvillian:
     matrix: sp.csr_matrix
     hamiltonian: LinearOperator
     collapse: CollapseSet
-    _spectral_radius: float | None = None
 
     @property
     def dim(self) -> int:
         return self.space.total_dim
-
-    def spectral_radius(self) -> float:
-        """Largest |eigenvalue| estimate (power iteration, deterministic).
-
-        Explicit adaptive steppers must not step past the stability limit
-        set by this scale: once the solution is quasi-static their error
-        control no longer sees the marginal high-frequency modes, and
-        roundoff in those modes grows exponentially.
-        """
-        if self._spectral_radius is None:
-            n = self.matrix.shape[0]
-            v = np.full(n, 1.0 / math.sqrt(n), dtype=complex)
-            nrm = 0.0
-            for _ in range(30):
-                w = self.matrix @ v
-                nrm = float(np.linalg.norm(w))
-                if nrm == 0.0:
-                    break
-                v = w / nrm
-            self._spectral_radius = nrm
-        return self._spectral_radius
-
-    def stability_max_step(self, safety: float = 2.5) -> float:
-        rho = self.spectral_radius()
-        return math.inf if rho == 0 else safety / rho
 
     def shifted(self, dH: LinearOperator) -> "Liouvillian":
         """Generator of ``H + dH`` with the same collapse set.
@@ -276,162 +268,95 @@ def _hermitize_normalize(rho: np.ndarray) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def _nullspace_steady(liouvillian: Liouvillian, tol: float,
-                      check_uniqueness: bool) -> SteadyState:
-    L = liouvillian.matrix
+def _no_jump_inverse(liouvillian: Liouvillian
+                     ) -> tuple[Callable[[np.ndarray], np.ndarray], dict]:
+    """``(solve, info)``: ``solve(y)`` applies S_sigma^-1 to a vectorized
+    matrix, where S_sigma(rho) = -i(Heff rho - rho Heff^dag) with
+    Heff = H - (i/2)(sum r_k O_k^dag O_k + sigma).
+
+    The shift sigma > 0 equals adding the jump operator sqrt(sigma) 1,
+    which leaves L unchanged but damps every mode, dark states included.
+    One eigendecomposition Heff = V diag(lam) V^-1 diagonalizes S_sigma:
+    rho = V X V^dag maps to X_jk -> -i(lam_j - conj(lam_k)) X_jk.
+    """
+    d = liouvillian.dim
+    damping = np.zeros((d, d), dtype=complex)
+    for op, rate in liouvillian.collapse:
+        O = op.toarray()
+        damping += rate * (O.conj().T @ O)
+    sigma = _SHIFT_FRACTION * float(np.trace(damping).real) / d
+    if not sigma > 0:
+        raise SteadyStateError(
+            "steady state is not unique: the generator has no dissipation")
+    heff = (liouvillian.hamiltonian.toarray()
+            - 0.5j * (damping + sigma * np.eye(d)))
+    lam, V = np.linalg.eig(heff)
+    cond_v = float(np.linalg.cond(V))
+    if not cond_v <= _MAX_EIGVEC_COND:
+        raise SteadyStateError(
+            f"no-jump Hamiltonian is near-defective (cond(V) = {cond_v:.2e} "
+            f"> {_MAX_EIGVEC_COND:.0e}); its eigenbasis cannot invert S")
+    W = np.linalg.inv(V)
+    Vh, Wh = V.conj().T, W.conj().T
+    inv_rate = 1.0 / (-1j * (lam[:, None] - lam.conj()[None, :]))
+
+    def solve(y: np.ndarray) -> np.ndarray:
+        Y = unvectorize(y, d)
+        return vectorize(V @ ((W @ Y @ Wh) * inv_rate) @ Vh)
+
+    return solve, {"shift": sigma, "cond_V": cond_v}
+
+
+def steady_state(liouvillian: Liouvillian, tol: float = 1e-6) -> SteadyState:
+    """Solve L(rho) = 0 with unit trace, matrix-free.
+
+    L = S_sigma + J + sigma with the jump part J(rho) = sum r_k O_k rho
+    O_k^dag (see :func:`_no_jump_inverse`), so the jump map
+    K = -S_sigma^-1 (J + sigma) = I - S_sigma^-1 L has exactly the kernel
+    of L as its fixed points.  Restarted GMRES solves
+    (I - K) x + u tr(x) = u with u = vec(1/d).  Each iteration is one
+    sparse L matvec plus four dense d x d products; no d^2 x d^2 matrix is
+    formed or factorized.  Uniqueness is checked on every solve: an
+    Arnoldi run gives the two largest |eigenvalues| of K, and a gap
+    1 - |mu_2| below ``1e-8`` raises :class:`SteadyStateError`, as do a
+    near-defective Heff and a residual ``||L vec(rho)||_inf`` above
+    ``tol``.  ``info`` holds ``iterations``, ``residual_history`` (relative
+    preconditioned GMRES residuals), ``kernel_gap``, ``shift`` and
+    ``cond_V``.
+    """
     d = liouvillian.dim
     n = d * d
-    # Add the trace constraint as a weighted row-0 update: the steady state
-    # satisfies both L x = 0 and tr(x) = 1, so (L + w e_0 tr) x = w e_0.
-    weight = float(np.abs(L.data).mean()) if L.nnz else 1.0
-    trace_cols = np.arange(d) * (d + 1)
-    bump = sp.csr_matrix((np.full(d, weight), (np.zeros(d, dtype=int), trace_cols)),
-                         shape=(n, n), dtype=complex)
-    rhs = np.zeros(n, dtype=complex)
-    rhs[0] = weight
-    info: dict = {"weight": weight}
-    try:
-        x = spsolve((L + bump).tocsc(), rhs)
-        failed = not np.all(np.isfinite(x))
-    except RuntimeError:
-        x, failed = None, True
-    if failed:
-        # a single trace row cannot regularize a kernel of dimension > 1
-        _raise_if_degenerate(L, info)
-        raise SteadyStateError("nullspace factorization failed")
+    L = liouvillian.matrix
+    solve, info = _no_jump_inverse(liouvillian)
+
+    K = ScipyLinearOperator((n, n), matvec=lambda x: x - solve(L @ x),
+                            dtype=complex)
+    # a fixed start vector keeps the reported gap reproducible
+    v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
+    mu = eigs(K, k=2, which="LM", v0=v0, return_eigenvectors=False)
+    gap = 1.0 - float(np.abs(mu).min())
+    info["kernel_gap"] = gap
+    if gap < _MIN_KERNEL_GAP:
+        raise SteadyStateError(
+            f"steady state is not unique: kernel gap 1 - |mu_2| = {gap:.2e}")
+
+    trace_idx = np.arange(d) * (d + 1)
+    u = vectorize(np.eye(d, dtype=complex) / d)
+    bordered = ScipyLinearOperator(
+        (n, n), matvec=lambda x: solve(L @ x) + u * x[trace_idx].sum(),
+        dtype=complex)
+    history: list[float] = []
+    x, code = gmres(bordered, u, rtol=_GMRES_RTOL, atol=0.0,
+                    restart=_GMRES_RESTART, maxiter=_GMRES_MAXITER,
+                    callback=history.append, callback_type="pr_norm")
+    info["iterations"] = len(history)
+    info["residual_history"] = [float(r) for r in history]
     rho = _hermitize_normalize(unvectorize(x, d))
     res = residual_norm(liouvillian, rho)
-    if res > tol or check_uniqueness:
-        _raise_if_degenerate(L, info)
-    if res > tol:
+    if not res <= tol:
         raise SteadyStateError(
-            f"nullspace solve residual {res:.3e} exceeds tolerance {tol:.1e}")
-    return SteadyState(DensityMatrix(liouvillian.space, rho), res, NULLSPACE, info)
-
-
-def _raise_if_degenerate(L: sp.spmatrix, info: dict) -> None:
-    lam = _smallest_liouvillian_eigenvalues(L)
-    info["smallest_eigenvalues"] = lam
-    if lam is not None and len(lam) > 1 and abs(lam[1]) < 1e-10:
-        raise SteadyStateError(
-            f"steady state is not unique: second Liouvillian eigenvalue "
-            f"{lam[1]:.3e}")
-
-
-def _smallest_liouvillian_eigenvalues(L: sp.spmatrix, k: int = 2):
-    try:
-        vals = eigs(L.tocsc(), k=k, sigma=1e-9, which="LM",
-                    return_eigenvectors=False)
-    except Exception:
-        return None
-    return sorted(vals, key=abs)
-
-
-def _affine_min_residual(L: sp.spmatrix, states: list[np.ndarray]
-                         ) -> tuple[np.ndarray, float]:
-    """Affine combination of iterates minimizing ||L x||_2 (sum c = 1).
-
-    A long-time sweep decays through several slow Liouvillian modes with
-    comparable rates; the best affine combination of the recent iterates
-    cancels up to len(states)-1 of them at once, which plain geometric
-    extrapolation (a single mode) cannot.
-    """
-    R = np.stack([L @ x for x in states], axis=1)
-    k = R.shape[1]
-    gram = R.conj().T @ R
-    scale = float(np.abs(gram).max()) or 1.0
-    kkt = np.zeros((k + 1, k + 1), dtype=complex)
-    kkt[:k, :k] = gram / scale
-    kkt[:k, k] = 1.0
-    kkt[k, :k] = 1.0
-    rhs = np.zeros(k + 1, dtype=complex)
-    rhs[k] = 1.0
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        return states[-1], float(np.abs(R[:, -1]).max())
-    c = sol[:k]
-    x = sum(ci * xi for ci, xi in zip(c, states))
-    return x, float(np.abs(R @ c).max())
-
-
-def _long_time_steady(liouvillian: Liouvillian, tol: float,
-                      rho0: np.ndarray | None, max_time: float,
-                      chunk: float, rtol: float, atol: float,
-                      window: int = 8) -> SteadyState:
-    # the only adaptive integration left: other runs never load scipy.integrate
-    from scipy.integrate import solve_ivp
-
-    d = liouvillian.dim
-    L = liouvillian.matrix
-    if rho0 is None:
-        rho0 = np.eye(d, dtype=complex) / d
-    y = vectorize(rho0)
-    t = 0.0
-    history: list[np.ndarray] = []
-    best = (residual_norm(liouvillian, unvectorize(y, d)), y)
-    cap = liouvillian.stability_max_step()
-    # eighth order keeps the capped-step truncation error far below any
-    # useful residual tolerance; RK45 at the stability cap floors near 1e-5
-    while t < max_time and best[0] > tol:
-        sol = solve_ivp(lambda s, v: L @ v, (0.0, chunk), y, method="DOP853",
-                        rtol=rtol, atol=atol, max_step=cap)
-        if not sol.success:
-            raise SteadyStateError(f"long-time integration failed: {sol.message}")
-        y = sol.y[:, -1]
-        t += chunk
-        history.append(y.copy())
-        if len(history) > window:
-            history.pop(0)
-        res = float(np.abs(L @ y).max())
-        if res < best[0]:
-            best = (res, y.copy())
-        if res <= tol:
-            break
-        if len(history) >= 3:
-            cand, res_c = _affine_min_residual(L, history)
-            if res_c < res:
-                y = cand
-                if res_c < best[0]:
-                    best = (res_c, y.copy())
-                # restart the window from the accelerated iterate
-                history = [y.copy()]
-    res, y = best
-    if res > tol:
-        raise SteadyStateError(
-            f"long-time method reached t={t:.1f} us with residual {res:.3e} "
-            f"above tolerance {tol:.1e}")
-    rho = _hermitize_normalize(unvectorize(y, d))
-    return SteadyState(DensityMatrix(liouvillian.space, rho),
-                       residual_norm(liouvillian, rho), LONG_TIME,
-                       {"evolved_time": t})
-
-
-def steady_state(liouvillian: Liouvillian, method: str = "auto",
-                 tol: float = 1e-6, nullspace_max_dim: int = 40_000,
-                 rho0: np.ndarray | DensityMatrix | None = None,
-                 max_time: float = 400.0, chunk: float = 5.0,
-                 rtol: float = 1e-8, atol: float = 1e-10,
-                 check_uniqueness: bool = False) -> SteadyState:
-    """Solve L(rho) = 0 with unit trace.
-
-    ``nullspace`` solves the trace-augmented sparse linear system directly
-    and is used automatically while d^2 <= ``nullspace_max_dim``; otherwise
-    ``long_time`` integrates from ``rho0`` (default maximally mixed) in
-    chunks, with geometric extrapolation of the slowest mode, until
-    ``||L vec(rho)||_inf <= tol``.
-    """
-    n = liouvillian.dim ** 2
-    if method == "auto":
-        method = NULLSPACE if n <= nullspace_max_dim else LONG_TIME
-    if isinstance(rho0, DensityMatrix):
-        rho0 = rho0.matrix
-    if method == NULLSPACE:
-        if n > nullspace_max_dim:
-            raise SteadyStateError(
-                f"nullspace method refused: d^2 = {n} exceeds {nullspace_max_dim}")
-        return _nullspace_steady(liouvillian, tol, check_uniqueness)
-    if method == LONG_TIME:
-        return _long_time_steady(liouvillian, tol, rho0, max_time, chunk,
-                                 rtol, atol)
-    raise ValueError(f"unknown steady-state method {method!r}")
+            f"steady-state residual {res:.3e} exceeds tolerance {tol:.1e} "
+            f"after {len(history)} GMRES iterations"
+            + ("" if code == 0 else " (GMRES did not converge)"))
+    return SteadyState(DensityMatrix(liouvillian.space, rho), res,
+                       SYLVESTER_GMRES, info)

@@ -263,6 +263,13 @@ class ScenarioReport:
         }
 
 
+def _target_fidelity(rho: DensityMatrix, n_qubits: int, target: str) -> float:
+    """<target| rho_q |target> with rho_q the qubit-reduced state."""
+    reduced = partial_trace(rho, range(n_qubits))
+    psi = named_qubit_state(reduced.space, target)
+    return float(np.real(np.vdot(psi, reduced.matrix @ psi)))
+
+
 def _run_scenario(config: ScenarioConfig, target: str, scenario_name: str,
                   initial=None) -> ScenarioReport:
     model = build_dispersive(config, displaced=True)
@@ -275,33 +282,25 @@ def _run_scenario(config: ScenarioConfig, target: str, scenario_name: str,
     t_end = config.t_final if decohering else max(config.t_final, PLATEAU_WINDOW)
     n_pts = int(round(t_end / config.t_step)) + 1
     t_grid = np.linspace(0.0, t_end, n_pts)
-    result = evolve(liouv, rho0, t_grid, observables=obs,
-                    snapshot_times=[t_grid[-1]])
+    result = evolve(liouv, rho0, t_grid, observables=obs)
 
     fid = np.real(np.asarray(result.observables["F_target"], dtype=complex))
     if (fid < -1e-9).any() or (fid > 1 + 1e-9).any():
         raise RuntimeError("target fidelity left [0, 1]")
 
     if decohering:
-        # final trajectory state warm-starts the long-time method
-        last = result.snapshots[-1][1]
-        steadym = steady_state(
-            liouv, method=config.solver.steady_method,
-            tol=config.solver.steady_tol,
-            nullspace_max_dim=config.solver.nullspace_max_dim,
-            rho0=last, max_time=config.solver.long_time_max,
-            rtol=config.solver.rtol, atol=config.solver.atol)
-        reduced = partial_trace(steadym.rho, range(config.n_qubits))
-        qspace = reduced.space
-        psi_t = named_qubit_state(qspace, target)
-        steady_fid = float(np.real(np.vdot(psi_t, reduced.matrix @ psi_t)))
+        steadym = steady_state(liouv, tol=config.solver.steady_tol)
+        steady_fid = _target_fidelity(steadym.rho, config.n_qubits, target)
         steady_method = steadym.method
         steady_res = steadym.residual
+        iterations = steadym.info["iterations"]
+        kernel_gap = steadym.info["kernel_gap"]
     else:
         tail = fid[t_grid >= 0.8 * t_end]
         steady_fid = float(tail.mean())
         steady_method = "trajectory_plateau"
         steady_res = float(np.ptp(tail))
+        iterations = kernel_gap = None
 
     window = t_grid <= config.t_final
     fitted_rate = fitted_tau = None
@@ -324,7 +323,9 @@ def _run_scenario(config: ScenarioConfig, target: str, scenario_name: str,
         steady_residual=steady_res,
         fitted_rate=fitted_rate,
         fitted_tau=fitted_tau,
-        diagnostics=dict(result.diagnostics),
+        diagnostics={**result.diagnostics, "steady_state": {
+            "method": steady_method, "residual": steady_res,
+            "iterations": iterations, "kernel_gap": kernel_gap}},
     )
 
 
@@ -462,6 +463,9 @@ class SweepResult:
     values: np.ndarray
     steady_fidelity: np.ndarray
     gamma_st: np.ndarray
+    # steady-state evidence per point; NaN where the point failed
+    steady_residual: np.ndarray
+    kernel_gap: np.ndarray
     errors: list[str | None]
 
 
@@ -527,23 +531,22 @@ def measure_transfer_rate(config: ScenarioConfig, source: str = "S",
     return abs(fit.rate * fit.amplitude / (fit.asymptote + fit.amplitude))
 
 
-def _sweep_point(args) -> tuple[float, float, str | None]:
+def _sweep_point(args) -> tuple[float, float, float, float, str | None]:
+    """``(fidelity, gamma, steady residual, kernel gap, error)``."""
     config, axis, value = args
     try:
         cfg = _apply_axis(config, axis, value)
         model = build_dispersive(cfg, displaced=True)
         collapse = build_collapse_set(cfg, space=model.space)
         liouv = build_liouvillian(model.H, collapse)
-        steadym = steady_state(liouv, tol=cfg.solver.steady_tol,
-                               nullspace_max_dim=cfg.solver.nullspace_max_dim)
-        reduced = partial_trace(steadym.rho, range(cfg.n_qubits))
-        target = "T" if cfg.n_qubits == 2 else "W"
-        psi = named_qubit_state(reduced.space, target)
-        fid = float(np.real(np.vdot(psi, reduced.matrix @ psi)))
+        steadym = steady_state(liouv, tol=cfg.solver.steady_tol)
+        fid = _target_fidelity(steadym.rho, cfg.n_qubits,
+                               "T" if cfg.n_qubits == 2 else "W")
         gamma = measure_transfer_rate(cfg)
-        return fid, gamma, None
+        return (fid, gamma, steadym.residual, steadym.info["kernel_gap"],
+                None)
     except Exception as exc:  # per-point failures recorded, sweep continues
-        return math.nan, math.nan, f"{type(exc).__name__}: {exc}"
+        return (math.nan,) * 4 + (f"{type(exc).__name__}: {exc}",)
 
 
 def run_sweep(config: ScenarioConfig, axis: str, values,
@@ -564,10 +567,8 @@ def run_sweep(config: ScenarioConfig, axis: str, values,
             rows = list(pool.map(_sweep_point, jobs))
     else:
         rows = [_sweep_point(j) for j in jobs]
-    fid = np.asarray([r[0] for r in rows])
-    gam = np.asarray([r[1] for r in rows])
-    errs = [r[2] for r in rows]
-    return SweepResult(axis, values, fid, gam, errs)
+    fid, gam, res, gap = (np.asarray([r[k] for r in rows]) for k in range(4))
+    return SweepResult(axis, values, fid, gam, res, gap, [r[4] for r in rows])
 
 
 # -- report output ----------------------------------------------------------------
@@ -592,23 +593,24 @@ def write_report(report: ScenarioReport, outdir: str | Path) -> Path:
 def write_sweep(result: SweepResult, outdir: str | Path) -> Path:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
+    columns = {"steady_fidelity": result.steady_fidelity,
+               "gamma_st_per_us": result.gamma_st,
+               "steady_residual": result.steady_residual,
+               "kernel_gap": result.kernel_gap}
     with open(out / "report.json", "w") as fh:
         json.dump({
             "axis": result.axis,
             "values": [float(v) for v in result.values],
-            "steady_fidelity": [None if math.isnan(v) else float(v)
-                                for v in result.steady_fidelity],
-            "gamma_st_per_us": [None if math.isnan(v) else float(v)
-                                for v in result.gamma_st],
+            **{name: [None if math.isnan(v) else float(v) for v in col]
+               for name, col in columns.items()},
             "errors": result.errors,
         }, fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(out / "traces.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([result.axis, "steady_fidelity", "gamma_st_per_us",
-                         "error"])
-        for v, f, g, e in zip(result.values, result.steady_fidelity,
-                              result.gamma_st, result.errors):
-            writer.writerow([repr(float(v)), repr(float(f)), repr(float(g)),
-                             e or ""])
+        writer.writerow([result.axis, *columns, "error"])
+        for i, v in enumerate(result.values):
+            writer.writerow([repr(float(v))]
+                            + [repr(float(col[i])) for col in columns.values()]
+                            + [result.errors[i] or ""])
     return out

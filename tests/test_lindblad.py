@@ -6,10 +6,13 @@ import pytest
 from scipy.linalg import expm
 
 from stabsim import lindblad
-from stabsim.hamiltonian import CollapseSet
+from stabsim.device import QubitParams, bundled_scenario
+from stabsim.hamiltonian import (
+    CollapseSet, build_collapse_set, build_dispersive, named_qubit_state,
+)
 from stabsim.hilbert import (
     QUBIT, CompositeSpace, DensityMatrix, LinearOperator, ModeSpec,
-    basis_state, lowering_op, number_op,
+    basis_state, lowering_op, number_op, partial_trace,
 )
 from stabsim.lindblad import (
     EvolutionError, Liouvillian, SteadyStateError, build_liouvillian, evolve,
@@ -261,7 +264,59 @@ def make_liouvillian_res(space, h, collapse_pairs):
     return build_liouvillian(H, cols)
 
 
+def bundled_bell(decoherence=True):
+    """``(config, Liouvillian)`` of the bundled two-qubit scenario; without
+    ``decoherence`` the qubits have T1 = T_phi = infinity."""
+    cfg = bundled_scenario("bell")
+    if not decoherence:
+        cfg = cfg.replace(qubits=tuple(
+            QubitParams(q.label, q.omega_q, q.alpha, None, None,
+                        q.working_freq)
+            for q in cfg.qubits))
+    model = build_dispersive(cfg, displaced=True)
+    return cfg, build_liouvillian(
+        model.H, build_collapse_set(cfg, space=model.space))
+
+
+def oracle_cases():
+    """Liouvillians with a unique steady state, as ``pytest.param``s."""
+    for d in range(2, 9):
+        for seed in range(3):
+            yield pytest.param(random_lindbladian(d, seed)[0],
+                               id=f"random-d{d}-s{seed}")
+    space = tls_space()
+    yield pytest.param(build_liouvillian(
+        LinearOperator(space, np.diag([0.0, 5.0]).astype(complex)),
+        CollapseSet([(lowering_op(space, 0), 1.0)])), id="pure-decay")
+    # the n_bar = 0.74 cavity of acceptance criterion 6a
+    cav = CompositeSpace([ModeSpec("r", "resonator", 30)])
+    c = lowering_op(cav, 0)
+    eps = math.sqrt(0.74 * (10.0 ** 2 + 0.55 ** 2))
+    yield pytest.param(build_liouvillian(
+        (2 * math.pi * 10.0) * (c.dag() @ c) + (2 * math.pi * eps) * (c + c.dag()),
+        CollapseSet([(c, 2 * math.pi * 1.1)])), id="driven-cavity-d30")
+
+
 class TestSteadyState:
+    @pytest.mark.parametrize("L", oracle_cases())
+    def test_matches_direct_lu_oracle(self, L, lu_steady_state):
+        ss = steady_state(L, tol=1e-9)
+        npt.assert_allclose(ss.rho.matrix, lu_steady_state(L),
+                            rtol=0, atol=1e-10)
+
+    def test_decoherence_free_bell_matches_oracle(self, lu_steady_state):
+        # T1 = T_phi = infinity: the resonator decay alone selects a unique
+        # (far from the plateau) kernel state
+        cfg, L = bundled_bell(decoherence=False)
+        ss = steady_state(L, tol=1e-9)
+        npt.assert_allclose(ss.rho.matrix, lu_steady_state(L),
+                            rtol=0, atol=1e-10)
+        reduced = partial_trace(ss.rho, range(cfg.n_qubits))
+        psi = named_qubit_state(reduced.space, "T")
+        fid = float(np.real(np.vdot(psi, reduced.matrix @ psi)))
+        assert fid == pytest.approx(0.46978, abs=5e-6)
+        assert 1e-8 < ss.info["kernel_gap"] < 1.0
+
     def test_pure_decay_reaches_ground(self):
         space = tls_space()
         H = LinearOperator(space, np.diag([0.0, 5.0]).astype(complex))
@@ -269,25 +324,24 @@ class TestSteadyState:
         ss = steady_state(L, tol=1e-10)
         npt.assert_allclose(ss.rho.matrix, np.diag([1.0, 0.0]), atol=1e-10)
         assert ss.residual < 1e-12
-        assert ss.method == "nullspace"
+        assert ss.method == "sylvester_gmres"
 
-    def test_methods_agree(self):
-        # driven decaying qubit: direct solve and long-time integration land
-        # on the same state
-        space = tls_space()
-        h = np.array([[0.0, 1.2], [1.2, 0.5]], dtype=complex)
-        L = make_liouvillian(h, [(np.array([[0, 1], [0, 0]], complex), 0.8)])
-        a = steady_state(L, method="nullspace", tol=1e-9)
-        b = steady_state(L, method="long_time", tol=1e-9, chunk=4.0)
-        npt.assert_allclose(a.rho.matrix, b.rho.matrix, atol=1e-7)
+    def test_info_records_solver_evidence(self):
+        L, _ = random_lindbladian(5, seed=7)
+        ss = steady_state(L, tol=1e-9)
+        info = ss.info
+        assert type(info["iterations"]) is int and info["iterations"] > 0
+        assert len(info["residual_history"]) == info["iterations"]
+        assert info["residual_history"][-1] <= lindblad._GMRES_RTOL
+        assert 1e-8 < info["kernel_gap"] <= 1.0
+        assert info["shift"] > 0 and info["cond_V"] >= 1.0
 
-    def test_nullspace_size_guard(self):
-        space = tls_space()
-        L = build_liouvillian(
-            LinearOperator(space, np.zeros((2, 2), dtype=complex)),
-            CollapseSet([(lowering_op(space, 0), 1.0)]))
-        with pytest.raises(SteadyStateError, match="refused"):
-            steady_state(L, method="nullspace", nullspace_max_dim=2)
+    def test_methods_agree(self, lu_steady_state):
+        # the bundled two-qubit scenario: GMRES against a direct sparse LU
+        cfg, L = bundled_bell()
+        ss = steady_state(L, tol=cfg.solver.steady_tol)
+        npt.assert_allclose(ss.rho.matrix, lu_steady_state(L),
+                            rtol=0, atol=1e-10)
 
     def test_degenerate_kernel_detected(self):
         # two uncoupled decaying qubits with no cross relaxation conserve
@@ -299,17 +353,30 @@ class TestSteadyState:
                             (number_op(space, 1), 1.0)])
         L = build_liouvillian(LinearOperator(space, h), cols)
         with pytest.raises(SteadyStateError, match="not unique|residual"):
-            steady_state(L, method="nullspace", tol=1e-9)
+            steady_state(L, tol=1e-9)
 
-    def test_long_time_budget_error(self):
-        # a very slow relaxation cannot reach tolerance within the budget
+    def test_no_dissipation_is_not_unique(self):
+        L = make_liouvillian(np.array([[0, 1], [1, 0]], complex), [])
+        with pytest.raises(SteadyStateError, match="not unique"):
+            steady_state(L)
+
+    def test_near_defective_heff_rejected(self):
+        # H = g sigma_x with decay 4g sits on an exceptional point: Heff has
+        # one eigenvector, so its eigenbasis cannot invert S
         space = tls_space()
         L = build_liouvillian(
             LinearOperator(space, np.array([[0, 1], [1, 0]], complex)),
-            CollapseSet([(lowering_op(space, 0), 1e-4)]))
-        with pytest.raises(SteadyStateError, match="long-time"):
-            steady_state(L, method="long_time", tol=1e-12, max_time=1.0,
-                         chunk=0.5)
+            CollapseSet([(lowering_op(space, 0), 4.0)]))
+        with pytest.raises(SteadyStateError, match="near-defective"):
+            steady_state(L)
+
+    def test_gmres_budget_exhausted(self, monkeypatch):
+        monkeypatch.setattr(lindblad, "_GMRES_RESTART", 2)
+        monkeypatch.setattr(lindblad, "_GMRES_MAXITER", 1)
+        L, _ = random_lindbladian(6, seed=3)
+        with pytest.raises(SteadyStateError,
+                           match=r"after 2 GMRES iterations \(GMRES did not converge\)"):
+            steady_state(L, tol=1e-9)
 
     def test_residual_norm(self):
         space = tls_space()

@@ -319,7 +319,11 @@ class TestSweep:
         result = run_sweep(quick_bell, "kappa", [-1.0, 1.0])
         assert result.errors[0] is not None and "kappa" in result.errors[0]
         assert math.isnan(result.steady_fidelity[0])
+        assert math.isnan(result.steady_residual[0])
+        assert math.isnan(result.kernel_gap[0])
         assert result.errors[1] is None
+        assert result.steady_residual[1] <= quick_bell.solver.steady_tol
+        assert 1e-8 < result.kernel_gap[1] <= 1.0
 
     def test_parallel_workers_match_serial(self, quick_bell):
         cfg = quick_bell.replace(t_final=2.0)
@@ -329,6 +333,10 @@ class TestSweep:
         npt.assert_allclose(serial.steady_fidelity, parallel.steady_fidelity,
                             atol=1e-12)
         npt.assert_allclose(serial.gamma_st, parallel.gamma_st, atol=1e-9)
+        for res in (serial, parallel):
+            assert (res.steady_residual <= cfg.solver.steady_tol).all()
+            assert ((res.kernel_gap > 1e-8) & (res.kernel_gap <= 1.0)).all()
+        npt.assert_allclose(serial.kernel_gap, parallel.kernel_gap, atol=1e-9)
 
     def test_axis_application(self):
         from stabsim.scenarios import _apply_axis
@@ -349,6 +357,15 @@ class TestReportOutput:
         payload = json.loads((out / "report.json").read_text())
         assert "steady_fidelity" in payload
         assert payload["scenario"] == "bell"
+        steady = payload["diagnostics"]["steady_state"]
+        assert steady["method"] == "sylvester_gmres"
+        assert steady["residual"] == payload["steady_residual"]
+        assert steady["residual"] <= quick_bell.solver.steady_tol
+        assert type(steady["iterations"]) is int and steady["iterations"] > 0
+        assert 1e-8 < steady["kernel_gap"] <= 1.0
+        for key in ("max_trace_drift", "max_hermiticity_defect",
+                    "min_eigenvalue", "rhs_evaluations"):
+            assert key in payload["diagnostics"]
         header = (out / "traces.csv").read_text().splitlines()[0].split(",")
         assert header[0] == "t_us"
         assert set(header[1:]) == set(report.traces)
@@ -362,9 +379,17 @@ class TestReportOutput:
         assert (a / "traces.csv").read_bytes() == (b / "traces.csv").read_bytes()
 
     def test_sweep_output(self, quick_bell, tmp_path):
-        result = run_sweep(quick_bell.replace(t_final=2.0), "n_bar", [0.3])
+        result = run_sweep(quick_bell.replace(t_final=2.0), "kappa",
+                           [0.3, -1.0])
         out = write_sweep(result, tmp_path / "sw")
         payload = json.loads((out / "report.json").read_text())
-        assert payload["axis"] == "n_bar"
+        assert payload["axis"] == "kappa"
+        assert payload["steady_residual"][0] == result.steady_residual[0]
+        assert payload["kernel_gap"][0] == result.kernel_gap[0]
+        assert payload["steady_residual"][1] is None
+        assert payload["kernel_gap"][1] is None
         lines = (out / "traces.csv").read_text().splitlines()
-        assert len(lines) == 2
+        assert len(lines) == 3
+        assert lines[0].split(",") == ["kappa", "steady_fidelity",
+                                       "gamma_st_per_us", "steady_residual",
+                                       "kernel_gap", "error"]
