@@ -2,8 +2,11 @@
 """Parameter study on the single-channel configuration.
 
 Reproduces the three reference numbers (decoherence dependence of the steady
-fidelity) and sweeps the photon number, dispersive shift, and resonator
-linewidth, writing one CSV per axis.  Run from anywhere:
+fidelity, ``decoherence_dependence.csv``) and sweeps the photon number,
+dispersive shift, and resonator linewidth.  Each sweep is written like
+``stabsim sweep`` output, to ``sweep_<axis>/report.json`` and
+``sweep_<axis>/traces.csv`` (per point: steady fidelity, engineered rate,
+steady-state residual, kernel gap, error).  Run from anywhere:
 
     python3 scripts/parameter_study.py [outdir]
 """
@@ -15,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from stabsim.device import QubitParams, bundled_scenario
-from stabsim.scenarios import run_bell, run_sweep
+from stabsim.scenarios import run_bell, run_sweep, write_sweep
 
 
 def decoherence_table(outdir: Path):
@@ -47,15 +50,7 @@ def axis_sweeps(outdir: Path):
         "kappa": np.linspace(0.4, 6.0, 8),
     }
     for axis, values in axes.items():
-        result = run_sweep(cfg, axis, values)
-        path = outdir / f"sweep_{axis}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([axis, "steady_fidelity", "gamma_st_per_us",
-                             "error"])
-            for v, f, g, e in zip(result.values, result.steady_fidelity,
-                                  result.gamma_st, result.errors):
-                writer.writerow([v, f, g, e or ""])
+        path = write_sweep(run_sweep(cfg, axis, values), outdir / f"sweep_{axis}")
         print(f"{axis}: wrote {path}")
 
 

@@ -13,20 +13,14 @@ Library layout:
 * :mod:`stabsim.cli` -- command-line entry point
 """
 
-from .device import (
-    ScenarioConfig, bundled_scenario, default_bell_pump2,
-    default_bell_scenario, default_bell_single_channel, default_w_scenario,
-    load_scenario, serialize_scenario,
-)
+from .device import ScenarioConfig, bundled_scenario, load_scenario, serialize_scenario
 from .effective import ThreeLevelParams, approx_fidelity, exact_fidelity, experiment_estimate
 from .hamiltonian import build_collapse_set, build_dispersive, build_jaynes_cummings
 from .lindblad import build_liouvillian, evolve, steady_state
 from .scenarios import run_bell, run_spectroscopy, run_sweep, run_w
 
 __all__ = [
-    "ScenarioConfig", "bundled_scenario", "default_bell_pump2",
-    "default_bell_scenario", "default_bell_single_channel",
-    "default_w_scenario", "load_scenario", "serialize_scenario",
+    "ScenarioConfig", "bundled_scenario", "load_scenario", "serialize_scenario",
     "ThreeLevelParams", "approx_fidelity", "exact_fidelity",
     "experiment_estimate", "build_collapse_set", "build_dispersive",
     "build_jaynes_cummings", "build_liouvillian", "evolve", "steady_state",

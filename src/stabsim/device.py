@@ -414,129 +414,13 @@ def serialize_scenario(cfg: ScenarioConfig) -> str:
 
 
 def bundled_scenario(name: str) -> ScenarioConfig:
-    """Load one of the packaged golden scenarios (bell, w, ...)."""
+    """Load one of the packaged scenarios: ``bell``, ``bell_single_channel``,
+    ``bell_pump2`` or ``w``.  The JSON files under ``stabsim/data`` are their
+    only definition (the README's scenario table says why each value is
+    what it is)."""
     ref = resources.files("stabsim.data").joinpath(f"{name}.json")
     try:
         text = ref.read_text()
     except FileNotFoundError:
         raise ValueError(f"no bundled scenario named {name!r}") from None
     return load_scenario(text)
-
-
-# -- packaged device parameters ----------------------------------------------
-
-_J_MHZ = 5.0
-
-_QUBIT_TABLE = [
-    # label, sweet-spot MHz, alpha MHz, T1 us, T2e us
-    ("Q1", 4202.0, -197.0, 27.0, 14.0),
-    ("Q2", 4430.0, -189.0, 27.0, 28.0),
-    ("Q3", 4179.0, -199.0, 27.0, 11.0),
-]
-
-_RESONATOR_TABLE = [
-    # label, freq MHz, kappa MHz, chi MHz
-    ("R1", 6481.0, 1.10, -0.75),
-    ("R2", 6604.0, 0.87, -0.90),
-    ("R3", 6517.0, 0.88, -0.85),
-]
-
-
-def _bell_qubits(t1=(27.0, 27.0), t2e=(14.0, 28.0)):
-    work = 4202.0
-    return tuple(
-        QubitParams(lbl, w, a, t1[i], t2e[i], work)
-        for i, (lbl, w, a, _, _) in enumerate(_QUBIT_TABLE[:2]))
-
-
-def _resonators(n):
-    return tuple(ResonatorParams(lbl, w, k, c)
-                 for (lbl, w, k, c) in _RESONATOR_TABLE[:n])
-
-
-def default_bell_scenario() -> ScenarioConfig:
-    """Two-qubit stabilization with both engineered channels, device values.
-
-    Drive detunings are the nominal bench settings (twice the coupling), not
-    corrected for the cross-Kerr pull of the stabilized state; this
-    reproduces the measured stabilization behaviour (time constant near
-    1 us, a gain from the second channel).
-    """
-    work = 4202.0
-    cfg = ScenarioConfig(
-        name="bell",
-        qubits=_bell_qubits(),
-        resonators=_resonators(2),
-        couplings=CouplingParams((_J_MHZ,)),
-        pumps=(PumpDrive((0.53, -0.53), work + _J_MHZ),),
-        raman=(ResonatorDrive(detuning=2 * _J_MHZ, n_bar=0.74),
-               ResonatorDrive(detuning=2 * _J_MHZ, n_bar=0.60)),
-        initial_state="gg",
-        t_final=10.0,
-        t_step=0.1,
-        raman_pull_correction=False,
-    )
-    validate_config(cfg)
-    return cfg
-
-
-def default_bell_single_channel() -> ScenarioConfig:
-    """Single engineered channel (R2 only) for parameter studies.
-
-    Uses the symmetric dephasing time (t2e = 18 us on both qubits) and
-    pull-corrected drive detunings, i.e. the channel tuned onto the actual
-    scattering resonance of the stabilized state.
-    """
-    cfg = default_bell_scenario().replace(
-        name="bell_single_channel",
-        qubits=_bell_qubits(t2e=(18.0, 18.0)),
-        raman=(ResonatorDrive(detuning=2 * _J_MHZ, n_bar=0.0),
-               ResonatorDrive(detuning=2 * _J_MHZ, n_bar=0.74)),
-        truncations=Truncations(qubit_dim=2, resonator_dim=4,
-                                resonator_dims=(2, 6)),
-        raman_pull_correction=True,
-    )
-    validate_config(cfg)
-    return cfg
-
-
-def default_bell_pump2() -> ScenarioConfig:
-    """Bell scenario with the auxiliary pump that recovers the doubly excited
-    state: a second antisymmetric drive resonant with the ee <-> S gap."""
-    work = 4202.0
-    base = default_bell_scenario()
-    cfg = base.replace(
-        name="bell_pump2",
-        pumps=base.pumps + (PumpDrive((0.53, -0.53), work - _J_MHZ),),
-        initial_state="ee",
-    )
-    validate_config(cfg)
-    return cfg
-
-
-def default_w_scenario() -> ScenarioConfig:
-    """Three-qubit stabilization: middle qubit detuned by J, two engineered
-    channels steering the upper single-excitation eigenstates downward."""
-    work = 4179.0
-    qubits = tuple(
-        QubitParams(lbl, w, a, t1, t2e,
-                    work + (_J_MHZ if lbl == "Q2" else 0.0))
-        for (lbl, w, a, t1, t2e) in _QUBIT_TABLE)
-    cfg = ScenarioConfig(
-        name="w",
-        qubits=qubits,
-        resonators=_resonators(3),
-        couplings=CouplingParams((_J_MHZ, _J_MHZ)),
-        pumps=(PumpDrive((0.0, 0.74, 0.0), work + 2 * _J_MHZ,
-                         convention="rabi"),),
-        raman=(ResonatorDrive(detuning=0.0, n_bar=0.0),
-               ResonatorDrive(detuning=3 * _J_MHZ, n_bar=1.26),
-               ResonatorDrive(detuning=_J_MHZ, n_bar=0.5)),
-        initial_state="ggg",
-        t_final=10.0,
-        t_step=0.1,
-        truncations=Truncations(qubit_dim=2, resonator_dim=3),
-        solver=SolverSettings(steady_tol=1e-8),
-    )
-    validate_config(cfg)
-    return cfg

@@ -264,22 +264,6 @@ def identity_op(space: CompositeSpace) -> LinearOperator:
     return LinearOperator(space, sp.identity(space.total_dim, format="csr", dtype=complex))
 
 
-def adjoint(op: LinearOperator) -> LinearOperator:
-    return op.dag()
-
-
-def compose(a: LinearOperator, b: LinearOperator) -> LinearOperator:
-    return a @ b
-
-
-def add(a: LinearOperator, b: LinearOperator) -> LinearOperator:
-    return a + b
-
-
-def scale(op: LinearOperator, scalar: complex) -> LinearOperator:
-    return op * scalar
-
-
 def basis_state(space: CompositeSpace, occupations: Sequence[int]) -> np.ndarray:
     """Unit computational-basis vector for the given occupations."""
     psi = np.zeros(space.total_dim, dtype=complex)

@@ -185,8 +185,7 @@ def _propagate(L: sp.csr_matrix, y0: np.ndarray, n: int, dt: float
 
 def evolve(liouvillian: Liouvillian, rho0: DensityMatrix | np.ndarray,
            t_grid: np.ndarray, observables: dict | None = None,
-           snapshot_times: np.ndarray | None = None,
-           check_positivity: bool = True) -> EvolutionResult:
+           snapshot_times: np.ndarray | None = None) -> EvolutionResult:
     """Propagate vec(rho) exactly along the uniform ``t_grid`` (us).
 
     ``rho0`` is the state at ``t_grid[0]``.  Observables may be
@@ -220,15 +219,14 @@ def evolve(liouvillian: Liouvillian, rho0: DensityMatrix | np.ndarray,
     drift = np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)
     herm = np.abs(rhos - adj).max(axis=(1, 2))
     min_eig = np.linalg.eigvalsh(0.5 * (rhos + adj))[:, 0]
-    if check_positivity:
-        bad = np.flatnonzero(min_eig < -POSITIVITY_ABORT)
-        if bad.size:
-            j = bad[0]
-            raise EvolutionError(
-                f"positivity violated at t={t_grid[j]:.4g} us "
-                f"(min eig {min_eig[j]:.3e})",
-                {"t": float(t_grid[j]), "min_eigenvalue": float(min_eig[j]),
-                 "trace_drift": float(drift[j]), "hermiticity": float(herm[j])})
+    bad = np.flatnonzero(min_eig < -POSITIVITY_ABORT)
+    if bad.size:
+        j = bad[0]
+        raise EvolutionError(
+            f"positivity violated at t={t_grid[j]:.4g} us "
+            f"(min eig {min_eig[j]:.3e})",
+            {"t": float(t_grid[j]), "min_eigenvalue": float(min_eig[j]),
+             "trace_drift": float(drift[j]), "hermiticity": float(herm[j])})
 
     values = {}
     for name, obs in (observables or {}).items():

@@ -33,6 +33,7 @@ from .device import (
     ResonatorDrive, PumpDrive, ScenarioConfig, derive_rates,
     scenario_to_jsonable,
 )
+from .effective import FitError
 from .hamiltonian import (
     HamiltonianModel, build_collapse_set, build_dispersive,
     named_qubit_state, qubit_space, single_excitation_modes,
@@ -40,6 +41,7 @@ from .hamiltonian import (
 from .hilbert import (
     CompositeSpace, DensityMatrix, LinearOperator, basis_state,
     coherent_state, identity_op, lowering_op, number_op, partial_trace,
+    product_state,
 )
 from .lindblad import Liouvillian, build_liouvillian, evolve, steady_state
 
@@ -50,10 +52,6 @@ PLATEAU_WINDOW = 30.0
 
 class DegenerateDataError(ValueError):
     """Fit input carries no usable signal (e.g. constant trace)."""
-
-
-class FitError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -187,26 +185,13 @@ def initial_density(config: ScenarioConfig, model: HamiltonianModel,
     In the displaced frame an empty lab resonator is the coherent state at
     minus the classical drive amplitude.
     """
-    qspace = qubit_space(config)
-    psi_q = _initial_qubit_vector(config, qspace, initial)
+    psi_q = _initial_qubit_vector(config, qubit_space(config), initial)
     space = model.space
-    res_factors = []
-    for i in range(space.n_resonators):
-        dim = space.modes[space.n_qubits + i].dim
-        if model.displaced and model.alphas and model.alphas[i] != 0:
-            res_factors.append(coherent_state(dim, -model.alphas[i]))
-        else:
-            res_factors.append(basis_state_1d(dim, 0))
-    psi = psi_q
-    for f in res_factors:
-        psi = np.kron(psi, f)
-    return DensityMatrix.from_state_vector(space, psi)
-
-
-def basis_state_1d(dim: int, n: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[n] = 1.0
-    return v
+    res_space = CompositeSpace(space.modes[space.n_qubits:])
+    psi_r = product_state(res_space, [
+        coherent_state(mode.dim, -model.alphas[i] if model.displaced else 0)
+        for i, mode in enumerate(res_space.modes)])
+    return DensityMatrix.from_state_vector(space, np.kron(psi_q, psi_r))
 
 
 def _has_qubit_decoherence(config: ScenarioConfig) -> bool:
@@ -270,11 +255,26 @@ def _target_fidelity(rho: DensityMatrix, n_qubits: int, target: str) -> float:
     return float(np.real(np.vdot(psi, reduced.matrix @ psi)))
 
 
+def build_problem(config: ScenarioConfig, *, include_resonators: bool = True
+                  ) -> tuple[HamiltonianModel, Liouvillian]:
+    """Displaced-frame dispersive model and its Liouvillian.
+
+    The one path from a configuration to a generator: model, collapse set
+    (on the model's space), Liouvillian.  Without resonators the model is
+    the qubit-only one, where the displaced frame changes nothing.
+    The builders are called through this module's names, which the
+    benchmark's traced run wraps to time each layer.
+    """
+    model = build_dispersive(config, displaced=True,
+                             include_resonators=include_resonators)
+    collapse = build_collapse_set(config, include_resonators=include_resonators,
+                                  space=model.space)
+    return model, build_liouvillian(model.H, collapse)
+
+
 def _run_scenario(config: ScenarioConfig, target: str, scenario_name: str,
                   initial=None) -> ScenarioReport:
-    model = build_dispersive(config, displaced=True)
-    collapse = build_collapse_set(config, space=model.space)
-    liouv = build_liouvillian(model.H, collapse)
+    model, liouv = build_problem(config)
     rho0 = initial_density(config, model, initial)
     obs = _scenario_observables(config, model, target)
 
@@ -403,10 +403,7 @@ def _probe_liouvillians(config: ScenarioConfig, amps: tuple, freqs
         pumps=(PumpDrive(amps, float(freqs[0])),),
         raman=tuple(ResonatorDrive(detuning=d.detuning, n_bar=0.0)
                     for d in config.raman))
-    model = build_dispersive(probe, include_resonators=False)
-    collapse = build_collapse_set(probe, include_resonators=False,
-                                  space=model.space)
-    base = build_liouvillian(model.H, collapse)
+    model, base = build_problem(probe, include_resonators=False)
     n_q = sum((number_op(model.space, i) for i in range(1, config.n_qubits)),
               number_op(model.space, 0))
     return [base.shifted((-2.0 * math.pi * (f - freqs[0])) * n_q)
@@ -514,9 +511,7 @@ def measure_transfer_rate(config: ScenarioConfig, source: str = "S",
         pumps=(),
         qubits=tuple(type(q)(q.label, q.omega_q, q.alpha, None, None,
                              q.working_freq) for q in config.qubits))
-    model = build_dispersive(bare, displaced=True)
-    collapse = build_collapse_set(bare, space=model.space)
-    liouv = build_liouvillian(model.H, collapse)
+    model, liouv = build_problem(bare)
     rho0 = initial_density(bare, model, source)
     qspace = qubit_space(bare)
     obs = {"P_src": _qubit_projector(model.space, qspace,
@@ -536,9 +531,7 @@ def _sweep_point(args) -> tuple[float, float, float, float, str | None]:
     config, axis, value = args
     try:
         cfg = _apply_axis(config, axis, value)
-        model = build_dispersive(cfg, displaced=True)
-        collapse = build_collapse_set(cfg, space=model.space)
-        liouv = build_liouvillian(model.H, collapse)
+        _, liouv = build_problem(cfg)
         steadym = steady_state(liouv, tol=cfg.solver.steady_tol)
         fid = _target_fidelity(steadym.rho, cfg.n_qubits,
                                "T" if cfg.n_qubits == 2 else "W")

@@ -21,8 +21,8 @@ from stabsim.effective import (
     three_level_liouvillian,
 )
 from stabsim.hamiltonian import (
-    TWO_PI, build_collapse_set, build_dispersive, named_qubit_state,
-    pump_matrix_element, qubit_space,
+    TWO_PI, build_dispersive, named_qubit_state, pump_matrix_element,
+    qubit_space,
 )
 from stabsim.lindblad import build_liouvillian, evolve, steady_state
 from stabsim.modes import (
@@ -31,8 +31,8 @@ from stabsim.modes import (
 )
 from stabsim.rates import directionality_ratio, golden_rule_rate
 from stabsim.scenarios import (
-    _qubit_projector, initial_density, measure_transfer_rate, run_bell,
-    run_sweep, run_w,
+    _qubit_projector, build_problem, initial_density, measure_transfer_rate,
+    run_bell, run_sweep, run_w,
 )
 
 GOLDENS = Path(__file__).resolve().parent.parent / "goldens"
@@ -281,8 +281,7 @@ def test_criterion_8_directionality():
     # target state: under detailed balance P_S/P_T is the rate ratio (the
     # residual coherent admixture only overestimates it)
     bare = no_decoherence(cfg).replace(pumps=())
-    model = build_dispersive(bare, displaced=True)
-    liouv = build_liouvillian(model.H, build_collapse_set(bare, space=model.space))
+    model, liouv = build_problem(bare)
     rho0 = initial_density(bare, model, "T")
     qsp = qubit_space(bare)
     obs = {"P_S": _qubit_projector(model.space, qsp, named_qubit_state(qsp, "S")),
@@ -312,8 +311,7 @@ def test_criterion_9_lindblad_integrity(single_channel_triple,
           f"hermiticity {worst_herm:.1e}, min eig {worst_eig:.1e}")
 
     cfg = bundled_scenario("bell")
-    model = build_dispersive(cfg, displaced=True)
-    liouv = build_liouvillian(model.H, build_collapse_set(cfg, space=model.space))
+    model, liouv = build_problem(cfg)
     a = steady_state(liouv, tol=cfg.solver.steady_tol).rho.matrix
     b = lu_steady_state(liouv)
     qsp = qubit_space(cfg)

@@ -1,18 +1,16 @@
 import json
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabsim.device import (
-    ConfigError, QubitParams, bundled_scenario, default_bell_pump2,
-    default_bell_scenario, default_bell_single_channel, default_w_scenario,
-    derive_g, derive_rates, load_scenario, scenario_to_jsonable,
-    serialize_scenario, validate_config,
+    ConfigError, QubitParams, bundled_scenario, derive_g, derive_rates,
+    load_scenario, scenario_to_jsonable, serialize_scenario, validate_config,
 )
 
-ALL_DEFAULTS = [default_bell_scenario, default_bell_single_channel,
-                default_bell_pump2, default_w_scenario]
+BUNDLED = ["bell", "bell_single_channel", "bell_pump2", "w"]
 
 
 class TestBundledScenarios:
@@ -49,30 +47,34 @@ class TestBundledScenarios:
         with pytest.raises(ValueError, match="no bundled scenario"):
             bundled_scenario("nope")
 
-    @pytest.mark.parametrize("factory", ALL_DEFAULTS)
-    def test_defaults_pass_validation(self, factory):
-        validate_config(factory())
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_defaults_pass_validation(self, name):
+        cfg = bundled_scenario(name)
+        assert cfg.name == name
+        validate_config(cfg)
 
-    @pytest.mark.parametrize("factory", ALL_DEFAULTS)
-    def test_bundled_files_match_builders(self, factory):
-        cfg = factory()
-        assert bundled_scenario(cfg.name) == cfg
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_files_are_canonical(self, name):
+        # the packaged files are the only scenario definitions; keep each in
+        # the form serialize_scenario writes
+        text = resources.files("stabsim.data").joinpath(f"{name}.json").read_text()
+        assert serialize_scenario(bundled_scenario(name)) == text
 
 
 class TestLoader:
     def test_round_trip_is_identity(self):
-        for factory in ALL_DEFAULTS:
-            cfg = factory()
+        for name in BUNDLED:
+            cfg = bundled_scenario(name)
             assert load_scenario(serialize_scenario(cfg)) == cfg
 
     def test_missing_field_names_path(self):
-        doc = scenario_to_jsonable(default_bell_scenario())
+        doc = scenario_to_jsonable(bundled_scenario("bell"))
         del doc["resonators"][1]["kappa"]
         with pytest.raises(ConfigError, match=r"resonators\[1\].*kappa"):
             load_scenario(json.dumps(doc))
 
     def test_unknown_key_rejected(self):
-        doc = scenario_to_jsonable(default_bell_scenario())
+        doc = scenario_to_jsonable(bundled_scenario("bell"))
         doc["qubits"][0]["frequency_ghz"] = 4.2
         with pytest.raises(ConfigError, match="unknown keys"):
             load_scenario(json.dumps(doc))
@@ -82,31 +84,31 @@ class TestLoader:
             load_scenario("{not json")
 
     def test_complex_amplitude_forms(self):
-        doc = scenario_to_jsonable(default_bell_scenario())
+        doc = scenario_to_jsonable(bundled_scenario("bell"))
         doc["pumps"][0]["amplitudes"] = [[0.0, 0.53], -0.53]
         cfg = load_scenario(json.dumps(doc))
         assert cfg.pumps[0].amplitudes == (0.53j, -0.53)
 
     def test_both_nbar_and_amplitude_rejected(self):
-        doc = scenario_to_jsonable(default_bell_scenario())
+        doc = scenario_to_jsonable(bundled_scenario("bell"))
         doc["raman"][0]["amplitude"] = 5.0
         with pytest.raises(ConfigError, match=r"raman\[0\]"):
             load_scenario(json.dumps(doc))
 
     def test_all_zero_pump_rejected(self):
-        doc = scenario_to_jsonable(default_bell_scenario())
+        doc = scenario_to_jsonable(bundled_scenario("bell"))
         doc["pumps"][0]["amplitudes"] = [0.0, 0.0]
         with pytest.raises(ConfigError, match="nonzero amplitude"):
             load_scenario(json.dumps(doc))
 
     def test_t2e_bound(self):
-        doc = scenario_to_jsonable(default_bell_scenario())
+        doc = scenario_to_jsonable(bundled_scenario("bell"))
         doc["qubits"][0]["t2e"] = 60.0  # above 2*t1 with slack
         with pytest.raises(ConfigError, match="t2e"):
             load_scenario(json.dumps(doc))
 
     def test_coupling_count(self):
-        doc = scenario_to_jsonable(default_bell_scenario())
+        doc = scenario_to_jsonable(bundled_scenario("bell"))
         doc["couplings"] = [5.0, 5.0]
         with pytest.raises(ConfigError, match="couplings"):
             load_scenario(json.dumps(doc))
@@ -158,19 +160,19 @@ class TestDeriveRates:
 
 class TestDeriveG:
     def test_matches_dispersive_relation(self):
-        cfg = default_bell_scenario()
+        cfg = bundled_scenario("bell")
         g = derive_g(cfg.resonators[0], cfg.qubits[0])
         delta = cfg.resonators[0].omega_r - cfg.qubits[0].working_freq
         chi_back = cfg.qubits[0].alpha * (g / delta) ** 2
         assert chi_back == pytest.approx(cfg.resonators[0].chi, rel=1e-12)
 
     def test_explicit_g_wins(self):
-        cfg = default_bell_scenario()
+        cfg = bundled_scenario("bell")
         res = type(cfg.resonators[0])("R", 6481.0, 1.1, -0.75, g=123.0)
         assert derive_g(res, cfg.qubits[0]) == 123.0
 
     def test_sign_mismatch_rejected(self):
-        cfg = default_bell_scenario()
+        cfg = bundled_scenario("bell")
         res = type(cfg.resonators[0])("R", 6481.0, 1.1, +0.75)
         with pytest.raises(ValueError, match="sign"):
             derive_g(res, cfg.qubits[0])
@@ -178,18 +180,18 @@ class TestDeriveG:
 
 class TestConfigInvariants:
     def test_initial_state_occupations_checked(self):
-        cfg = default_bell_scenario().replace(initial_state=(0, 2))
+        cfg = bundled_scenario("bell").replace(initial_state=(0, 2))
         with pytest.raises(ConfigError, match="initial_state"):
             validate_config(cfg)
 
     def test_t_final_positive(self):
-        cfg = default_bell_scenario().replace(t_final=0.0)
+        cfg = bundled_scenario("bell").replace(t_final=0.0)
         with pytest.raises(ConfigError, match="t_final"):
             validate_config(cfg)
 
     def test_resonator_dims_length(self):
-        tr = default_bell_scenario().truncations
+        tr = bundled_scenario("bell").truncations
         bad = type(tr)(qubit_dim=2, resonator_dim=4, resonator_dims=(4,))
-        cfg = default_bell_scenario().replace(truncations=bad)
+        cfg = bundled_scenario("bell").replace(truncations=bad)
         with pytest.raises(ConfigError, match="resonator_dims"):
             validate_config(cfg)

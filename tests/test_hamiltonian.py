@@ -6,7 +6,6 @@ import pytest
 
 from stabsim.device import (
     CouplingParams, PumpDrive, ResonatorDrive, Truncations, bundled_scenario,
-    default_bell_scenario, default_w_scenario,
 )
 from stabsim.hamiltonian import (
     TWO_PI, build_collapse_set, build_dispersive, build_jaynes_cummings,
@@ -39,7 +38,7 @@ def drives_off(cfg):
 
 class TestDispersive:
     def test_bell_single_excitation_gap(self):
-        cfg = drives_off(default_bell_scenario())
+        cfg = drives_off(bundled_scenario("bell"))
         model = build_dispersive(cfg)
         block = single_excitation_block(model, cfg)
         vals = np.linalg.eigvalsh(block)
@@ -50,14 +49,14 @@ class TestDispersive:
         npt.assert_allclose(np.abs(vecs[:, 0]), [2 ** -0.5] * 2, atol=1e-12)
 
     def test_w_single_excitation_ladder(self):
-        cfg = drives_off(default_w_scenario())
+        cfg = drives_off(bundled_scenario("w"))
         model = build_dispersive(cfg)
         vals = np.linalg.eigvalsh(single_excitation_block(model, cfg)) / TWO_PI
         j = cfg.couplings.j[0]
         npt.assert_allclose(vals - vals[0], [0.0, j, 3 * j], atol=1e-9)
 
     def test_all_couplings_off_is_diagonal(self):
-        cfg = drives_off(default_bell_scenario()).replace(
+        cfg = drives_off(bundled_scenario("bell")).replace(
             couplings=CouplingParams((0.0,)))
         H = build_dispersive(cfg).H.toarray()
         off = H - np.diag(np.diag(H))
@@ -106,14 +105,14 @@ class TestDispersive:
         assert abs(disp.alphas[1]) ** 2 == pytest.approx(0.74, rel=1e-12)
 
     def test_qubit_only_space(self):
-        cfg = default_bell_scenario()
+        cfg = bundled_scenario("bell")
         model = build_dispersive(cfg, include_resonators=False)
         assert model.space.total_dim == 4
 
 
 class TestJaynesCummings:
     def test_zero_coupling_matches_dispersive_with_zero_chi(self):
-        cfg = default_bell_scenario()
+        cfg = bundled_scenario("bell")
         work = cfg.qubits[0].working_freq
         res = tuple(type(r)(r.label, r.omega_r, r.kappa, 0.0, 0.0)
                     for r in cfg.resonators)
@@ -126,7 +125,7 @@ class TestJaynesCummings:
         npt.assert_allclose(jc.H.toarray(), disp.H.toarray(), atol=1e-9)
 
     def test_refuses_mixed_drive_frequencies(self):
-        cfg = default_bell_scenario()  # two channels at distinct frequencies
+        cfg = bundled_scenario("bell")  # two channels at distinct frequencies
         with pytest.raises(ValueError, match="one frequency"):
             build_jaynes_cummings(cfg)
 
@@ -134,7 +133,7 @@ class TestJaynesCummings:
         # exact diagonalization vs the leading-order shift alpha*(g/Delta)^2
         # (within 10% through most of the dispersive window) and vs the full
         # transmon form (much tighter)
-        base = default_bell_scenario()
+        base = bundled_scenario("bell")
         delta = 2279.0
         for g in (50.0, 100.0, 150.0):
             res = (type(base.resonators[0])(
@@ -161,7 +160,7 @@ class TestJaynesCummings:
     def test_gap_agreement_with_dispersive(self):
         # with the coupling-derived chi fed to the dispersive model, the
         # single-excitation gaps of the two models agree within 5%
-        cfg = default_bell_scenario().replace(
+        cfg = bundled_scenario("bell").replace(
             pumps=(), raman=(ResonatorDrive(), ResonatorDrive()))
         jc = build_jaynes_cummings(cfg)
         disp = build_dispersive(cfg)
@@ -182,7 +181,7 @@ class TestJaynesCummings:
 
 class TestPumps:
     def test_antisymmetric_pump_selection_rules(self):
-        cfg = default_bell_scenario()
+        cfg = bundled_scenario("bell")
         qs = qubit_space(cfg)
         pump = cfg.pumps[0]
         T = named_qubit_state(qs, "T")
@@ -195,7 +194,7 @@ class TestPumps:
             math.sqrt(2) * 0.53, rel=1e-12)
 
     def test_middle_qubit_pump_selection_rules(self):
-        cfg = default_w_scenario()
+        cfg = bundled_scenario("w")
         qs = qubit_space(cfg)
         pump = cfg.pumps[0]
         for bra, ket in (("D", "W"), ("E", "A")):
@@ -238,26 +237,26 @@ class TestPumps:
 
 class TestCollapseSet:
     def test_bell_counting(self):
-        cfg = default_bell_scenario()
+        cfg = bundled_scenario("bell")
         cs = build_collapse_set(cfg)
         assert len(cs) == 6  # 2 photon loss, 2 relaxation, 2 dephasing
 
     def test_infinite_t1_omits_channels(self):
-        cfg = default_bell_scenario()
+        cfg = bundled_scenario("bell")
         qs = tuple(type(q)(q.label, q.omega_q, q.alpha, None, q.t2e,
                            q.working_freq) for q in cfg.qubits)
         cs = build_collapse_set(cfg.replace(qubits=qs))
         assert len(cs) == 4
 
     def test_kappa_rates_are_angular(self):
-        cfg = default_bell_scenario()
+        cfg = bundled_scenario("bell")
         cs = build_collapse_set(cfg)
         rates = sorted(rate for _, rate in cs)[-2:]
         npt.assert_allclose(sorted(rates),
                             sorted([TWO_PI * 1.1, TWO_PI * 0.87]))
 
     def test_rates_follow_convention(self):
-        cfg = default_bell_scenario().replace(
+        cfg = bundled_scenario("bell").replace(
             dephasing_convention="pure_dephasing")
         cs = build_collapse_set(cfg)
         rates = sorted(rate for _, rate in cs)
@@ -266,19 +265,19 @@ class TestCollapseSet:
 
 class TestModeHelpers:
     def test_lowest_mode_weights_bell(self):
-        npt.assert_allclose(lowest_mode_weights(default_bell_scenario()),
+        npt.assert_allclose(lowest_mode_weights(bundled_scenario("bell")),
                             [0.5, 0.5], atol=1e-12)
 
     def test_lowest_mode_weights_w(self):
-        npt.assert_allclose(lowest_mode_weights(default_w_scenario()),
+        npt.assert_allclose(lowest_mode_weights(bundled_scenario("w")),
                             [1 / 3] * 3, atol=1e-12)
 
     def test_named_state_rejects_resonator_space(self):
-        cfg = default_bell_scenario()
+        cfg = bundled_scenario("bell")
         with pytest.raises(ValueError, match="qubit-only"):
             named_qubit_state(model_space(cfg), "T")
 
     def test_single_excitation_modes_sorted(self):
-        vals, vecs = single_excitation_modes(default_w_scenario())
+        vals, vecs = single_excitation_modes(bundled_scenario("w"))
         assert np.all(np.diff(vals) > 0)
         npt.assert_allclose(vecs.T @ vecs, np.eye(3), atol=1e-12)

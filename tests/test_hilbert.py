@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from stabsim.hilbert import (
     QUBIT, RESONATOR, CompositeSpace, DensityMatrix, ModeSpec,
-    SpaceMismatchError, adjoint, basis_state, coherent_state, compose, embed,
+    SpaceMismatchError, basis_state, coherent_state, embed,
     expectation, fidelity_pure, identity_op, lowering_op, number_op,
     partial_trace, product_state,
 )
@@ -78,7 +78,7 @@ class TestNumber:
         for i in range(2):
             a = lowering_op(sp, i)
             npt.assert_allclose(number_op(sp, i).toarray(),
-                                compose(adjoint(a), a).toarray(), atol=1e-14)
+                                (a.dag() @ a).toarray(), atol=1e-14)
 
     def test_commutator_with_lowering_truncated(self):
         # [n, a] = -a holds exactly on the truncated space; the truncation
@@ -86,9 +86,9 @@ class TestNumber:
         # 1 - dim instead of 1 (the feeding element from level dim is gone)
         sp = space_of(5)
         n, a = number_op(sp, 0), lowering_op(sp, 0)
-        comm = (compose(n, a) - compose(a, n)).toarray()
+        comm = (n @ a - a @ n).toarray()
         npt.assert_allclose(comm, -a.toarray(), atol=1e-14)
-        canonical = (compose(a, adjoint(a)) - compose(adjoint(a), a)).toarray()
+        canonical = (a @ a.dag() - a.dag() @ a).toarray()
         expected = np.eye(5, dtype=complex)
         expected[4, 4] = 1.0 - 5.0
         npt.assert_allclose(canonical, expected, atol=1e-14)
@@ -101,13 +101,13 @@ class TestEmbedAlgebra:
 
     def test_adjoint_of_lowering_is_raising(self):
         sp = space_of(3)
-        npt.assert_array_equal(adjoint(lowering_op(sp, 0)).toarray(),
+        npt.assert_array_equal(lowering_op(sp, 0).dag().toarray(),
                                lowering_op(sp, 0).toarray().conj().T)
 
     def test_compose_with_identity(self):
         sp = space_of(2, 2)
         a = lowering_op(sp, 0)
-        npt.assert_array_equal(compose(a, identity_op(sp)).toarray(),
+        npt.assert_array_equal((a @ identity_op(sp)).toarray(),
                                a.toarray())
 
     def test_dimension_mismatch_rejected(self):
@@ -119,7 +119,7 @@ class TestEmbedAlgebra:
         a = lowering_op(space_of(2), 0)
         b = lowering_op(space_of(3), 0)
         with pytest.raises(SpaceMismatchError):
-            compose(a, b)
+            a @ b
 
     @given(st.lists(st.integers(2, 4), min_size=1, max_size=3),
            st.integers(0, 10**6))
@@ -140,7 +140,7 @@ class TestEmbedAlgebra:
                             dense, atol=1e-12)
         # product of two embeddings equals the dense product
         j = int(rng.integers(len(dims)))
-        op = compose(embed(space, int(idx), mats[idx]), embed(space, j, mats[j]))
+        op = embed(space, int(idx), mats[idx]) @ embed(space, j, mats[j])
         dense_j = np.eye(1, dtype=complex)
         for i, d in enumerate(dims):
             dense_j = np.kron(dense_j, mats[i] if i == j else np.eye(d))
@@ -154,10 +154,10 @@ class TestEmbedAlgebra:
         d = sp.total_dim
         a = embed(sp, 0, rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         b = embed(sp, 1, rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-        npt.assert_allclose(adjoint(adjoint(a)).toarray(), a.toarray(),
+        npt.assert_allclose(a.dag().dag().toarray(), a.toarray(),
                             atol=1e-12)
-        npt.assert_allclose(adjoint(compose(a, b)).toarray(),
-                            compose(adjoint(b), adjoint(a)).toarray(),
+        npt.assert_allclose((a @ b).dag().toarray(),
+                            (b.dag() @ a.dag()).toarray(),
                             atol=1e-12)
 
 

@@ -7,9 +7,7 @@ from scipy.linalg import expm
 
 from stabsim import lindblad
 from stabsim.device import QubitParams, bundled_scenario
-from stabsim.hamiltonian import (
-    CollapseSet, build_collapse_set, build_dispersive, named_qubit_state,
-)
+from stabsim.hamiltonian import CollapseSet, named_qubit_state
 from stabsim.hilbert import (
     QUBIT, CompositeSpace, DensityMatrix, LinearOperator, ModeSpec,
     basis_state, lowering_op, number_op, partial_trace,
@@ -18,6 +16,7 @@ from stabsim.lindblad import (
     EvolutionError, Liouvillian, SteadyStateError, build_liouvillian, evolve,
     residual_norm, steady_state, unvectorize, vectorize,
 )
+from stabsim.scenarios import build_problem
 
 
 def tls_space():
@@ -273,9 +272,7 @@ def bundled_bell(decoherence=True):
             QubitParams(q.label, q.omega_q, q.alpha, None, None,
                         q.working_freq)
             for q in cfg.qubits))
-    model = build_dispersive(cfg, displaced=True)
-    return cfg, build_liouvillian(
-        model.H, build_collapse_set(cfg, space=model.space))
+    return cfg, build_problem(cfg)[1]
 
 
 def oracle_cases():

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from stabsim.device import default_bell_scenario
+from stabsim.device import bundled_scenario
 from stabsim.modes import (
     QuadraticForm, build_quadratic_form, cooling_matrix, kerr_coefficients,
     normal_modes,
@@ -11,7 +11,7 @@ from stabsim.modes import (
 
 def bell_form(g=None):
     """Quadratic form of the two-qubit scenario; g=0 detaches the resonators."""
-    cfg = default_bell_scenario()
+    cfg = bundled_scenario("bell")
     if g is not None:
         res = tuple(type(r)(r.label, r.omega_r, r.kappa, r.chi, g)
                     for r in cfg.resonators)
@@ -111,14 +111,14 @@ class TestKerrCoefficients:
 
     def test_hierarchy_in_dispersive_regime(self):
         basis = normal_modes(bell_form())
-        alphas = [q.alpha for q in default_bell_scenario().qubits]
+        alphas = [q.alpha for q in bundled_scenario("bell").qubits]
         kerr = kerr_coefficients(basis, alphas)
         mu, eta, xi = (np.abs(kerr.mu).max(), np.abs(kerr.eta).max(),
                        np.abs(kerr.xi).max())
         assert mu >= 10 * eta >= 100 * xi
 
     def test_eta_against_dispersive_shortcut(self):
-        cfg = default_bell_scenario()
+        cfg = bundled_scenario("bell")
         basis = normal_modes(build_quadratic_form(cfg))
         alphas = [q.alpha for q in cfg.qubits]
         kerr = kerr_coefficients(basis, alphas)
@@ -182,7 +182,7 @@ class TestCoolingMatrix:
             2 * np.sqrt(0.74) * 0.75 * 0.5, rel=1e-12)
 
     def test_exact_close_to_approx_in_dispersive_regime(self):
-        cfg = default_bell_scenario()
+        cfg = bundled_scenario("bell")
         basis = normal_modes(build_quadratic_form(cfg))
         alphas = [q.alpha for q in cfg.qubits]
         kerr = kerr_coefficients(basis, alphas)
@@ -191,7 +191,7 @@ class TestCoolingMatrix:
                                                       rel=0.05)
 
     def test_validity_flag(self):
-        cfg = default_bell_scenario()
+        cfg = bundled_scenario("bell")
         basis = normal_modes(build_quadratic_form(cfg))
         kerr = kerr_coefficients(basis, [q.alpha for q in cfg.qubits])
         cool = cooling_matrix(basis, kerr, 0, 0.74, chi_kk=-0.75, kappa=1.1)

@@ -9,17 +9,14 @@ from hypothesis import strategies as st
 
 from stabsim.device import (
     PumpDrive, ResonatorDrive, Truncations, bundled_scenario,
-    default_bell_scenario,
 )
-from stabsim.hamiltonian import (
-    build_collapse_set, build_dispersive, named_qubit_state, qubit_space,
-)
+from stabsim.hamiltonian import named_qubit_state, qubit_space
 from stabsim.hilbert import DensityMatrix
-from stabsim.lindblad import build_liouvillian, evolve
+from stabsim.lindblad import evolve
 from stabsim.scenarios import (
     DegenerateDataError, ReadoutMatrix, _probe_liouvillians,
-    _qubit_state_labels, apply_readout_mitigation, fit_exponential,
-    run_bell, run_spectroscopy, run_sweep, run_w, write_report, write_sweep,
+    _qubit_state_labels, apply_readout_mitigation, build_problem,
+    fit_exponential, run_bell, run_spectroscopy, run_sweep, run_w, write_report, write_sweep,
 )
 
 
@@ -163,20 +160,12 @@ class TestCoherentOnlyThreeQubit:
         # ground state against the pumped eigenstate and the target stays
         # unpopulated; undriven resonators are exactly inert, so the
         # qubit-only model suffices
-        from stabsim.hamiltonian import (build_collapse_set, build_dispersive,
-                                         named_qubit_state)
-        from stabsim.hilbert import DensityMatrix
-        from stabsim.lindblad import build_liouvillian, evolve
-
         cfg = bundled_scenario("w").replace(
             raman=(ResonatorDrive(),) * 3,
             qubits=tuple(type(q)(q.label, q.omega_q, q.alpha, None, None,
                                  q.working_freq)
                          for q in bundled_scenario("w").qubits))
-        model = build_dispersive(cfg, include_resonators=False)
-        liouv = build_liouvillian(
-            model.H, build_collapse_set(cfg, include_resonators=False,
-                                        space=model.space))
+        model, liouv = build_problem(cfg, include_resonators=False)
         rho0 = DensityMatrix.from_state_vector(
             model.space, named_qubit_state(model.space, "ggg"))
         obs = {name: np.asarray(named_qubit_state(model.space, name))
@@ -192,7 +181,7 @@ class TestCoherentOnlyThreeQubit:
 
 class TestSpectroscopy:
     def test_two_peaks_split_by_twice_coupling(self):
-        cfg = default_bell_scenario()
+        cfg = bundled_scenario("bell")
         work = cfg.qubits[0].working_freq
         freqs = np.arange(work - 10.0, work + 10.25, 0.25)
         result = run_spectroscopy(cfg, 0, freqs, amplitude=0.15)
@@ -210,8 +199,8 @@ class TestSpectroscopy:
             result.populations["eg"][i0], abs=0.02)
 
     def test_uncoupled_qubits_single_peak(self):
-        cfg = default_bell_scenario().replace(
-            couplings=type(default_bell_scenario().couplings)((0.0,)))
+        cfg = bundled_scenario("bell").replace(
+            couplings=type(bundled_scenario("bell").couplings)((0.0,)))
         work = cfg.qubits[0].working_freq
         freqs = np.arange(work - 8.0, work + 8.5, 0.5)
         result = run_spectroscopy(cfg, 0, freqs, amplitude=0.15)
@@ -223,7 +212,7 @@ class TestSpectroscopy:
         assert freqs[peaks[0]] == pytest.approx(work, abs=0.5)
 
     def test_strong_probe_rejected(self):
-        cfg = default_bell_scenario()
+        cfg = bundled_scenario("bell")
         with pytest.raises(ValueError, match="amplitude"):
             run_spectroscopy(cfg, 0, [4202.0], amplitude=3.0)
 
@@ -260,10 +249,7 @@ def rebuilt_probe_liouvillian(cfg, amps, freq):
         pumps=(PumpDrive(amps, float(freq)),),
         raman=tuple(ResonatorDrive(detuning=d.detuning, n_bar=0.0)
                     for d in cfg.raman))
-    model = build_dispersive(probe, include_resonators=False)
-    return build_liouvillian(
-        model.H, build_collapse_set(probe, include_resonators=False,
-                                    space=model.space))
+    return build_problem(probe, include_resonators=False)[1]
 
 
 class TestSpectroscopyFrameShift:
