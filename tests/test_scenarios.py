@@ -199,8 +199,8 @@ class TestSpectroscopy:
             result.populations["eg"][i0], abs=0.02)
 
     def test_uncoupled_qubits_single_peak(self):
-        cfg = bundled_scenario("bell").replace(
-            couplings=type(bundled_scenario("bell").couplings)((0.0,)))
+        cfg = bundled_scenario("bell")
+        cfg = cfg.replace(couplings=type(cfg.couplings)((0.0,)))
         work = cfg.qubits[0].working_freq
         freqs = np.arange(work - 8.0, work + 8.5, 0.5)
         result = run_spectroscopy(cfg, 0, freqs, amplitude=0.15)
