@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import types
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Any
+from typing import Any, Union, get_args, get_origin, get_type_hints
 
 DEPHASING_CONVENTIONS = ("direct", "pure_dephasing")
 
@@ -144,7 +145,9 @@ class ScenarioConfig:
     qubits: tuple[QubitParams, ...]
     resonators: tuple[ResonatorParams, ...]
     couplings: CouplingParams
-    pumps: tuple[PumpDrive, ...]
+    # a document may omit the pumps; kw_only keeps the field (and its key)
+    # in this position
+    pumps: tuple[PumpDrive, ...] = field(default=(), kw_only=True)
     raman: tuple[ResonatorDrive, ...]
     initial_state: str | tuple[int, ...] = "ground"
     t_final: float = 10.0
@@ -258,27 +261,75 @@ def validate_config(cfg: ScenarioConfig) -> None:
 
 
 # -- JSON (de)serialization --------------------------------------------------
+#
+# The dataclasses above are the schema: a field without a default is a
+# required key, a missing optional key takes the field's default, and
+# documents list the keys in field order.  Where JSON differs from the
+# fields the types decide: a ``complex`` is a number or ``[re, im]``, a tuple
+# is a list, a union takes the first branch that fits, and ``couplings`` is
+# the bare list of its ``j`` values.
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], path: str):
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(path, f"unknown keys {sorted(unknown)}")
-    missing = required - set(obj)
-    if missing:
-        raise ConfigError(path, f"missing keys {sorted(missing)}")
+def _decode(tp: Any, raw: Any, path: str) -> Any:
+    """``raw`` (parsed JSON) as a ``tp``; ``path`` names it in errors, and
+    is empty for the document itself."""
+    where = path or "<document>"
+    if tp is CouplingParams:
+        return CouplingParams(_decode(get_type_hints(tp)["j"], raw, path))
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(raw, dict):
+            raise ConfigError(where, "must be an object")
+        fields, hints = dataclasses.fields(tp), get_type_hints(tp)
+        unknown = set(raw) - {f.name for f in fields}
+        if unknown:
+            raise ConfigError(where, f"unknown keys {sorted(unknown)}")
+        missing = [f.name for f in fields if f.name not in raw
+                   and f.default is dataclasses.MISSING
+                   and f.default_factory is dataclasses.MISSING]
+        if missing:
+            raise ConfigError(where, f"missing keys {sorted(missing)}")
+        values = {f.name: _decode(hints[f.name], raw[f.name],
+                                  f"{path}.{f.name}" if path else f.name)
+                  for f in fields if f.name in raw}
+        try:
+            return tp(**values)
+        except ValueError as exc:  # a field's own check, e.g. the convention
+            raise ConfigError(where, str(exc)) from None
+    args = get_args(tp)
+    if get_origin(tp) in (Union, types.UnionType):
+        if raw is None and type(None) in args:
+            return None
+        branches = [a for a in args if a is not type(None)]
+        for branch in branches[:-1]:
+            try:
+                return _decode(branch, raw, path)
+            except ConfigError:
+                pass
+        return _decode(branches[-1], raw, path)
+    if get_origin(tp) is tuple:
+        if not isinstance(raw, list):
+            raise ConfigError(where, "must be a list")
+        return tuple(_decode(args[0], v, f"{path}[{i}]") for i, v in enumerate(raw))
+    if tp is complex:
+        parts = raw if isinstance(raw, list) and len(raw) == 2 else [raw]
+        if all(type(v) in (int, float) for v in parts):
+            return complex(*parts)
+        raise ConfigError(where, "amplitude must be a number or [re, im]")
+    if type(raw) is tp or (tp is float and type(raw) is int):
+        return tp(raw)
+    raise ConfigError(where, f"must be of type {tp.__name__}")
 
 
-def _as_complex(value: Any, path: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, (int, float)) for v in value)):
-        return complex(value[0], value[1])
-    raise ConfigError(path, "amplitude must be a number or [re, im]")
-
-
-def _complex_out(z: complex):
-    return z.real if z.imag == 0 else [z.real, z.imag]
+def _encode(value: Any) -> Any:
+    if isinstance(value, CouplingParams):
+        return _encode(value.j)
+    if dataclasses.is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    if isinstance(value, complex):
+        return value.real if value.imag == 0 else [value.real, value.imag]
+    return value
 
 
 def load_scenario(text: str) -> ScenarioConfig:
@@ -287,126 +338,13 @@ def load_scenario(text: str) -> ScenarioConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError("<document>", f"invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("<document>", "top level must be an object")
-    allowed = {"name", "qubits", "resonators", "couplings", "pumps", "raman",
-               "initial_state", "t_final", "t_step", "truncations", "solver",
-               "dephasing_convention", "ac_stark_compensation",
-               "raman_pull_correction"}
-    _require_keys(raw, allowed, {"name", "qubits", "resonators", "couplings",
-                                 "raman"}, "<document>")
-
-    qubits = []
-    for i, q in enumerate(raw["qubits"]):
-        p = f"qubits[{i}]"
-        _require_keys(q, {"label", "omega_q", "alpha", "t1", "t2e", "working_freq"},
-                      {"label", "omega_q", "alpha", "t1", "t2e", "working_freq"}, p)
-        qubits.append(QubitParams(q["label"], float(q["omega_q"]), float(q["alpha"]),
-                                  None if q["t1"] is None else float(q["t1"]),
-                                  None if q["t2e"] is None else float(q["t2e"]),
-                                  float(q["working_freq"])))
-    resonators = []
-    for i, r in enumerate(raw["resonators"]):
-        p = f"resonators[{i}]"
-        _require_keys(r, {"label", "omega_r", "kappa", "chi", "g"},
-                      {"label", "omega_r", "kappa", "chi"}, p)
-        resonators.append(ResonatorParams(
-            r["label"], float(r["omega_r"]), float(r["kappa"]), float(r["chi"]),
-            None if r.get("g") is None else float(r["g"])))
-
-    couplings = CouplingParams(tuple(float(v) for v in raw["couplings"]))
-
-    pumps = []
-    for k, pm in enumerate(raw.get("pumps", [])):
-        p = f"pumps[{k}]"
-        _require_keys(pm, {"amplitudes", "frequency", "convention"},
-                      {"amplitudes", "frequency"}, p)
-        amps = tuple(_as_complex(a, f"{p}.amplitudes[{j}]")
-                     for j, a in enumerate(pm["amplitudes"]))
-        convention = pm.get("convention", "amplitude")
-        if convention not in ("amplitude", "rabi"):
-            raise ConfigError(f"{p}.convention", "must be amplitude or rabi")
-        pumps.append(PumpDrive(amps, float(pm["frequency"]), convention))
-
-    raman = []
-    for i, d in enumerate(raw["raman"]):
-        p = f"raman[{i}]"
-        _require_keys(d, {"detuning", "n_bar", "amplitude"}, set(), p)
-        raman.append(ResonatorDrive(
-            detuning=float(d.get("detuning", 0.0)),
-            n_bar=None if d.get("n_bar") is None else float(d["n_bar"]),
-            amplitude=None if d.get("amplitude") is None else float(d["amplitude"])))
-
-    tr_raw = raw.get("truncations", {})
-    _require_keys(tr_raw, {"qubit_dim", "resonator_dim", "resonator_dims"}, set(),
-                  "truncations")
-    truncations = Truncations(
-        qubit_dim=int(tr_raw.get("qubit_dim", 2)),
-        resonator_dim=int(tr_raw.get("resonator_dim", 4)),
-        resonator_dims=(tuple(int(v) for v in tr_raw["resonator_dims"])
-                        if tr_raw.get("resonator_dims") is not None else None))
-
-    sv_raw = raw.get("solver", {})
-    _require_keys(sv_raw, {"steady_tol"}, set(), "solver")
-    solver = SolverSettings(steady_tol=float(sv_raw.get("steady_tol", 1e-6)))
-
-    init = raw.get("initial_state", "ground")
-    if isinstance(init, list):
-        init = tuple(int(v) for v in init)
-
-    cfg = ScenarioConfig(
-        name=raw["name"],
-        qubits=tuple(qubits),
-        resonators=tuple(resonators),
-        couplings=couplings,
-        pumps=tuple(pumps),
-        raman=tuple(raman),
-        initial_state=init,
-        t_final=float(raw.get("t_final", 10.0)),
-        t_step=float(raw.get("t_step", 0.1)),
-        truncations=truncations,
-        solver=solver,
-        dephasing_convention=raw.get("dephasing_convention", "direct"),
-        ac_stark_compensation=bool(raw.get("ac_stark_compensation", True)),
-        raman_pull_correction=bool(raw.get("raman_pull_correction", True)))
+    cfg = _decode(ScenarioConfig, raw, "")
     validate_config(cfg)
     return cfg
 
 
 def scenario_to_jsonable(cfg: ScenarioConfig) -> dict:
-    return {
-        "name": cfg.name,
-        "qubits": [
-            {"label": q.label, "omega_q": q.omega_q, "alpha": q.alpha,
-             "t1": q.t1, "t2e": q.t2e, "working_freq": q.working_freq}
-            for q in cfg.qubits],
-        "resonators": [
-            {"label": r.label, "omega_r": r.omega_r, "kappa": r.kappa,
-             "chi": r.chi, "g": r.g}
-            for r in cfg.resonators],
-        "couplings": list(cfg.couplings.j),
-        "pumps": [
-            {"amplitudes": [_complex_out(a) for a in p.amplitudes],
-             "frequency": p.frequency, "convention": p.convention}
-            for p in cfg.pumps],
-        "raman": [
-            {"detuning": d.detuning, "n_bar": d.n_bar, "amplitude": d.amplitude}
-            for d in cfg.raman],
-        "initial_state": (list(cfg.initial_state)
-                          if isinstance(cfg.initial_state, tuple)
-                          else cfg.initial_state),
-        "t_final": cfg.t_final,
-        "t_step": cfg.t_step,
-        "truncations": {
-            "qubit_dim": cfg.truncations.qubit_dim,
-            "resonator_dim": cfg.truncations.resonator_dim,
-            "resonator_dims": (list(cfg.truncations.resonator_dims)
-                               if cfg.truncations.resonator_dims else None)},
-        "solver": {"steady_tol": cfg.solver.steady_tol},
-        "dephasing_convention": cfg.dephasing_convention,
-        "ac_stark_compensation": cfg.ac_stark_compensation,
-        "raman_pull_correction": cfg.raman_pull_correction,
-    }
+    return _encode(cfg)
 
 
 def serialize_scenario(cfg: ScenarioConfig) -> str:

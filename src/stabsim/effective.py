@@ -24,7 +24,7 @@ from scipy.optimize import least_squares
 
 from .hamiltonian import CollapseSet
 from .hilbert import QUBIT, CompositeSpace, LinearOperator, ModeSpec
-from .lindblad import Liouvillian, build_liouvillian
+from .lindblad import Liouvillian, build_liouvillian, evolve
 
 TWO_PI = 2.0 * math.pi
 
@@ -102,32 +102,23 @@ def three_level_liouvillian(p: ThreeLevelParams) -> Liouvillian:
     return build_liouvillian(H, collapse)
 
 
-def _propagate_populations(p: ThreeLevelParams, times: np.ndarray,
-                           pop0: np.ndarray) -> np.ndarray:
-    """Populations (len(times) x 3) from a diagonal initial state."""
-    L = three_level_liouvillian(p).matrix.toarray()
-    vals, vecs = np.linalg.eig(L)
-    rho0 = np.diag(pop0.astype(complex)).reshape(-1, order="F")
-    coef = np.linalg.solve(vecs, rho0)
-    out = np.empty((len(times), 3))
-    diag_idx = [0, 4, 8]  # column-stacked (i, i) positions of a 3x3 matrix
-    for n, t in enumerate(times):
-        v = vecs @ (coef * np.exp(vals * t))
-        out[n] = np.real(v[diag_idx])
-    return out
-
-
 def simulate_three_level(p: ThreeLevelParams, times: np.ndarray,
                          initial: int | np.ndarray = GROUND) -> dict[str, np.ndarray]:
-    """Population traces of the model, keys P_gg / P_S / P_T."""
-    times = np.asarray(times, dtype=float)
+    """Population traces of the model, keys P_gg / P_S / P_T.
+
+    ``initial`` (a basis index or three populations) is the diagonal state
+    at ``times[0]``; the traces come from :func:`~stabsim.lindblad.evolve`,
+    so ``times`` must be a uniform increasing grid of at least two points
+    (anything else raises its ``ValueError``).
+    """
     if isinstance(initial, (int, np.integer)):
         pop0 = np.zeros(3)
         pop0[initial] = 1.0
     else:
         pop0 = np.asarray(initial, dtype=float)
-    pops = _propagate_populations(p, times, pop0)
-    return {"P_gg": pops[:, 0], "P_S": pops[:, 1], "P_T": pops[:, 2]}
+    basis = dict(zip(("P_gg", "P_S", "P_T"), np.eye(3)))
+    return evolve(three_level_liouvillian(p), np.diag(pop0), times,
+                  observables=basis).observables
 
 
 @dataclass(frozen=True)
@@ -175,8 +166,8 @@ def fit_three_level(result, labels: tuple[str, str, str] = ("P_gg", "P_S", "P_T"
         return ThreeLevelParams(**vals)
 
     def residuals(x):
-        model = _propagate_populations(unpack(x), times, pop0)
-        return (model - traces).ravel()
+        model = simulate_three_level(unpack(x), times, pop0)
+        return (np.stack(list(model.values()), axis=1) - traces).ravel()
 
     fit = least_squares(residuals, x0, bounds=(0.0, np.inf), xtol=1e-14,
                         ftol=1e-14, gtol=1e-14, max_nfev=2000)

@@ -88,7 +88,7 @@ class Liouvillian:
         The dissipators do not depend on H, so only -i[dH, .] is added.
         """
         return Liouvillian(self.space,
-                           (self.matrix + _commutator_superop(dH.matrix)).tocsr(),
+                           (self.matrix + _no_jump_superop(dH.matrix)).tocsr(),
                            self.hamiltonian + dH, self.collapse)
 
 
@@ -100,30 +100,40 @@ def unvectorize(v: np.ndarray, d: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape(d, d, order="F")
 
 
-def _commutator_superop(Hm: sp.spmatrix) -> sp.csr_matrix:
-    """Vectorized -i[H, .]."""
-    ident = sp.identity(Hm.shape[0], format="csr", dtype=complex)
-    return -1j * (sp.kron(ident, Hm, format="csr")
-                  - sp.kron(Hm.T, ident, format="csr"))
+def _damping(collapse: CollapseSet, space: CompositeSpace) -> sp.csr_matrix:
+    """sum_k r_k O_k^dag O_k, formed as A^dag W A with A the O_k stacked
+    and W their rates on the diagonal (one sparse product, not one per
+    operator)."""
+    d = space.total_dim
+    if any(op.space != space for op, _ in collapse):
+        raise ValueError("collapse operator lives on a different space")
+    if not len(collapse):
+        return sp.csr_matrix((d, d), dtype=complex)
+    A = sp.vstack([op.matrix for op, _ in collapse], format="csr")
+    W = sp.diags(np.repeat([rate for _, rate in collapse], d))
+    return (A.conj().T @ (W @ A)).tocsr()
+
+
+def _no_jump_superop(heff: sp.spmatrix) -> sp.csr_matrix:
+    """Vectorized rho -> -i(Heff rho - rho Heff^dag); for a Hermitian
+    argument this is the commutator -i[H, .]."""
+    ident = sp.identity(heff.shape[0], format="csr", dtype=complex)
+    return -1j * (sp.kron(ident, heff, format="csr")
+                  - sp.kron(heff.conj(), ident, format="csr"))
 
 
 def build_liouvillian(H: LinearOperator, collapse: CollapseSet) -> Liouvillian:
-    """Vectorized generator -i[H, .] + sum rate * D(L)."""
-    space = H.space
-    d = space.total_dim
-    ident = sp.identity(d, format="csr", dtype=complex)
-    L = _commutator_superop(H.matrix)
-    for op, rate in collapse:
-        if op.space != space:
-            raise ValueError("collapse operator lives on a different space")
-        if rate == 0:
-            continue
-        O = op.matrix
-        OdO = (O.conj().T @ O).tocsr()
-        L = L + rate * (sp.kron(O.conj(), O, format="csr")
-                        - 0.5 * sp.kron(ident, OdO, format="csr")
-                        - 0.5 * sp.kron(OdO.T, ident, format="csr"))
-    return Liouvillian(space, L.tocsr(), H, collapse)
+    """Vectorized generator -i[H, .] + sum rate * D(L), assembled as the
+    no-jump part of Heff = H - (i/2) sum r_k O_k^dag O_k plus the jumps
+    sum r_k conj(O_k) kron O_k."""
+    heff = H.matrix - 0.5j * _damping(collapse, H.space)
+    n = heff.shape[0] ** 2
+    # the jumps are summed apart: each is far sparser than the no-jump part
+    jumps = sum((rate * sp.kron(op.matrix.conj(), op.matrix, format="csr")
+                 for op, rate in collapse if rate),
+                sp.csr_matrix((n, n), dtype=complex))
+    return Liouvillian(H.space, (_no_jump_superop(heff) + jumps).tocsr(),
+                       H, collapse)
 
 
 @dataclass
@@ -278,10 +288,7 @@ def _no_jump_inverse(liouvillian: Liouvillian
     rho = V X V^dag maps to X_jk -> -i(lam_j - conj(lam_k)) X_jk.
     """
     d = liouvillian.dim
-    damping = np.zeros((d, d), dtype=complex)
-    for op, rate in liouvillian.collapse:
-        O = op.toarray()
-        damping += rate * (O.conj().T @ O)
+    damping = _damping(liouvillian.collapse, liouvillian.space).toarray()
     sigma = _SHIFT_FRACTION * float(np.trace(damping).real) / d
     if not sigma > 0:
         raise SteadyStateError(

@@ -22,7 +22,7 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -472,30 +472,15 @@ def _apply_axis(config: ScenarioConfig, axis: str, value: float) -> ScenarioConf
             ResonatorDrive(detuning=d.detuning, n_bar=value) if d.active else d
             for d in config.raman)
         return config.replace(raman=raman)
-    if axis == "chi":
-        res = tuple(
-            r if not config.raman[i].active else
-            type(r)(r.label, r.omega_r, r.kappa, value, r.g)
-            for i, r in enumerate(config.resonators))
+    if axis in ("chi", "kappa"):
+        res = tuple(replace(r, **{axis: value}) if config.raman[i].active else r
+                    for i, r in enumerate(config.resonators))
         return config.replace(resonators=res)
-    if axis == "kappa":
-        res = tuple(
-            r if not config.raman[i].active else
-            type(r)(r.label, r.omega_r, value, r.chi, r.g)
-            for i, r in enumerate(config.resonators))
-        return config.replace(resonators=res)
-    if axis == "T1":
-        qubits = tuple(type(q)(q.label, q.omega_q, q.alpha,
-                               None if math.isinf(value) else value,
-                               q.t2e, q.working_freq)
-                       for q in config.qubits)
-        return config.replace(qubits=qubits)
-    if axis == "T_phi":
-        qubits = tuple(type(q)(q.label, q.omega_q, q.alpha, q.t1,
-                               None if math.isinf(value) else value,
-                               q.working_freq)
-                       for q in config.qubits)
-        return config.replace(qubits=qubits)
+    if axis in ("T1", "T_phi"):
+        key = "t1" if axis == "T1" else "t2e"
+        change = {key: None if math.isinf(value) else value}
+        return config.replace(qubits=tuple(
+            replace(q, **change) for q in config.qubits))
     raise ValueError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
 
 
@@ -509,8 +494,7 @@ def measure_transfer_rate(config: ScenarioConfig, source: str = "S",
     """
     bare = config.replace(
         pumps=(),
-        qubits=tuple(type(q)(q.label, q.omega_q, q.alpha, None, None,
-                             q.working_freq) for q in config.qubits))
+        qubits=tuple(replace(q, t1=None, t2e=None) for q in config.qubits))
     model, liouv = build_problem(bare)
     rho0 = initial_density(bare, model, source)
     qspace = qubit_space(bare)

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabsim.device import (
-    ConfigError, QubitParams, bundled_scenario, derive_g, derive_rates,
-    load_scenario, scenario_to_jsonable, serialize_scenario, validate_config,
+    DEPHASING_CONVENTIONS, ConfigError, CouplingParams, PumpDrive, QubitParams,
+    ResonatorDrive, ResonatorParams, ScenarioConfig, SolverSettings,
+    Truncations, bundled_scenario, derive_g, derive_rates, load_scenario,
+    scenario_to_jsonable, serialize_scenario, validate_config,
 )
 
 BUNDLED = ["bell", "bell_single_channel", "bell_pump2", "w"]
@@ -112,6 +114,89 @@ class TestLoader:
         doc["couplings"] = [5.0, 5.0]
         with pytest.raises(ConfigError, match="couplings"):
             load_scenario(json.dumps(doc))
+
+
+finite = st.floats(-1e4, 1e4)
+positive = st.floats(1e-3, 1e3)
+
+
+@st.composite
+def scenario_configs(draw):
+    """Valid configs that take every union and optional branch of the schema."""
+    n = draw(st.integers(1, 3))
+    qubit_dim = draw(st.integers(2, 4))
+    qubits = []
+    for _ in range(n):
+        t1 = draw(st.none() | positive)
+        t2e = draw(st.none() | st.floats(1e-3, 2 * t1 if t1 else 1e3))
+        qubits.append(QubitParams(draw(st.text(max_size=4)), draw(finite),
+                                  draw(finite), t1, t2e, draw(finite)))
+    resonators = tuple(
+        ResonatorParams(draw(st.text(max_size=4)), draw(finite), draw(positive),
+                        draw(finite), draw(st.none() | finite))
+        for _ in range(n))
+    amplitude = st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                                   allow_infinity=False)
+    pumps = []
+    for _ in range(draw(st.integers(0, 2))):
+        amps = draw(st.lists(amplitude | finite.map(complex), min_size=n,
+                             max_size=n).filter(any))
+        pumps.append(PumpDrive(tuple(amps), draw(finite),
+                               draw(st.sampled_from(["amplitude", "rabi"]))))
+    raman = []
+    for _ in range(n):
+        strength = draw(st.sampled_from(["n_bar", "amplitude", None]))
+        raman.append(ResonatorDrive(
+            draw(finite),
+            n_bar=draw(positive) if strength == "n_bar" else None,
+            amplitude=draw(finite) if strength == "amplitude" else None))
+    initial = draw(st.sampled_from(["ground", "gg", "S"])
+                   | st.tuples(*[st.integers(0, qubit_dim - 1)] * n))
+    truncations = Truncations(
+        qubit_dim, draw(st.integers(2, 6)),
+        draw(st.none() | st.tuples(*[st.integers(2, 6)] * n)))
+    return ScenarioConfig(
+        draw(st.text(max_size=8)), tuple(qubits), resonators,
+        CouplingParams(tuple(draw(finite) for _ in range(n - 1))),
+        pumps=tuple(pumps), raman=tuple(raman), initial_state=initial,
+        t_final=draw(positive), t_step=draw(positive), truncations=truncations,
+        solver=SolverSettings(draw(positive)),
+        dephasing_convention=draw(st.sampled_from(DEPHASING_CONVENTIONS)),
+        ac_stark_compensation=draw(st.booleans()),
+        raman_pull_correction=draw(st.booleans()))
+
+
+def _bell_doc(edit):
+    doc = scenario_to_jsonable(bundled_scenario("bell"))
+    edit(doc)
+    return json.dumps(doc)
+
+
+class TestCodec:
+    @given(scenario_configs())
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip(self, cfg):
+        assert load_scenario(serialize_scenario(cfg)) == cfg
+
+    @pytest.mark.parametrize("edit, path, message", [
+        (lambda d: d.pop("name"), "<document>", "missing keys ['name']"),
+        (lambda d: d["truncations"].update(qubit_dims=3), "truncations",
+         "unknown keys ['qubit_dims']"),
+        (lambda d: d["pumps"][0].update(convention="volts"), "pumps[0]",
+         "unknown pump convention 'volts'"),
+        (lambda d: d["qubits"][0].pop("t1"), "qubits[0]", "missing keys ['t1']"),
+        (lambda d: d["pumps"][0].update(amplitudes=[[1, 2, 3], 0.5]),
+         "pumps[0].amplitudes[0]", "amplitude must be a number or [re, im]"),
+    ], ids=["no-name", "truncations-key", "convention", "no-t1", "amplitude"])
+    def test_malformed_document_names_path(self, edit, path, message):
+        with pytest.raises(ConfigError) as info:
+            load_scenario(_bell_doc(edit))
+        assert info.value.path == path
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_pumps_may_be_omitted(self):
+        cfg = load_scenario(_bell_doc(lambda d: d.pop("pumps")))
+        assert cfg.pumps == ()
 
 
 class TestDeriveRates:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -162,6 +163,25 @@ class TestSimulateAndFit:
                                  observables={"P_gg": np.zeros(21)})
         with pytest.raises(FitError, match="P_S"):
             fit_three_level(result)
+
+    def test_exceptional_point_matches_matrix_exponential(self):
+        # the pump/decay exceptional point, omega_p = gamma1/(8 pi): L is
+        # defective there, so an eigenbasis of L loses digits
+        p = ThreeLevelParams(1 / (8 * math.pi), 1.0, 0.0, 0.0)
+        t = np.linspace(0.0, 10.0, 101)
+        traces = simulate_three_level(p, t)
+        L = three_level_liouvillian(p).matrix.toarray()
+        rho0 = np.zeros(9, dtype=complex)
+        rho0[0] = 1.0
+        ref = np.array([np.real(scipy.linalg.expm(L * tk) @ rho0)[[0, 4, 8]]
+                        for tk in t])
+        got = np.stack([traces["P_gg"], traces["P_S"], traces["P_T"]], axis=1)
+        npt.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    def test_non_uniform_times_rejected(self):
+        with pytest.raises(ValueError, match="uniform"):
+            simulate_three_level(ThreeLevelParams(0.5, 0.05, 0.05, 1.0),
+                                 np.array([0.0, 1.0, 3.0]))
 
     def test_population_conservation(self):
         p = ThreeLevelParams(0.6, 0.04, 0.02, 1.2)
