@@ -15,7 +15,7 @@ Library layout:
 
 from .device import ScenarioConfig, bundled_scenario, load_scenario, serialize_scenario
 from .effective import ThreeLevelParams, approx_fidelity, exact_fidelity, experiment_estimate
-from .hamiltonian import build_collapse_set, build_dispersive, build_jaynes_cummings
+from .hamiltonian import build_collapse_set, build_dispersive
 from .lindblad import build_liouvillian, evolve, steady_state
 from .scenarios import run_bell, run_spectroscopy, run_sweep, run_w
 
@@ -23,7 +23,7 @@ __all__ = [
     "ScenarioConfig", "bundled_scenario", "load_scenario", "serialize_scenario",
     "ThreeLevelParams", "approx_fidelity", "exact_fidelity",
     "experiment_estimate", "build_collapse_set", "build_dispersive",
-    "build_jaynes_cummings", "build_liouvillian", "evolve", "steady_state",
+    "build_liouvillian", "evolve", "steady_state",
     "run_bell", "run_spectroscopy", "run_sweep", "run_w",
 ]
 

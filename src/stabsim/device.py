@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
+from .hilbert import QUBIT, CompositeSpace, ModeSpec
+
 DEPHASING_CONVENTIONS = ("direct", "pure_dephasing")
 
 #: tolerance on the physical bound T2e <= 2*T1
@@ -258,6 +260,16 @@ def validate_config(cfg: ScenarioConfig) -> None:
             raise ConfigError("initial_state", f"expected {L} qubit occupations")
         if any(n < 0 or n >= tr.qubit_dim for n in cfg.initial_state):
             raise ConfigError("initial_state", "occupation exceeds qubit truncation")
+    elif cfg.initial_state != "ground":
+        # the named states are defined in hamiltonian, which imports this
+        # module; a name depends only on the number of qubits
+        from .hamiltonian import named_qubit_state
+        space = CompositeSpace(ModeSpec(f"q{i}", QUBIT, tr.qubit_dim)
+                               for i in range(L))
+        try:
+            named_qubit_state(space, cfg.initial_state)
+        except ValueError as exc:
+            raise ConfigError("initial_state", str(exc)) from None
 
 
 # -- JSON (de)serialization --------------------------------------------------

@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import rates
-from .device import ScenarioConfig, PumpDrive, derive_g, derive_rates
+from .device import ScenarioConfig, PumpDrive, derive_rates
 from .hilbert import (
     QUBIT, RESONATOR, CompositeSpace, LinearOperator, ModeSpec,
     basis_state, lowering_op, number_op,
@@ -42,30 +42,15 @@ from .hilbert import (
 
 TWO_PI = 2.0 * math.pi
 
-DISPERSIVE = "dispersive"
-JAYNES_CUMMINGS = "jaynes_cummings"
-
 HERMITICITY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class FrameSpec:
-    """Rotating-frame frequencies (linear MHz) used to build a model."""
-
-    qubit_frame: float
-    resonator_frames: tuple[float, ...]
 
 
 @dataclass
 class HamiltonianModel:
-    kind: str
     H: LinearOperator
-    frame: FrameSpec
     displaced: bool = False
     #: classical cavity amplitudes (one per resonator; 0 for undriven)
     alphas: tuple[complex, ...] = ()
-    #: steady photon numbers implied by the drives
-    n_bars: tuple[float, ...] = ()
     #: effective in-model drive detunings, MHz
     raman_detunings: tuple[float, ...] = ()
 
@@ -274,13 +259,8 @@ def build_dispersive(config: ScenarioConfig, *, displaced: bool = False,
         raise ValueError(f"built Hamiltonian is not Hermitian (defect {defect:.2e})")
 
     return HamiltonianModel(
-        kind=DISPERSIVE, H=H,
-        frame=FrameSpec(omega_p, tuple(
-            config.resonators[i].omega_r - drives[i].detuning_eff
-            for i in range(L)) if include_resonators else ()),
-        displaced=displaced,
+        H=H, displaced=displaced,
         alphas=tuple(drv.alpha for drv in drives) if include_resonators else (),
-        n_bars=tuple(drv.n_bar for drv in drives) if include_resonators else (),
         raman_detunings=tuple(drv.detuning_eff for drv in drives)
         if include_resonators else (),
     )
@@ -348,109 +328,6 @@ def _add_pumps(H: LinearOperator, space: CompositeSpace, config: ScenarioConfig,
     shift = sp.diags((nq_total >= 2).astype(complex) * TWO_PI
                      * (p1.frequency - p2.frequency), format="csr")
     return H + LinearOperator(space, shift)
-
-
-# -- exchange-coupling model ----------------------------------------------------
-
-def build_jaynes_cummings(config: ScenarioConfig) -> HamiltonianModel:
-    """Full exchange-coupling model g(c^dag b + b^dag c), single common frame.
-
-    The frame rotates every mode at one frequency, so all active resonator
-    drives (and any pump) must share that frequency; mixed-frequency drive
-    sets are rejected because the frame Hamiltonian would be time-dependent.
-    """
-    space = model_space(config, include_resonators=True)
-    L = config.n_qubits
-
-    drive_freqs = []
-    for i, drv in enumerate(config.raman):
-        if drv.active:
-            drive_freqs.append(config.resonators[i].omega_r - drv.detuning)
-    for p in config.pumps:
-        drive_freqs.append(p.frequency)
-    if len(set(np.round(drive_freqs, 9))) > 1:
-        raise ValueError(
-            "exchange-coupling model requires all drives at one frequency "
-            f"(got {sorted(set(drive_freqs))})")
-    frame = drive_freqs[0] if drive_freqs else config.qubits[0].working_freq
-
-    d = space.total_dim
-    H = LinearOperator(space, sp.csr_matrix((d, d), dtype=complex))
-    b = [lowering_op(space, i) for i in range(L)]
-
-    for i, q in enumerate(config.qubits):
-        H = H + (TWO_PI * (q.working_freq - frame)) * number_op(space, i)
-        if space.modes[i].dim > 2 and q.alpha != 0.0:
-            bd = b[i].dag()
-            H = H + (TWO_PI * q.alpha / 2.0) * (bd @ bd @ b[i] @ b[i])
-    for i, j in enumerate(config.couplings.j):
-        hop = b[i].dag() @ b[i + 1]
-        H = H + (-TWO_PI * j) * (hop + hop.dag())
-    for i, res in enumerate(config.resonators):
-        c = lowering_op(space, L + i)
-        H = H + (TWO_PI * (res.omega_r - frame)) * (c.dag() @ c)
-        g = derive_g(res, config.qubits[i])
-        ex = c.dag() @ b[i]
-        H = H + (TWO_PI * g) * (ex + ex.dag())
-        drv = config.raman[i]
-        if drv.active:
-            eps = drv.amplitude if drv.amplitude is not None else \
-                rates.drive_amplitude(drv.n_bar, drv.detuning, res.kappa)
-            H = H + (TWO_PI * eps) * (c + c.dag())
-    for p in config.pumps:
-        for i, amp in enumerate(p.amplitudes):
-            if amp != 0:
-                op = (TWO_PI * amp * p.coefficient_scale) * b[i].dag()
-                H = H + op + op.dag()
-
-    defect = H.hermiticity_defect()
-    if defect > HERMITICITY_TOL * max(1.0, _spectral_scale(H)):
-        raise ValueError(f"built Hamiltonian is not Hermitian (defect {defect:.2e})")
-    return HamiltonianModel(
-        kind=JAYNES_CUMMINGS, H=H,
-        frame=FrameSpec(frame, tuple(frame for _ in config.resonators)))
-
-
-def chi_estimate(g: float, delta_rq: float, alpha: float) -> float:
-    """Leading-order dispersive shift alpha*(g/Delta_rq)^2, MHz."""
-    return alpha * (g / delta_rq) ** 2
-
-
-def chi_exact_form(g: float, delta_rq: float, alpha: float) -> float:
-    """Transmon dispersive shift g^2*alpha/(Delta_rq*(Delta_rq - alpha)), MHz."""
-    return g ** 2 * alpha / (delta_rq * (delta_rq - alpha))
-
-
-def jc_derived_chi(config: ScenarioConfig, k: int = 0) -> float:
-    """Dispersive shift from exact diagonalization of one qubit-resonator pair.
-
-    Returns half the cross-Kerr energy
-    ``(E(e,1) - E(e,0) - E(g,1) + E(g,0)) / 2`` so the value is directly
-    comparable to the configured ``chi``.  Requires qubit_dim >= 3 for the
-    anharmonicity to act.
-    """
-    if config.truncations.qubit_dim < 3:
-        raise ValueError("qubit_dim >= 3 required to resolve the dispersive shift")
-    sub = config.replace(
-        name="_chi_probe",
-        qubits=(config.qubits[k],),
-        resonators=(config.resonators[k],),
-        couplings=type(config.couplings)(()),
-        pumps=(),
-        raman=(type(config.raman[k])(detuning=0.0),),
-    )
-    model = build_jaynes_cummings(sub)
-    space = model.space
-    evals, evecs = np.linalg.eigh(model.H.toarray())
-
-    def energy_of(occ):
-        target = basis_state(space, occ)
-        overlaps = np.abs(evecs.conj().T @ target) ** 2
-        return evals[int(np.argmax(overlaps))]
-
-    cross_kerr = (energy_of((1, 1)) - energy_of((1, 0))
-                  - energy_of((0, 1)) + energy_of((0, 0)))
-    return float(cross_kerr / (2.0 * TWO_PI))
 
 
 # -- collapse operators ----------------------------------------------------------

@@ -317,20 +317,3 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     d = sub.total_dim
     return DensityMatrix(sub, arr.reshape(d, d))
 
-
-def expectation(op: LinearOperator, rho: DensityMatrix) -> complex:
-    """Tr(op @ rho)."""
-    if op.space != rho.space:
-        raise SpaceMismatchError("operator and state live on different spaces")
-    return complex((op.matrix @ rho.matrix).diagonal().sum())
-
-
-def fidelity_pure(psi: np.ndarray, rho: DensityMatrix, tol: float = 1e-7) -> float:
-    """<psi|rho|psi> for a pure target, checked to be real in [0, 1]."""
-    psi = np.asarray(psi, dtype=complex).ravel()
-    if psi.size != rho.space.total_dim:
-        raise SpaceMismatchError("state vector size does not match space")
-    val = np.vdot(psi, rho.matrix @ psi)
-    if abs(val.imag) > tol or val.real < -tol or val.real > 1 + tol:
-        raise ValueError(f"fidelity {val} outside [0, 1] beyond tolerance")
-    return float(min(max(val.real, 0.0), 1.0))

@@ -140,7 +140,6 @@ def build_liouvillian(H: LinearOperator, collapse: CollapseSet) -> Liouvillian:
 class EvolutionResult:
     times: np.ndarray
     observables: dict[str, np.ndarray]
-    snapshots: list[tuple[float, DensityMatrix]] = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -194,17 +193,15 @@ def _propagate(L: sp.csr_matrix, y0: np.ndarray, n: int, dt: float
 
 
 def evolve(liouvillian: Liouvillian, rho0: DensityMatrix | np.ndarray,
-           t_grid: np.ndarray, observables: dict | None = None,
-           snapshot_times: np.ndarray | None = None) -> EvolutionResult:
+           t_grid: np.ndarray, observables: dict | None = None
+           ) -> EvolutionResult:
     """Propagate vec(rho) exactly along the uniform ``t_grid`` (us).
 
     ``rho0`` is the state at ``t_grid[0]``.  Observables may be
     ``LinearOperator``s / matrices (expectation values) or state vectors
-    (fidelities).  Snapshots are stored as ``DensityMatrix`` values at the
-    requested times (nearest grid point).  Raises ``ValueError`` for a
-    grid that is not a uniform increasing ``linspace``, and
-    :class:`EvolutionError` on non-finite values or a positivity violation
-    below ``-1e-6``.
+    (fidelities).  Raises ``ValueError`` for a grid that is not a uniform
+    increasing ``linspace``, and :class:`EvolutionError` on non-finite
+    values or a positivity violation below ``-1e-6``.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2:
@@ -242,12 +239,6 @@ def evolve(liouvillian: Liouvillian, rho0: DensityMatrix | np.ndarray,
     for name, obs in (observables or {}).items():
         w, is_state = _observable_weights(obs)
         values[name] = np.real(Y @ w) if is_state else Y @ w
-    snapshot_times = (np.asarray(snapshot_times, dtype=float)
-                      if snapshot_times is not None else np.empty(0))
-    snap_idx = sorted(set(int(np.argmin(np.abs(t_grid - ts)))
-                          for ts in snapshot_times))
-    snaps = [(float(t_grid[j]), DensityMatrix(liouvillian.space, rhos[j].copy()))
-             for j in snap_idx]
 
     diagnostics = {
         "max_trace_drift": float(drift.max()),
@@ -255,7 +246,7 @@ def evolve(liouvillian: Liouvillian, rho0: DensityMatrix | np.ndarray,
         "min_eigenvalue": float(min_eig.min()),
         "rhs_evaluations": int(matvecs),
     }
-    return EvolutionResult(t_grid, values, snaps, diagnostics)
+    return EvolutionResult(t_grid, values, diagnostics)
 
 
 @dataclass

@@ -64,11 +64,6 @@ class NormalModeBasis:
         """Qubit-like eigenfrequencies, ascending (MHz)."""
         return self.eigenvalues[list(self.qubit_columns)]
 
-    @property
-    def lambda_r(self) -> np.ndarray:
-        """Resonator-like eigenfrequencies, by bare resonator index (MHz)."""
-        return self.eigenvalues[list(self.resonator_columns)]
-
 
 @dataclass(frozen=True)
 class KerrCoefficients:

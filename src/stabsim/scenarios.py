@@ -33,7 +33,6 @@ from .device import (
     ResonatorDrive, PumpDrive, ScenarioConfig, derive_rates,
     scenario_to_jsonable,
 )
-from .effective import FitError
 from .hamiltonian import (
     HamiltonianModel, build_collapse_set, build_dispersive,
     named_qubit_state, qubit_space, single_excitation_modes,
@@ -52,6 +51,10 @@ PLATEAU_WINDOW = 30.0
 
 class DegenerateDataError(ValueError):
     """Fit input carries no usable signal (e.g. constant trace)."""
+
+
+class FitError(RuntimeError):
+    """A fit did not converge."""
 
 
 @dataclass(frozen=True)
@@ -90,48 +93,6 @@ def fit_exponential(times, values) -> ExponentialFit:
     resid = float(np.sqrt(np.mean((model(times, *popt) - values) ** 2)))
     return ExponentialFit(rate=1.0 / tau, asymptote=float(a),
                           amplitude=float(b), residual=resid)
-
-
-# -- readout mitigation --------------------------------------------------------
-
-@dataclass(frozen=True)
-class ReadoutMatrix:
-    """Column-stochastic matrix of measured-given-prepared populations."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("readout matrix must be square")
-        if (m < -1e-12).any() or (m > 1 + 1e-12).any():
-            raise ValueError("entries must lie in [0, 1]")
-        if np.abs(m.sum(axis=0) - 1.0).max() > 1e-6:
-            raise ValueError("columns must sum to 1 within 1e-6")
-
-    @property
-    def condition_number(self) -> float:
-        return float(np.linalg.cond(self.matrix))
-
-
-def apply_readout_mitigation(m: ReadoutMatrix, measured) -> np.ndarray:
-    """Recover prepared populations: M^-1 @ measured, clipped and renormalized.
-
-    Negative entries produced by the inversion are unphysical statistical
-    artifacts; they are clipped to zero and the vector renormalized.
-    """
-    measured = np.asarray(measured, dtype=float)
-    if measured.shape != (m.matrix.shape[0],):
-        raise ValueError("measured vector length does not match matrix")
-    if m.condition_number > 1e12:
-        raise np.linalg.LinAlgError("readout matrix is singular")
-    raw = np.linalg.solve(m.matrix, measured)
-    clipped = np.clip(raw, 0.0, None)
-    total = clipped.sum()
-    if total == 0:
-        raise ValueError("mitigated vector vanished after clipping")
-    return clipped / total
 
 
 # -- scenario plumbing -----------------------------------------------------------
@@ -485,7 +446,7 @@ def _apply_axis(config: ScenarioConfig, axis: str, value: float) -> ScenarioConf
 
 
 def measure_transfer_rate(config: ScenarioConfig, source: str = "S",
-                          window: float | None = None) -> float:
+                          window: float = 4.0) -> float:
     """Engineered transfer rate out of ``source``, isolated from decoherence.
 
     Pumps and qubit decoherence are switched off, the system starts in the
@@ -500,8 +461,6 @@ def measure_transfer_rate(config: ScenarioConfig, source: str = "S",
     qspace = qubit_space(bare)
     obs = {"P_src": _qubit_projector(model.space, qspace,
                                      named_qubit_state(qspace, source))}
-    if window is None:
-        window = 4.0
     t_grid = np.linspace(0.0, window, 121)
     res = evolve(liouv, rho0, t_grid, observables=obs)
     trace = np.real(res.observables["P_src"])

@@ -13,12 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import three_level_liouvillian
 from stabsim.device import (
     QubitParams, ResonatorDrive, bundled_scenario,
 )
 from stabsim.effective import (
     ThreeLevelParams, exact_fidelity, experiment_estimate,
-    three_level_liouvillian,
 )
 from stabsim.hamiltonian import (
     TWO_PI, build_dispersive, named_qubit_state, pump_matrix_element,

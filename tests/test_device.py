@@ -150,7 +150,8 @@ def scenario_configs(draw):
             draw(finite),
             n_bar=draw(positive) if strength == "n_bar" else None,
             amplitude=draw(finite) if strength == "amplitude" else None))
-    initial = draw(st.sampled_from(["ground", "gg", "S"])
+    names = ["ground", "e" * n] + {2: ["S"], 3: ["W"]}.get(n, [])
+    initial = draw(st.sampled_from(names)
                    | st.tuples(*[st.integers(0, qubit_dim - 1)] * n))
     truncations = Truncations(
         qubit_dim, draw(st.integers(2, 6)),
@@ -267,6 +268,12 @@ class TestConfigInvariants:
     def test_initial_state_occupations_checked(self):
         cfg = bundled_scenario("bell").replace(initial_state=(0, 2))
         with pytest.raises(ConfigError, match="initial_state"):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize("name", ["xyz", "gge"])
+    def test_initial_state_name_checked(self, name):
+        cfg = bundled_scenario("bell").replace(initial_state=name)
+        with pytest.raises(ConfigError, match="initial_state.*unknown named"):
             validate_config(cfg)
 
     def test_t_final_positive(self):

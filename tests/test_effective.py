@@ -7,12 +7,11 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import three_level_liouvillian
 from stabsim.effective import (
-    FitError, ThreeLevelParams, approx_fidelity, exact_fidelity,
-    experiment_estimate, fit_three_level, simulate_three_level,
-    three_level_liouvillian,
+    ThreeLevelParams, approx_fidelity, exact_fidelity, experiment_estimate,
 )
-from stabsim.lindblad import EvolutionResult, steady_state
+from stabsim.lindblad import evolve, steady_state
 
 rate = st.floats(1e-2, 1e2)
 
@@ -115,61 +114,20 @@ class TestExperimentEstimate:
             experiment_estimate(0.0, (27.0,), 18.0)
 
 
+def three_level_traces(p: ThreeLevelParams, times) -> dict:
+    """Population traces P_gg / P_S / P_T of the model from the ground state."""
+    basis = dict(zip(("P_gg", "P_S", "P_T"), np.eye(3)))
+    return evolve(three_level_liouvillian(p), np.diag([1.0, 0.0, 0.0]), times,
+                  observables=basis).observables
+
+
 class TestSimulateAndFit:
-    def test_self_consistency_recovery(self):
-        truth = ThreeLevelParams(omega_p=0.4, gamma1=0.05, gamma_phi=0.08,
-                                 gamma_s=1.5)
-        t = np.linspace(0.0, 12.0, 241)
-        traces = simulate_three_level(truth, t)
-        result = EvolutionResult(times=t, observables=traces)
-        fit = fit_three_level(result)
-        assert fit.params.gamma_s == pytest.approx(truth.gamma_s, rel=0.01)
-        assert fit.params.omega_p == pytest.approx(truth.omega_p, rel=0.01)
-        assert fit.params.gamma1 == pytest.approx(truth.gamma1, rel=0.01)
-        assert fit.params.gamma_phi == pytest.approx(truth.gamma_phi, rel=0.01)
-        assert fit.residual < 1e-8
-
-    def test_pure_decay_gives_zero_transfer(self):
-        # decay from the intermediate state with no engineered channel: the
-        # target never fills, so the fitted transfer rate must vanish
-        truth = ThreeLevelParams(omega_p=0.0, gamma1=0.1, gamma_phi=0.0,
-                                 gamma_s=0.0)
-        t = np.linspace(0.0, 10.0, 101)
-        traces = simulate_three_level(truth, t, initial=1)
-        result = EvolutionResult(times=t, observables=traces)
-        fit = fit_three_level(result, fixed={"omega_p": 0.0, "gamma_phi": 0.0})
-        assert fit.params.gamma_s == pytest.approx(0.0, abs=1e-4)
-        assert fit.params.gamma1 == pytest.approx(0.1, rel=1e-3)
-
-    def test_all_fixed_rejected(self):
-        t = np.linspace(0, 5, 21)
-        traces = simulate_three_level(
-            ThreeLevelParams(0.5, 0.05, 0.05, 1.0), t)
-        result = EvolutionResult(times=t, observables=traces)
-        with pytest.raises(FitError, match="nothing to fit"):
-            fit_three_level(result, fixed={"omega_p": 0.5, "gamma1": 0.05,
-                                           "gamma_phi": 0.05, "gamma_s": 1.0})
-
-    def test_too_few_samples(self):
-        t = np.linspace(0, 5, 3)
-        traces = simulate_three_level(
-            ThreeLevelParams(0.5, 0.05, 0.05, 1.0), t)
-        result = EvolutionResult(times=t, observables=traces)
-        with pytest.raises(FitError, match="5 samples"):
-            fit_three_level(result)
-
-    def test_missing_trace_named(self):
-        result = EvolutionResult(times=np.linspace(0, 5, 21),
-                                 observables={"P_gg": np.zeros(21)})
-        with pytest.raises(FitError, match="P_S"):
-            fit_three_level(result)
-
     def test_exceptional_point_matches_matrix_exponential(self):
         # the pump/decay exceptional point, omega_p = gamma1/(8 pi): L is
         # defective there, so an eigenbasis of L loses digits
         p = ThreeLevelParams(1 / (8 * math.pi), 1.0, 0.0, 0.0)
         t = np.linspace(0.0, 10.0, 101)
-        traces = simulate_three_level(p, t)
+        traces = three_level_traces(p, t)
         L = three_level_liouvillian(p).matrix.toarray()
         rho0 = np.zeros(9, dtype=complex)
         rho0[0] = 1.0
@@ -178,14 +136,9 @@ class TestSimulateAndFit:
         got = np.stack([traces["P_gg"], traces["P_S"], traces["P_T"]], axis=1)
         npt.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
-    def test_non_uniform_times_rejected(self):
-        with pytest.raises(ValueError, match="uniform"):
-            simulate_three_level(ThreeLevelParams(0.5, 0.05, 0.05, 1.0),
-                                 np.array([0.0, 1.0, 3.0]))
-
     def test_population_conservation(self):
         p = ThreeLevelParams(0.6, 0.04, 0.02, 1.2)
         t = np.linspace(0.0, 8.0, 81)
-        traces = simulate_three_level(p, t)
+        traces = three_level_traces(p, t)
         total = traces["P_gg"] + traces["P_S"] + traces["P_T"]
         npt.assert_allclose(total, 1.0, atol=1e-10)

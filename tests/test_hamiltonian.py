@@ -3,17 +3,19 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
+from stabsim import rates
 from stabsim.device import (
     CouplingParams, PumpDrive, ResonatorDrive, Truncations, bundled_scenario,
+    derive_g,
 )
 from stabsim.hamiltonian import (
-    TWO_PI, build_collapse_set, build_dispersive, build_jaynes_cummings,
-    chi_estimate, chi_exact_form, jc_derived_chi, lowest_mode_weights,
-    model_space, named_qubit_state, pump_matrix_element, qubit_space,
-    single_excitation_modes,
+    HERMITICITY_TOL, TWO_PI, _spectral_scale, build_collapse_set,
+    build_dispersive, lowest_mode_weights, model_space, named_qubit_state,
+    pump_matrix_element, qubit_space, single_excitation_modes,
 )
-from stabsim.hilbert import basis_state
+from stabsim.hilbert import LinearOperator, basis_state, lowering_op, number_op
 
 
 def single_excitation_block(model, config):
@@ -110,6 +112,111 @@ class TestDispersive:
         assert model.space.total_dim == 4
 
 
+# -- exchange-coupling oracle -------------------------------------------------
+#
+# The full qubit-resonator exchange model, diagonalized exactly, is the
+# reference for the dispersive shift chi that the dispersive model takes as
+# an input.
+
+def build_jaynes_cummings(config):
+    """Full exchange-coupling model g(c^dag b + b^dag c), single common frame.
+
+    The frame rotates every mode at one frequency, so all active resonator
+    drives (and any pump) must share that frequency; mixed-frequency drive
+    sets are rejected because the frame Hamiltonian would be time-dependent.
+    """
+    space = model_space(config, include_resonators=True)
+    L = config.n_qubits
+
+    drive_freqs = []
+    for i, drv in enumerate(config.raman):
+        if drv.active:
+            drive_freqs.append(config.resonators[i].omega_r - drv.detuning)
+    for p in config.pumps:
+        drive_freqs.append(p.frequency)
+    if len(set(np.round(drive_freqs, 9))) > 1:
+        raise ValueError(
+            "exchange-coupling model requires all drives at one frequency "
+            f"(got {sorted(set(drive_freqs))})")
+    frame = drive_freqs[0] if drive_freqs else config.qubits[0].working_freq
+
+    d = space.total_dim
+    H = LinearOperator(space, sp.csr_matrix((d, d), dtype=complex))
+    b = [lowering_op(space, i) for i in range(L)]
+
+    for i, q in enumerate(config.qubits):
+        H = H + (TWO_PI * (q.working_freq - frame)) * number_op(space, i)
+        if space.modes[i].dim > 2 and q.alpha != 0.0:
+            bd = b[i].dag()
+            H = H + (TWO_PI * q.alpha / 2.0) * (bd @ bd @ b[i] @ b[i])
+    for i, j in enumerate(config.couplings.j):
+        hop = b[i].dag() @ b[i + 1]
+        H = H + (-TWO_PI * j) * (hop + hop.dag())
+    for i, res in enumerate(config.resonators):
+        c = lowering_op(space, L + i)
+        H = H + (TWO_PI * (res.omega_r - frame)) * (c.dag() @ c)
+        g = derive_g(res, config.qubits[i])
+        ex = c.dag() @ b[i]
+        H = H + (TWO_PI * g) * (ex + ex.dag())
+        drv = config.raman[i]
+        if drv.active:
+            eps = drv.amplitude if drv.amplitude is not None else \
+                rates.drive_amplitude(drv.n_bar, drv.detuning, res.kappa)
+            H = H + (TWO_PI * eps) * (c + c.dag())
+    for p in config.pumps:
+        for i, amp in enumerate(p.amplitudes):
+            if amp != 0:
+                op = (TWO_PI * amp * p.coefficient_scale) * b[i].dag()
+                H = H + op + op.dag()
+
+    defect = H.hermiticity_defect()
+    if defect > HERMITICITY_TOL * max(1.0, _spectral_scale(H)):
+        raise ValueError(f"built Hamiltonian is not Hermitian (defect {defect:.2e})")
+    return H
+
+
+def chi_estimate(g, delta_rq, alpha):
+    """Leading-order dispersive shift alpha*(g/Delta_rq)^2, MHz."""
+    return alpha * (g / delta_rq) ** 2
+
+
+def chi_exact_form(g, delta_rq, alpha):
+    """Transmon dispersive shift g^2*alpha/(Delta_rq*(Delta_rq - alpha)), MHz."""
+    return g ** 2 * alpha / (delta_rq * (delta_rq - alpha))
+
+
+def jc_derived_chi(config, k=0):
+    """Dispersive shift from exact diagonalization of one qubit-resonator pair.
+
+    Returns half the cross-Kerr energy
+    ``(E(e,1) - E(e,0) - E(g,1) + E(g,0)) / 2`` so the value is directly
+    comparable to the configured ``chi``.  Requires qubit_dim >= 3 for the
+    anharmonicity to act.
+    """
+    if config.truncations.qubit_dim < 3:
+        raise ValueError("qubit_dim >= 3 required to resolve the dispersive shift")
+    sub = config.replace(
+        name="_chi_probe",
+        qubits=(config.qubits[k],),
+        resonators=(config.resonators[k],),
+        couplings=type(config.couplings)(()),
+        pumps=(),
+        raman=(type(config.raman[k])(detuning=0.0),),
+    )
+    H = build_jaynes_cummings(sub)
+    space = H.space
+    evals, evecs = np.linalg.eigh(H.toarray())
+
+    def energy_of(occ):
+        target = basis_state(space, occ)
+        overlaps = np.abs(evecs.conj().T @ target) ** 2
+        return evals[int(np.argmax(overlaps))]
+
+    cross_kerr = (energy_of((1, 1)) - energy_of((1, 0))
+                  - energy_of((0, 1)) + energy_of((0, 0)))
+    return float(cross_kerr / (2.0 * TWO_PI))
+
+
 class TestJaynesCummings:
     def test_zero_coupling_matches_dispersive_with_zero_chi(self):
         cfg = bundled_scenario("bell")
@@ -120,9 +227,9 @@ class TestJaynesCummings:
         # both builders place the resonators at the same offsets
         raman = tuple(ResonatorDrive(detuning=r.omega_r - work) for r in res)
         cfg = cfg.replace(resonators=res, pumps=(), raman=raman)
-        jc = build_jaynes_cummings(cfg)
+        H_jc = build_jaynes_cummings(cfg)
         disp = build_dispersive(cfg)
-        npt.assert_allclose(jc.H.toarray(), disp.H.toarray(), atol=1e-9)
+        npt.assert_allclose(H_jc.toarray(), disp.H.toarray(), atol=1e-9)
 
     def test_refuses_mixed_drive_frequencies(self):
         cfg = bundled_scenario("bell")  # two channels at distinct frequencies
@@ -162,12 +269,11 @@ class TestJaynesCummings:
         # single-excitation gaps of the two models agree within 5%
         cfg = bundled_scenario("bell").replace(
             pumps=(), raman=(ResonatorDrive(), ResonatorDrive()))
-        jc = build_jaynes_cummings(cfg)
+        H_jc = build_jaynes_cummings(cfg)
         disp = build_dispersive(cfg)
         gap_d = np.ptp(np.linalg.eigvalsh(single_excitation_block(disp, cfg)))
-        H = jc.H.toarray()
-        vals, vecs = np.linalg.eigh(H)
-        space = jc.space
+        vals, vecs = np.linalg.eigh(H_jc.toarray())
+        space = H_jc.space
         qubit_states = [basis_state(space, (1, 0, 0, 0)),
                         basis_state(space, (0, 1, 0, 0))]
         picked = []

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 from stabsim.hilbert import (
     QUBIT, RESONATOR, CompositeSpace, DensityMatrix, ModeSpec,
-    SpaceMismatchError, basis_state, coherent_state, embed,
-    expectation, fidelity_pure, identity_op, lowering_op, number_op,
-    partial_trace, product_state,
+    SpaceMismatchError, basis_state, coherent_state, embed, identity_op,
+    lowering_op, number_op, partial_trace, product_state,
 )
 
 
@@ -238,36 +237,6 @@ class TestPartialTrace:
         red = partial_trace(rho, [0, 2])
         assert red.trace().real == pytest.approx(1.0, abs=1e-12)
         assert red.min_eigenvalue() >= -1e-10
-
-
-class TestFunctionals:
-    def test_expectation_number(self):
-        sp = space_of(3)
-        rho = DensityMatrix(sp, np.diag([0.2, 0.3, 0.5]).astype(complex))
-        assert expectation(number_op(sp, 0), rho) == pytest.approx(1.3)
-
-    def test_fidelity_pure_self(self):
-        sp = space_of(2, 2)
-        psi = (basis_state(sp, (0, 1)) + basis_state(sp, (1, 0))) / np.sqrt(2)
-        rho = DensityMatrix.from_state_vector(sp, psi)
-        assert fidelity_pure(psi, rho) == pytest.approx(1.0, abs=1e-12)
-
-    def test_fidelity_orthogonal_support(self):
-        sp = space_of(2, 2)
-        psi = basis_state(sp, (0, 1))
-        rho = DensityMatrix.from_state_vector(sp, basis_state(sp, (1, 1)))
-        assert fidelity_pure(psi, rho) == pytest.approx(0.0, abs=1e-12)
-
-    def test_fidelity_maximally_mixed_vs_entangled(self):
-        sp = space_of(2, 2)
-        psi = (basis_state(sp, (0, 1)) + basis_state(sp, (1, 0))) / np.sqrt(2)
-        rho = DensityMatrix(sp, np.eye(4, dtype=complex) / 4)
-        assert fidelity_pure(psi, rho) == pytest.approx(0.25, abs=1e-12)
-
-    def test_space_mismatch(self):
-        rho = DensityMatrix(space_of(2), np.eye(2, dtype=complex) / 2)
-        with pytest.raises(SpaceMismatchError):
-            expectation(number_op(space_of(3), 0), rho)
 
 
 class TestDensityMatrixValidation:

@@ -137,19 +137,39 @@ class TestEvolve:
     # expm_multiply path; the sparser d = 33 model keeps the dense
     # reference affordable
     PATHS = [(4, 1.0, False), (33, 0.1, True)]
+    # (collapse rate, H scale) of the generic model and of two more run on
+    # both paths: a strongly damped one, and one whose H is scaled up until
+    # a grid step spans many periods of the fastest mode
+    MODELS = {"generic": (0.5, 1.0), "damped": (50.0, 1.0),
+              "fast": (0.5, 100.0)}
 
-    @pytest.mark.parametrize("d,density,sparse_path", PATHS)
-    def test_matches_matrix_exponential(self, d, density, sparse_path):
-        L, rho0 = random_lindbladian(d, seed=9, density=density)
+    @pytest.mark.parametrize("d,density,sparse_path,model", [
+        pytest.param(4, 1.0, False, "generic", id="4-1.0-False"),
+        pytest.param(33, 0.1, True, "generic", id="33-0.1-True"),
+        (4, 1.0, False, "damped"), (33, 0.1, True, "damped"),
+        (4, 1.0, False, "fast"), (33, 0.1, True, "fast"),
+    ])
+    def test_matches_matrix_exponential(self, d, density, sparse_path, model):
+        rate, h_scale = self.MODELS[model]
+        L, rho0 = random_lindbladian(d, seed=9, density=density, rate=rate,
+                                     h_scale=h_scale)
         assert (d * d > lindblad._DENSE_PROPAGATOR_MAX) is sparse_path
-        # every grid point is checked against its own expm(L t)
         t = np.linspace(0.0, 0.5, 3) if sparse_path else np.linspace(0, 5, 21)
-        res = evolve(L, rho0, t, snapshot_times=t)
-        assert [ts for ts, _ in res.snapshots] == list(t)
+        spread = np.ptp(np.linalg.eigvalsh(L.hamiltonian.toarray()))
+        if model == "damped":
+            # mean damping tr(sum r O^dag O)/d against H's spectral spread
+            damping = sum(r * np.linalg.norm(op.toarray()) ** 2
+                          for op, r in L.collapse) / d
+            assert damping > 10 * spread
+        if model == "fast":
+            # periods of the fastest mode per grid step
+            assert (t[1] - t[0]) * spread / (2 * math.pi) > 10
+        # every grid point is checked against its own expm(L t)
+        _, rhos = evolved_states(L, rho0, t)
         A = L.matrix.toarray()
-        for tk, (_, dm) in zip(t, res.snapshots):
+        for tk, rho in zip(t, rhos):
             ref = unvectorize(expm(A * tk) @ vectorize(rho0), d)
-            npt.assert_allclose(dm.matrix, ref, rtol=0, atol=1e-10)
+            npt.assert_allclose(rho, ref, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("d,density,sparse_path", PATHS)
     def test_matvec_count_is_positive_int(self, d, density, sparse_path):
@@ -208,9 +228,8 @@ class TestEvolve:
         psi /= np.linalg.norm(psi)
         lin = LinearOperator(L.space, op.T)
         t = np.linspace(0.0, 3.0, 13)
-        res = evolve(L, rho0, t, snapshot_times=t,
-                     observables={"op": op, "lin": lin, "psi": psi})
-        rhos = [dm.matrix for _, dm in res.snapshots]
+        res, rhos = evolved_states(
+            L, rho0, t, observables={"op": op, "lin": lin, "psi": psi})
         expect = {
             "op": [np.trace(op @ r) for r in rhos],
             "lin": [np.trace(op.T @ r) for r in rhos],
@@ -228,21 +247,10 @@ class TestEvolve:
             min(np.linalg.eigvalsh(0.5 * (r + r.conj().T))[0] for r in rhos),
             abs=1e-13)
 
-    def test_snapshots_validated(self):
-        gamma = 0.5
-        space = tls_space()
-        L = build_liouvillian(
-            LinearOperator(space, np.zeros((2, 2), dtype=complex)),
-            CollapseSet([(lowering_op(space, 0), gamma)]))
-        rho0 = DensityMatrix.from_state_vector(space, basis_state(space, (1,)))
-        res = evolve(L, rho0, np.linspace(0, 2, 21), snapshot_times=[1.0, 2.0])
-        assert [t for t, _ in res.snapshots] == [1.0, 2.0]
-        for _, dm in res.snapshots:
-            dm.validate()
 
-
-def random_lindbladian(d, seed, density=1.0):
-    """Random Hermitian H, one random collapse operator, random state."""
+def random_lindbladian(d, seed, density=1.0, rate=0.5, h_scale=1.0):
+    """Random Hermitian H (times ``h_scale``), one random collapse operator
+    at ``rate``, random state."""
     rng = np.random.default_rng(seed)
 
     def rand():
@@ -250,10 +258,27 @@ def random_lindbladian(d, seed, density=1.0):
         return m * (rng.random((d, d)) < density)
 
     h = rand()
-    L = make_liouvillian(0.5 * (h + h.conj().T), [(rand(), 0.5)], dims=[d])
+    L = make_liouvillian(0.5 * h_scale * (h + h.conj().T), [(rand(), rate)],
+                         dims=[d])
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho0 = g @ g.conj().T
     return L, rho0 / np.trace(rho0).real
+
+
+def evolved_states(L, rho0, t, observables=None):
+    """``(result, rhos)``: :func:`evolve` on ``t`` and rho(t_j) at every
+    grid point, read back through the d^2 matrix-unit observables
+    E_ab = |a><b|.  tr(E_ab rho) = rho_ba picks one entry of the propagated
+    vector, so the states are exact."""
+    d = L.dim
+    eye = np.eye(d)
+    units = {(a, b): np.outer(eye[a], eye[b])
+             for a in range(d) for b in range(d)}
+    res = evolve(L, rho0, t, observables={**units, **(observables or {})})
+    rhos = np.empty((len(t), d, d), dtype=complex)
+    for a, b in units:
+        rhos[:, b, a] = res.observables.pop((a, b))
+    return res, rhos
 
 
 def make_liouvillian_res(space, h, collapse_pairs):

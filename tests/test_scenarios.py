@@ -14,9 +14,8 @@ from stabsim.hamiltonian import named_qubit_state, qubit_space
 from stabsim.hilbert import DensityMatrix
 from stabsim.lindblad import evolve
 from stabsim.scenarios import (
-    DegenerateDataError, ReadoutMatrix, _probe_liouvillians,
-    _qubit_state_labels, apply_readout_mitigation, build_problem,
-    fit_exponential, run_bell, run_spectroscopy, run_sweep, run_w, write_report, write_sweep,
+    DegenerateDataError, _probe_liouvillians, _qubit_state_labels,
+    build_problem, fit_exponential, run_bell, run_spectroscopy, run_sweep, run_w, write_report, write_sweep,
 )
 
 
@@ -52,54 +51,6 @@ class TestFitExponential:
         y = asym - asym * np.exp(-t / tau) + rng.normal(0, 1e-6, t.size)
         fit = fit_exponential(t, y)
         assert fit.rate == pytest.approx(1.0 / tau, rel=0.02)
-
-
-class TestReadoutMitigation:
-    def test_identity_matrix_is_noop(self):
-        m = ReadoutMatrix(np.eye(4))
-        p = np.array([0.1, 0.2, 0.3, 0.4])
-        npt.assert_allclose(apply_readout_mitigation(m, p), p, atol=1e-12)
-
-    def test_two_level_inversion_arithmetic(self):
-        m = ReadoutMatrix(np.array([[0.95, 0.10], [0.05, 0.90]]))
-        out = apply_readout_mitigation(m, np.array([0.5, 0.5]))
-        npt.assert_allclose(out, [0.4706, 0.5294], atol=5e-5)
-
-    def test_round_trip_recovery(self):
-        m = ReadoutMatrix(np.array([[0.9, 0.2], [0.1, 0.8]]))
-        p = np.array([0.3, 0.7])
-        npt.assert_allclose(apply_readout_mitigation(m, m.matrix @ p), p,
-                            atol=1e-12)
-
-    def test_not_column_stochastic_rejected(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            ReadoutMatrix(np.array([[0.9, 0.1], [0.2, 0.9]]))
-
-    def test_entry_range_rejected(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            ReadoutMatrix(np.array([[1.4, 0.0], [-0.4, 1.0]]))
-
-    def test_singular_matrix_rejected(self):
-        m = ReadoutMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        with pytest.raises(np.linalg.LinAlgError):
-            apply_readout_mitigation(m, np.array([0.5, 0.5]))
-
-    def test_condition_number_reported(self):
-        m = ReadoutMatrix(np.array([[0.95, 0.10], [0.05, 0.90]]))
-        assert m.condition_number == pytest.approx(
-            np.linalg.cond(m.matrix))
-
-    @given(st.integers(0, 10**6))
-    @settings(max_examples=30, deadline=None)
-    def test_output_is_normalized_probability(self, seed):
-        rng = np.random.default_rng(seed)
-        raw = rng.uniform(0.05, 1.0, size=(3, 3))
-        m = ReadoutMatrix(raw / raw.sum(axis=0, keepdims=True))
-        p = rng.uniform(0, 1, 3)
-        p /= p.sum()
-        out = apply_readout_mitigation(m, p)
-        assert out.sum() == pytest.approx(1.0, abs=1e-6)
-        assert (out >= 0).all()
 
 
 class TestScenarioRuns:
