@@ -224,6 +224,14 @@ def validate_config(cfg: ScenarioConfig) -> None:
     for i, r in enumerate(cfg.resonators):
         if r.kappa <= 0:
             raise ConfigError(f"resonators[{i}].kappa", "must be positive")
+    labels: set[str] = set()
+    for path, mode in ([(f"qubits[{i}]", q) for i, q in enumerate(cfg.qubits)]
+                       + [(f"resonators[{i}]", r)
+                          for i, r in enumerate(cfg.resonators)]):
+        if mode.label in labels:
+            raise ConfigError(f"{path}.label",
+                              f"duplicate mode label {mode.label!r}")
+        labels.add(mode.label)
     if len(cfg.couplings.j) != L - 1:
         raise ConfigError("couplings", f"expected {L - 1} values, got {len(cfg.couplings.j)}")
     for k, pump in enumerate(cfg.pumps):

@@ -6,12 +6,18 @@ column stacking: vec(rho) = rho.reshape(-1, order="F"), for which
 vec(A rho B) = (B^T kron A) vec(rho).  The resulting sparse matrix acts on
 vectors of length d^2.
 
-Time evolution is exact propagation on a uniform time grid: small spaces
-(d^2 <= 1024) form the dense one-step propagator expm(L dt) once and apply
-it per step; larger ones use scipy's ``expm_multiply`` (Al-Mohy & Higham,
-SIAM J. Sci. Comput. 33, 488 (2011)).  No step size is chosen, so neither
-tolerances nor a stability cap steer it.  Trace, hermiticity and positivity
-are monitored at every stored point, never enforced.
+Time evolution is exact propagation on a uniform time grid.  Small spaces
+(d^2 <= 1024) apply the dense one-step propagator expm(L dt); larger ones
+run a Chebyshev expansion (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
+(1984)) of the real matrix A that L is in an orthonormal Hermitian basis.
+W(A) lies in a box of half-height R (the spread of H plus J = sum r_k
+||O_k||_2^2) and real extent set by the damping and J.  With the Bernstein
+ellipse rho around it and the Crouzeix-Palencia constant 1 + sqrt 2 (SIAM
+J. Matrix Anal. Appl. 38, 649 (2017)), K terms err by at most
+(1 + sqrt 2) 2 sum_{k>=K} |J_k(R dt)| rho^k: K is the least count making
+this < 1e-14 with no term > 1e14 (beyond double precision); else a step
+is split into the m substeps that minimize m K.  Trace, hermiticity and
+positivity are monitored at every stored point, never enforced.
 
 The steady state is one matrix-free solve: the no-jump (Sylvester) part of
 L is inverted from one eigendecomposition of the effective Hamiltonian
@@ -23,6 +29,7 @@ unique.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -30,7 +37,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.sparse.linalg import LinearOperator as ScipyLinearOperator
-from scipy.sparse.linalg import eigs, expm_multiply, gmres
+from scipy.sparse.linalg import eigs, gmres
+from scipy.special import jv
 
 from .hamiltonian import CollapseSet
 from .hilbert import CompositeSpace, DensityMatrix, LinearOperator
@@ -41,6 +49,10 @@ SYLVESTER_GMRES = "sylvester_gmres"
 POSITIVITY_ABORT = 1e-6
 #: largest d^2 propagated with a dense expm(L dt); its 16 MB bounds memory
 _DENSE_PROPAGATOR_MAX = 1024
+#: Chebyshev propagation: bound on the truncation error of one substep
+_CHEBYSHEV_TOL = 1e-14
+#: refused anti-Hermitian part of rho0 and of L, relative to the largest entry
+_HERMITIAN_RTOL = 1e-12
 #: steady-state shift sigma as a fraction of the mean damping
 #: tr(sum r_k O_k^dag O_k)/d
 _SHIFT_FRACTION = 0.01
@@ -157,39 +169,80 @@ def _observable_weights(obs) -> tuple[np.ndarray, bool]:
     return O.reshape(-1), is_state
 
 
-def _counted(L: sp.csr_matrix) -> tuple[sp.csr_matrix, list[int]]:
-    """``(A, count)``: ``L`` as a CSR matrix whose ``dot`` adds the number
-    of vectors it is applied to to ``count[0]``.
-
-    Sparse arithmetic rebuilds its results as ``self.__class__``, so the
-    shifted and scaled copies that ``expm_multiply`` derives count too.
-    Products with ``A^H`` in scipy's 1-norm estimator are not counted.
-    """
-    count = [0]
-
-    class Counted(sp.csr_matrix):
-        def dot(self, other):
-            count[0] += 1 if np.ndim(other) == 1 else np.shape(other)[1]
-            return super().dot(other)
-
-    return Counted(L), count
+def _hermitian_basis(d: int) -> sp.csr_matrix:
+    """Unitary Q with columns vec(E_aa), vec(E_ab + E_ba)/sqrt 2 and
+    vec(i(E_ab - E_ba))/sqrt 2 (a < b): Hermitian rho = Q x with x real."""
+    a, b = np.triu_indices(d, 1)
+    col, s = d + np.arange(len(a)), np.full(len(a), math.sqrt(0.5))
+    rows = np.concatenate([np.arange(d) * (d + 1), *[a + d*b, b + d*a] * 2])
+    cols = np.concatenate([np.arange(d), col, col, col + len(a), col + len(a)])
+    vals = np.concatenate([np.ones(d), s, s, 1j * s, -1j * s])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(d * d, d * d))
 
 
-def _propagate(L: sp.csr_matrix, y0: np.ndarray, n: int, dt: float
-               ) -> tuple[np.ndarray, int]:
-    """``(Y, matvecs)``: Y[k] = expm(L k dt) y0 for k < n, and the number of
-    generator or propagator matvecs made."""
+def _chebyshev_plan(liouvillian: Liouvillian, h: float
+                    ) -> tuple[float, float, int, np.ndarray]:
+    """``(c, R, m, coef)``: exp(A h) = (exp(c h/m) sum_k coef_k S_k)^m with
+    S_0 = 1, S_1 = A', S_k+1 = 2 A' S_k + S_k-1 and A' = (A - c)/R; the
+    bound of the module docstring picks m and K = len(coef)."""
+    H, collapse = liouvillian.hamiltonian.toarray(), liouvillian.collapse
+    jump = sum(r * np.linalg.norm(op.toarray(), 2) ** 2 for op, r in collapse)
+    lam = np.linalg.eigvalsh(_damping(collapse, liouvillian.space).toarray())
+    # W(A) lies in [c - a, c + a] x [-iR, iR]; R = 0 only for L = 0
+    R = float(np.ptp(np.linalg.eigvalsh(H)) + jump) or 1.0
+    c, a = -0.5 * (lam[-1] + lam[0]), 0.5 * (lam[-1] - lam[0]) + jump
+    # log rho of the Bernstein ellipse through the box corner 1 + i a/R
+    log_rho = math.acosh(0.5 * (math.hypot(2.0, a / R) + a / R))
+    best = (math.inf, 0, 0)  # (m K, m, K); every K is at least 2
+    m = 1
+    while 2 * m < best[0]:
+        tau = R * h / m
+        # terms halve past k = e tau rho; |J_k| < tiny where jv underflows
+        k = np.arange(int(math.e * tau * math.exp(log_rho)) + 50)
+        log_j = np.log(np.maximum(np.abs(jv(k, tau)), np.finfo(float).tiny))
+        with np.errstate(over="ignore"):
+            terms = 2 * (1 + math.sqrt(2)) * np.exp(log_j + k * log_rho)
+        closed = np.cumsum(terms[::-1])[::-1] < _CHEBYSHEV_TOL
+        K = max(int(np.argmax(closed)), 2)
+        if closed.any() and terms[:K].max() * _CHEBYSHEV_TOL < 1:
+            best = min(best, (m * K, m, K))
+        m += 1
+    _, m, K = best
+    coef = np.where(np.arange(K) > 0, 2.0, 1.0) * jv(np.arange(K), R * h / m)
+    return c, R, m, coef * math.exp(c * h / m)
+
+
+def _propagate(liouvillian: Liouvillian, y0: np.ndarray, n: int, dt: float
+               ) -> tuple[np.ndarray, int, dict]:
+    """``(Y, matvecs, propagator)``: Y[k] = expm(L k dt) y0 for k < n, the
+    number of generator or propagator matvecs made, and the method."""
+    L = liouvillian.matrix
     if L.shape[0] <= _DENSE_PROPAGATOR_MAX:
         P = expm(L.toarray() * dt)
         Y = np.empty((n, len(y0)), dtype=complex)
         Y[0] = y0
         for k in range(1, n):
             Y[k] = P @ Y[k - 1]
-        return Y, n - 1
-    A, count = _counted(L)
-    Y = expm_multiply(A, y0, start=0.0, stop=(n - 1) * dt, num=n,
-                      endpoint=True)
-    return Y, count[0]
+        return Y, n - 1, dict(method="dense_expm", terms=None, substeps=1)
+    Q = _hermitian_basis(liouvillian.dim)
+    A = (Q.conj().T @ L @ Q).tocsr()
+    if abs(A.imag).max() > _HERMITIAN_RTOL * abs(L).max():
+        raise ValueError("generator does not preserve Hermiticity")
+    c, R, m, coef = _chebyshev_plan(liouvillian, dt)
+    B = ((2.0 / R) * (A.real - c * sp.identity(A.shape[0]))).tocsr()
+    X = np.empty((n, A.shape[0]))
+    X[0] = x = (Q.conj().T @ y0).real.copy()
+    for j in range(1, n):
+        for _ in range(m):
+            prev, cur = x, 0.5 * (B @ x)
+            x = coef[0] * prev + coef[1] * cur
+            for ck in coef[2:]:
+                # S_k+1 = B S_k + S_k-1 with B = 2 A', written over S_k-1
+                prev, cur = cur, np.add(B @ cur, prev, out=prev)
+                x += ck * cur
+        X[j] = x
+    return X @ Q.T, (n - 1) * m * (len(coef) - 1), dict(
+        method="chebyshev", terms=len(coef), substeps=m)
 
 
 def evolve(liouvillian: Liouvillian, rho0: DensityMatrix | np.ndarray,
@@ -200,8 +253,11 @@ def evolve(liouvillian: Liouvillian, rho0: DensityMatrix | np.ndarray,
     ``rho0`` is the state at ``t_grid[0]``.  Observables may be
     ``LinearOperator``s / matrices (expectation values) or state vectors
     (fidelities).  Raises ``ValueError`` for a grid that is not a uniform
-    increasing ``linspace``, and :class:`EvolutionError` on non-finite
-    values or a positivity violation below ``-1e-6``.
+    increasing ``linspace``, a non-Hermitian ``rho0`` (relative ``1e-12``)
+    or, for d^2 > 1024, an L that does not preserve Hermiticity;
+    :class:`EvolutionError` on non-finite values or a positivity violation
+    below ``-1e-6``.  ``diagnostics["propagator"]`` holds the ``method``
+    (``dense_expm``/``chebyshev``), its ``terms`` and ``substeps`` a step.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2:
@@ -214,11 +270,14 @@ def evolve(liouvillian: Liouvillian, rho0: DensityMatrix | np.ndarray,
         raise ValueError("t_grid must be uniform and increasing (a linspace)")
     d = liouvillian.dim
     rho_mat = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0)
+    if (np.abs(rho_mat - rho_mat.conj().T).max()
+            > _HERMITIAN_RTOL * np.abs(rho_mat).max()):
+        raise ValueError("rho0 is not Hermitian")
 
-    Y, matvecs = _propagate(liouvillian.matrix, vectorize(rho_mat), n, dt)
+    Y, matvecs, propagator = _propagate(liouvillian, vectorize(rho_mat), n, dt)
     if not np.isfinite(Y).all():
         raise EvolutionError("propagation produced non-finite values",
-                             {"rhs_evaluations": int(matvecs)})
+                             {"rhs_evaluations": matvecs})
 
     # row j of Y is vec(rho(t_j)) in column order: rho = row.reshape(d, d).T
     rhos = Y.reshape(n, d, d).transpose(0, 2, 1)
@@ -244,7 +303,8 @@ def evolve(liouvillian: Liouvillian, rho0: DensityMatrix | np.ndarray,
         "max_trace_drift": float(drift.max()),
         "max_hermiticity_defect": float(herm.max()),
         "min_eigenvalue": float(min_eig.min()),
-        "rhs_evaluations": int(matvecs),
+        "rhs_evaluations": matvecs,
+        "propagator": propagator,
     }
     return EvolutionResult(t_grid, values, diagnostics)
 

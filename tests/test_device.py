@@ -125,16 +125,19 @@ def scenario_configs(draw):
     """Valid configs that take every union and optional branch of the schema."""
     n = draw(st.integers(1, 3))
     qubit_dim = draw(st.integers(2, 4))
+    # mode labels are unique across qubits and resonators
+    labels = draw(st.lists(st.text(max_size=4), min_size=2 * n,
+                           max_size=2 * n, unique=True))
     qubits = []
-    for _ in range(n):
+    for label in labels[:n]:
         t1 = draw(st.none() | positive)
         t2e = draw(st.none() | st.floats(1e-3, 2 * t1 if t1 else 1e3))
-        qubits.append(QubitParams(draw(st.text(max_size=4)), draw(finite),
+        qubits.append(QubitParams(label, draw(finite),
                                   draw(finite), t1, t2e, draw(finite)))
     resonators = tuple(
-        ResonatorParams(draw(st.text(max_size=4)), draw(finite), draw(positive),
+        ResonatorParams(label, draw(finite), draw(positive),
                         draw(finite), draw(st.none() | finite))
-        for _ in range(n))
+        for label in labels[n:])
     amplitude = st.complex_numbers(max_magnitude=10.0, allow_nan=False,
                                    allow_infinity=False)
     pumps = []
@@ -188,7 +191,12 @@ class TestCodec:
         (lambda d: d["qubits"][0].pop("t1"), "qubits[0]", "missing keys ['t1']"),
         (lambda d: d["pumps"][0].update(amplitudes=[[1, 2, 3], 0.5]),
          "pumps[0].amplitudes[0]", "amplitude must be a number or [re, im]"),
-    ], ids=["no-name", "truncations-key", "convention", "no-t1", "amplitude"])
+        (lambda d: d["qubits"][1].update(label="Q1"), "qubits[1].label",
+         "duplicate mode label 'Q1'"),
+        (lambda d: d["resonators"][1].update(label="Q2"),
+         "resonators[1].label", "duplicate mode label 'Q2'"),
+    ], ids=["no-name", "truncations-key", "convention", "no-t1", "amplitude",
+            "qubit-label", "resonator-label"])
     def test_malformed_document_names_path(self, edit, path, message):
         with pytest.raises(ConfigError) as info:
             load_scenario(_bell_doc(edit))

@@ -134,8 +134,8 @@ class TestEvolve:
                                      rel=1e-3)
 
     # d = 4 takes the dense-propagator path, d = 33 (d^2 = 1089) the
-    # expm_multiply path; the sparser d = 33 model keeps the dense
-    # reference affordable
+    # Chebyshev path; the sparser d = 33 model keeps the dense reference
+    # affordable
     PATHS = [(4, 1.0, False), (33, 0.1, True)]
     # (collapse rate, H scale) of the generic model and of two more run on
     # both paths: a strongly damped one, and one whose H is scaled up until
@@ -164,12 +164,20 @@ class TestEvolve:
         if model == "fast":
             # periods of the fastest mode per grid step
             assert (t[1] - t[0]) * spread / (2 * math.pi) > 10
-        # every grid point is checked against its own expm(L t)
+        # every grid point is checked against its own reference state
         _, rhos = evolved_states(L, rho0, t)
         A = L.matrix.toarray()
-        for tk, rho in zip(t, rhos):
-            ref = unvectorize(expm(A * tk) @ vectorize(rho0), d)
-            npt.assert_allclose(rho, ref, rtol=0, atol=1e-10)
+        if sparse_path:
+            # one dense 1089 x 1089 expm per case: point k is P^k vec(rho0)
+            P = expm(A * (t[1] - t[0]))
+            refs = [vectorize(rho0)]
+            for _ in t[1:]:
+                refs.append(P @ refs[-1])
+        else:
+            # the dense path steps expm(L dt) itself; check expm(L t_k)
+            refs = [expm(A * tk) @ vectorize(rho0) for tk in t]
+        for rho, ref in zip(rhos, refs):
+            npt.assert_allclose(rho, unvectorize(ref, d), rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("d,density,sparse_path", PATHS)
     def test_matvec_count_is_positive_int(self, d, density, sparse_path):
@@ -178,6 +186,40 @@ class TestEvolve:
         res = evolve(L, rho0, np.linspace(0.0, 0.5, 6))
         count = res.diagnostics["rhs_evaluations"]
         assert type(count) is int and count > 0
+
+    @pytest.mark.parametrize("d,density,sparse_path", PATHS)
+    def test_non_hermitian_rho0_rejected(self, d, density, sparse_path):
+        L, rho0 = random_lindbladian(d, seed=5, density=density)
+        assert (d * d > lindblad._DENSE_PROPAGATOR_MAX) is sparse_path
+        rho0[0, 1] += 1e-6
+        with pytest.raises(ValueError, match="rho0 is not Hermitian"):
+            evolve(L, rho0, np.linspace(0.0, 0.5, 3))
+
+    def test_non_hermiticity_preserving_generator_rejected(self):
+        L, rho0 = random_lindbladian(33, seed=5, density=0.1)
+        bad = Liouvillian(L.space, 1j * L.matrix, L.hamiltonian, L.collapse)
+        with pytest.raises(ValueError, match="preserve Hermiticity"):
+            evolve(bad, rho0, np.linspace(0.0, 0.5, 3))
+
+    def test_bell_matvec_count_is_exact_and_bounded(self):
+        cfg, L = bundled_bell()
+        rho0 = np.zeros((L.dim, L.dim))
+        rho0[0, 0] = 1.0
+        t = np.linspace(0.0, 10 * cfg.t_step, 11)
+        diag = evolve(L, rho0, t).diagnostics
+        prop = diag["propagator"]
+        assert prop["method"] == "chebyshev"
+        per_step = prop["substeps"] * (prop["terms"] - 1)
+        assert diag["rhs_evaluations"] == (len(t) - 1) * per_step
+        # a loosened bound would show here as more work per step
+        assert per_step <= 120
+
+    def test_damped_model_takes_substeps(self):
+        rate, h_scale = self.MODELS["damped"]
+        L, rho0 = random_lindbladian(33, seed=9, density=0.1, rate=rate,
+                                     h_scale=h_scale)
+        res = evolve(L, rho0, np.linspace(0.0, 0.5, 3))
+        assert res.diagnostics["propagator"]["substeps"] > 1
 
     @pytest.mark.parametrize("grid", [[0.0, 0.1, 0.3], [0.0, 0.2, 0.1],
                                       [1.0, 1.0, 1.0]])

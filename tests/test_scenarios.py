@@ -303,6 +303,10 @@ class TestReportOutput:
         for key in ("max_trace_drift", "max_hermiticity_defect",
                     "min_eigenvalue", "rhs_evaluations"):
             assert key in payload["diagnostics"]
+        # d = 24 (d^2 = 576) takes the dense propagator, one matvec a step
+        assert payload["diagnostics"]["propagator"] == {
+            "method": "dense_expm", "terms": None, "substeps": 1}
+        assert payload["diagnostics"]["rhs_evaluations"] == len(report.times) - 1
         header = (out / "traces.csv").read_text().splitlines()[0].split(",")
         assert header[0] == "t_us"
         assert set(header[1:]) == set(report.traces)
