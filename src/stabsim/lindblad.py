@@ -11,13 +11,20 @@ Time evolution is exact propagation on a uniform time grid.  Small spaces
 run a Chebyshev expansion (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
 (1984)) of the real matrix A that L is in an orthonormal Hermitian basis.
 W(A) lies in a box of half-height R (the spread of H plus J = sum r_k
-||O_k||_2^2) and real extent set by the damping and J.  With the Bernstein
-ellipse rho around it and the Crouzeix-Palencia constant 1 + sqrt 2 (SIAM
-J. Matrix Anal. Appl. 38, 649 (2017)), K terms err by at most
-(1 + sqrt 2) 2 sum_{k>=K} |J_k(R dt)| rho^k: K is the least count making
-this < 1e-14 with no term > 1e14 (beyond double precision); else a step
-is split into the m substeps that minimize m K.  Trace, hermiticity and
-positivity are monitored at every stored point, never enforced.
+||O_k||_2^2) whose real extent is both an analytic interval (from the
+damping and J) and the Gershgorin interval of A's symmetric part.  Scaled
+by a half-width R' = R (1 + delta), delta in {0, 0.1, 0.2}, the box lies
+in a Bernstein ellipse rho; with the Crouzeix-Palencia constant 1 + sqrt 2
+(SIAM J. Matrix Anal. Appl. 38, 649 (2017)), K terms of exp(A t) err by at
+most (1 + sqrt 2) 2 sum_{k>=K} |J_k(R' t)| rho^k.  K is the least count
+making this < 1e-14 with no term > 1e14 (beyond double precision).  The
+Chebyshev vectors do not depend on t, so one expansion over s steps gives
+all s grid points, each from its own Bessel coefficients (Kosloff, Annu.
+Rev. Phys. Chem. 45, 145 (1994)).  The plan picks s (at most the grid's
+steps), delta and, only where s = 1 fails, m substeps a step, to minimize
+the m (K - 1) real matvecs of each of the ceil(steps/s) expansions.
+Trace, hermiticity and positivity are monitored at every stored point,
+never enforced.
 
 The steady state is one matrix-free solve: the no-jump (Sylvester) part of
 L is inverted from one eigendecomposition of the effective Hamiltonian
@@ -38,7 +45,7 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.sparse.linalg import LinearOperator as ScipyLinearOperator
 from scipy.sparse.linalg import eigs, gmres
-from scipy.special import jv
+from scipy.special import gammaln, j0, j1
 
 from .hamiltonian import CollapseSet
 from .hilbert import CompositeSpace, DensityMatrix, LinearOperator
@@ -49,15 +56,23 @@ SYLVESTER_GMRES = "sylvester_gmres"
 POSITIVITY_ABORT = 1e-6
 #: largest d^2 propagated with a dense expm(L dt); its 16 MB bounds memory
 _DENSE_PROPAGATOR_MAX = 1024
-#: Chebyshev propagation: bound on the truncation error of one substep
+#: Chebyshev propagation: bound on the truncation error of one expansion
 _CHEBYSHEV_TOL = 1e-14
+#: the Crouzeix-Palencia constant 1 + sqrt 2 times the 2 of the
+#: coefficients (2 - delta_k0) J_k
+_CP_TERM = 2 * (1 + math.sqrt(2))
+#: widenings delta tried for the expansion's half-width R' = R (1 + delta)
+_WIDENINGS = (0.0, 0.1, 0.2)
+#: rows of the buffer the Chebyshev vectors are summed from
+_CHUNK_ROWS = 32
 #: refused anti-Hermitian part of rho0 and of L, relative to the largest entry
 _HERMITIAN_RTOL = 1e-12
 #: steady-state shift sigma as a fraction of the mean damping
 #: tr(sum r_k O_k^dag O_k)/d
 _SHIFT_FRACTION = 0.01
-#: largest condition number of Heff's eigenvectors accepted for S^-1
-_MAX_EIGVEC_COND = 1e6
+#: split of Heff's diagonal, relative to its largest entry, that keeps the
+#: preconditioner's eigenbasis well conditioned at exceptional points
+_EIG_SPLIT = 1e-4
 #: kernel gap 1 - |mu_2| below which the steady state is not unique; the
 #: smallest measured gap of a bundled scenario (decoherence-free
 #: bell_single_channel) is ~1.5e-4, a degenerate kernel reads ~1e-16
@@ -180,36 +195,142 @@ def _hermitian_basis(d: int) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(d * d, d * d))
 
 
-def _chebyshev_plan(liouvillian: Liouvillian, h: float
-                    ) -> tuple[float, float, int, np.ndarray]:
-    """``(c, R, m, coef)``: exp(A h) = (exp(c h/m) sum_k coef_k S_k)^m with
-    S_0 = 1, S_1 = A', S_k+1 = 2 A' S_k + S_k-1 and A' = (A - c)/R; the
-    bound of the module docstring picks m and K = len(coef)."""
+def _bessel_j(tau: float, kmax: int) -> np.ndarray:
+    """J_k(tau) for k < kmax (kmax >= 2) by Miller's backward recurrence
+    J_k-1 = (2k/tau) J_k - J_k+1, started 30 orders above kmax and scaled
+    to J_0 and J_1.  It is stable where it starts, in the decay k > tau,
+    which kmax must reach; it needs one multiply-add per order."""
+    vals = []
+    prev, cur, c = 0.0, 1.0, 2.0 / tau
+    for k in range(kmax + 30, 0, -1):
+        prev, cur = cur, k * c * cur - prev
+        vals.append(cur)
+        if not -1e250 < cur < 1e250:
+            prev, cur = prev * 1e-250, cur * 1e-250
+            vals = [v * 1e-250 for v in vals]
+    out = np.array(vals[:-kmax - 1:-1])
+    norm = math.hypot(out[0], out[1])
+    return out * ((j0(tau) * out[0] + j1(tau) * out[1]) / norm / norm)
+
+
+def _chebyshev_terms(tau: float, log_rho: float) -> int | None:
+    """Least K with (1 + sqrt 2) 2 sum_{k>=K} |J_k(tau)| rho^k below
+    ``_CHEBYSHEV_TOL`` and no term above its inverse, or None."""
+    # |J_k(tau)| <= (tau/2)^k/k! bounds term k by b_k, and b_k at least
+    # halves past k = tau rho: the sum beyond the first such k with
+    # 2 b_k < tol/1000 is below tol/1000 and is added as that bound
+    rho_tau = tau * math.exp(log_rho)
+    k = np.arange(max(math.ceil(rho_tau), 2), int(math.e * rho_tau) + 60)
+    log_2b = (math.log(2 * _CP_TERM) + k * math.log(0.5 * rho_tau)
+              - gammaln(k + 1))
+    end = int(k[np.argmax(log_2b < math.log(1e-3 * _CHEBYSHEV_TOL))])
+    log_j = np.log(np.maximum(np.abs(_bessel_j(tau, end)),
+                              np.finfo(float).tiny))
+    with np.errstate(over="ignore"):
+        terms = _CP_TERM * np.exp(log_j + np.arange(end) * log_rho)
+    tail = np.cumsum(terms[::-1])[::-1] + 1e-3 * _CHEBYSHEV_TOL
+    closed = tail < _CHEBYSHEV_TOL
+    K = max(int(np.argmax(closed)), 2)
+    if closed.any() and terms[:K].max() * _CHEBYSHEV_TOL < 1:
+        return K
+    return None
+
+
+def _numerical_range_box(liouvillian: Liouvillian, A: sp.csr_matrix
+                         ) -> tuple[float, float, float]:
+    """``(R, lo, hi)``: the numerical range W(A) lies in the box
+    [lo, hi] x [-iR, iR], for A the real matrix of L in
+    :func:`_hermitian_basis`.
+
+    R is the spread of H plus J = sum r_k ||O_k||_2^2 (1 for L = 0).
+    Re W(A) is W of the symmetric part (A + A^T)/2, so [lo, hi] is the
+    intersection of the analytic interval [-max D - J, -min D + J]
+    (D = sum r_k O_k^dag O_k) with that part's Gershgorin interval.
+    """
     H, collapse = liouvillian.hamiltonian.toarray(), liouvillian.collapse
     jump = sum(r * np.linalg.norm(op.toarray(), 2) ** 2 for op, r in collapse)
     lam = np.linalg.eigvalsh(_damping(collapse, liouvillian.space).toarray())
-    # W(A) lies in [c - a, c + a] x [-iR, iR]; R = 0 only for L = 0
     R = float(np.ptp(np.linalg.eigvalsh(H)) + jump) or 1.0
-    c, a = -0.5 * (lam[-1] + lam[0]), 0.5 * (lam[-1] - lam[0]) + jump
-    # log rho of the Bernstein ellipse through the box corner 1 + i a/R
-    log_rho = math.acosh(0.5 * (math.hypot(2.0, a / R) + a / R))
-    best = (math.inf, 0, 0)  # (m K, m, K); every K is at least 2
-    m = 1
-    while 2 * m < best[0]:
-        tau = R * h / m
-        # terms halve past k = e tau rho; |J_k| < tiny where jv underflows
-        k = np.arange(int(math.e * tau * math.exp(log_rho)) + 50)
-        log_j = np.log(np.maximum(np.abs(jv(k, tau)), np.finfo(float).tiny))
-        with np.errstate(over="ignore"):
-            terms = 2 * (1 + math.sqrt(2)) * np.exp(log_j + k * log_rho)
-        closed = np.cumsum(terms[::-1])[::-1] < _CHEBYSHEV_TOL
-        K = max(int(np.argmax(closed)), 2)
-        if closed.any() and terms[:K].max() * _CHEBYSHEV_TOL < 1:
-            best = min(best, (m * K, m, K))
-        m += 1
-    _, m, K = best
-    coef = np.where(np.arange(K) > 0, 2.0, 1.0) * jv(np.arange(K), R * h / m)
-    return c, R, m, coef * math.exp(c * h / m)
+    sym = (A + A.T).tocsr()
+    centre = sym.diagonal()
+    radius = abs(sym) @ np.ones(A.shape[0]) - np.abs(centre)
+    return (R, max(-lam[-1] - jump, 0.5 * (centre - radius).min()),
+            min(-lam[0] + jump, 0.5 * (centre + radius).max()))
+
+
+def _chebyshev_plan(liouvillian: Liouvillian, A: sp.csr_matrix, h: float,
+                    steps: int) -> tuple[float, float, int, np.ndarray]:
+    """``(c, R', m, coef)`` for ``steps`` grid steps of length h: with
+    A' = (A - c)/R', S_0 = 1, S_1 = A' and S_k+1 = 2 A' S_k + S_k-1,
+    exp(A j h/m) = sum_k coef[j-1, k] S_k for j = 1..s, s = len(coef).
+    One expansion gives s grid points (m = 1), or a step is m applications
+    of the single row; the bound of the module docstring picks s, m, R'
+    and K = coef.shape[1] to minimize the matvecs on the grid."""
+    R, lo, hi = _numerical_range_box(liouvillian, A)
+    c, a = 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+    def expansion(span: float) -> tuple[int, float] | None:
+        """``(K, R')`` of the fewest terms over ``span`` among the widened
+        half-widths, or None if none passes."""
+        found = None
+        for delta in _WIDENINGS:
+            wide = R * (1 + delta)
+            # log rho of the Bernstein ellipse (foci +-1 in w = -i A')
+            # through the box corner R/R' + i a/R'
+            x, y = R / wide, a / wide
+            log_rho = math.acosh(max(
+                1.0, 0.5 * (math.hypot(1 - x, y) + math.hypot(1 + x, y))))
+            K = _chebyshev_terms(wide * span, log_rho)
+            if K is not None and (found is None or K < found[0]):
+                found = (K, wide)
+        return found
+
+    # grow s while the term rule holds and the grid's matvecs fall; only
+    # when s = 1 fails, grow m the same way.  The rule is checked at the
+    # block's last point, whose tail is the largest: the tail lies past
+    # k = R' s h, where J_k(tau) grows with tau
+    plan = None  # (matvecs, s, m, K, R')
+    s = m = 1
+    while s <= steps:
+        found = expansion(s * h / m)
+        if found is None and plan is not None:
+            break
+        if found is not None:
+            matvecs = -(-steps // s) * m * (found[0] - 1)
+            if plan is not None and matvecs >= plan[0]:
+                break
+            plan = (matvecs, s, m, *found)
+        if plan is None or m > 1:
+            m += 1
+        else:
+            s += 1
+    _, s, m, K, wide = plan
+    times = (h / m) * np.arange(1, s + 1)
+    coef = np.array([_bessel_j(wide * t, K) for t in times])
+    coef[:, 1:] *= 2.0
+    return c, wide, m, coef * np.exp(c * times)[:, None]
+
+
+def _chebyshev_sums(B: sp.csr_matrix, x: np.ndarray, coef: np.ndarray,
+                    buf: np.ndarray, out: np.ndarray) -> None:
+    """out[j] = sum_k coef[j, k] S_k x with S_0 = 1, S_1 = B/2 and
+    S_k+1 = B S_k + S_k-1, the S_k written into the rows of ``buf`` and
+    summed a buffer at a time; ``out`` may hold x."""
+    K = coef.shape[1]
+    buf[0] = x
+    buf[1] = 0.5 * (B @ x)
+    out[:] = 0.0
+    k0 = first = 0  # buf[i] holds S_k0+i; rows below ``first`` are summed
+    while True:
+        top = min(len(buf), K - k0)
+        for i in range(max(first, 2), top):
+            np.add(B @ buf[i - 1], buf[i - 2], out=buf[i])
+        out += coef[:, k0 + first:k0 + top] @ buf[first:top]
+        if k0 + top == K:
+            return
+        # the last two rows seed the next buffer
+        buf[:2] = buf[top - 2:top]
+        k0, first = k0 + top - 2, 2
 
 
 def _propagate(liouvillian: Liouvillian, y0: np.ndarray, n: int, dt: float
@@ -223,26 +344,28 @@ def _propagate(liouvillian: Liouvillian, y0: np.ndarray, n: int, dt: float
         Y[0] = y0
         for k in range(1, n):
             Y[k] = P @ Y[k - 1]
-        return Y, n - 1, dict(method="dense_expm", terms=None, substeps=1)
+        return Y, n - 1, dict(method="dense_expm", terms=None, substeps=1,
+                              outputs_per_expansion=None, half_width=None)
     Q = _hermitian_basis(liouvillian.dim)
     A = (Q.conj().T @ L @ Q).tocsr()
     if abs(A.imag).max() > _HERMITIAN_RTOL * abs(L).max():
         raise ValueError("generator does not preserve Hermiticity")
-    c, R, m, coef = _chebyshev_plan(liouvillian, dt)
-    B = ((2.0 / R) * (A.real - c * sp.identity(A.shape[0]))).tocsr()
-    X = np.empty((n, A.shape[0]))
-    X[0] = x = (Q.conj().T @ y0).real.copy()
-    for j in range(1, n):
+    A = A.real
+    c, R, m, coef = _chebyshev_plan(liouvillian, A, dt, n - 1)
+    (s, K), N = coef.shape, A.shape[0]
+    B = ((2.0 / R) * (A - c * sp.identity(N))).tocsr()
+    X = np.empty((n, N))
+    X[0] = (Q.conj().T @ y0).real
+    buf = np.empty((min(_CHUNK_ROWS, K), N))
+    for j in range(0, n - 1, s):
+        # the last expansion may serve fewer than s grid points
+        out, x = X[j + 1:j + 1 + s], X[j]
         for _ in range(m):
-            prev, cur = x, 0.5 * (B @ x)
-            x = coef[0] * prev + coef[1] * cur
-            for ck in coef[2:]:
-                # S_k+1 = B S_k + S_k-1 with B = 2 A', written over S_k-1
-                prev, cur = cur, np.add(B @ cur, prev, out=prev)
-                x += ck * cur
-        X[j] = x
-    return X @ Q.T, (n - 1) * m * (len(coef) - 1), dict(
-        method="chebyshev", terms=len(coef), substeps=m)
+            _chebyshev_sums(B, x, coef[:len(out)], buf, out)
+            x = out[0]
+    return X @ Q.T, -(-(n - 1) // s) * m * (K - 1), dict(
+        method="chebyshev", terms=K, substeps=m, outputs_per_expansion=s,
+        half_width=R)
 
 
 def evolve(liouvillian: Liouvillian, rho0: DensityMatrix | np.ndarray,
@@ -257,7 +380,10 @@ def evolve(liouvillian: Liouvillian, rho0: DensityMatrix | np.ndarray,
     or, for d^2 > 1024, an L that does not preserve Hermiticity;
     :class:`EvolutionError` on non-finite values or a positivity violation
     below ``-1e-6``.  ``diagnostics["propagator"]`` holds the ``method``
-    (``dense_expm``/``chebyshev``), its ``terms`` and ``substeps`` a step.
+    (``dense_expm``/``chebyshev``), the ``terms`` K of an expansion, the
+    ``substeps`` m of a step, the grid points s an expansion serves
+    (``outputs_per_expansion``) and its ``half_width`` R' (1/us); all but
+    the method and m are None on the dense path.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2:
@@ -329,13 +455,17 @@ def _hermitize_normalize(rho: np.ndarray) -> np.ndarray:
 
 def _no_jump_inverse(liouvillian: Liouvillian
                      ) -> tuple[Callable[[np.ndarray], np.ndarray], dict]:
-    """``(solve, info)``: ``solve(y)`` applies S_sigma^-1 to a vectorized
-    matrix, where S_sigma(rho) = -i(Heff rho - rho Heff^dag) with
-    Heff = H - (i/2)(sum r_k O_k^dag O_k + sigma).
+    """``(solve, info)``: ``solve(y)`` applies M^-1 to a vectorized matrix,
+    where M(rho) = -i(G rho - rho G^dag) and G is
+    Heff = H - (i/2)(sum r_k O_k^dag O_k + sigma) with its diagonal split
+    by eps max|Heff| linspace(-1, 1, d), eps = 1e-4.
 
-    The shift sigma > 0 equals adding the jump operator sqrt(sigma) 1,
-    which leaves L unchanged but damps every mode, dark states included.
-    One eigendecomposition Heff = V diag(lam) V^-1 diagonalizes S_sigma:
+    Unsplit, M is the no-jump part S_sigma of L.  The shift sigma > 0
+    equals adding the jump operator sqrt(sigma) 1, which leaves L unchanged
+    but damps every mode, dark states included.  The split keeps G's
+    eigenbasis well conditioned where Heff sits on an exceptional point;
+    M only preconditions, so it moves neither the solution nor the kernel.
+    One eigendecomposition G = V diag(lam) V^-1 diagonalizes M:
     rho = V X V^dag maps to X_jk -> -i(lam_j - conj(lam_k)) X_jk.
     """
     d = liouvillian.dim
@@ -346,12 +476,8 @@ def _no_jump_inverse(liouvillian: Liouvillian
             "steady state is not unique: the generator has no dissipation")
     heff = (liouvillian.hamiltonian.toarray()
             - 0.5j * (damping + sigma * np.eye(d)))
-    lam, V = np.linalg.eig(heff)
-    cond_v = float(np.linalg.cond(V))
-    if not cond_v <= _MAX_EIGVEC_COND:
-        raise SteadyStateError(
-            f"no-jump Hamiltonian is near-defective (cond(V) = {cond_v:.2e} "
-            f"> {_MAX_EIGVEC_COND:.0e}); its eigenbasis cannot invert S")
+    split = _EIG_SPLIT * np.abs(heff).max() * np.linspace(-1.0, 1.0, d)
+    lam, V = np.linalg.eig(heff + np.diag(split))
     W = np.linalg.inv(V)
     Vh, Wh = V.conj().T, W.conj().T
     inv_rate = 1.0 / (-1j * (lam[:, None] - lam.conj()[None, :]))
@@ -360,7 +486,7 @@ def _no_jump_inverse(liouvillian: Liouvillian
         Y = unvectorize(y, d)
         return vectorize(V @ ((W @ Y @ Wh) * inv_rate) @ Vh)
 
-    return solve, {"shift": sigma, "cond_V": cond_v}
+    return solve, {"shift": sigma, "cond_V": float(np.linalg.cond(V))}
 
 
 def steady_state(liouvillian: Liouvillian, tol: float = 1e-6) -> SteadyState:
@@ -369,16 +495,17 @@ def steady_state(liouvillian: Liouvillian, tol: float = 1e-6) -> SteadyState:
     L = S_sigma + J + sigma with the jump part J(rho) = sum r_k O_k rho
     O_k^dag (see :func:`_no_jump_inverse`), so the jump map
     K = -S_sigma^-1 (J + sigma) = I - S_sigma^-1 L has exactly the kernel
-    of L as its fixed points.  Restarted GMRES solves
+    of L as its fixed points; so does K = I - M^-1 L for the preconditioner
+    M, S_sigma with a split diagonal.  Restarted GMRES solves
     (I - K) x + u tr(x) = u with u = vec(1/d).  Each iteration is one
     sparse L matvec plus four dense d x d products; no d^2 x d^2 matrix is
     formed or factorized.  Uniqueness is checked on every solve: an
     Arnoldi run gives the two largest |eigenvalues| of K, and a gap
-    1 - |mu_2| below ``1e-8`` raises :class:`SteadyStateError`, as do a
-    near-defective Heff and a residual ``||L vec(rho)||_inf`` above
-    ``tol``.  ``info`` holds ``iterations``, ``residual_history`` (relative
-    preconditioned GMRES residuals), ``kernel_gap``, ``shift`` and
-    ``cond_V``.
+    1 - |mu_2| below ``1e-8`` raises :class:`SteadyStateError`, as does a
+    residual ``||L vec(rho)||_inf`` above ``tol``.  ``info`` holds
+    ``iterations``, ``residual_history`` (relative preconditioned GMRES
+    residuals), ``kernel_gap``, ``shift`` and ``cond_V`` (of the split
+    Heff's eigenvectors).
     """
     d = liouvillian.dim
     n = d * d

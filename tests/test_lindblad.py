@@ -3,7 +3,9 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
+from scipy.special import jv
 
 from stabsim import lindblad
 from stabsim.device import QubitParams, bundled_scenario
@@ -179,6 +181,28 @@ class TestEvolve:
         for rho, ref in zip(rhos, refs):
             npt.assert_allclose(rho, unvectorize(ref, d), rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("model", ["generic", "damped", "fast"])
+    def test_box_encloses_numerical_range(self, model):
+        # Re W(A) and Im W(A) span the eigenvalues of (A + A^T)/2 and
+        # i(A^T - A)/2, computed exactly for this d^2 = 1089 model
+        rate, h_scale = self.MODELS[model]
+        L, _ = random_lindbladian(33, seed=9, density=0.1, rate=rate,
+                                  h_scale=h_scale)
+        Q = lindblad._hermitian_basis(L.dim)
+        A = (Q.conj().T @ L.matrix @ Q).real.toarray()
+        R, lo, hi = lindblad._numerical_range_box(L, sp.csr_matrix(A))
+        re = np.linalg.eigvalsh(0.5 * (A + A.T))
+        im = np.linalg.eigvalsh(0.5j * (A.T - A))
+        assert lo <= re[0] and re[-1] <= hi
+        assert max(-im[0], im[-1]) <= R
+
+    # 2.4048... is the first zero of J_0, which the scaling must survive
+    @pytest.mark.parametrize("tau", [0.3, 2.404825557695773, 48.1, 350.0])
+    def test_bessel_recurrence_matches_scipy(self, tau):
+        kmax = int(1.5 * tau) + 40
+        npt.assert_allclose(lindblad._bessel_j(tau, kmax),
+                            jv(np.arange(kmax), tau), rtol=1e-11, atol=1e-14)
+
     @pytest.mark.parametrize("d,density,sparse_path", PATHS)
     def test_matvec_count_is_positive_int(self, d, density, sparse_path):
         L, rho0 = random_lindbladian(d, seed=2, density=density)
@@ -209,17 +233,57 @@ class TestEvolve:
         diag = evolve(L, rho0, t).diagnostics
         prop = diag["propagator"]
         assert prop["method"] == "chebyshev"
-        per_step = prop["substeps"] * (prop["terms"] - 1)
-        assert diag["rhs_evaluations"] == (len(t) - 1) * per_step
+        assert prop["half_width"] > 0
+        # every expansion serves up to s grid points and makes m (K - 1)
+        # matvecs
+        steps, s = len(t) - 1, prop["outputs_per_expansion"]
+        expansions = -(-steps // s)
+        assert diag["rhs_evaluations"] == (
+            expansions * prop["substeps"] * (prop["terms"] - 1))
         # a loosened bound would show here as more work per step
-        assert per_step <= 120
+        assert diag["rhs_evaluations"] <= 95 * steps
+
+    @pytest.mark.parametrize("points", [3, 11])
+    def test_bell_block_length_within_grid(self, points):
+        # bell serves several grid points from one expansion, but never
+        # more than the grid has steps
+        cfg, L = bundled_bell()
+        rho0 = np.zeros((L.dim, L.dim))
+        rho0[0, 0] = 1.0
+        t = np.linspace(0.0, (points - 1) * cfg.t_step, points)
+        s = evolve(L, rho0, t).diagnostics["propagator"][
+            "outputs_per_expansion"]
+        assert 1 < s <= points - 1
+
+    @pytest.mark.parametrize("model", ["generic", "fast"])
+    def test_partial_last_expansion_matches_propagator_powers(self, model):
+        rate, h_scale = self.MODELS[model]
+        L, rho0 = random_lindbladian(33, seed=9, density=0.1, rate=rate,
+                                     h_scale=h_scale)
+        t = np.linspace(0.0, 0.25, 6)
+        res, rhos = evolved_states(L, rho0, t)
+        # the last expansion serves fewer grid points than the others, and
+        # costs as many matvecs
+        prop = res.diagnostics["propagator"]
+        steps, s = len(t) - 1, prop["outputs_per_expansion"]
+        assert steps % s != 0
+        assert res.diagnostics["rhs_evaluations"] == (
+            -(-steps // s) * prop["substeps"] * (prop["terms"] - 1))
+        P = expm(L.matrix.toarray() * (t[1] - t[0]))
+        ref = vectorize(rho0)
+        for rho in rhos:
+            npt.assert_allclose(rho, unvectorize(ref, 33), rtol=0, atol=1e-10)
+            ref = P @ ref
 
     def test_damped_model_takes_substeps(self):
         rate, h_scale = self.MODELS["damped"]
         L, rho0 = random_lindbladian(33, seed=9, density=0.1, rate=rate,
                                      h_scale=h_scale)
-        res = evolve(L, rho0, np.linspace(0.0, 0.5, 3))
+        t = np.linspace(0.0, 0.5, 3)
+        res = evolve(L, rho0, t)
         assert res.diagnostics["propagator"]["substeps"] > 1
+        # the Gershgorin box must not cost the damped model work
+        assert res.diagnostics["rhs_evaluations"] <= 2400 * (len(t) - 1)
 
     @pytest.mark.parametrize("grid", [[0.0, 0.1, 0.3], [0.0, 0.2, 0.1],
                                       [1.0, 1.0, 1.0]])
@@ -352,6 +416,11 @@ def oracle_cases():
     yield pytest.param(build_liouvillian(
         LinearOperator(space, np.diag([0.0, 5.0]).astype(complex)),
         CollapseSet([(lowering_op(space, 0), 1.0)])), id="pure-decay")
+    # H = sigma_x with decay 4 puts Heff on an exceptional point: it has
+    # one eigenvector, and only the split preconditioner has a basis
+    yield pytest.param(build_liouvillian(
+        LinearOperator(space, np.array([[0, 1], [1, 0]], complex)),
+        CollapseSet([(lowering_op(space, 0), 4.0)])), id="exceptional-point")
     # the n_bar = 0.74 cavity of acceptance criterion 6a
     cav = CompositeSpace([ModeSpec("r", "resonator", 30)])
     c = lowering_op(cav, 0)
@@ -422,16 +491,6 @@ class TestSteadyState:
     def test_no_dissipation_is_not_unique(self):
         L = make_liouvillian(np.array([[0, 1], [1, 0]], complex), [])
         with pytest.raises(SteadyStateError, match="not unique"):
-            steady_state(L)
-
-    def test_near_defective_heff_rejected(self):
-        # H = g sigma_x with decay 4g sits on an exceptional point: Heff has
-        # one eigenvector, so its eigenbasis cannot invert S
-        space = tls_space()
-        L = build_liouvillian(
-            LinearOperator(space, np.array([[0, 1], [1, 0]], complex)),
-            CollapseSet([(lowering_op(space, 0), 4.0)]))
-        with pytest.raises(SteadyStateError, match="near-defective"):
             steady_state(L)
 
     def test_gmres_budget_exhausted(self, monkeypatch):

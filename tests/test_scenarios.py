@@ -305,7 +305,8 @@ class TestReportOutput:
             assert key in payload["diagnostics"]
         # d = 24 (d^2 = 576) takes the dense propagator, one matvec a step
         assert payload["diagnostics"]["propagator"] == {
-            "method": "dense_expm", "terms": None, "substeps": 1}
+            "method": "dense_expm", "terms": None, "substeps": 1,
+            "outputs_per_expansion": None, "half_width": None}
         assert payload["diagnostics"]["rhs_evaluations"] == len(report.times) - 1
         header = (out / "traces.csv").read_text().splitlines()[0].split(",")
         assert header[0] == "t_us"
