@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 runtime/solver failure (message on stderr),
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -68,6 +69,8 @@ def _cmd_spectroscopy(args) -> int:
             writer.writerow([repr(float(f))]
                             + [repr(float(result.populations[n][i])) for n in names]
                             + [repr(float(result.total_excitation[i]))])
+    (out / "diagnostics.json").write_text(
+        json.dumps(result.diagnostics, indent=2) + "\n")
     print(f"{len(freqs)} points -> {out}")
     return 0
 

@@ -22,9 +22,19 @@ Chebyshev vectors do not depend on t, so one expansion over s steps gives
 all s grid points, each from its own Bessel coefficients (Kosloff, Annu.
 Rev. Phys. Chem. 45, 145 (1994)).  The plan picks s (at most the grid's
 steps), delta and, only where s = 1 fails, m substeps a step, to minimize
-the m (K - 1) real matvecs of each of the ceil(steps/s) expansions.
-Trace, hermiticity and positivity are monitored at every stored point,
-never enforced.
+the m (K - 1) real matvecs of each of the floor(steps/s) full expansions
+plus the m (K_r - 1) of a last one over the r = steps mod s remaining
+points, which needs only the K_r terms of its shorter span.
+
+:func:`evolve_many` runs one state under several generators on one space
+(:func:`evolve` is its single-generator case).  Dense generators go in
+groups of floor(1024^2 / d^4), so a group's stacked propagators take no
+more memory than one 1024 x 1024 propagator: one stacked expm per group
+and one batched product per grid step.  Every propagator hands its
+states to one observer a block at a time (a grid step of the whole group,
+or one expansion's outputs), which evaluates the observables and
+monitors trace, hermiticity and positivity at every stored point, never
+enforcing them; no trajectory is kept.
 
 The steady state is one matrix-free solve: the no-jump (Sylvester) part of
 L is inverted from one eigendecomposition of the effective Hamiltonian
@@ -109,15 +119,6 @@ class Liouvillian:
     def dim(self) -> int:
         return self.space.total_dim
 
-    def shifted(self, dH: LinearOperator) -> "Liouvillian":
-        """Generator of ``H + dH`` with the same collapse set.
-
-        The dissipators do not depend on H, so only -i[dH, .] is added.
-        """
-        return Liouvillian(self.space,
-                           (self.matrix + _no_jump_superop(dH.matrix)).tocsr(),
-                           self.hamiltonian + dH, self.collapse)
-
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
     return np.asarray(rho, dtype=complex).reshape(-1, order="F")
@@ -141,26 +142,37 @@ def _damping(collapse: CollapseSet, space: CompositeSpace) -> sp.csr_matrix:
     return (A.conj().T @ (W @ A)).tocsr()
 
 
-def _no_jump_superop(heff: sp.spmatrix) -> sp.csr_matrix:
-    """Vectorized rho -> -i(Heff rho - rho Heff^dag); for a Hermitian
-    argument this is the commutator -i[H, .]."""
-    ident = sp.identity(heff.shape[0], format="csr", dtype=complex)
-    return -1j * (sp.kron(ident, heff, format="csr")
-                  - sp.kron(heff.conj(), ident, format="csr"))
-
-
 def build_liouvillian(H: LinearOperator, collapse: CollapseSet) -> Liouvillian:
     """Vectorized generator -i[H, .] + sum rate * D(L), assembled as the
-    no-jump part of Heff = H - (i/2) sum r_k O_k^dag O_k plus the jumps
-    sum r_k conj(O_k) kron O_k."""
-    heff = H.matrix - 0.5j * _damping(collapse, H.space)
-    n = heff.shape[0] ** 2
-    # the jumps are summed apart: each is far sparser than the no-jump part
-    jumps = sum((rate * sp.kron(op.matrix.conj(), op.matrix, format="csr")
-                 for op, rate in collapse if rate),
-                sp.csr_matrix((n, n), dtype=complex))
-    return Liouvillian(H.space, (_no_jump_superop(heff) + jumps).tocsr(),
-                       H, collapse)
+    no-jump part rho -> -i(Heff rho - rho Heff^dag) of
+    Heff = H - (i/2) sum r_k O_k^dag O_k plus the jumps
+    sum r_k conj(O_k) kron O_k.
+
+    Every term is a Kronecker product, written straight into one COO
+    triplet set: kron(X, Y) has X_ab Y_ce at row a d + c, column b d + e;
+    the CSR conversion sums the duplicates once.
+    """
+    d = H.space.total_dim
+    heff = (H.matrix - 0.5j * _damping(collapse, H.space)).tocoo()
+    a, b, v = heff.row, heff.col, heff.data
+    c = d * np.arange(d)[:, None]
+    # -i (1 kron Heff) and +i (conj(Heff) kron 1)
+    rows = [(c + a).ravel(), (d * a + c // d).ravel()]
+    cols = [(c + b).ravel(), (d * b + c // d).ravel()]
+    vals = [np.broadcast_to(-1j * v, (d, len(v))).ravel(),
+            np.broadcast_to(1j * v.conj(), (d, len(v))).ravel()]
+    for op, rate in collapse:
+        if rate:
+            o = op.matrix.tocoo()
+            rows.append((d * o.row[:, None] + o.row).ravel())
+            cols.append((d * o.col[:, None] + o.col).ravel())
+            vals.append((rate * np.outer(o.data.conj(), o.data)).ravel())
+    L = sp.csr_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(d * d, d * d))
+    # exact cancellations (the commutator's diagonal) are not kept
+    L.eliminate_zeros()
+    return Liouvillian(H.space, L, H, collapse)
 
 
 @dataclass
@@ -259,20 +271,22 @@ def _numerical_range_box(liouvillian: Liouvillian, A: sp.csr_matrix
 
 
 def _chebyshev_plan(liouvillian: Liouvillian, A: sp.csr_matrix, h: float,
-                    steps: int) -> tuple[float, float, int, np.ndarray]:
-    """``(c, R', m, coef)`` for ``steps`` grid steps of length h: with
+                    steps: int) -> tuple[float, float, int, np.ndarray, int]:
+    """``(c, R', m, coef, K_r)`` for ``steps`` grid steps of length h: with
     A' = (A - c)/R', S_0 = 1, S_1 = A' and S_k+1 = 2 A' S_k + S_k-1,
     exp(A j h/m) = sum_k coef[j-1, k] S_k for j = 1..s, s = len(coef).
     One expansion gives s grid points (m = 1), or a step is m applications
-    of the single row; the bound of the module docstring picks s, m, R'
-    and K = coef.shape[1] to minimize the matvecs on the grid."""
+    of the single row.  The last r = steps mod s points take only the
+    K_r <= K terms the rule needs over r h; K_r = K when s divides steps.
+    The bound of the module docstring picks s, m, R' and
+    K = coef.shape[1] to minimize the matvecs on the grid."""
     R, lo, hi = _numerical_range_box(liouvillian, A)
     c, a = 0.5 * (lo + hi), 0.5 * (hi - lo)
 
-    def expansion(span: float) -> tuple[int, float] | None:
-        """``(K, R')`` of the fewest terms over ``span`` among the widened
-        half-widths, or None if none passes."""
-        found = None
+    def expansions(span: float) -> dict[float, int]:
+        """``{R': K}`` of the widened half-widths whose rule holds over
+        ``span``."""
+        found = {}
         for delta in _WIDENINGS:
             wide = R * (1 + delta)
             # log rho of the Bernstein ellipse (foci +-1 in w = -i A')
@@ -281,34 +295,41 @@ def _chebyshev_plan(liouvillian: Liouvillian, A: sp.csr_matrix, h: float,
             log_rho = math.acosh(max(
                 1.0, 0.5 * (math.hypot(1 - x, y) + math.hypot(1 + x, y))))
             K = _chebyshev_terms(wide * span, log_rho)
-            if K is not None and (found is None or K < found[0]):
-                found = (K, wide)
+            if K is not None:
+                found[wide] = K
         return found
 
     # grow s while the term rule holds and the grid's matvecs fall; only
     # when s = 1 fails, grow m the same way.  The rule is checked at the
     # block's last point, whose tail is the largest: the tail lies past
-    # k = R' s h, where J_k(tau) grows with tau
-    plan = None  # (matvecs, s, m, K, R')
+    # k = R' s h, where J_k(tau) grows with tau.  So the K_r of the span
+    # r h, found when s was r, serve the last r < s points
+    plan = None  # (matvecs, s, m, K, R', K_r)
+    spans: dict[int, dict[float, int]] = {}  # s -> expansions(s h), m = 1
     s = m = 1
     while s <= steps:
-        found = expansion(s * h / m)
-        if found is None and plan is not None:
+        found = expansions(s * h / m)
+        if m == 1:
+            spans[s] = found
+        if not found and plan is not None:
             break
-        if found is not None:
-            matvecs = -(-steps // s) * m * (found[0] - 1)
+        if found:
+            wide = min(found, key=found.get)
+            K, r = found[wide], steps % s
+            K_r = spans[r].get(wide, K) if r else K
+            matvecs = (steps // s) * m * (K - 1) + (m * (K_r - 1) if r else 0)
             if plan is not None and matvecs >= plan[0]:
                 break
-            plan = (matvecs, s, m, *found)
+            plan = (matvecs, s, m, K, wide, K_r)
         if plan is None or m > 1:
             m += 1
         else:
             s += 1
-    _, s, m, K, wide = plan
+    _, s, m, K, wide, K_r = plan
     times = (h / m) * np.arange(1, s + 1)
     coef = np.array([_bessel_j(wide * t, K) for t in times])
     coef[:, 1:] *= 2.0
-    return c, wide, m, coef * np.exp(c * times)[:, None]
+    return c, wide, m, coef * np.exp(c * times)[:, None], K_r
 
 
 def _chebyshev_sums(B: sp.csr_matrix, x: np.ndarray, coef: np.ndarray,
@@ -333,39 +354,184 @@ def _chebyshev_sums(B: sp.csr_matrix, x: np.ndarray, coef: np.ndarray,
         k0, first = k0 + top - 2, 2
 
 
-def _propagate(liouvillian: Liouvillian, y0: np.ndarray, n: int, dt: float
-               ) -> tuple[np.ndarray, int, dict]:
-    """``(Y, matvecs, propagator)``: Y[k] = expm(L k dt) y0 for k < n, the
-    number of generator or propagator matvecs made, and the method."""
-    L = liouvillian.matrix
-    if L.shape[0] <= _DENSE_PROPAGATOR_MAX:
-        P = expm(L.toarray() * dt)
-        Y = np.empty((n, len(y0)), dtype=complex)
-        Y[0] = y0
+def _dense_group_size(n: int) -> int:
+    """Generators of vector length n propagated together: their stacked
+    propagators take no more memory than one of the largest dense size."""
+    return max(1, _DENSE_PROPAGATOR_MAX ** 2 // n ** 2)
+
+
+def _dense_propagate(liouvillians: list[Liouvillian], y0: np.ndarray, n: int,
+                     dt: float, observe: _StateObserver
+                     ) -> list[tuple[int, dict]]:
+    """``(matvecs, propagator)`` per generator of stepping its vec(rho) by
+    its expm(L dt), a group of generators at a time: one stacked expm per
+    group and one batched product per grid step, each step handed to
+    ``observe`` whole."""
+    N = len(y0)
+    size = _dense_group_size(N)
+    for g0 in range(0, len(liouvillians), size):
+        group = liouvillians[g0:g0 + size]
+        gens = slice(g0, g0 + len(group))
+        P = np.empty((len(group), N, N), dtype=complex)
+        for L, p in zip(group, P):
+            L.matrix.toarray(out=p)
+        P *= dt
+        P = expm(P)
+        Y = np.repeat(y0[None, :], len(group), axis=0)
+        observe(gens, slice(0, 1), Y[:, None])
         for k in range(1, n):
-            Y[k] = P @ Y[k - 1]
-        return Y, n - 1, dict(method="dense_expm", terms=None, substeps=1,
-                              outputs_per_expansion=None, half_width=None)
+            Y = (P @ Y[:, :, None])[:, :, 0]
+            observe(gens, slice(k, k + 1), Y[:, None])
+    return [(n - 1, dict(method="dense_expm", terms=None, substeps=1,
+                         outputs_per_expansion=None, half_width=None))
+            for _ in liouvillians]
+
+
+def _chebyshev_propagate(liouvillian: Liouvillian, y0: np.ndarray, n: int,
+                         dt: float, observe: _StateObserver, gen: int
+                         ) -> tuple[int, dict]:
+    """``(matvecs, propagator)`` of propagating y0 over n grid points with
+    the Chebyshev plan; each expansion's outputs go to ``observe`` as
+    generator ``gen``'s block as they are made."""
+    L = liouvillian.matrix
     Q = _hermitian_basis(liouvillian.dim)
     A = (Q.conj().T @ L @ Q).tocsr()
     if abs(A.imag).max() > _HERMITIAN_RTOL * abs(L).max():
         raise ValueError("generator does not preserve Hermiticity")
     A = A.real
-    c, R, m, coef = _chebyshev_plan(liouvillian, A, dt, n - 1)
+    c, R, m, coef, K_r = _chebyshev_plan(liouvillian, A, dt, n - 1)
     (s, K), N = coef.shape, A.shape[0]
     B = ((2.0 / R) * (A - c * sp.identity(N))).tocsr()
-    X = np.empty((n, N))
-    X[0] = (Q.conj().T @ y0).real
+    out = np.empty((s, N))
+    out[0] = (Q.conj().T @ y0).real
+    gens = slice(gen, gen + 1)
+    observe(gens, slice(0, 1), (out[:1] @ Q.T)[None])
+    x = out[0]
     buf = np.empty((min(_CHUNK_ROWS, K), N))
     for j in range(0, n - 1, s):
-        # the last expansion may serve fewer than s grid points
-        out, x = X[j + 1:j + 1 + s], X[j]
-        for _ in range(m):
-            _chebyshev_sums(B, x, coef[:len(out)], buf, out)
-            x = out[0]
-    return X @ Q.T, -(-(n - 1) // s) * m * (K - 1), dict(
-        method="chebyshev", terms=K, substeps=m, outputs_per_expansion=s,
-        half_width=R)
+        # the last expansion may serve r < s grid points with K_r terms
+        r = min(s, n - 1 - j)
+        rows = out[:r]
+        for _ in range(m):  # m > 1 only where s = 1
+            _chebyshev_sums(B, x, coef[:r, :K if r == s else K_r], buf, rows)
+            x = rows[-1]
+        observe(gens, slice(j + 1, j + 1 + r), (rows @ Q.T)[None])
+    steps = n - 1
+    matvecs = (steps // s) * m * (K - 1) + (m * (K_r - 1) if steps % s else 0)
+    return matvecs, dict(method="chebyshev", terms=K, substeps=m,
+                         outputs_per_expansion=s, half_width=R)
+
+
+class _StateObserver:
+    """Integrity checks and observables of G generators' states on one
+    grid of n points, fed a block of states at a time; no trajectory is
+    kept.  A block Y[g, j] = vec(rho_g(t_j)) covers the generators
+    ``gens`` at the grid points ``times`` (two slices)."""
+
+    def __init__(self, t_grid: np.ndarray, d: int, count: int,
+                 observables: dict | None):
+        n = len(t_grid)
+        weights = {k: _observable_weights(o)
+                   for k, o in (observables or {}).items()}
+        self.t_grid, self.d = t_grid, d
+        self.is_state = {k: s for k, (_, s) in weights.items()}
+        self.W = np.array([w for w, _ in weights.values()],
+                          dtype=complex).reshape(len(weights), d * d).T
+        self.values = np.empty((count, len(weights), n), dtype=complex)
+        self.drift, self.herm, self.min_eig = np.empty((3, count, n))
+
+    def __call__(self, gens: slice, times: slice, Y: np.ndarray) -> None:
+        d = self.d
+        if not np.isfinite(Y).all():
+            g, j = np.argwhere(~np.isfinite(Y))[0, :2]
+            t = float(self.t_grid[times.start + j])
+            raise EvolutionError(
+                f"propagation produced non-finite values in generator "
+                f"{gens.start + g} at t={t:.4g} us",
+                {"generator": int(gens.start + g), "t": t})
+        # Y[g, j] is vec(rho) in column order: rho = Y[g, j].reshape(d, d).T
+        rhos = Y.reshape(-1, d, d).transpose(0, 2, 1)
+        adj = rhos.conj().transpose(0, 2, 1)
+        shape = Y.shape[:2]
+        drift = np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0).reshape(shape)
+        herm = np.abs(rhos - adj).max(axis=(1, 2)).reshape(shape)
+        min_eig = np.linalg.eigvalsh(0.5 * (rhos + adj))[:, 0].reshape(shape)
+        bad = np.argwhere(min_eig < -POSITIVITY_ABORT)
+        if bad.size:
+            # blocks arrive in time order: the first bad point of the
+            # lowest generator in the block is that generator's first
+            g, j = bad[0]
+            t = self.t_grid[times.start + j]
+            raise EvolutionError(
+                f"positivity violated in generator {gens.start + g} at "
+                f"t={t:.4g} us (min eig {min_eig[g, j]:.3e})",
+                {"generator": int(gens.start + g), "t": float(t),
+                 "min_eigenvalue": float(min_eig[g, j]),
+                 "trace_drift": float(drift[g, j]),
+                 "hermiticity": float(herm[g, j])})
+        self.drift[gens, times] = drift
+        self.herm[gens, times] = herm
+        self.min_eig[gens, times] = min_eig
+        self.values[gens, :, times] = (Y @ self.W).transpose(0, 2, 1)
+
+    def results(self, runs: list[tuple[int, dict]]) -> list[EvolutionResult]:
+        """One result per generator from its ``(matvecs, propagator)``."""
+        out = []
+        for g, (matvecs, propagator) in enumerate(runs):
+            values = {k: self.values[g, i].real if s else self.values[g, i]
+                      for i, (k, s) in enumerate(self.is_state.items())}
+            out.append(EvolutionResult(self.t_grid, values, {
+                "max_trace_drift": float(self.drift[g].max()),
+                "max_hermiticity_defect": float(self.herm[g].max()),
+                "min_eigenvalue": float(self.min_eig[g].min()),
+                "rhs_evaluations": matvecs,
+                "propagator": propagator,
+            }))
+        return out
+
+
+def evolve_many(liouvillians, rho0: DensityMatrix | np.ndarray,
+                t_grid: np.ndarray, observables: dict | None = None
+                ) -> list[EvolutionResult]:
+    """:func:`evolve` of one ``rho0`` under each of several generators on
+    one space, one result per generator, in order.
+
+    For d^2 <= 1024 the generators are propagated in groups of
+    ``1024^2 // d^4`` (one stacked expm and one batched product per grid
+    step); larger ones one after another.  Raises ``ValueError`` for an
+    empty list or generators on different spaces, besides the errors of
+    :func:`evolve`; an :class:`EvolutionError` names the failing
+    ``generator`` (its index) in its message and diagnostics.
+    """
+    liouvillians = list(liouvillians)
+    if not liouvillians:
+        raise ValueError("no generators to evolve")
+    space = liouvillians[0].space
+    if any(L.space != space for L in liouvillians[1:]):
+        raise ValueError("generators live on different spaces")
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or len(t_grid) < 2:
+        raise ValueError("t_grid must contain at least two times")
+    n = len(t_grid)
+    dt = (t_grid[-1] - t_grid[0]) / (n - 1)
+    # linspace places each point within a few ulps of |t|
+    slack = 1e-9 * abs(dt) + 16 * np.finfo(float).eps * np.abs(t_grid).max()
+    if not dt > 0 or np.abs(np.diff(t_grid) - dt).max() > slack:
+        raise ValueError("t_grid must be uniform and increasing (a linspace)")
+    d = space.total_dim
+    rho_mat = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0)
+    if (np.abs(rho_mat - rho_mat.conj().T).max()
+            > _HERMITIAN_RTOL * np.abs(rho_mat).max()):
+        raise ValueError("rho0 is not Hermitian")
+    y0 = vectorize(rho_mat)
+
+    observe = _StateObserver(t_grid, d, len(liouvillians), observables)
+    if d * d <= _DENSE_PROPAGATOR_MAX:
+        runs = _dense_propagate(liouvillians, y0, n, dt, observe)
+    else:
+        runs = [_chebyshev_propagate(L, y0, n, dt, observe, i)
+                for i, L in enumerate(liouvillians)]
+    return observe.results(runs)
 
 
 def evolve(liouvillian: Liouvillian, rho0: DensityMatrix | np.ndarray,
@@ -385,54 +551,7 @@ def evolve(liouvillian: Liouvillian, rho0: DensityMatrix | np.ndarray,
     (``outputs_per_expansion``) and its ``half_width`` R' (1/us); all but
     the method and m are None on the dense path.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) < 2:
-        raise ValueError("t_grid must contain at least two times")
-    n = len(t_grid)
-    dt = (t_grid[-1] - t_grid[0]) / (n - 1)
-    # linspace places each point within a few ulps of |t|
-    slack = 1e-9 * abs(dt) + 16 * np.finfo(float).eps * np.abs(t_grid).max()
-    if not dt > 0 or np.abs(np.diff(t_grid) - dt).max() > slack:
-        raise ValueError("t_grid must be uniform and increasing (a linspace)")
-    d = liouvillian.dim
-    rho_mat = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0)
-    if (np.abs(rho_mat - rho_mat.conj().T).max()
-            > _HERMITIAN_RTOL * np.abs(rho_mat).max()):
-        raise ValueError("rho0 is not Hermitian")
-
-    Y, matvecs, propagator = _propagate(liouvillian, vectorize(rho_mat), n, dt)
-    if not np.isfinite(Y).all():
-        raise EvolutionError("propagation produced non-finite values",
-                             {"rhs_evaluations": matvecs})
-
-    # row j of Y is vec(rho(t_j)) in column order: rho = row.reshape(d, d).T
-    rhos = Y.reshape(n, d, d).transpose(0, 2, 1)
-    adj = rhos.conj().transpose(0, 2, 1)
-    drift = np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)
-    herm = np.abs(rhos - adj).max(axis=(1, 2))
-    min_eig = np.linalg.eigvalsh(0.5 * (rhos + adj))[:, 0]
-    bad = np.flatnonzero(min_eig < -POSITIVITY_ABORT)
-    if bad.size:
-        j = bad[0]
-        raise EvolutionError(
-            f"positivity violated at t={t_grid[j]:.4g} us "
-            f"(min eig {min_eig[j]:.3e})",
-            {"t": float(t_grid[j]), "min_eigenvalue": float(min_eig[j]),
-             "trace_drift": float(drift[j]), "hermiticity": float(herm[j])})
-
-    values = {}
-    for name, obs in (observables or {}).items():
-        w, is_state = _observable_weights(obs)
-        values[name] = np.real(Y @ w) if is_state else Y @ w
-
-    diagnostics = {
-        "max_trace_drift": float(drift.max()),
-        "max_hermiticity_defect": float(herm.max()),
-        "min_eigenvalue": float(min_eig.min()),
-        "rhs_evaluations": matvecs,
-        "propagator": propagator,
-    }
-    return EvolutionResult(t_grid, values, diagnostics)
+    return evolve_many([liouvillian], rho0, t_grid, observables)[0]
 
 
 @dataclass

@@ -42,7 +42,9 @@ from .hilbert import (
     coherent_state, identity_op, lowering_op, number_op, partial_trace,
     product_state,
 )
-from .lindblad import Liouvillian, build_liouvillian, evolve, steady_state
+from .lindblad import (
+    Liouvillian, build_liouvillian, evolve, evolve_many, steady_state,
+)
 
 #: extension of the time window used to read off a plateau when the
 #: configuration has no decoherence (us)
@@ -347,6 +349,8 @@ class SpectroscopyResult:
     frequencies: np.ndarray
     populations: dict[str, np.ndarray]
     total_excitation: np.ndarray
+    # the scan's worst integrity values, summed matvecs and propagator
+    diagnostics: dict = field(default_factory=dict)
 
 
 def _probe_liouvillians(config: ScenarioConfig, amps: tuple, freqs
@@ -355,8 +359,10 @@ def _probe_liouvillians(config: ScenarioConfig, amps: tuple, freqs
 
     The model is built once, at ``freqs[0]``.  With a single pump on the
     qubit-only model the pump frequency sets only the frame, so
-    H(f) = H(f0) - 2 pi (f - f0) N_q with N_q the total qubit number, and
-    each L(f) is a frame shift of L(f0).
+    H(f) = H(f0) + delta N_q with delta = -2 pi (f - f0) and N_q the total
+    qubit number, and L(f) = L(f0) + delta F with F = -i[N_q, .].  N_q is
+    diagonal, so F is too: it takes vec(rho)'s entry rho_ab, at a + d b,
+    to -i (n_a - n_b).
     """
     if len(freqs) == 0:
         return []
@@ -367,8 +373,28 @@ def _probe_liouvillians(config: ScenarioConfig, amps: tuple, freqs
     model, base = build_problem(probe, include_resonators=False)
     n_q = sum((number_op(model.space, i) for i in range(1, config.n_qubits)),
               number_op(model.space, 0))
-    return [base.shifted((-2.0 * math.pi * (f - freqs[0])) * n_q)
-            for f in freqs]
+    occ = n_q.matrix.diagonal().real
+    frame = sp.diags(-1j * (occ[None, :] - occ[:, None]).ravel())
+    shifts = -2.0 * math.pi * (np.asarray(freqs) - freqs[0])
+    return [Liouvillian(base.space, L, LinearOperator(model.space, H),
+                        base.collapse)
+            for L, H in zip(_shifted(base.matrix, frame, shifts),
+                            _shifted(base.hamiltonian.matrix, n_q.matrix,
+                                     shifts))]
+
+
+def _shifted(base: sp.spmatrix, step: sp.spmatrix, shifts
+             ) -> list[sp.csr_matrix]:
+    """``base + delta * step`` for each delta, summed on the joint sparsity
+    pattern (one array sum each, no sparse arithmetic per delta)."""
+    pattern = (abs(base) + abs(step)).tocsr()
+    rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
+    on_pattern = [np.asarray(m.tocsr()[rows, pattern.indices]).ravel()
+                  for m in (base, step)]
+    return [sp.csr_matrix((on_pattern[0] + delta * on_pattern[1],
+                           pattern.indices.copy(), pattern.indptr.copy()),
+                          shape=pattern.shape)
+            for delta in shifts]
 
 
 def run_spectroscopy(config: ScenarioConfig, drive_target: int,
@@ -379,7 +405,12 @@ def run_spectroscopy(config: ScenarioConfig, drive_target: int,
     The probe amplitude must stay well under the coupling J so the lines
     remain resolvable; resonators are omitted (they are undriven and stay
     empty).  Populations are time-averaged over the second half of the
-    probe window.
+    probe window.  All frequencies are propagated together
+    (:func:`~stabsim.lindblad.evolve_many`); ``diagnostics`` holds the
+    scan's largest ``max_trace_drift`` and ``max_hermiticity_defect``, its
+    smallest ``min_eigenvalue`` (None without frequencies), the summed
+    ``rhs_evaluations``, and the ``propagator``: the dict every frequency
+    used, or one per frequency where they differ.
     """
     j_min = min((j for j in config.couplings.j if j > 0), default=math.inf)
     if amplitude > j_min / 3.0:
@@ -389,7 +420,6 @@ def run_spectroscopy(config: ScenarioConfig, drive_target: int,
 
     freqs = np.asarray(freq_range, dtype=float)
     labels = _qubit_state_labels(config.n_qubits)
-    sums: dict[str, list[float]] = {lab: [] for lab in labels}
     qspace = qubit_space(config)
     obs = {f"P_{lab}": np.asarray(named_qubit_state(qspace, lab))
            for lab in labels}
@@ -400,14 +430,31 @@ def run_spectroscopy(config: ScenarioConfig, drive_target: int,
     t_grid = np.linspace(0.0, duration, 81)
     sel = t_grid >= duration / 2.0
 
-    for liouv in _probe_liouvillians(config, amps, freqs):
-        res = evolve(liouv, rho0, t_grid, observables=obs)
-        for lab in labels:
-            sums[lab].append(float(np.real(res.observables[f"P_{lab}"][sel]).mean()))
-
-    pops = {lab: np.asarray(sums[lab]) for lab in labels}
+    liouvs = _probe_liouvillians(config, amps, freqs)
+    results = evolve_many(liouvs, rho0, t_grid, observables=obs) if liouvs else []
+    pops = {lab: np.array([res.observables[f"P_{lab}"][sel].mean()
+                           for res in results]) for lab in labels}
     total = sum(pops[lab] * lab.count("e") for lab in labels)
-    return SpectroscopyResult(freqs, pops, np.asarray(total))
+    return SpectroscopyResult(freqs, pops, np.asarray(total),
+                              _scan_diagnostics(results))
+
+
+def _scan_diagnostics(results) -> dict:
+    """One scan's diagnostics from its per-frequency evolution results."""
+    diags = [res.diagnostics for res in results]
+    props = [dg["propagator"] for dg in diags]
+    if props and all(p == props[0] for p in props):
+        props = props[0]
+    return {
+        "max_trace_drift": max((dg["max_trace_drift"] for dg in diags),
+                               default=0.0),
+        "max_hermiticity_defect": max(
+            (dg["max_hermiticity_defect"] for dg in diags), default=0.0),
+        "min_eigenvalue": min((dg["min_eigenvalue"] for dg in diags),
+                              default=None),
+        "rhs_evaluations": sum(dg["rhs_evaluations"] for dg in diags),
+        "propagator": props or None,
+    }
 
 
 # -- parameter sweeps ----------------------------------------------------------------

@@ -113,3 +113,17 @@ class TestSpectroscopyCommand:
         lines = (out / "traces.csv").read_text().splitlines()
         assert lines[0].startswith("freq_mhz")
         assert len(lines) == 6
+
+    def test_writes_scan_diagnostics(self, quick_config, tmp_path):
+        out = tmp_path / "spec"
+        code = cli_main(["spectroscopy", "--config", str(quick_config),
+                         "--freqs", "4200:4204:5", "--amplitude", "0.1",
+                         "--out", str(out)])
+        assert code == 0
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["max_trace_drift"] <= 1e-8
+        assert diag["max_hermiticity_defect"] <= 1e-9
+        assert diag["min_eigenvalue"] >= -1e-7
+        # five frequencies of 80 steps, one propagator product a step
+        assert diag["rhs_evaluations"] == 5 * 80
+        assert diag["propagator"]["method"] == "dense_expm"

@@ -16,7 +16,7 @@ from stabsim.hilbert import (
 )
 from stabsim.lindblad import (
     EvolutionError, Liouvillian, SteadyStateError, build_liouvillian, evolve,
-    residual_norm, steady_state, unvectorize, vectorize,
+    evolve_many, residual_norm, steady_state, unvectorize, vectorize,
 )
 from stabsim.scenarios import build_problem
 
@@ -234,12 +234,8 @@ class TestEvolve:
         prop = diag["propagator"]
         assert prop["method"] == "chebyshev"
         assert prop["half_width"] > 0
-        # every expansion serves up to s grid points and makes m (K - 1)
-        # matvecs
-        steps, s = len(t) - 1, prop["outputs_per_expansion"]
-        expansions = -(-steps // s)
-        assert diag["rhs_evaluations"] == (
-            expansions * prop["substeps"] * (prop["terms"] - 1))
+        steps = len(t) - 1
+        assert diag["rhs_evaluations"] == planned_matvecs(L, t, prop)
         # a loosened bound would show here as more work per step
         assert diag["rhs_evaluations"] <= 95 * steps
 
@@ -260,20 +256,26 @@ class TestEvolve:
         rate, h_scale = self.MODELS[model]
         L, rho0 = random_lindbladian(33, seed=9, density=0.1, rate=rate,
                                      h_scale=h_scale)
-        t = np.linspace(0.0, 0.25, 6)
+        t = np.linspace(0.0, 1.1, 12)
         res, rhos = evolved_states(L, rho0, t)
         # the last expansion serves fewer grid points than the others, and
-        # costs as many matvecs
+        # costs only the terms its span needs
         prop = res.diagnostics["propagator"]
         steps, s = len(t) - 1, prop["outputs_per_expansion"]
         assert steps % s != 0
-        assert res.diagnostics["rhs_evaluations"] == (
-            -(-steps // s) * prop["substeps"] * (prop["terms"] - 1))
-        P = expm(L.matrix.toarray() * (t[1] - t[0]))
-        ref = vectorize(rho0)
-        for rho in rhos:
-            npt.assert_allclose(rho, unvectorize(ref, 33), rtol=0, atol=1e-10)
-            ref = P @ ref
+        assert res.diagnostics["rhs_evaluations"] == planned_matvecs(L, t, prop)
+        assert_matches_propagator_powers(L, rho0, t, rhos)
+
+    def test_fast_model_five_steps_in_one_expansion(self):
+        # one expansion serves all 5 steps, where s = 1 took 126 matvecs a
+        # step
+        rate, h_scale = self.MODELS["fast"]
+        L, rho0 = random_lindbladian(33, seed=9, density=0.1, rate=rate,
+                                     h_scale=h_scale)
+        t = np.linspace(0.0, 0.5, 6)
+        res, rhos = evolved_states(L, rho0, t)
+        assert res.diagnostics["rhs_evaluations"] <= 100 * (len(t) - 1)
+        assert_matches_propagator_powers(L, rho0, t, rhos)
 
     def test_damped_model_takes_substeps(self):
         rate, h_scale = self.MODELS["damped"]
@@ -354,6 +356,78 @@ class TestEvolve:
             abs=1e-13)
 
 
+class TestEvolveMany:
+    @pytest.mark.parametrize("d,density,seeds,t", [
+        (4, 1.0, (1, 2, 3), np.linspace(0.0, 5.0, 21)),
+        (33, 0.1, (1, 2), np.linspace(0.0, 0.5, 6)),
+    ], ids=["dense", "chebyshev"])
+    def test_each_result_matches_evolve(self, d, density, seeds, t):
+        gens = [random_lindbladian(d, seed=s, density=density)[0]
+                for s in seeds]
+        _, rho0 = random_lindbladian(d, seed=0)
+        rng = np.random.default_rng(0)
+        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        obs = {"n": number_op(gens[0].space, 0), "psi": psi / np.linalg.norm(psi)}
+        batch = evolve_many(gens, rho0, t, observables=obs)
+        assert len(batch) == len(gens)
+        for L, res in zip(gens, batch):
+            ref = evolve(L, rho0, t, observables=obs)
+            npt.assert_array_equal(res.times, ref.times)
+            for name in obs:
+                npt.assert_allclose(res.observables[name],
+                                    ref.observables[name], rtol=0, atol=1e-13)
+            diag, ref_diag = res.diagnostics, ref.diagnostics
+            for key in ("propagator", "rhs_evaluations"):
+                assert diag[key] == ref_diag[key]
+            for key in ("max_trace_drift", "max_hermiticity_defect",
+                        "min_eigenvalue"):
+                assert diag[key] == pytest.approx(ref_diag[key], abs=1e-13)
+
+    def test_groups_split_the_batch(self, monkeypatch):
+        # groups of two: the third generator starts a group of its own
+        gens = [random_lindbladian(4, seed=s)[0] for s in (1, 2, 3)]
+        _, rho0 = random_lindbladian(4, seed=0)
+        t = np.linspace(0.0, 2.0, 9)
+        obs = {"n": number_op(gens[0].space, 0)}
+        whole = evolve_many(gens, rho0, t, observables=obs)
+        monkeypatch.setattr(lindblad, "_dense_group_size", lambda n: 2)
+        split = evolve_many(gens, rho0, t, observables=obs)
+        for a, b in zip(whole, split):
+            npt.assert_allclose(a.observables["n"], b.observables["n"],
+                                rtol=0, atol=1e-13)
+
+    def test_group_size_rule(self):
+        assert lindblad._dense_group_size(lindblad._DENSE_PROPAGATOR_MAX) == 1
+        # the d = 4 spectroscopy scan fits one group
+        assert lindblad._dense_group_size(16) == 4096
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="no generators"):
+            evolve_many([], np.eye(2) / 2, np.linspace(0.0, 1.0, 3))
+
+    def test_mixed_spaces_rejected(self):
+        a, rho0 = random_lindbladian(4, seed=1)
+        b, _ = random_lindbladian(3, seed=1)
+        with pytest.raises(ValueError, match="different spaces"):
+            evolve_many([a, b], rho0, np.linspace(0.0, 1.0, 3))
+
+    def test_positivity_failure_names_generator_and_first_time(self):
+        # the second generator is time-reversed decay, whose |g> population
+        # turns negative after t = ln 2 (see TestEvolve)
+        space = tls_space()
+        decay = build_liouvillian(
+            LinearOperator(space, np.zeros((2, 2), dtype=complex)),
+            CollapseSet([(lowering_op(space, 0), 1.0)]))
+        reversed_decay = Liouvillian(space, -decay.matrix, decay.hamiltonian,
+                                     decay.collapse)
+        with pytest.raises(EvolutionError,
+                           match="generator 1 at t=0.7 us") as exc:
+            evolve_many([decay, reversed_decay, decay], np.eye(2) / 2,
+                        np.linspace(0, 2, 21))
+        assert exc.value.diagnostics["generator"] == 1
+        assert exc.value.diagnostics["t"] == pytest.approx(0.7)
+
+
 def random_lindbladian(d, seed, density=1.0, rate=0.5, h_scale=1.0):
     """Random Hermitian H (times ``h_scale``), one random collapse operator
     at ``rate``, random state."""
@@ -385,6 +459,30 @@ def evolved_states(L, rho0, t, observables=None):
     for a, b in units:
         rhos[:, b, a] = res.observables.pop((a, b))
     return res, rhos
+
+
+def assert_matches_propagator_powers(L, rho0, t, rhos):
+    """rho(t_k) = P^k vec(rho0) to 1e-10, P the dense expm(L dt)."""
+    P = expm(L.matrix.toarray() * (t[1] - t[0]))
+    ref = vectorize(rho0)
+    for rho in rhos:
+        npt.assert_allclose(rho, unvectorize(ref, L.dim), rtol=0, atol=1e-10)
+        ref = P @ ref
+
+
+def planned_matvecs(L, t, prop):
+    """Matvecs of the Chebyshev plan on grid ``t``, checked against the
+    reported ``prop``: floor(steps/s) expansions of m (K - 1) matvecs, and
+    where s does not divide the steps a last one of m (K_r - 1)."""
+    Q = lindblad._hermitian_basis(L.dim)
+    A = (Q.conj().T @ L.matrix @ Q).real.tocsr()
+    steps = len(t) - 1
+    _, _, m, coef, K_r = lindblad._chebyshev_plan(L, A, t[1] - t[0], steps)
+    s, K = coef.shape
+    assert (s, m, K) == (prop["outputs_per_expansion"], prop["substeps"],
+                         prop["terms"])
+    assert K_r <= K
+    return (steps // s) * m * (K - 1) + (m * (K_r - 1) if steps % s else 0)
 
 
 def make_liouvillian_res(space, h, collapse_pairs):

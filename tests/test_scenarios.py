@@ -162,6 +162,14 @@ class TestSpectroscopy:
         assert len(peaks) == 1
         assert freqs[peaks[0]] == pytest.approx(work, abs=0.5)
 
+    def test_no_frequencies_gives_empty_scan(self):
+        result = run_spectroscopy(bundled_scenario("bell"), 0, [],
+                                  amplitude=0.15)
+        assert result.frequencies.shape == (0,)
+        assert result.total_excitation.shape == (0,)
+        assert all(p.shape == (0,) for p in result.populations.values())
+        assert result.diagnostics["rhs_evaluations"] == 0
+
     def test_strong_probe_rejected(self):
         cfg = bundled_scenario("bell")
         with pytest.raises(ValueError, match="amplitude"):
