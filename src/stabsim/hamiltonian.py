@@ -18,11 +18,14 @@ Model conventions (all frequencies configured in linear MHz, built in rad/us):
   engineered scattering lands on resonance for the stabilized eigenstate:
   the effective detuning is ``Delta_r - 2*chi_i*w_i`` with ``w_i`` the weight
   of qubit i in the lowest single-excitation eigenstate.
-* The displaced variant moves each driven resonator to the frame of its
-  classical steady amplitude ``abar``; the drive term disappears in favour of
+* The model holds the qubits and only the resonators whose drive is active.
+  An undriven resonator starts empty, H conserves its photon number and its
+  decay only returns it to vacuum, so leaving it out is exact.
+* Each driven resonator is built in the frame displaced by its classical
+  steady amplitude ``abar``: the linear drive term disappears in favour of
   ``2*chi (abar D^dag + abar^* D) n_q`` plus the static shift
-  ``2*chi*n_bar*n_q``.  It is exactly equivalent to the plain model and far
-  less truncation-hungry.
+  ``2*chi*n_bar*n_q``.  This is exactly equivalent to the lab-frame model
+  and far less truncation-hungry.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ HERMITICITY_TOL = 1e-10
 @dataclass
 class HamiltonianModel:
     H: LinearOperator
-    displaced: bool = False
-    #: classical cavity amplitudes (one per resonator; 0 for undriven)
+    #: classical cavity amplitudes (one per configured resonator; 0 for
+    #: undriven ones, which are not in the space)
     alphas: tuple[complex, ...] = ()
     #: effective in-model drive detunings, MHz
     raman_detunings: tuple[float, ...] = ()
@@ -79,17 +82,29 @@ class CollapseSet:
 
 # -- spaces and named states --------------------------------------------------
 
-def model_space(config: ScenarioConfig, include_resonators: bool = True) -> CompositeSpace:
+def model_space(config: ScenarioConfig) -> CompositeSpace:
+    """The qubits plus every resonator whose drive is active."""
     tr = config.truncations
-    modes = [ModeSpec(q.label, QUBIT, tr.qubit_dim) for q in config.qubits]
-    if include_resonators:
-        modes += [ModeSpec(r.label, RESONATOR, tr.dim_for_resonator(i))
-                  for i, r in enumerate(config.resonators)]
-    return CompositeSpace(modes)
+    return CompositeSpace(qubit_space(config).modes + tuple(
+        ModeSpec(config.resonators[i].label, RESONATOR, tr.dim_for_resonator(i))
+        for i in _driven_resonators(config)))
 
 
 def qubit_space(config: ScenarioConfig) -> CompositeSpace:
-    return model_space(config, include_resonators=False)
+    dim = config.truncations.qubit_dim
+    return CompositeSpace(ModeSpec(q.label, QUBIT, dim) for q in config.qubits)
+
+
+def _driven_resonators(config: ScenarioConfig) -> list[int]:
+    """Indices of the resonators in the model, in mode order."""
+    return [i for i, drv in enumerate(config.raman) if drv.active]
+
+
+def qubit_excitations(space: CompositeSpace) -> np.ndarray:
+    """Total qubit excitation number of every basis state."""
+    qubits = [i for i, m in enumerate(space.modes) if m.kind == QUBIT]
+    occ = np.indices(space.dims).reshape(len(space.modes), -1)
+    return occ[qubits].sum(axis=0)
 
 
 def single_excitation_modes(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -170,18 +185,17 @@ def lowest_mode_weights(config: ScenarioConfig) -> np.ndarray:
 class _ResolvedDrive:
     active: bool
     detuning_eff: float   # MHz, in-model
-    amplitude: float      # MHz (linear drive amplitude eps)
     n_bar: float
     alpha: complex        # classical steady amplitude
 
 
 def _resolve_drives(config: ScenarioConfig) -> list[_ResolvedDrive]:
-    weights = lowest_mode_weights(config)
+    weights = lowest_mode_weights(config) if config.raman_pull_correction else None
     out = []
     for i, drv in enumerate(config.raman):
         res = config.resonators[i]
         if not drv.active:
-            out.append(_ResolvedDrive(False, drv.detuning, 0.0, 0.0, 0.0))
+            out.append(_ResolvedDrive(False, drv.detuning, 0.0, 0.0))
             continue
         pull = 2.0 * res.chi * weights[i] if config.raman_pull_correction else 0.0
         det = drv.detuning - pull
@@ -193,7 +207,7 @@ def _resolve_drives(config: ScenarioConfig) -> list[_ResolvedDrive]:
             n_bar = rates.photon_number(eps, det, res.kappa)
         denom = det ** 2 + (res.kappa / 2) ** 2
         alpha = -eps * (det + 1j * res.kappa / 2) / denom
-        out.append(_ResolvedDrive(True, det, eps, n_bar, alpha))
+        out.append(_ResolvedDrive(True, det, n_bar, alpha))
     return out
 
 
@@ -205,18 +219,19 @@ def _qubit_frame(config: ScenarioConfig) -> float:
 
 # -- dispersive model ----------------------------------------------------------
 
-def build_dispersive(config: ScenarioConfig, *, displaced: bool = False,
-                     include_resonators: bool = True) -> HamiltonianModel:
+def build_dispersive(config: ScenarioConfig) -> HamiltonianModel:
     """Time-independent dispersive-model Hamiltonian in the drive frames.
 
-    Raises ``ValueError`` for more than two pumps, or for two pumps whose
-    frequency separation is not at least ten times both pump amplitudes
-    (the static two-pump construction is only valid in that regime).
+    The space is :func:`model_space`: undriven resonators are left out, and
+    each driven one is built in the frame displaced by its classical steady
+    amplitude.  Raises ``ValueError`` for more than two pumps, or for two
+    pumps whose frequency separation is not at least ten times both pump
+    amplitudes (the static two-pump construction is only valid in that
+    regime).
     """
-    space = model_space(config, include_resonators)
+    space = model_space(config)
     L = config.n_qubits
-    drives = _resolve_drives(config) if include_resonators else [
-        _ResolvedDrive(False, 0.0, 0.0, 0.0, 0.0)] * L
+    drives = _resolve_drives(config)
     omega_p = _qubit_frame(config)
 
     d = space.total_dim
@@ -237,20 +252,14 @@ def build_dispersive(config: ScenarioConfig, *, displaced: bool = False,
         hop = b[i].dag() @ b[i + 1]
         H = H + (-TWO_PI * j) * (hop + hop.dag())
 
-    if include_resonators:
-        for i, res in enumerate(config.resonators):
-            c = lowering_op(space, L + i)
-            nr = c.dag() @ c
-            K = TWO_PI * 2.0 * res.chi
-            drv = drives[i]
-            H = H + (TWO_PI * drv.detuning_eff) * nr + K * (nq[i] @ nr)
-            if not drv.active:
-                continue
-            if displaced:
-                H = H + K * ((drv.alpha * c.dag() + np.conj(drv.alpha) * c) @ nq[i])
-                H = H + (K * drv.n_bar) * nq[i]
-            else:
-                H = H + (TWO_PI * drv.amplitude) * (c + c.dag())
+    for mode, i in enumerate(_driven_resonators(config), start=L):
+        c = lowering_op(space, mode)
+        nr = c.dag() @ c
+        K = TWO_PI * 2.0 * config.resonators[i].chi
+        drv = drives[i]
+        H = H + (TWO_PI * drv.detuning_eff) * nr + K * (nq[i] @ nr)
+        H = H + K * ((drv.alpha * c.dag() + np.conj(drv.alpha) * c) @ nq[i])
+        H = H + (K * drv.n_bar) * nq[i]
 
     H = _add_pumps(H, space, config, omega_p)
 
@@ -259,24 +268,13 @@ def build_dispersive(config: ScenarioConfig, *, displaced: bool = False,
         raise ValueError(f"built Hamiltonian is not Hermitian (defect {defect:.2e})")
 
     return HamiltonianModel(
-        H=H, displaced=displaced,
-        alphas=tuple(drv.alpha for drv in drives) if include_resonators else (),
-        raman_detunings=tuple(drv.detuning_eff for drv in drives)
-        if include_resonators else (),
+        H=H, alphas=tuple(drv.alpha for drv in drives),
+        raman_detunings=tuple(drv.detuning_eff for drv in drives),
     )
 
 
 def _spectral_scale(H: LinearOperator) -> float:
     return float(np.abs(H.matrix.data).max()) if H.matrix.nnz else 0.0
-
-
-def _qubit_number_total(space: CompositeSpace) -> np.ndarray:
-    """Total qubit excitation per basis state."""
-    occ = np.zeros(space.total_dim, dtype=int)
-    for idx in range(space.total_dim):
-        occs = space.occupations(idx)
-        occ[idx] = sum(occs[i] for i, m in enumerate(space.modes) if m.kind == QUBIT)
-    return occ
 
 
 def _add_pumps(H: LinearOperator, space: CompositeSpace, config: ScenarioConfig,
@@ -314,7 +312,7 @@ def _add_pumps(H: LinearOperator, space: CompositeSpace, config: ScenarioConfig,
             f"two-pump frequency separation {sep:.3f} MHz must be at least "
             f"10x the largest pump amplitude {max_amp:.3f} MHz")
 
-    nq_total = _qubit_number_total(space)
+    nq_total = qubit_excitations(space)
     proj = [sp.diags((nq_total == n).astype(complex), format="csr")
             for n in range(3)]
 
@@ -332,21 +330,19 @@ def _add_pumps(H: LinearOperator, space: CompositeSpace, config: ScenarioConfig,
 
 # -- collapse operators ----------------------------------------------------------
 
-def build_collapse_set(config: ScenarioConfig, *, include_resonators: bool = True,
-                       space: CompositeSpace | None = None) -> CollapseSet:
-    """Photon loss on every resonator, relaxation and dephasing on every qubit.
+def build_collapse_set(config: ScenarioConfig) -> CollapseSet:
+    """Photon loss on every resonator in the model, relaxation and dephasing
+    on every qubit, on :func:`model_space`.
 
     Rates are 1/us: resonator loss is ``2*pi*kappa`` for a configured
     linewidth in MHz; qubit rates come from :func:`derive_rates`.  Qubits with
     ``t1``/``t2e`` set to ``None`` contribute no corresponding entry.
     """
-    if space is None:
-        space = model_space(config, include_resonators)
+    space = model_space(config)
     L = config.n_qubits
-    entries: list[tuple[LinearOperator, float]] = []
-    if include_resonators:
-        for i, res in enumerate(config.resonators):
-            entries.append((lowering_op(space, L + i), TWO_PI * res.kappa))
+    entries: list[tuple[LinearOperator, float]] = [
+        (lowering_op(space, mode), TWO_PI * config.resonators[i].kappa)
+        for mode, i in enumerate(_driven_resonators(config), start=L)]
     for i, q in enumerate(config.qubits):
         gamma1, gamma_phi = derive_rates(q, config.dephasing_convention)
         if gamma1 > 0:

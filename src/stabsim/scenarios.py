@@ -1,7 +1,8 @@
 """End-to-end stabilization scenarios, sweeps, fitting, and report output.
 
-Scenario runs build the displaced-cavity dispersive model, integrate the
-master equation over the configured window, and solve for the steady state.
+Scenario runs build the displaced-cavity dispersive model of the qubits and
+their driven resonators, integrate the master equation over the configured
+window, and solve for the steady state.
 Qubit-subspace quantities (basis populations, eigenstate populations, target
 fidelity) are expectation values of qubit projectors tensored with the
 resonator identity, which equals evaluating them on the resonator-traced
@@ -35,11 +36,12 @@ from .device import (
 )
 from .hamiltonian import (
     HamiltonianModel, build_collapse_set, build_dispersive,
-    named_qubit_state, qubit_space, single_excitation_modes,
+    named_qubit_state, qubit_excitations, qubit_space,
+    single_excitation_modes,
 )
 from .hilbert import (
     CompositeSpace, DensityMatrix, LinearOperator, basis_state,
-    coherent_state, identity_op, lowering_op, number_op, partial_trace,
+    coherent_state, identity_op, lowering_op, partial_trace,
     product_state,
 )
 from .lindblad import (
@@ -108,16 +110,17 @@ def _qubit_projector(full_space: CompositeSpace, qspace: CompositeSpace,
     return LinearOperator(full_space, mat)
 
 
-def _lab_photon_operator(model: HamiltonianModel, res_index: int) -> LinearOperator:
-    """Lab-frame photon number of resonator i, valid in the displaced frame."""
+def _lab_photon_operator(model: HamiltonianModel, label: str,
+                         alpha: complex) -> LinearOperator:
+    """Lab-frame photon number of a resonator, from the displaced frame; zero
+    for a resonator left out of the model (it stays empty)."""
     space = model.space
-    L = space.n_qubits
-    c = lowering_op(space, L + res_index)
-    n = c.dag() @ c
-    if not model.displaced:
-        return n
-    a = model.alphas[res_index]
-    return n + a * c.dag() + np.conj(a) * c + (abs(a) ** 2) * identity_op(space)
+    labels = [m.label for m in space.modes]
+    if label not in labels:
+        return 0.0 * identity_op(space)
+    c = lowering_op(space, labels.index(label))
+    return (c.dag() @ c + alpha * c.dag() + np.conj(alpha) * c
+            + (abs(alpha) ** 2) * identity_op(space))
 
 
 def _qubit_state_labels(n: int) -> list[str]:
@@ -151,9 +154,10 @@ def initial_density(config: ScenarioConfig, model: HamiltonianModel,
     psi_q = _initial_qubit_vector(config, qubit_space(config), initial)
     space = model.space
     res_space = CompositeSpace(space.modes[space.n_qubits:])
+    alphas = {r.label: a for r, a in zip(config.resonators, model.alphas)}
     psi_r = product_state(res_space, [
-        coherent_state(mode.dim, -model.alphas[i] if model.displaced else 0)
-        for i, mode in enumerate(res_space.modes)])
+        coherent_state(mode.dim, -alphas[mode.label])
+        for mode in res_space.modes])
     return DensityMatrix.from_state_vector(space, np.kron(psi_q, psi_r))
 
 
@@ -178,8 +182,8 @@ def _scenario_observables(config: ScenarioConfig, model: HamiltonianModel,
                                              named_qubit_state(qspace, label))
     obs["F_target"] = _qubit_projector(space, qspace,
                                        named_qubit_state(qspace, target))
-    for i, res in enumerate(config.resonators):
-        obs[f"n_{res.label}"] = _lab_photon_operator(model, i)
+    for res, alpha in zip(config.resonators, model.alphas):
+        obs[f"n_{res.label}"] = _lab_photon_operator(model, res.label, alpha)
     return obs
 
 
@@ -218,21 +222,18 @@ def _target_fidelity(rho: DensityMatrix, n_qubits: int, target: str) -> float:
     return float(np.real(np.vdot(psi, reduced.matrix @ psi)))
 
 
-def build_problem(config: ScenarioConfig, *, include_resonators: bool = True
-                  ) -> tuple[HamiltonianModel, Liouvillian]:
+def build_problem(config: ScenarioConfig) -> tuple[HamiltonianModel, Liouvillian]:
     """Displaced-frame dispersive model and its Liouvillian.
 
-    The one path from a configuration to a generator: model, collapse set
-    (on the model's space), Liouvillian.  Without resonators the model is
-    the qubit-only one, where the displaced frame changes nothing.
-    The builders are called through this module's names, which the
-    benchmark's traced run wraps to time each layer.
+    The one path from a configuration to a generator: model, collapse set,
+    Liouvillian.  The configuration alone decides the space: the qubits and
+    the resonators whose drive is active (an undriven resonator stays empty,
+    so leaving it out is exact).  With every drive off the model is the
+    qubit-only one.  The builders are called through this module's names,
+    which the benchmark's traced run wraps to time each layer.
     """
-    model = build_dispersive(config, displaced=True,
-                             include_resonators=include_resonators)
-    collapse = build_collapse_set(config, include_resonators=include_resonators,
-                                  space=model.space)
-    return model, build_liouvillian(model.H, collapse)
+    model = build_dispersive(config)
+    return model, build_liouvillian(model.H, build_collapse_set(config))
 
 
 def _run_scenario(config: ScenarioConfig, target: str, scenario_name: str,
@@ -370,17 +371,15 @@ def _probe_liouvillians(config: ScenarioConfig, amps: tuple, freqs
         pumps=(PumpDrive(amps, float(freqs[0])),),
         raman=tuple(ResonatorDrive(detuning=d.detuning, n_bar=0.0)
                     for d in config.raman))
-    model, base = build_problem(probe, include_resonators=False)
-    n_q = sum((number_op(model.space, i) for i in range(1, config.n_qubits)),
-              number_op(model.space, 0))
-    occ = n_q.matrix.diagonal().real
+    model, base = build_problem(probe)
+    occ = qubit_excitations(model.space)
     frame = sp.diags(-1j * (occ[None, :] - occ[:, None]).ravel())
+    n_q = sp.diags(occ, dtype=float)
     shifts = -2.0 * math.pi * (np.asarray(freqs) - freqs[0])
     return [Liouvillian(base.space, L, LinearOperator(model.space, H),
                         base.collapse)
             for L, H in zip(_shifted(base.matrix, frame, shifts),
-                            _shifted(base.hamiltonian.matrix, n_q.matrix,
-                                     shifts))]
+                            _shifted(base.hamiltonian.matrix, n_q, shifts))]
 
 
 def _shifted(base: sp.spmatrix, step: sp.spmatrix, shifts
@@ -403,8 +402,8 @@ def run_spectroscopy(config: ScenarioConfig, drive_target: int,
     """Population response to a weak probe on one qubit, swept in frequency.
 
     The probe amplitude must stay well under the coupling J so the lines
-    remain resolvable; resonators are omitted (they are undriven and stay
-    empty).  Populations are time-averaged over the second half of the
+    remain resolvable.  The probe switches every resonator drive off, so
+    the model holds the qubits only.  Populations are time-averaged over the second half of the
     probe window.  All frequencies are propagated together
     (:func:`~stabsim.lindblad.evolve_many`); ``diagnostics`` holds the
     scan's largest ``max_trace_drift`` and ``max_hermiticity_defect``, its

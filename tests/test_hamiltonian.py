@@ -15,7 +15,11 @@ from stabsim.hamiltonian import (
     build_dispersive, lowest_mode_weights, model_space, named_qubit_state,
     pump_matrix_element, qubit_space, single_excitation_modes,
 )
-from stabsim.hilbert import LinearOperator, basis_state, lowering_op, number_op
+from stabsim.hilbert import (
+    QUBIT, RESONATOR, CompositeSpace, LinearOperator, ModeSpec, basis_state,
+    lowering_op, number_op,
+)
+from stabsim.scenarios import _select_channels
 
 
 def single_excitation_block(model, config):
@@ -79,10 +83,8 @@ class TestDispersive:
 
     def test_stark_compensation_toggle(self):
         cfg = bundled_scenario("bell_single_channel")
-        on = build_dispersive(cfg, displaced=True)
-        off = build_dispersive(cfg.replace(ac_stark_compensation=False),
-                               displaced=True)
-        qs = qubit_space(cfg)
+        on = build_dispersive(cfg)
+        off = build_dispersive(cfg.replace(ac_stark_compensation=False))
         # the compensated model keeps the dressed qubits resonant: the
         # single-excitation gap stays exactly 2J
         for model, exact in ((on, True), (off, False)):
@@ -95,21 +97,32 @@ class TestDispersive:
 
     def test_displaced_variant_strips_linear_drive(self):
         cfg = bundled_scenario("bell_single_channel")
-        lab = build_dispersive(cfg, displaced=False)
-        disp = build_dispersive(cfg, displaced=True)
-        space = lab.space
-        # lab frame has a linear resonator drive: nonzero element between
-        # resonator vacuum and one photon with qubits in ground
-        g0 = space.index((0, 0, 0, 0))
-        g1 = space.index((0, 0, 0, 1))
-        assert abs(lab.H.toarray()[g0, g1]) > 1.0
+        disp = build_dispersive(cfg)
+        space = disp.space
+        # the displaced frame has no linear resonator drive: no element
+        # between resonator vacuum and one photon with qubits in ground
+        # (the undriven R1 is not in the space)
+        g0 = space.index((0, 0, 0))
+        g1 = space.index((0, 0, 1))
         assert abs(disp.H.toarray()[g0, g1]) < 1e-12
         assert abs(disp.alphas[1]) ** 2 == pytest.approx(0.74, rel=1e-12)
 
     def test_qubit_only_space(self):
-        cfg = bundled_scenario("bell")
-        model = build_dispersive(cfg, include_resonators=False)
+        # with every drive off no resonator is in the model
+        model = build_dispersive(drives_off(bundled_scenario("bell")))
         assert model.space.total_dim == 4
+
+    @pytest.mark.parametrize("name, dim", [
+        ("bell", 64), ("bell_pump2", 64), ("bell_single_channel", 24),
+        ("w", 72), ("bell_R1_only", 16)])
+    def test_only_driven_resonators_in_space(self, name, dim):
+        if name == "bell_R1_only":
+            cfg = _select_channels(bundled_scenario("bell"), "R1")
+        else:
+            cfg = bundled_scenario(name)
+        space = build_dispersive(cfg).space
+        assert space.total_dim == dim
+        assert all(op.space == space for op, _ in build_collapse_set(cfg))
 
 
 # -- exchange-coupling oracle -------------------------------------------------
@@ -125,8 +138,12 @@ def build_jaynes_cummings(config):
     drives (and any pump) must share that frequency; mixed-frequency drive
     sets are rejected because the frame Hamiltonian would be time-dependent.
     """
-    space = model_space(config, include_resonators=True)
     L = config.n_qubits
+    tr = config.truncations
+    space = CompositeSpace(
+        [ModeSpec(q.label, QUBIT, tr.qubit_dim) for q in config.qubits]
+        + [ModeSpec(r.label, RESONATOR, tr.dim_for_resonator(i))
+           for i, r in enumerate(config.resonators)])
 
     drive_freqs = []
     for i, drv in enumerate(config.raman):
@@ -228,7 +245,10 @@ class TestJaynesCummings:
         raman = tuple(ResonatorDrive(detuning=r.omega_r - work) for r in res)
         cfg = cfg.replace(resonators=res, pumps=(), raman=raman)
         H_jc = build_jaynes_cummings(cfg)
-        disp = build_dispersive(cfg)
+        # active drives keep both resonators in the dispersive model; at
+        # chi = 0 the displaced frame adds nothing to H
+        disp = build_dispersive(cfg.replace(raman=tuple(
+            ResonatorDrive(detuning=d.detuning, n_bar=1.0) for d in raman)))
         npt.assert_allclose(H_jc.toarray(), disp.H.toarray(), atol=1e-9)
 
     def test_refuses_mixed_drive_frequencies(self):

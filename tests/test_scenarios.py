@@ -116,7 +116,7 @@ class TestCoherentOnlyThreeQubit:
             qubits=tuple(type(q)(q.label, q.omega_q, q.alpha, None, None,
                                  q.working_freq)
                          for q in bundled_scenario("w").qubits))
-        model, liouv = build_problem(cfg, include_resonators=False)
+        model, liouv = build_problem(cfg)
         rho0 = DensityMatrix.from_state_vector(
             model.space, named_qubit_state(model.space, "ggg"))
         obs = {name: np.asarray(named_qubit_state(model.space, name))
@@ -208,7 +208,7 @@ def rebuilt_probe_liouvillian(cfg, amps, freq):
         pumps=(PumpDrive(amps, float(freq)),),
         raman=tuple(ResonatorDrive(detuning=d.detuning, n_bar=0.0)
                     for d in cfg.raman))
-    return build_problem(probe, include_resonators=False)[1]
+    return build_problem(probe)[1]
 
 
 class TestSpectroscopyFrameShift:
