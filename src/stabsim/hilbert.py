@@ -272,7 +272,8 @@ def basis_state(space: CompositeSpace, occupations: Sequence[int]) -> np.ndarray
 
 
 def coherent_state(dim: int, alpha: complex) -> np.ndarray:
-    """Truncated coherent state, renormalized within the truncation."""
+    """Truncated coherent state, renormalized within the truncation (the
+    weight renormalized away is :func:`coherent_tail`)."""
     n = np.arange(dim)
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, dim)))))
     amps = np.exp(-0.5 * abs(alpha) ** 2 + n * np.log(alpha) - 0.5 * log_fact
@@ -280,6 +281,14 @@ def coherent_state(dim: int, alpha: complex) -> np.ndarray:
     amps = np.asarray(amps, dtype=complex)
     norm = np.linalg.norm(amps)
     return amps / norm
+
+
+def coherent_tail(dim: int, alpha: complex) -> float:
+    """Norm that truncating the coherent state |alpha> to ``dim`` levels
+    drops: the Poisson tail P(n >= dim) at mean |alpha|^2."""
+    x = float(abs(alpha)) ** 2
+    kept = math.exp(-x) * sum(x ** n / math.factorial(n) for n in range(dim))
+    return max(0.0, 1.0 - kept)
 
 
 def product_state(space: CompositeSpace, factors: Sequence[np.ndarray]) -> np.ndarray:

@@ -20,11 +20,13 @@ most (1 + sqrt 2) 2 sum_{k>=K} |J_k(R' t)| rho^k.  K is the least count
 making this < 1e-14 with no term > 1e14 (beyond double precision).  The
 Chebyshev vectors do not depend on t, so one expansion over s steps gives
 all s grid points, each from its own Bessel coefficients (Kosloff, Annu.
-Rev. Phys. Chem. 45, 145 (1994)).  The plan picks s (at most the grid's
-steps), delta and, only where s = 1 fails, m substeps a step, to minimize
-the m (K - 1) real matvecs of each of the floor(steps/s) full expansions
-plus the m (K_r - 1) of a last one over the r = steps mod s remaining
-points, which needs only the K_r terms of its shorter span.
+Rev. Phys. Chem. 45, 145 (1994)).  Miller's backward recurrence gives
+the J_k, scaled by Neumann's sum J_0 + 2 sum_k J_2k = 1.  The plan picks
+s (at most the grid's steps), delta and, only where s = 1 fails, m
+substeps a step, to minimize the m (K - 1) real matvecs of each of the
+floor(steps/s) full expansions plus the m (K_r - 1) of a last one over
+the r = steps mod s remaining points, which needs only the K_r terms of
+its shorter span.
 
 :func:`evolve_many` runs one state under several generators on one space
 (:func:`evolve` is its single-generator case).  Dense generators go in
@@ -40,8 +42,8 @@ The steady state is one matrix-free solve: the no-jump (Sylvester) part of
 L is inverted from one eigendecomposition of the effective Hamiltonian
 (Bartels & Stewart, Commun. ACM 15, 820 (1972)) and preconditions
 restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 856
-(1986)); an Arnoldi run on the same operator checks that the kernel is
-unique.
+(1986)); an Arnoldi run on the same operator, bounded in restarts, checks
+that the kernel is unique.
 """
 
 from __future__ import annotations
@@ -54,8 +56,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.sparse.linalg import LinearOperator as ScipyLinearOperator
-from scipy.sparse.linalg import eigs, gmres
-from scipy.special import gammaln, j0, j1
+from scipy.sparse.linalg import ArpackNoConvergence, eigs, gmres
 
 from .hamiltonian import CollapseSet
 from .hilbert import CompositeSpace, DensityMatrix, LinearOperator
@@ -87,6 +88,9 @@ _EIG_SPLIT = 1e-4
 #: smallest measured gap of a bundled scenario (decoherence-free
 #: bell_single_channel) is ~1.5e-4, a degenerate kernel reads ~1e-16
 _MIN_KERNEL_GAP = 1e-8
+#: Arnoldi restarts allowed to the kernel-gap run, about 10x the most a
+#: bundled scenario needs (17: `w` at qubit_dim 3)
+_EIGS_MAXITER = 180
 #: GMRES: relative target of the preconditioned residual, Krylov
 #: dimension per restart, and number of restarts
 _GMRES_RTOL = 1e-12
@@ -210,8 +214,9 @@ def _hermitian_basis(d: int) -> sp.csr_matrix:
 def _bessel_j(tau: float, kmax: int) -> np.ndarray:
     """J_k(tau) for k < kmax (kmax >= 2) by Miller's backward recurrence
     J_k-1 = (2k/tau) J_k - J_k+1, started 30 orders above kmax and scaled
-    to J_0 and J_1.  It is stable where it starts, in the decay k > tau,
-    which kmax must reach; it needs one multiply-add per order."""
+    by Neumann's sum J_0 + 2 sum_k J_2k = 1.  It is stable where it
+    starts, in the decay k > tau, which kmax must reach; it needs one
+    multiply-add per order."""
     vals = []
     prev, cur, c = 0.0, 1.0, 2.0 / tau
     for k in range(kmax + 30, 0, -1):
@@ -220,9 +225,8 @@ def _bessel_j(tau: float, kmax: int) -> np.ndarray:
         if not -1e250 < cur < 1e250:
             prev, cur = prev * 1e-250, cur * 1e-250
             vals = [v * 1e-250 for v in vals]
-    out = np.array(vals[:-kmax - 1:-1])
-    norm = math.hypot(out[0], out[1])
-    return out * ((j0(tau) * out[0] + j1(tau) * out[1]) / norm / norm)
+    out = np.array(vals[::-1])  # J_0 .. J_kmax+29, unscaled
+    return out[:kmax] / (out[0] + 2.0 * out[2::2].sum())
 
 
 def _chebyshev_terms(tau: float, log_rho: float) -> int | None:
@@ -233,8 +237,9 @@ def _chebyshev_terms(tau: float, log_rho: float) -> int | None:
     # 2 b_k < tol/1000 is below tol/1000 and is added as that bound
     rho_tau = tau * math.exp(log_rho)
     k = np.arange(max(math.ceil(rho_tau), 2), int(math.e * rho_tau) + 60)
+    log_fact = np.cumsum(np.log(np.arange(1, k[-1] + 1)))  # log j!, j >= 1
     log_2b = (math.log(2 * _CP_TERM) + k * math.log(0.5 * rho_tau)
-              - gammaln(k + 1))
+              - log_fact[k - 1])
     end = int(k[np.argmax(log_2b < math.log(1e-3 * _CHEBYSHEV_TOL))])
     log_j = np.log(np.maximum(np.abs(_bessel_j(tau, end)),
                               np.finfo(float).tiny))
@@ -620,7 +625,8 @@ def steady_state(liouvillian: Liouvillian, tol: float = 1e-6) -> SteadyState:
     sparse L matvec plus four dense d x d products; no d^2 x d^2 matrix is
     formed or factorized.  Uniqueness is checked on every solve: an
     Arnoldi run gives the two largest |eigenvalues| of K, and a gap
-    1 - |mu_2| below ``1e-8`` raises :class:`SteadyStateError`, as does a
+    1 - |mu_2| below ``1e-8`` raises :class:`SteadyStateError`, as do an
+    Arnoldi run that does not converge in ``_EIGS_MAXITER`` restarts and a
     residual ``||L vec(rho)||_inf`` above ``tol``.  ``info`` holds
     ``iterations``, ``residual_history`` (relative preconditioned GMRES
     residuals), ``kernel_gap``, ``shift`` and ``cond_V`` (of the split
@@ -635,7 +641,13 @@ def steady_state(liouvillian: Liouvillian, tol: float = 1e-6) -> SteadyState:
                             dtype=complex)
     # a fixed start vector keeps the reported gap reproducible
     v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
-    mu = eigs(K, k=2, which="LM", v0=v0, return_eigenvectors=False)
+    try:
+        mu = eigs(K, k=2, which="LM", v0=v0, maxiter=_EIGS_MAXITER,
+                  return_eigenvectors=False)
+    except ArpackNoConvergence as exc:
+        raise SteadyStateError(
+            f"kernel gap unresolved: no Arnoldi convergence in "
+            f"{_EIGS_MAXITER} restarts") from exc
     gap = 1.0 - float(np.abs(mu).min())
     info["kernel_gap"] = gap
     if gap < _MIN_KERNEL_GAP:

@@ -22,13 +22,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import curve_fit
 
 from .device import (
     ResonatorDrive, PumpDrive, ScenarioConfig, derive_rates,
@@ -41,7 +39,7 @@ from .hamiltonian import (
 )
 from .hilbert import (
     CompositeSpace, DensityMatrix, LinearOperator, basis_state,
-    coherent_state, identity_op, lowering_op, partial_trace,
+    coherent_state, coherent_tail, identity_op, lowering_op, partial_trace,
     product_state,
 )
 from .lindblad import (
@@ -51,6 +49,13 @@ from .lindblad import (
 #: extension of the time window used to read off a plateau when the
 #: configuration has no decoherence (us)
 PLATEAU_WINDOW = 30.0
+#: exponential fit: least tau (us); the step in log tau that ends it; the
+#: step taken even if it raises the cost, as rounding hides a decrease that
+#: small; and the step budget
+_FIT_MIN_TAU = 1e-6
+_FIT_XTOL = 1e-13
+_FIT_TRUST_STEP = 1e-6
+_FIT_MAX_STEPS = 100
 
 
 class DegenerateDataError(ValueError):
@@ -74,29 +79,73 @@ class ExponentialFit:
 
 
 def fit_exponential(times, values) -> ExponentialFit:
-    """Least-squares fit of a + b exp(-t/tau); returns the rate 1/tau."""
+    """Least-squares fit of a + b exp(-t/tau) with tau >= 1e-6 us; returns
+    the rate 1/tau.
+
+    Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413
+    (1973)): for a fixed tau, a and b are a linear fit, so only u = log tau
+    is iterated, from tau = span/5.  A step is -f'/f'' on the projected
+    cost f(u), f'' taken from the secant of the last two f' where that is
+    positive, else from Gauss-Newton; it moves u by at most 1 and is
+    halved while it raises the cost.  A step below 1e-13 ends the fit.
+    Raises ``ValueError`` for fewer than 5 samples or a non-finite one,
+    :class:`DegenerateDataError` for a constant trace and
+    :class:`FitError` after 100 steps (a straight line, whose tau is
+    infinite, never ends).
+    """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if times.size < 5:
         raise ValueError("at least 5 samples required")
+    if not (np.isfinite(times).all() and np.isfinite(values).all()):
+        raise ValueError("times and values must be finite")
     if np.ptp(values) < 1e-12:
         raise DegenerateDataError("constant trace cannot determine a rate")
-    span = times[-1] - times[0]
+    y = values - values.mean()
 
-    def model(t, a, b, tau):
-        return a + b * np.exp(-t / tau)
+    def project(u):
+        """``(cost, e, ec, b, r)`` at tau = exp(u), ec = e centred: a drops
+        out with the centring, and r = y - b ec is orthogonal to 1 and e."""
+        e = np.exp(-times * math.exp(-u))
+        ec = e - e.mean()
+        if not ec.any():  # e is constant: no b, no fit
+            return math.inf, e, ec, math.nan, y
+        b = (ec @ y) / (ec @ ec)
+        r = y - b * ec
+        return float(r @ r), e, ec, b, r
 
-    p0 = (values[-1], values[0] - values[-1], max(span / 5.0, 1e-3))
-    try:
-        popt, _ = curve_fit(model, times, values, p0=p0, maxfev=20000,
-                            bounds=([-np.inf, -np.inf, 1e-6],
-                                    [np.inf, np.inf, np.inf]))
-    except RuntimeError as exc:
-        raise FitError(f"exponential fit did not converge: {exc}") from exc
-    a, b, tau = popt
-    resid = float(np.sqrt(np.mean((model(times, *popt) - values) ** 2)))
-    return ExponentialFit(rate=1.0 / tau, asymptote=float(a),
-                          amplitude=float(b), residual=resid)
+    u_min = math.log(_FIT_MIN_TAU)
+    u = math.log(max((times[-1] - times[0]) / 5.0, 1e-3))
+    cost, e, ec, b, r = project(u)
+    last = None  # (u, f') of the previous point
+    for _ in range(_FIT_MAX_STEPS):
+        # f = |r|^2/2 has f' = r . r' = -b g . r and Gauss-Newton f'' =
+        # |r'|^2, where r' = -b P g - (g . r) ec/|ec|^2, g = de/du = e t/tau
+        # (centred) and P projects off 1 and e
+        g = e * times * math.exp(-u)
+        g -= g.mean()
+        gr, ee = g @ r, ec @ ec
+        pg = g - (ec @ g / ee) * ec
+        grad = -b * gr
+        curv = b * b * (pg @ pg) + gr * gr / ee
+        secant = (grad - last[1]) / (u - last[0]) if last else 0.0
+        step = -grad / (secant if secant > 0 else curv) if grad else 0.0
+        if not math.isfinite(step):
+            break
+        new = max(u + min(max(step, -1.0), 1.0), u_min)
+        if abs(new - u) <= _FIT_XTOL:
+            a = values.mean() - b * e.mean()
+            return ExponentialFit(rate=math.exp(-u), asymptote=float(a),
+                                  amplitude=float(b),
+                                  residual=math.sqrt(cost / times.size))
+        trial = project(new)
+        while trial[0] > cost and abs(new - u) > _FIT_TRUST_STEP:
+            new = u + 0.5 * (new - u)
+            trial = project(new)
+        last = (u, grad)
+        u, (cost, e, ec, b, r) = new, trial
+    raise FitError(f"exponential fit did not converge (tau = "
+                   f"{math.exp(u):.4g} us)")
 
 
 # -- scenario plumbing -----------------------------------------------------------
@@ -154,11 +203,18 @@ def initial_density(config: ScenarioConfig, model: HamiltonianModel,
     psi_q = _initial_qubit_vector(config, qubit_space(config), initial)
     space = model.space
     res_space = CompositeSpace(space.modes[space.n_qubits:])
-    alphas = {r.label: a for r, a in zip(config.resonators, model.alphas)}
     psi_r = product_state(res_space, [
-        coherent_state(mode.dim, -alphas[mode.label])
-        for mode in res_space.modes])
+        coherent_state(mode.dim, -alpha)
+        for mode, alpha in _resonator_modes(config, model)])
     return DensityMatrix.from_state_vector(space, np.kron(psi_q, psi_r))
+
+
+def _resonator_modes(config: ScenarioConfig, model: HamiltonianModel) -> list:
+    """``(mode, alpha)`` of each resonator in the model (the driven ones),
+    alpha its classical steady amplitude."""
+    alphas = {r.label: a for r, a in zip(config.resonators, model.alphas)}
+    return [(mode, alphas[mode.label])
+            for mode in model.space.modes[model.space.n_qubits:]]
 
 
 def _has_qubit_decoherence(config: ScenarioConfig) -> bool:
@@ -289,7 +345,10 @@ def _run_scenario(config: ScenarioConfig, target: str, scenario_name: str,
         fitted_tau=fitted_tau,
         diagnostics={**result.diagnostics, "steady_state": {
             "method": steady_method, "residual": steady_res,
-            "iterations": iterations, "kernel_gap": kernel_gap}},
+            "iterations": iterations, "kernel_gap": kernel_gap},
+            "truncation": {"rho0_dropped_norm": {
+                mode.label: coherent_tail(mode.dim, alpha)
+                for mode, alpha in _resonator_modes(config, model)}}},
     )
 
 
@@ -545,6 +604,8 @@ def run_sweep(config: ScenarioConfig, axis: str, values,
     values = np.asarray(list(values), dtype=float)
     jobs = [(config, axis, float(v)) for v in values]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, jobs))
     else:

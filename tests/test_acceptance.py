@@ -363,10 +363,10 @@ def test_criterion_10_behavior_reproduction(bell_experiment, w_run):
 def test_runs_reproduce_goldens(bell_experiment, single_channel_triple):
     """Steady F and fitted rate of the runs recorded by make_goldens.py.
 
-    The goldens were recorded with every resonator in the model, so this
-    also shows that leaving the undriven ones out is exact.  The recorded
-    ``steady_method`` strings name retired solvers and are not compared;
-    W's steady F is criterion 10g's.
+    The steady fidelities were recorded with every resonator in the
+    model, so this also shows that leaving the undriven ones out is exact.
+    The recorded ``steady_method`` strings name retired solvers and are
+    not compared; W's steady F is criterion 10g's.
     """
     def golden(name):
         return json.loads((GOLDENS / name).read_text())
@@ -398,6 +398,25 @@ def test_undriven_resonator_reports_empty(w_run):
     n = w_run.traces
     assert not n["n_R1"].any()
     assert np.abs(n["n_R2"]).max() > 0.1 and np.abs(n["n_R3"]).max() > 0.1
+
+
+@pytest.mark.slow
+def test_reports_rho0_truncation_loss(bell_experiment, w_run):
+    # a driven resonator starts in the coherent state -alpha, |alpha|^2 =
+    # n_bar, whose Poisson tail P(n >= dim) the truncation drops
+    def tail(n_bar, dim):
+        return 1.0 - math.exp(-n_bar) * sum(
+            n_bar ** n / math.factorial(n) for n in range(dim))
+
+    bell = bell_experiment["both"].diagnostics["truncation"]
+    w = w_run.diagnostics["truncation"]
+    assert bell["rho0_dropped_norm"] == pytest.approx(
+        {"R1": tail(0.74, 4), "R2": tail(0.60, 4)}, rel=1e-9)
+    assert w["rho0_dropped_norm"] == pytest.approx(
+        {"R2": tail(1.26, 3), "R3": tail(0.50, 3)}, rel=1e-9)
+    assert bell["rho0_dropped_norm"]["R1"] == pytest.approx(7.0e-3, abs=1e-4)
+    assert bell["rho0_dropped_norm"]["R2"] == pytest.approx(3.4e-3, abs=1e-4)
+    assert w["rho0_dropped_norm"]["R2"] == pytest.approx(0.134, abs=1e-3)
 
 
 def test_criterion_11_dedicated_vs_shared_resonator():

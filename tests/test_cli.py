@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stabsim
 from stabsim.cli import cli_main
 from stabsim.device import Truncations, bundled_scenario, serialize_scenario
 
@@ -127,3 +132,16 @@ class TestSpectroscopyCommand:
         # five frequencies of 80 steps, one propagator product a step
         assert diag["rhs_evaluations"] == 5 * 80
         assert diag["propagator"]["method"] == "dense_expm"
+
+
+def test_import_leaves_out_optimize_and_special():
+    # the two subpackages take about 0.15 s to import, and no stabsim
+    # module needs them
+    src = str(Path(stabsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, stabsim, stabsim.cli; print(sorted("
+            "{'scipy.optimize', 'scipy.special'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"

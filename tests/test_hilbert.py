@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from stabsim.hilbert import (
     QUBIT, RESONATOR, CompositeSpace, DensityMatrix, ModeSpec,
-    SpaceMismatchError, basis_state, coherent_state, embed, identity_op,
-    lowering_op, number_op, partial_trace, product_state,
+    SpaceMismatchError, basis_state, coherent_state, coherent_tail, embed,
+    identity_op, lowering_op, number_op, partial_trace, product_state,
 )
 
 
@@ -187,6 +187,14 @@ class TestBasisStates:
         n = np.arange(30)
         assert np.sum(n * np.abs(psi) ** 2) == pytest.approx(abs(alpha) ** 2,
                                                              rel=1e-10)
+
+    @pytest.mark.parametrize("dim,alpha", [(3, 0.0), (4, 0.86), (3, 1.1j),
+                                           (6, 0.5 - 0.7j)])
+    def test_coherent_tail_is_weight_beyond_truncation(self, dim, alpha):
+        # 40 levels hold |alpha> to machine precision
+        psi = coherent_state(40, alpha)
+        assert coherent_tail(dim, alpha) == pytest.approx(
+            np.sum(np.abs(psi[dim:]) ** 2), rel=1e-10, abs=1e-16)
 
     def test_product_state(self):
         sp = space_of(2, 2)

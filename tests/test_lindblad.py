@@ -196,12 +196,26 @@ class TestEvolve:
         assert lo <= re[0] and re[-1] <= hi
         assert max(-im[0], im[-1]) <= R
 
-    # 2.4048... is the first zero of J_0, which the scaling must survive
-    @pytest.mark.parametrize("tau", [0.3, 2.404825557695773, 48.1, 350.0])
+    # 2.4048... and 3.8317... are the first zeros of J_0 and J_1, which
+    # the scaling must survive
+    @pytest.mark.parametrize("tau", [0.3, 2.404825557695773,
+                                     3.8317059702075125, 48.1, 350.0])
     def test_bessel_recurrence_matches_scipy(self, tau):
         kmax = int(1.5 * tau) + 40
         npt.assert_allclose(lindblad._bessel_j(tau, kmax),
                             jv(np.arange(kmax), tau), rtol=1e-11, atol=1e-14)
+
+    def test_bessel_recurrence_at_large_argument(self):
+        # at tau = 2000 scipy's jv is itself off by up to 2.6e-14, so
+        # 30-digit mpmath values at every 97th order are the oracle
+        mpmath = pytest.importorskip("mpmath")
+        tau, kmax = 2000.0, 3040
+        orders = np.arange(0, kmax, 97)
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.besselj(int(k), tau))
+                            for k in orders])
+        npt.assert_allclose(lindblad._bessel_j(tau, kmax)[orders], ref,
+                            rtol=1e-11, atol=1e-14)
 
     @pytest.mark.parametrize("d,density,sparse_path", PATHS)
     def test_matvec_count_is_positive_int(self, d, density, sparse_path):
@@ -590,6 +604,14 @@ class TestSteadyState:
         L = make_liouvillian(np.array([[0, 1], [1, 0]], complex), [])
         with pytest.raises(SteadyStateError, match="not unique"):
             steady_state(L)
+
+    def test_kernel_gap_run_is_bounded(self, monkeypatch):
+        # this model's kernel-gap run needs 4 Arnoldi restarts
+        L, _ = random_lindbladian(5, seed=7)
+        monkeypatch.setattr(lindblad, "_EIGS_MAXITER", 3)
+        with pytest.raises(SteadyStateError,
+                           match="kernel gap unresolved.* 3 restarts"):
+            steady_state(L, tol=1e-9)
 
     def test_gmres_budget_exhausted(self, monkeypatch):
         monkeypatch.setattr(lindblad, "_GMRES_RESTART", 2)

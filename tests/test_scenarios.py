@@ -14,7 +14,7 @@ from stabsim.hamiltonian import named_qubit_state, qubit_space
 from stabsim.hilbert import DensityMatrix
 from stabsim.lindblad import evolve
 from stabsim.scenarios import (
-    DegenerateDataError, _probe_liouvillians, _qubit_state_labels,
+    DegenerateDataError, FitError, _probe_liouvillians, _qubit_state_labels,
     build_problem, fit_exponential, run_bell, run_spectroscopy, run_sweep, run_w, write_report, write_sweep,
 )
 
@@ -51,6 +51,59 @@ class TestFitExponential:
         y = asym - asym * np.exp(-t / tau) + rng.normal(0, 1e-6, t.size)
         fit = fit_exponential(t, y)
         assert fit.rate == pytest.approx(1.0 / tau, rel=0.02)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_reaches_least_squares_optimum(self, seed):
+        # two decay times, as in a scenario's F(t), so one exponential fits
+        # only approximately.  The reference is the root of the cost's
+        # tau-derivative with a and b at their linear optimum:
+        # b sum r_i t_i e_i = 0 (envelope theorem)
+        from scipy.optimize import brentq
+
+        rng = np.random.default_rng(seed)
+        t = np.linspace(0.0, 10.0, 101)
+        y = (0.93 - 0.5 * np.exp(-t / 0.6) - 0.4 * np.exp(-t / 1.5)
+             + rng.normal(0, 1e-3, t.size))
+
+        def linear_fit(tau):
+            e = np.exp(-t / tau)
+            (a, b), *_ = np.linalg.lstsq(
+                np.column_stack([np.ones_like(t), e]), y, rcond=None)
+            return a, b, e
+
+        def d_cost(tau):
+            a, b, e = linear_fit(tau)
+            return b * np.sum((y - a - b * e) * t * e)
+
+        tau = brentq(d_cost, 0.3, 3.0, xtol=1e-15, rtol=1e-15)
+        a, b, e = linear_fit(tau)
+        fit = fit_exponential(t, y)
+        assert fit.tau == pytest.approx(tau, rel=1e-9)
+        assert (fit.asymptote, fit.amplitude) == pytest.approx((a, b),
+                                                               rel=1e-9)
+        assert fit.residual == pytest.approx(
+            np.sqrt(np.mean((y - a - b * e) ** 2)), rel=1e-9)
+
+    def test_keeps_tau_bound(self):
+        # the unbounded optimum, tau = 5e-7 us, lies below the bound
+        t = np.linspace(0.0, 5e-6, 50)
+        fit = fit_exponential(t, 1.0 - np.exp(-t / 5e-7))
+        assert fit.tau >= 1e-6
+        assert fit.tau == pytest.approx(1e-6, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["times", "values"])
+    def test_non_finite_input_rejected(self, bad, where):
+        data = {"times": np.linspace(0.0, 5.0, 20),
+                "values": 1.0 - np.exp(-np.linspace(0.0, 5.0, 20))}
+        data[where][3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_exponential(data["times"], data["values"])
+
+    def test_straight_line_does_not_converge(self):
+        # a line is the limit tau -> infinity of a + b exp(-t/tau)
+        with pytest.raises(FitError, match="did not converge"):
+            fit_exponential(np.arange(10.0), np.arange(10.0))
 
 
 class TestScenarioRuns:
