@@ -99,14 +99,6 @@ class CompositeSpace:
             idx = idx * mode.dim + n
         return idx
 
-    def occupations(self, index: int) -> tuple[int, ...]:
-        """Inverse of :meth:`index`."""
-        out = []
-        for dim in reversed(self.dims):
-            out.append(index % dim)
-            index //= dim
-        return tuple(reversed(out))
-
 
 @dataclass
 class LinearOperator:
@@ -174,14 +166,10 @@ def _check_same_space(a, b):
 
 @dataclass
 class DensityMatrix:
-    """Dense density matrix with integrity validation."""
+    """Dense density matrix on a :class:`CompositeSpace`."""
 
     space: CompositeSpace
     matrix: np.ndarray
-
-    TRACE_TOL = 1e-9
-    HERM_TOL = 1e-10
-    EIG_TOL = -1e-8
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
@@ -195,30 +183,6 @@ class DensityMatrix:
     def from_state_vector(cls, space: CompositeSpace, psi: np.ndarray) -> "DensityMatrix":
         psi = np.asarray(psi, dtype=complex).ravel()
         return cls(space, np.outer(psi, psi.conj()))
-
-    def validate(self, trace_tol: float | None = None, herm_tol: float | None = None,
-                 eig_tol: float | None = None) -> None:
-        """Raise ``ValueError`` if trace, hermiticity or positivity is violated."""
-        trace_tol = self.TRACE_TOL if trace_tol is None else trace_tol
-        herm_tol = self.HERM_TOL if herm_tol is None else herm_tol
-        eig_tol = self.EIG_TOL if eig_tol is None else eig_tol
-        tr = np.trace(self.matrix)
-        if abs(tr - 1.0) > trace_tol:
-            raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        herm = np.abs(self.matrix - self.matrix.conj().T).max()
-        if herm > herm_tol:
-            raise ValueError(f"hermiticity defect {herm:.3e} exceeds {herm_tol:.1e}")
-        if self.min_eigenvalue() < eig_tol:
-            raise ValueError(
-                f"minimum eigenvalue {self.min_eigenvalue():.3e} below {eig_tol:.1e}"
-            )
-
-    def min_eigenvalue(self) -> float:
-        h = 0.5 * (self.matrix + self.matrix.conj().T)
-        return float(np.linalg.eigvalsh(h)[0])
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
 
 
 # -- constructors ---------------------------------------------------------

@@ -38,12 +38,14 @@ or one expansion's outputs), which evaluates the observables and
 monitors trace, hermiticity and positivity at every stored point, never
 enforcing them; no trajectory is kept.
 
-The steady state is one matrix-free solve: the no-jump (Sylvester) part of
-L is inverted from one eigendecomposition of the effective Hamiltonian
-(Bartels & Stewart, Commun. ACM 15, 820 (1972)) and preconditions
-restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 856
-(1986)); an Arnoldi run on the same operator, bounded in restarts, checks
-that the kernel is unique.
+The steady state is one matrix-free Arnoldi run: the no-jump (Sylvester)
+part of L is inverted from one eigendecomposition of the effective
+Hamiltonian (Bartels & Stewart, Commun. ACM 15, 820 (1972)) and
+preconditions L, and ARPACK's implicitly restarted Arnoldi (Lehoucq,
+Sorensen & Yang, ARPACK Users' Guide, SIAM (1998)), bounded in restarts,
+finds the preconditioned operator's two largest eigenvalues.  Their gap
+checks that the kernel is unique, and the eigenvector of the first is the
+steady state.
 """
 
 from __future__ import annotations
@@ -56,12 +58,12 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.sparse.linalg import LinearOperator as ScipyLinearOperator
-from scipy.sparse.linalg import ArpackNoConvergence, eigs, gmres
+from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
 from .hamiltonian import CollapseSet
 from .hilbert import CompositeSpace, DensityMatrix, LinearOperator
 
-SYLVESTER_GMRES = "sylvester_gmres"
+SYLVESTER_ARNOLDI = "sylvester_arnoldi"
 
 #: positivity violation that aborts an evolution
 POSITIVITY_ABORT = 1e-6
@@ -88,14 +90,9 @@ _EIG_SPLIT = 1e-4
 #: smallest measured gap of a bundled scenario (decoherence-free
 #: bell_single_channel) is ~1.5e-4, a degenerate kernel reads ~1e-16
 _MIN_KERNEL_GAP = 1e-8
-#: Arnoldi restarts allowed to the kernel-gap run, about 10x the most a
+#: Arnoldi restarts allowed to the steady-state run, about 10x the most a
 #: bundled scenario needs (17: `w` at qubit_dim 3)
 _EIGS_MAXITER = 180
-#: GMRES: relative target of the preconditioned residual, Krylov
-#: dimension per restart, and number of restarts
-_GMRES_RTOL = 1e-12
-_GMRES_RESTART = 50
-_GMRES_MAXITER = 4
 
 
 class EvolutionError(RuntimeError):
@@ -620,57 +617,53 @@ def steady_state(liouvillian: Liouvillian, tol: float = 1e-6) -> SteadyState:
     O_k^dag (see :func:`_no_jump_inverse`), so the jump map
     K = -S_sigma^-1 (J + sigma) = I - S_sigma^-1 L has exactly the kernel
     of L as its fixed points; so does K = I - M^-1 L for the preconditioner
-    M, S_sigma with a split diagonal.  Restarted GMRES solves
-    (I - K) x + u tr(x) = u with u = vec(1/d).  Each iteration is one
-    sparse L matvec plus four dense d x d products; no d^2 x d^2 matrix is
-    formed or factorized.  Uniqueness is checked on every solve: an
-    Arnoldi run gives the two largest |eigenvalues| of K, and a gap
-    1 - |mu_2| below ``1e-8`` raises :class:`SteadyStateError`, as do an
-    Arnoldi run that does not converge in ``_EIGS_MAXITER`` restarts and a
-    residual ``||L vec(rho)||_inf`` above ``tol``.  ``info`` holds
-    ``iterations``, ``residual_history`` (relative preconditioned GMRES
-    residuals), ``kernel_gap``, ``shift`` and ``cond_V`` (of the split
-    Heff's eigenvectors).
+    M, S_sigma with a split diagonal.  One Arnoldi run gives the two
+    largest |eigenvalues| of K and their eigenvectors.  Each application of
+    K is one sparse L matvec plus four dense d x d products; no d^2 x d^2
+    matrix is formed or factorized.  A gap 1 - |mu_2| below ``1e-8``
+    raises :class:`SteadyStateError`, as do a run that does not converge
+    in ``_EIGS_MAXITER`` restarts and a residual ``||L vec(rho)||_inf``
+    above ``tol``.  Otherwise rho is the eigenvector of mu_1 = 1, scaled
+    to unit trace.  ``info`` holds ``iterations`` (applications of K),
+    ``kernel_gap``, ``shift`` and ``cond_V`` (of the split Heff's
+    eigenvectors).
     """
     d = liouvillian.dim
     n = d * d
     L = liouvillian.matrix
     solve, info = _no_jump_inverse(liouvillian)
+    applications = 0
 
-    K = ScipyLinearOperator((n, n), matvec=lambda x: x - solve(L @ x),
-                            dtype=complex)
+    def apply_k(x: np.ndarray) -> np.ndarray:
+        nonlocal applications
+        applications += 1
+        return x - solve(L @ x)
+
+    K = ScipyLinearOperator((n, n), matvec=apply_k, dtype=complex)
     # a fixed start vector keeps the reported gap reproducible
     v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
     try:
-        mu = eigs(K, k=2, which="LM", v0=v0, maxiter=_EIGS_MAXITER,
-                  return_eigenvectors=False)
+        mu, vecs = eigs(K, k=2, which="LM", v0=v0, maxiter=_EIGS_MAXITER)
     except ArpackNoConvergence as exc:
         raise SteadyStateError(
             f"kernel gap unresolved: no Arnoldi convergence in "
             f"{_EIGS_MAXITER} restarts") from exc
+    info["iterations"] = applications
     gap = 1.0 - float(np.abs(mu).min())
     info["kernel_gap"] = gap
     if gap < _MIN_KERNEL_GAP:
         raise SteadyStateError(
             f"steady state is not unique: kernel gap 1 - |mu_2| = {gap:.2e}")
 
-    trace_idx = np.arange(d) * (d + 1)
-    u = vectorize(np.eye(d, dtype=complex) / d)
-    bordered = ScipyLinearOperator(
-        (n, n), matvec=lambda x: solve(L @ x) + u * x[trace_idx].sum(),
-        dtype=complex)
-    history: list[float] = []
-    x, code = gmres(bordered, u, rtol=_GMRES_RTOL, atol=0.0,
-                    restart=_GMRES_RESTART, maxiter=_GMRES_MAXITER,
-                    callback=history.append, callback_type="pr_norm")
-    info["iterations"] = len(history)
-    info["residual_history"] = [float(r) for r in history]
+    # ARPACK's vector carries an arbitrary phase: dividing by the complex
+    # trace removes it before the Hermitian part is taken
+    x = vecs[:, np.argmax(np.abs(mu))]
+    x = x / x[np.arange(d) * (d + 1)].sum()
     rho = _hermitize_normalize(unvectorize(x, d))
     res = residual_norm(liouvillian, rho)
     if not res <= tol:
         raise SteadyStateError(
             f"steady-state residual {res:.3e} exceeds tolerance {tol:.1e} "
-            f"after {len(history)} GMRES iterations"
-            + ("" if code == 0 else " (GMRES did not converge)"))
+            f"after {applications} Arnoldi iterations")
     return SteadyState(DensityMatrix(liouvillian.space, rho), res,
-                       SYLVESTER_GMRES, info)
+                       SYLVESTER_ARNOLDI, info)

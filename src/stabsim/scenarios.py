@@ -375,6 +375,9 @@ def _select_pumps(config: ScenarioConfig, pumps: str) -> ScenarioConfig:
         raise ValueError(f"pumps must be one of {PUMP_CHOICES}")
     if len(config.pumps) >= 2:
         return config.replace(pumps=config.pumps[:2])
+    if not config.pumps:
+        raise ValueError("pumps P1+P2 needs pump 1, and the configuration "
+                         "has no pump")
     # synthesize the recovery pump: same amplitude pattern, resonant with the
     # gap between the doubly excited state and the pumped eigenstate
     p1 = config.pumps[0]

@@ -136,6 +136,10 @@ class TestScenarioRuns:
         # pumped (upper) eigenstate: 2*4202 - 4207
         assert two.pumps[1].frequency == pytest.approx(4197.0)
 
+    def test_pump2_needs_pump1(self, quick_bell):
+        with pytest.raises(ValueError, match="needs pump 1"):
+            run_bell(quick_bell.replace(pumps=()), pumps="P1+P2")
+
     def test_coherent_only_dynamics_rabi_cycles(self, quick_bell):
         # Raman drives off: the pump cycles ground <-> upper eigenstate and
         # the target fidelity stays low
@@ -356,7 +360,7 @@ class TestReportOutput:
         assert "steady_fidelity" in payload
         assert payload["scenario"] == "bell"
         steady = payload["diagnostics"]["steady_state"]
-        assert steady["method"] == "sylvester_gmres"
+        assert steady["method"] == "sylvester_arnoldi"
         assert steady["residual"] == payload["steady_residual"]
         assert steady["residual"] <= quick_bell.solver.steady_tol
         assert type(steady["iterations"]) is int and steady["iterations"] > 0
