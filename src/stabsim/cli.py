@@ -98,9 +98,7 @@ def _cmd_rates(args) -> int:
         if not drv.active:
             continue
         res = config.resonators[k]
-        n_bar = drv.n_bar if drv.n_bar is not None else rates.photon_number(
-            drv.amplitude, drv.detuning, res.kappa)
-        cool = cooling_matrix(basis, kerr, k, n_bar, chi_kk=res.chi,
+        cool = cooling_matrix(basis, kerr, k, drv.n_bar, chi_kk=res.chi,
                               kappa=res.kappa)
         rows = np.arange(config.n_qubits)
         mq = basis.m[np.ix_(rows, list(basis.qubit_columns))]
@@ -108,7 +106,7 @@ def _cmd_rates(args) -> int:
             for p in range(l + 1, config.n_qubits):
                 gap = lam[p] - lam[l]
                 est = rates.golden_rule_rate(res.chi, mq[k, l], mq[k, p],
-                                             n_bar, res.kappa, gap,
+                                             drv.n_bar, res.kappa, gap,
                                              drv.detuning)
                 print(f"{res.label:4s} {p}->{l:<6d} {gap:9.3f} "
                       f"{est.forward:11.4f} {est.reverse:11.4e} "

@@ -65,13 +65,6 @@ class ResonatorParams:
 
 
 @dataclass(frozen=True)
-class CouplingParams:
-    """Nearest-neighbour qubit-qubit exchange couplings, one per adjacent pair."""
-
-    j: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class PumpDrive:
     """Multi-qubit coherent drive: per-qubit amplitudes at one frequency.
 
@@ -99,36 +92,25 @@ class PumpDrive:
 
 @dataclass(frozen=True)
 class ResonatorDrive:
-    """Detuned drive on one resonator: detuning plus amplitude or photon target.
+    """Detuned drive on one resonator: detuning and steady photon target.
 
-    ``detuning`` is omega_r - omega_d in MHz.  Exactly one of ``amplitude``
-    (MHz) and ``n_bar`` (steady photon number) may be given; a drive with
-    neither, or with zero strength, is inactive.
+    ``detuning`` is omega_r - omega_d in MHz; ``n_bar`` is the steady photon
+    number the drive holds, and sets its strength (the amplitude is derived).
+    A drive with ``n_bar`` 0 is inactive.
     """
 
     detuning: float = 0.0
-    n_bar: float | None = None
-    amplitude: float | None = None
+    n_bar: float = 0.0
 
     @property
     def active(self) -> bool:
-        if self.n_bar is not None:
-            return self.n_bar > 0
-        if self.amplitude is not None:
-            return self.amplitude != 0
-        return False
+        return self.n_bar > 0
 
 
 @dataclass(frozen=True)
 class Truncations:
     qubit_dim: int = 2
     resonator_dim: int = 4
-    resonator_dims: tuple[int, ...] | None = None  # per-resonator override
-
-    def dim_for_resonator(self, i: int) -> int:
-        if self.resonator_dims is not None:
-            return self.resonator_dims[i]
-        return self.resonator_dim
 
 
 @dataclass(frozen=True)
@@ -146,12 +128,12 @@ class ScenarioConfig:
     name: str
     qubits: tuple[QubitParams, ...]
     resonators: tuple[ResonatorParams, ...]
-    couplings: CouplingParams
+    couplings: tuple[float, ...]  # J per adjacent qubit pair, MHz
     # a document may omit the pumps; kw_only keeps the field (and its key)
     # in this position
     pumps: tuple[PumpDrive, ...] = field(default=(), kw_only=True)
     raman: tuple[ResonatorDrive, ...]
-    initial_state: str | tuple[int, ...] = "ground"
+    initial_state: str = "ground"
     t_final: float = 10.0
     t_step: float = 0.1
     truncations: Truncations = field(default_factory=Truncations)
@@ -232,8 +214,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
             raise ConfigError(f"{path}.label",
                               f"duplicate mode label {mode.label!r}")
         labels.add(mode.label)
-    if len(cfg.couplings.j) != L - 1:
-        raise ConfigError("couplings", f"expected {L - 1} values, got {len(cfg.couplings.j)}")
+    if len(cfg.couplings) != L - 1:
+        raise ConfigError("couplings", f"expected {L - 1} values, got {len(cfg.couplings)}")
     for k, pump in enumerate(cfg.pumps):
         p = f"pumps[{k}]"
         if len(pump.amplitudes) != L:
@@ -243,10 +225,7 @@ def validate_config(cfg: ScenarioConfig) -> None:
     if len(cfg.raman) != L:
         raise ConfigError("raman", f"expected {L} entries, got {len(cfg.raman)}")
     for i, d in enumerate(cfg.raman):
-        if d.n_bar is not None and d.amplitude is not None:
-            raise ConfigError(
-                f"raman[{i}]", "give either n_bar or amplitude, not both")
-        if d.n_bar is not None and d.n_bar < 0:
+        if d.n_bar < 0:
             raise ConfigError(f"raman[{i}].n_bar", "must be nonnegative")
     if cfg.t_final <= 0:
         raise ConfigError("t_final", "must be positive")
@@ -255,20 +234,10 @@ def validate_config(cfg: ScenarioConfig) -> None:
     tr = cfg.truncations
     if tr.qubit_dim < 2 or tr.resonator_dim < 2:
         raise ConfigError("truncations", "mode dimensions must be >= 2")
-    if tr.resonator_dims is not None:
-        if len(tr.resonator_dims) != L:
-            raise ConfigError("truncations.resonator_dims", f"expected {L} values")
-        if any(d < 2 for d in tr.resonator_dims):
-            raise ConfigError("truncations.resonator_dims", "dimensions must be >= 2")
     if cfg.dephasing_convention not in DEPHASING_CONVENTIONS:
         raise ConfigError("dephasing_convention",
                           f"must be one of {DEPHASING_CONVENTIONS}")
-    if isinstance(cfg.initial_state, tuple):
-        if len(cfg.initial_state) != L:
-            raise ConfigError("initial_state", f"expected {L} qubit occupations")
-        if any(n < 0 or n >= tr.qubit_dim for n in cfg.initial_state):
-            raise ConfigError("initial_state", "occupation exceeds qubit truncation")
-    elif cfg.initial_state != "ground":
+    if cfg.initial_state != "ground":
         # the named states are defined in hamiltonian, which imports this
         # module; a name depends only on the number of qubits
         from .hamiltonian import named_qubit_state
@@ -286,15 +255,12 @@ def validate_config(cfg: ScenarioConfig) -> None:
 # required key, a missing optional key takes the field's default, and
 # documents list the keys in field order.  Where JSON differs from the
 # fields the types decide: a ``complex`` is a number or ``[re, im]``, a tuple
-# is a list, a union takes the first branch that fits, and ``couplings`` is
-# the bare list of its ``j`` values.
+# is a list, and a union takes the first branch that fits.
 
 def _decode(tp: Any, raw: Any, path: str) -> Any:
     """``raw`` (parsed JSON) as a ``tp``; ``path`` names it in errors, and
     is empty for the document itself."""
     where = path or "<document>"
-    if tp is CouplingParams:
-        return CouplingParams(_decode(get_type_hints(tp)["j"], raw, path))
     if dataclasses.is_dataclass(tp):
         if not isinstance(raw, dict):
             raise ConfigError(where, "must be an object")
@@ -340,8 +306,6 @@ def _decode(tp: Any, raw: Any, path: str) -> Any:
 
 
 def _encode(value: Any) -> Any:
-    if isinstance(value, CouplingParams):
-        return _encode(value.j)
     if dataclasses.is_dataclass(value):
         return {f.name: _encode(getattr(value, f.name))
                 for f in dataclasses.fields(value)}

@@ -48,14 +48,22 @@ TWO_PI = 2.0 * math.pi
 HERMITICITY_TOL = 1e-10
 
 
+@dataclass(frozen=True)
+class DrivenResonator:
+    """A resonator whose drive is active, as the model holds it."""
+
+    index: int        # position in the configured resonators and drives
+    label: str
+    detuning: float   # in-model drive detuning, MHz
+    n_bar: float
+    alpha: complex    # classical steady amplitude
+
+
 @dataclass
 class HamiltonianModel:
     H: LinearOperator
-    #: classical cavity amplitudes (one per configured resonator; 0 for
-    #: undriven ones, which are not in the space)
-    alphas: tuple[complex, ...] = ()
-    #: effective in-model drive detunings, MHz
-    raman_detunings: tuple[float, ...] = ()
+    #: the resonators in the model, in mode order after the qubits
+    resonators: tuple[DrivenResonator, ...] = ()
 
     @property
     def space(self) -> CompositeSpace:
@@ -84,20 +92,14 @@ class CollapseSet:
 
 def model_space(config: ScenarioConfig) -> CompositeSpace:
     """The qubits plus every resonator whose drive is active."""
-    tr = config.truncations
+    dim = config.truncations.resonator_dim
     return CompositeSpace(qubit_space(config).modes + tuple(
-        ModeSpec(config.resonators[i].label, RESONATOR, tr.dim_for_resonator(i))
-        for i in _driven_resonators(config)))
+        ModeSpec(r.label, RESONATOR, dim) for r in driven_resonators(config)))
 
 
 def qubit_space(config: ScenarioConfig) -> CompositeSpace:
     dim = config.truncations.qubit_dim
     return CompositeSpace(ModeSpec(q.label, QUBIT, dim) for q in config.qubits)
-
-
-def _driven_resonators(config: ScenarioConfig) -> list[int]:
-    """Indices of the resonators in the model, in mode order."""
-    return [i for i, drv in enumerate(config.raman) if drv.active]
 
 
 def qubit_excitations(space: CompositeSpace) -> np.ndarray:
@@ -114,7 +116,7 @@ def single_excitation_modes(config: ScenarioConfig) -> tuple[np.ndarray, np.ndar
     h = np.zeros((L, L))
     for i, q in enumerate(config.qubits):
         h[i, i] = q.working_freq
-    for i, j in enumerate(config.couplings.j):
+    for i, j in enumerate(config.couplings):
         h[i, i + 1] = h[i + 1, i] = -j
     vals, vecs = np.linalg.eigh(h)
     # deterministic sign: largest-magnitude component positive
@@ -181,34 +183,22 @@ def lowest_mode_weights(config: ScenarioConfig) -> np.ndarray:
 
 # -- drive bookkeeping ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class _ResolvedDrive:
-    active: bool
-    detuning_eff: float   # MHz, in-model
-    n_bar: float
-    alpha: complex        # classical steady amplitude
-
-
-def _resolve_drives(config: ScenarioConfig) -> list[_ResolvedDrive]:
+def driven_resonators(config: ScenarioConfig) -> tuple[DrivenResonator, ...]:
+    """Every resonator whose drive is active, in configured order, with its
+    in-model detuning and classical steady amplitude."""
     weights = lowest_mode_weights(config) if config.raman_pull_correction else None
     out = []
     for i, drv in enumerate(config.raman):
-        res = config.resonators[i]
         if not drv.active:
-            out.append(_ResolvedDrive(False, drv.detuning, 0.0, 0.0))
             continue
+        res = config.resonators[i]
         pull = 2.0 * res.chi * weights[i] if config.raman_pull_correction else 0.0
         det = drv.detuning - pull
-        if drv.n_bar is not None:
-            eps = rates.drive_amplitude(drv.n_bar, det, res.kappa)
-            n_bar = drv.n_bar
-        else:
-            eps = float(drv.amplitude)
-            n_bar = rates.photon_number(eps, det, res.kappa)
+        eps = rates.drive_amplitude(drv.n_bar, det, res.kappa)
         denom = det ** 2 + (res.kappa / 2) ** 2
         alpha = -eps * (det + 1j * res.kappa / 2) / denom
-        out.append(_ResolvedDrive(True, det, n_bar, alpha))
-    return out
+        out.append(DrivenResonator(i, res.label, det, drv.n_bar, alpha))
+    return tuple(out)
 
 
 def _qubit_frame(config: ScenarioConfig) -> float:
@@ -231,7 +221,8 @@ def build_dispersive(config: ScenarioConfig) -> HamiltonianModel:
     """
     space = model_space(config)
     L = config.n_qubits
-    drives = _resolve_drives(config)
+    drives = driven_resonators(config)
+    stark = {r.index: r.n_bar for r in drives} if config.ac_stark_compensation else {}
     omega_p = _qubit_frame(config)
 
     d = space.total_dim
@@ -241,25 +232,25 @@ def build_dispersive(config: ScenarioConfig) -> HamiltonianModel:
 
     for i, q in enumerate(config.qubits):
         bare = q.working_freq
-        if config.ac_stark_compensation and drives[i].active:
-            bare -= 2.0 * config.resonators[i].chi * drives[i].n_bar
+        if i in stark:
+            bare -= 2.0 * config.resonators[i].chi * stark[i]
         H = H + (TWO_PI * (bare - omega_p)) * nq[i]
         if space.modes[i].dim > 2 and q.alpha != 0.0:
             bd = b[i].dag()
             H = H + (TWO_PI * q.alpha / 2.0) * (bd @ bd @ b[i] @ b[i])
 
-    for i, j in enumerate(config.couplings.j):
+    for i, j in enumerate(config.couplings):
         hop = b[i].dag() @ b[i + 1]
         H = H + (-TWO_PI * j) * (hop + hop.dag())
 
-    for mode, i in enumerate(_driven_resonators(config), start=L):
+    for mode, r in enumerate(drives, start=L):
         c = lowering_op(space, mode)
         nr = c.dag() @ c
-        K = TWO_PI * 2.0 * config.resonators[i].chi
-        drv = drives[i]
-        H = H + (TWO_PI * drv.detuning_eff) * nr + K * (nq[i] @ nr)
-        H = H + K * ((drv.alpha * c.dag() + np.conj(drv.alpha) * c) @ nq[i])
-        H = H + (K * drv.n_bar) * nq[i]
+        K = TWO_PI * 2.0 * config.resonators[r.index].chi
+        n_q = nq[r.index]
+        H = H + (TWO_PI * r.detuning) * nr + K * (n_q @ nr)
+        H = H + K * ((r.alpha * c.dag() + np.conj(r.alpha) * c) @ n_q)
+        H = H + (K * r.n_bar) * n_q
 
     H = _add_pumps(H, space, config, omega_p)
 
@@ -267,10 +258,7 @@ def build_dispersive(config: ScenarioConfig) -> HamiltonianModel:
     if defect > HERMITICITY_TOL * max(1.0, _spectral_scale(H)):
         raise ValueError(f"built Hamiltonian is not Hermitian (defect {defect:.2e})")
 
-    return HamiltonianModel(
-        H=H, alphas=tuple(drv.alpha for drv in drives),
-        raman_detunings=tuple(drv.detuning_eff for drv in drives),
-    )
+    return HamiltonianModel(H=H, resonators=drives)
 
 
 def _spectral_scale(H: LinearOperator) -> float:
@@ -341,8 +329,8 @@ def build_collapse_set(config: ScenarioConfig) -> CollapseSet:
     space = model_space(config)
     L = config.n_qubits
     entries: list[tuple[LinearOperator, float]] = [
-        (lowering_op(space, mode), TWO_PI * config.resonators[i].kappa)
-        for mode, i in enumerate(_driven_resonators(config), start=L)]
+        (lowering_op(space, mode), TWO_PI * config.resonators[r.index].kappa)
+        for mode, r in enumerate(driven_resonators(config), start=L)]
     for i, q in enumerate(config.qubits):
         gamma1, gamma_phi = derive_rates(q, config.dephasing_convention)
         if gamma1 > 0:

@@ -110,7 +110,7 @@ def build_quadratic_form(config: ScenarioConfig) -> QuadraticForm:
     m = np.zeros((n, n))
     for i, q in enumerate(config.qubits):
         m[i, i] = q.working_freq
-    for i, j in enumerate(config.couplings.j):
+    for i, j in enumerate(config.couplings):
         m[i, i + 1] = m[i + 1, i] = -j
     for i, res in enumerate(config.resonators):
         m[L + i, L + i] = res.omega_r

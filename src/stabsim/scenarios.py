@@ -38,7 +38,7 @@ from .hamiltonian import (
     single_excitation_modes,
 )
 from .hilbert import (
-    CompositeSpace, DensityMatrix, LinearOperator, basis_state,
+    CompositeSpace, DensityMatrix, LinearOperator,
     coherent_state, coherent_tail, identity_op, lowering_op, partial_trace,
     product_state,
 )
@@ -159,15 +159,11 @@ def _qubit_projector(full_space: CompositeSpace, qspace: CompositeSpace,
     return LinearOperator(full_space, mat)
 
 
-def _lab_photon_operator(model: HamiltonianModel, label: str,
+def _lab_photon_operator(space: CompositeSpace, mode: int,
                          alpha: complex) -> LinearOperator:
-    """Lab-frame photon number of a resonator, from the displaced frame; zero
-    for a resonator left out of the model (it stays empty)."""
-    space = model.space
-    labels = [m.label for m in space.modes]
-    if label not in labels:
-        return 0.0 * identity_op(space)
-    c = lowering_op(space, labels.index(label))
+    """Lab-frame photon number of the resonator at ``mode``, from the frame
+    displaced by its classical steady amplitude ``alpha``."""
+    c = lowering_op(space, mode)
     return (c.dag() @ c + alpha * c.dag() + np.conj(alpha) * c
             + (abs(alpha) ** 2) * identity_op(space))
 
@@ -181,40 +177,24 @@ def _eigenstate_labels(n: int) -> list[str]:
     return ["T", "S"] if n == 2 else (["W", "A", "B"] if n == 3 else [])
 
 
-def _initial_qubit_vector(config: ScenarioConfig, qspace: CompositeSpace,
-                          initial) -> np.ndarray:
-    if initial is None:
-        initial = config.initial_state
-    if isinstance(initial, str):
-        if initial == "ground":
-            initial = "g" * config.n_qubits
-        return named_qubit_state(qspace, initial)
-    occ = tuple(initial)
-    return basis_state(qspace, occ)
-
-
 def initial_density(config: ScenarioConfig, model: HamiltonianModel,
-                    initial=None) -> DensityMatrix:
-    """Initial state: chosen qubit state, resonators empty in the lab frame.
+                    initial: str | None = None) -> DensityMatrix:
+    """Initial state: the named qubit state (``initial``, else the
+    configured one), resonators empty in the lab frame.
 
     In the displaced frame an empty lab resonator is the coherent state at
     minus the classical drive amplitude.
     """
-    psi_q = _initial_qubit_vector(config, qubit_space(config), initial)
+    name = config.initial_state if initial is None else initial
+    if name == "ground":
+        name = "g" * config.n_qubits
+    psi_q = named_qubit_state(qubit_space(config), name)
     space = model.space
     res_space = CompositeSpace(space.modes[space.n_qubits:])
-    psi_r = product_state(res_space, [
-        coherent_state(mode.dim, -alpha)
-        for mode, alpha in _resonator_modes(config, model)])
+    dim = config.truncations.resonator_dim
+    psi_r = product_state(res_space, [coherent_state(dim, -r.alpha)
+                                      for r in model.resonators])
     return DensityMatrix.from_state_vector(space, np.kron(psi_q, psi_r))
-
-
-def _resonator_modes(config: ScenarioConfig, model: HamiltonianModel) -> list:
-    """``(mode, alpha)`` of each resonator in the model (the driven ones),
-    alpha its classical steady amplitude."""
-    alphas = {r.label: a for r, a in zip(config.resonators, model.alphas)}
-    return [(mode, alphas[mode.label])
-            for mode in model.space.modes[model.space.n_qubits:]]
 
 
 def _has_qubit_decoherence(config: ScenarioConfig) -> bool:
@@ -238,8 +218,12 @@ def _scenario_observables(config: ScenarioConfig, model: HamiltonianModel,
                                              named_qubit_state(qspace, label))
     obs["F_target"] = _qubit_projector(space, qspace,
                                        named_qubit_state(qspace, target))
-    for res, alpha in zip(config.resonators, model.alphas):
-        obs[f"n_{res.label}"] = _lab_photon_operator(model, res.label, alpha)
+    # an undriven resonator is not in the model and stays empty
+    photons = dict.fromkeys((r.label for r in config.resonators),
+                            0.0 * identity_op(space))
+    for mode, r in enumerate(model.resonators, start=config.n_qubits):
+        photons[r.label] = _lab_photon_operator(space, mode, r.alpha)
+    obs.update((f"n_{label}", op) for label, op in photons.items())
     return obs
 
 
@@ -300,8 +284,11 @@ def _run_scenario(config: ScenarioConfig, target: str, scenario_name: str,
 
     decohering = _has_qubit_decoherence(config)
     t_end = config.t_final if decohering else max(config.t_final, PLATEAU_WINDOW)
-    n_pts = int(round(t_end / config.t_step)) + 1
-    t_grid = np.linspace(0.0, t_end, n_pts)
+    steps = t_end / config.t_step
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        raise ValueError(f"t_step {config.t_step} us does not divide the "
+                         f"{t_end} us window into whole steps")
+    t_grid = np.linspace(0.0, t_end, int(round(steps)) + 1)
     result = evolve(liouv, rho0, t_grid, observables=obs)
 
     fid = np.real(np.asarray(result.observables["F_target"], dtype=complex))
@@ -347,8 +334,8 @@ def _run_scenario(config: ScenarioConfig, target: str, scenario_name: str,
             "method": steady_method, "residual": steady_res,
             "iterations": iterations, "kernel_gap": kernel_gap},
             "truncation": {"rho0_dropped_norm": {
-                mode.label: coherent_tail(mode.dim, alpha)
-                for mode, alpha in _resonator_modes(config, model)}}},
+                r.label: coherent_tail(config.truncations.resonator_dim, r.alpha)
+                for r in model.resonators}}},
     )
 
 
@@ -473,7 +460,7 @@ def run_spectroscopy(config: ScenarioConfig, drive_target: int,
     ``rhs_evaluations``, and the ``propagator``: the dict every frequency
     used, or one per frequency where they differ.
     """
-    j_min = min((j for j in config.couplings.j if j > 0), default=math.inf)
+    j_min = min((j for j in config.couplings if j > 0), default=math.inf)
     if amplitude > j_min / 3.0:
         raise ValueError("probe amplitude must be well below the coupling J")
     if not 0 <= drive_target < config.n_qubits:
@@ -584,8 +571,7 @@ def _sweep_point(args) -> tuple[float, float, float, float, str | None]:
         cfg = _apply_axis(config, axis, value)
         _, liouv = build_problem(cfg)
         steadym = steady_state(liouv, tol=cfg.solver.steady_tol)
-        fid = _target_fidelity(steadym.rho, cfg.n_qubits,
-                               "T" if cfg.n_qubits == 2 else "W")
+        fid = _target_fidelity(steadym.rho, cfg.n_qubits, "T")
         gamma = measure_transfer_rate(cfg)
         return (fid, gamma, steadym.residual, steadym.info["kernel_gap"],
                 None)
@@ -597,13 +583,17 @@ def run_sweep(config: ScenarioConfig, axis: str, values,
               workers: int = 1) -> SweepResult:
     """Steady fidelity and engineered rate across one parameter axis.
 
-    Points run independently on immutable configs (optionally in a process
-    pool); output rows follow the order of ``values`` regardless of
-    completion order.  A failed point records its error and the sweep
-    continues.
+    Two-qubit configs only: the fidelity is that of T and the rate is the
+    S -> T transfer rate.  Points run independently on immutable configs
+    (optionally in a process pool); output rows follow the order of
+    ``values`` regardless of completion order.  A failed point records its
+    error and the sweep continues.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
+    if config.n_qubits != 2:
+        raise ValueError(f"sweeps need a two-qubit config (target T, rate "
+                         f"S -> T), got {config.n_qubits} qubits")
     values = np.asarray(list(values), dtype=float)
     jobs = [(config, axis, float(v)) for v in values]
     if workers > 1:

@@ -15,8 +15,7 @@ from stabsim.device import Truncations, bundled_scenario, serialize_scenario
 def quick_config(tmp_path_factory):
     cfg = bundled_scenario("bell").replace(
         t_final=2.0, t_step=0.1,
-        truncations=Truncations(qubit_dim=2, resonator_dim=4,
-                                resonator_dims=(2, 3)))
+        truncations=Truncations(qubit_dim=2, resonator_dim=2))
     path = tmp_path_factory.mktemp("cfg") / "quick.json"
     path.write_text(serialize_scenario(cfg))
     return path
@@ -63,6 +62,14 @@ class TestSweepCommand:
         payload = json.loads((out / "report.json").read_text())
         assert payload["axis"] == "n_bar"
         assert len(payload["values"]) == 4
+
+    def test_three_qubit_config_fails_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "w.json"
+        path.write_text(serialize_scenario(bundled_scenario("w")))
+        code = cli_main(["sweep", "--config", str(path), "--axis", "n_bar",
+                         "--values", "1.0", "--out", str(tmp_path / "sw")])
+        assert code == 1
+        assert "sweeps need a two-qubit config" in capsys.readouterr().err
 
     def test_comma_values(self, quick_config, tmp_path):
         out = tmp_path / "sw2"

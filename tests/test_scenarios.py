@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -24,8 +25,7 @@ def quick_bell():
     """Reduced two-qubit config: small truncations and a short window."""
     return bundled_scenario("bell").replace(
         t_final=2.0, t_step=0.1,
-        truncations=Truncations(qubit_dim=2, resonator_dim=4,
-                                resonator_dims=(2, 3)))
+        truncations=Truncations(qubit_dim=2, resonator_dim=2))
 
 
 class TestFitExponential:
@@ -161,6 +161,19 @@ class TestScenarioRuns:
         report = run_bell(quick_bell, channels="R2", initial="eg")
         assert report.traces["P_eg"][0] == pytest.approx(1.0, abs=1e-9)
 
+    def test_t_step_must_divide_window(self, quick_bell):
+        report = run_bell(quick_bell.replace(t_step=0.25), channels="R2")
+        npt.assert_array_equal(report.times, np.arange(9) * 0.25)
+        with pytest.raises(ValueError, match="t_step 0.3 us .* 2.0 us window"):
+            run_bell(quick_bell.replace(t_step=0.3))
+        # without decoherence the window is the 30 us plateau window
+        ideal = quick_bell.replace(
+            t_final=1.4, t_step=0.7,
+            qubits=tuple(replace(q, t1=None, t2e=None)
+                         for q in quick_bell.qubits))
+        with pytest.raises(ValueError, match="t_step 0.7 us .* 30.0 us window"):
+            run_bell(ideal)
+
 
 class TestCoherentOnlyThreeQubit:
     def test_pump_rabi_cycles_without_engineered_dissipation(self):
@@ -200,7 +213,7 @@ class TestSpectroscopy:
                  and total[i] > 0.3 * total.max()]
         assert len(peaks) == 2
         split = freqs[peaks[1]] - freqs[peaks[0]]
-        assert split == pytest.approx(2 * cfg.couplings.j[0], abs=0.5)
+        assert split == pytest.approx(2 * cfg.couplings[0], abs=0.5)
         # both eigenstates carry equal single-qubit weights
         i0 = peaks[0]
         assert result.populations["ge"][i0] == pytest.approx(
@@ -208,7 +221,7 @@ class TestSpectroscopy:
 
     def test_uncoupled_qubits_single_peak(self):
         cfg = bundled_scenario("bell")
-        cfg = cfg.replace(couplings=type(cfg.couplings)((0.0,)))
+        cfg = cfg.replace(couplings=(0.0,))
         work = cfg.qubits[0].working_freq
         freqs = np.arange(work - 8.0, work + 8.5, 0.5)
         result = run_spectroscopy(cfg, 0, freqs, amplitude=0.15)
@@ -245,7 +258,7 @@ class TestSpectroscopy:
                  and total[i] > 0.3 * total.max()]
         assert len(peaks) == 3
         positions = freqs[peaks] - freqs[peaks[0]]
-        j = cfg.couplings.j[0]
+        j = cfg.couplings[0]
         npt.assert_allclose(positions, [0.0, j, 3 * j], atol=0.5)
 
 
@@ -316,6 +329,10 @@ class TestSweep:
     def test_unknown_axis_rejected(self, quick_bell):
         with pytest.raises(ValueError, match="axis"):
             run_sweep(quick_bell, "voltage", [1.0])
+
+    def test_three_qubit_config_rejected(self):
+        with pytest.raises(ValueError, match="two-qubit config .* got 3"):
+            run_sweep(bundled_scenario("w"), "n_bar", [1.0])
 
     def test_point_failure_recorded(self, quick_bell):
         result = run_sweep(quick_bell, "kappa", [-1.0, 1.0])
