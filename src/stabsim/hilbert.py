@@ -192,7 +192,12 @@ def _local_lowering(dim: int) -> np.ndarray:
 
 
 def embed(space: CompositeSpace, mode_index: int, local_matrix: np.ndarray) -> LinearOperator:
-    """Tensor a single-mode matrix with identity on all other modes."""
+    """Tensor a single-mode matrix with identity on all other modes.
+
+    kron(1_left, M, 1_right) has M_ij at row (l dim + i) right + r, column
+    (l dim + j) right + r for every l < left and r < right: one triplet
+    set, converted to CSR once.
+    """
     if not 0 <= mode_index < len(space.modes):
         raise IndexError(f"mode index {mode_index} out of range")
     local = np.asarray(local_matrix, dtype=complex)
@@ -201,12 +206,18 @@ def embed(space: CompositeSpace, mode_index: int, local_matrix: np.ndarray) -> L
         raise ValueError(
             f"local matrix shape {local.shape} does not match mode dim {dim}"
         )
-    mat = sp.csr_matrix(local)
-    left = math.prod(space.dims[:mode_index]) or 1
-    right = math.prod(space.dims[mode_index + 1:]) or 1
-    full = sp.kron(sp.kron(sp.identity(left, format="csr"), mat, format="csr"),
-                   sp.identity(right, format="csr"), format="csr")
-    return LinearOperator(space, full)
+    i, j = np.nonzero(local)
+    left = math.prod(space.dims[:mode_index])
+    right = math.prod(space.dims[mode_index + 1:])
+    shape = (left, len(i), right)
+    block = dim * np.arange(left)[:, None, None]
+    r = np.arange(right)
+    rows = ((block + i[:, None]) * right + r).ravel()
+    cols = ((block + j[:, None]) * right + r).ravel()
+    vals = np.broadcast_to(local[i, j][:, None], shape).ravel()
+    d = space.total_dim
+    return LinearOperator(space, sp.csr_matrix((vals, (rows, cols)),
+                                               shape=(d, d)))
 
 
 def lowering_op(space: CompositeSpace, mode_index: int) -> LinearOperator:

@@ -29,14 +29,18 @@ the r = steps mod s remaining points, which needs only the K_r terms of
 its shorter span.
 
 :func:`evolve_many` runs one state under several generators on one space
-(:func:`evolve` is its single-generator case).  Dense generators go in
-groups of floor(1024^2 / d^4), so a group's stacked propagators take no
-more memory than one 1024 x 1024 propagator: one stacked expm per group
-and one batched product per grid step.  Every propagator hands its
-states to one observer a block at a time (a grid step of the whole group,
-or one expansion's outputs), which evaluates the observables and
+(:func:`evolve` is its single-generator case), and :func:`evolve_shifted`
+under a family L + delta F with F diagonal on vec(rho).  Dense generators
+go in groups of floor(1024^2 / d^4), so a group's stacked propagators
+take no more memory than one 1024 x 1024 propagator: one stacked expm
+per group and one batched product per grid step.  Every propagator hands
+its states to one observer a block at a time (a grid step of the whole
+group, or one expansion's outputs), which evaluates the observables and
 monitors trace, hermiticity and positivity at every stored point, never
-enforcing them; no trajectory is kept.
+enforcing them; no trajectory is kept.  Positivity after t = 0 is a
+batched Cholesky certificate against each generator's running minimum,
+with ``eigvalsh`` where it fails, so the reported minimum is always an
+``eigvalsh`` value.
 
 The steady state is one matrix-free Arnoldi run: the no-jump (Sylvester)
 part of L is inverted from one eigendecomposition of the effective
@@ -362,31 +366,30 @@ def _dense_group_size(n: int) -> int:
     return max(1, _DENSE_PROPAGATOR_MAX ** 2 // n ** 2)
 
 
-def _dense_propagate(liouvillians: list[Liouvillian], y0: np.ndarray, n: int,
-                     dt: float, observe: _StateObserver
-                     ) -> list[tuple[int, dict]]:
+def _dense_propagate(count: int, fill: Callable[[np.ndarray, slice], None],
+                     y0: np.ndarray, n: int, dt: float,
+                     observe: _StateObserver) -> list[tuple[int, dict]]:
     """``(matvecs, propagator)`` per generator of stepping its vec(rho) by
-    its expm(L dt), a group of generators at a time: one stacked expm per
-    group and one batched product per grid step, each step handed to
-    ``observe`` whole."""
+    its expm(L dt), a group of the ``count`` generators at a time:
+    ``fill(P, gens)`` writes the group's generators into the stack P that
+    expm reads, then one stacked expm per group and one batched product
+    per grid step, each step handed to ``observe`` whole."""
     N = len(y0)
     size = _dense_group_size(N)
-    for g0 in range(0, len(liouvillians), size):
-        group = liouvillians[g0:g0 + size]
-        gens = slice(g0, g0 + len(group))
-        P = np.empty((len(group), N, N), dtype=complex)
-        for L, p in zip(group, P):
-            L.matrix.toarray(out=p)
+    for g0 in range(0, count, size):
+        gens = slice(g0, min(g0 + size, count))
+        P = np.empty((gens.stop - g0, N, N), dtype=complex)
+        fill(P, gens)
         P *= dt
         P = expm(P)
-        Y = np.repeat(y0[None, :], len(group), axis=0)
+        Y = np.repeat(y0[None, :], len(P), axis=0)
         observe(gens, slice(0, 1), Y[:, None])
         for k in range(1, n):
             Y = (P @ Y[:, :, None])[:, :, 0]
             observe(gens, slice(k, k + 1), Y[:, None])
     return [(n - 1, dict(method="dense_expm", terms=None, substeps=1,
                          outputs_per_expansion=None, half_width=None))
-            for _ in liouvillians]
+            for _ in range(count)]
 
 
 def _chebyshev_propagate(liouvillian: Liouvillian, y0: np.ndarray, n: int,
@@ -428,7 +431,18 @@ class _StateObserver:
     """Integrity checks and observables of G generators' states on one
     grid of n points, fed a block of states at a time; no trajectory is
     kept.  A block Y[g, j] = vec(rho_g(t_j)) covers the generators
-    ``gens`` at the grid points ``times`` (two slices)."""
+    ``gens`` at the grid points ``times`` (two slices).
+
+    Positivity is tracked as each generator's running minimum m_g of
+    exactly computed smallest eigenvalues (``eigvalsh``; the first block
+    always).  A later block needs no eigenvalues when one batched Cholesky
+    factorization of its Hermitian parts minus m_g 1 succeeds: then every
+    state's lambda_min exceeds m_g up to the factorization's backward
+    error, a few d eps ||rho|| (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed. (2002), ch. 10), so neither the minimum
+    nor the abort can change.  Where the factorization fails, the whole
+    block takes ``eigvalsh``, so the reported minimum is always an
+    ``eigvalsh`` value."""
 
     def __init__(self, t_grid: np.ndarray, d: int, count: int,
                  observables: dict | None):
@@ -440,7 +454,27 @@ class _StateObserver:
         self.W = np.array([w for w, _ in weights.values()],
                           dtype=complex).reshape(len(weights), d * d).T
         self.values = np.empty((count, len(weights), n), dtype=complex)
-        self.drift, self.herm, self.min_eig = np.empty((3, count, n))
+        self.drift, self.herm = np.empty((2, count, n))
+        self.min_eig = np.full(count, np.inf)
+
+    def _certified(self, gens: slice, hermitian: np.ndarray) -> bool:
+        """Whether the Hermitian parts (blocks of ``gens``, stacked in a
+        C-contiguous array) are all positive definite after subtracting
+        their generator's minimum so far; ``hermitian`` is shifted in place
+        and restored."""
+        floor = self.min_eig[gens]
+        if not np.isfinite(floor).all():
+            return False
+        d = self.d
+        diag = hermitian.reshape(len(floor), -1, d * d)[:, :, ::d + 1]
+        kept = diag.copy()
+        diag -= floor[:, None, None]
+        try:
+            np.linalg.cholesky(hermitian)
+            return True
+        except np.linalg.LinAlgError:
+            diag[:] = kept
+            return False
 
     def __call__(self, gens: slice, times: slice, Y: np.ndarray) -> None:
         d = self.d
@@ -457,7 +491,14 @@ class _StateObserver:
         shape = Y.shape[:2]
         drift = np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0).reshape(shape)
         herm = np.abs(rhos - adj).max(axis=(1, 2)).reshape(shape)
-        min_eig = np.linalg.eigvalsh(0.5 * (rhos + adj))[:, 0].reshape(shape)
+        hermitian = rhos + adj
+        hermitian *= 0.5
+        self.drift[gens, times] = drift
+        self.herm[gens, times] = herm
+        self.values[gens, :, times] = (Y @ self.W).transpose(0, 2, 1)
+        if self._certified(gens, hermitian):
+            return
+        min_eig = np.linalg.eigvalsh(hermitian)[:, 0].reshape(shape)
         bad = np.argwhere(min_eig < -POSITIVITY_ABORT)
         if bad.size:
             # blocks arrive in time order: the first bad point of the
@@ -471,10 +512,8 @@ class _StateObserver:
                  "min_eigenvalue": float(min_eig[g, j]),
                  "trace_drift": float(drift[g, j]),
                  "hermiticity": float(herm[g, j])})
-        self.drift[gens, times] = drift
-        self.herm[gens, times] = herm
-        self.min_eig[gens, times] = min_eig
-        self.values[gens, :, times] = (Y @ self.W).transpose(0, 2, 1)
+        np.minimum(self.min_eig[gens], min_eig.min(axis=1),
+                   out=self.min_eig[gens])
 
     def results(self, runs: list[tuple[int, dict]]) -> list[EvolutionResult]:
         """One result per generator from its ``(matvecs, propagator)``."""
@@ -485,11 +524,30 @@ class _StateObserver:
             out.append(EvolutionResult(self.t_grid, values, {
                 "max_trace_drift": float(self.drift[g].max()),
                 "max_hermiticity_defect": float(self.herm[g].max()),
-                "min_eigenvalue": float(self.min_eig[g].min()),
+                "min_eigenvalue": float(self.min_eig[g]),
                 "rhs_evaluations": matvecs,
                 "propagator": propagator,
             }))
         return out
+
+
+def _start(rho0: DensityMatrix | np.ndarray, t_grid: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(t_grid, vec(rho0), dt)`` of a checked grid and ``rho0``."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or len(t_grid) < 2:
+        raise ValueError("t_grid must contain at least two times")
+    n = len(t_grid)
+    dt = (t_grid[-1] - t_grid[0]) / (n - 1)
+    # linspace places each point within a few ulps of |t|
+    slack = 1e-9 * abs(dt) + 16 * np.finfo(float).eps * np.abs(t_grid).max()
+    if not dt > 0 or np.abs(np.diff(t_grid) - dt).max() > slack:
+        raise ValueError("t_grid must be uniform and increasing (a linspace)")
+    rho_mat = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0)
+    if (np.abs(rho_mat - rho_mat.conj().T).max()
+            > _HERMITIAN_RTOL * np.abs(rho_mat).max()):
+        raise ValueError("rho0 is not Hermitian")
+    return t_grid, vectorize(rho_mat), dt
 
 
 def evolve_many(liouvillians, rho0: DensityMatrix | np.ndarray,
@@ -511,29 +569,76 @@ def evolve_many(liouvillians, rho0: DensityMatrix | np.ndarray,
     space = liouvillians[0].space
     if any(L.space != space for L in liouvillians[1:]):
         raise ValueError("generators live on different spaces")
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) < 2:
-        raise ValueError("t_grid must contain at least two times")
-    n = len(t_grid)
-    dt = (t_grid[-1] - t_grid[0]) / (n - 1)
-    # linspace places each point within a few ulps of |t|
-    slack = 1e-9 * abs(dt) + 16 * np.finfo(float).eps * np.abs(t_grid).max()
-    if not dt > 0 or np.abs(np.diff(t_grid) - dt).max() > slack:
-        raise ValueError("t_grid must be uniform and increasing (a linspace)")
-    d = space.total_dim
-    rho_mat = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0)
-    if (np.abs(rho_mat - rho_mat.conj().T).max()
-            > _HERMITIAN_RTOL * np.abs(rho_mat).max()):
-        raise ValueError("rho0 is not Hermitian")
-    y0 = vectorize(rho_mat)
-
+    t_grid, y0, dt = _start(rho0, t_grid)
+    n, d = len(t_grid), space.total_dim
     observe = _StateObserver(t_grid, d, len(liouvillians), observables)
     if d * d <= _DENSE_PROPAGATOR_MAX:
-        runs = _dense_propagate(liouvillians, y0, n, dt, observe)
+        def fill(P, gens):
+            for L, p in zip(liouvillians[gens], P):
+                L.matrix.toarray(out=p)
+
+        runs = _dense_propagate(len(liouvillians), fill, y0, n, dt, observe)
     else:
         runs = [_chebyshev_propagate(L, y0, n, dt, observe, i)
                 for i, L in enumerate(liouvillians)]
     return observe.results(runs)
+
+
+def _commutator_diagonal(number: np.ndarray) -> np.ndarray:
+    """Diagonal of -i[N, .] on vec(rho) for N = diag(number): the entry
+    rho_ab, at a + d b, goes to -i (n_a - n_b) rho_ab."""
+    return -1j * np.subtract.outer(number, number).ravel(order="F")
+
+
+def _shifted_generator(liouvillian: Liouvillian, number: np.ndarray,
+                       delta: float) -> Liouvillian:
+    """The generator of H + delta N, N = diag(``number``)."""
+    space = liouvillian.space
+    return Liouvillian(
+        space,
+        (liouvillian.matrix
+         + sp.diags(delta * _commutator_diagonal(number))).tocsr(),
+        LinearOperator(space, liouvillian.hamiltonian.matrix
+                       + sp.diags(delta * number)),
+        liouvillian.collapse)
+
+
+def evolve_shifted(liouvillian: Liouvillian, number: np.ndarray, shifts,
+                   rho0: DensityMatrix | np.ndarray, t_grid: np.ndarray,
+                   observables: dict | None = None) -> list[EvolutionResult]:
+    """:func:`evolve_many` under the generators of H + delta N, one per
+    delta in ``shifts``, for the diagonal N = diag(``number``) (a frame
+    change, say).
+
+    The family is L(delta) = L + delta F with F = -i[N, .], which is
+    diagonal on vec(rho).  For d^2 <= 1024 each group's stack of
+    L + delta diag F is written straight into the array ``expm`` reads;
+    larger spaces evolve one generator per delta.  Raises ``ValueError``
+    for no shifts or a ``number`` that is not one value per basis state,
+    besides the errors of :func:`evolve_many`.
+    """
+    shifts = np.asarray(shifts, dtype=float).ravel()
+    d = liouvillian.dim
+    number = np.asarray(number, dtype=float)
+    if number.shape != (d,):
+        raise ValueError(f"number has shape {number.shape}, not ({d},)")
+    if not len(shifts):
+        raise ValueError("no generators to evolve")
+    if d * d > _DENSE_PROPAGATOR_MAX:
+        return evolve_many([_shifted_generator(liouvillian, number, delta)
+                            for delta in shifts], rho0, t_grid, observables)
+    t_grid, y0, dt = _start(rho0, t_grid)
+    N = d * d
+    base = liouvillian.matrix.toarray()
+    step = _commutator_diagonal(number)
+
+    def fill(P, gens):
+        P[:] = base
+        P.reshape(len(P), N * N)[:, ::N + 1] += shifts[gens, None] * step
+
+    observe = _StateObserver(t_grid, d, len(shifts), observables)
+    return observe.results(_dense_propagate(len(shifts), fill, y0,
+                                            len(t_grid), dt, observe))
 
 
 def evolve(liouvillian: Liouvillian, rho0: DensityMatrix | np.ndarray,
@@ -547,7 +652,12 @@ def evolve(liouvillian: Liouvillian, rho0: DensityMatrix | np.ndarray,
     increasing ``linspace``, a non-Hermitian ``rho0`` (relative ``1e-12``)
     or, for d^2 > 1024, an L that does not preserve Hermiticity;
     :class:`EvolutionError` on non-finite values or a positivity violation
-    below ``-1e-6``.  ``diagnostics["propagator"]`` holds the ``method``
+    below ``-1e-6``.  ``diagnostics["min_eigenvalue"]`` is the smallest
+    eigenvalue of rho's Hermitian part over the grid, from ``eigvalsh`` at
+    t = 0 and on every block a Cholesky certificate does not clear (see
+    :class:`_StateObserver`); ``max_trace_drift`` and
+    ``max_hermiticity_defect`` are the largest |tr rho - 1| and
+    |rho - rho^dag|.  ``diagnostics["propagator"]`` holds the ``method``
     (``dense_expm``/``chebyshev``), the ``terms`` K of an expansion, the
     ``substeps`` m of a step, the grid points s an expansion serves
     (``outputs_per_expansion``) and its ``half_width`` R' (1/us); all but

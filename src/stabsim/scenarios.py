@@ -43,7 +43,7 @@ from .hilbert import (
     product_state,
 )
 from .lindblad import (
-    Liouvillian, build_liouvillian, evolve, evolve_many, steady_state,
+    Liouvillian, build_liouvillian, evolve, evolve_shifted, steady_state,
 )
 
 #: extension of the time window used to read off a plateau when the
@@ -56,6 +56,8 @@ _FIT_MIN_TAU = 1e-6
 _FIT_XTOL = 1e-13
 _FIT_TRUST_STEP = 1e-6
 _FIT_MAX_STEPS = 100
+#: fewest samples an exponential fit takes
+_FIT_MIN_SAMPLES = 5
 
 
 class DegenerateDataError(ValueError):
@@ -95,8 +97,8 @@ def fit_exponential(times, values) -> ExponentialFit:
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    if times.size < 5:
-        raise ValueError("at least 5 samples required")
+    if times.size < _FIT_MIN_SAMPLES:
+        raise ValueError(f"at least {_FIT_MIN_SAMPLES} samples required")
     if not (np.isfinite(times).all() and np.isfinite(values).all()):
         raise ValueError("times and values must be finite")
     if np.ptp(values) < 1e-12:
@@ -278,10 +280,6 @@ def build_problem(config: ScenarioConfig) -> tuple[HamiltonianModel, Liouvillian
 
 def _run_scenario(config: ScenarioConfig, target: str, scenario_name: str,
                   initial=None) -> ScenarioReport:
-    model, liouv = build_problem(config)
-    rho0 = initial_density(config, model, initial)
-    obs = _scenario_observables(config, model, target)
-
     decohering = _has_qubit_decoherence(config)
     t_end = config.t_final if decohering else max(config.t_final, PLATEAU_WINDOW)
     steps = t_end / config.t_step
@@ -289,6 +287,16 @@ def _run_scenario(config: ScenarioConfig, target: str, scenario_name: str,
         raise ValueError(f"t_step {config.t_step} us does not divide the "
                          f"{t_end} us window into whole steps")
     t_grid = np.linspace(0.0, t_end, int(round(steps)) + 1)
+    window = t_grid <= config.t_final
+    if window.sum() < _FIT_MIN_SAMPLES:
+        raise ValueError(
+            f"t_final {config.t_final} us holds {window.sum()} grid points "
+            f"of t_step {config.t_step} us; the rate fit needs at least "
+            f"{_FIT_MIN_SAMPLES}")
+
+    model, liouv = build_problem(config)
+    rho0 = initial_density(config, model, initial)
+    obs = _scenario_observables(config, model, target)
     result = evolve(liouv, rho0, t_grid, observables=obs)
 
     fid = np.real(np.asarray(result.observables["F_target"], dtype=complex))
@@ -309,7 +317,6 @@ def _run_scenario(config: ScenarioConfig, target: str, scenario_name: str,
         steady_res = float(np.ptp(tail))
         iterations = kernel_gap = None
 
-    window = t_grid <= config.t_final
     fitted_rate = fitted_tau = None
     try:
         f = fit_exponential(t_grid[window], fid[window])
@@ -403,46 +410,22 @@ class SpectroscopyResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _probe_liouvillians(config: ScenarioConfig, amps: tuple, freqs
-                        ) -> list[Liouvillian]:
-    """Qubit-only probe generators, one per pump frequency.
+def _probe_family(config: ScenarioConfig, amps: tuple, freqs
+                  ) -> tuple[Liouvillian, np.ndarray, np.ndarray]:
+    """``(L0, n_q, shifts)``: the qubit-only probe generator at ``freqs[0]``,
+    the total qubit number of each basis state and each frequency's shift.
 
-    The model is built once, at ``freqs[0]``.  With a single pump on the
-    qubit-only model the pump frequency sets only the frame, so
-    H(f) = H(f0) + delta N_q with delta = -2 pi (f - f0) and N_q the total
-    qubit number, and L(f) = L(f0) + delta F with F = -i[N_q, .].  N_q is
-    diagonal, so F is too: it takes vec(rho)'s entry rho_ab, at a + d b,
-    to -i (n_a - n_b).
+    With a single pump on the qubit-only model the pump frequency sets only
+    the frame, so H(f) = H(f0) + delta N_q with delta = -2 pi (f - f0) and
+    N_q = diag(n_q) (see :func:`~stabsim.lindblad.evolve_shifted`).
     """
-    if len(freqs) == 0:
-        return []
     probe = config.replace(
         pumps=(PumpDrive(amps, float(freqs[0])),),
         raman=tuple(ResonatorDrive(detuning=d.detuning, n_bar=0.0)
                     for d in config.raman))
     model, base = build_problem(probe)
-    occ = qubit_excitations(model.space)
-    frame = sp.diags(-1j * (occ[None, :] - occ[:, None]).ravel())
-    n_q = sp.diags(occ, dtype=float)
     shifts = -2.0 * math.pi * (np.asarray(freqs) - freqs[0])
-    return [Liouvillian(base.space, L, LinearOperator(model.space, H),
-                        base.collapse)
-            for L, H in zip(_shifted(base.matrix, frame, shifts),
-                            _shifted(base.hamiltonian.matrix, n_q, shifts))]
-
-
-def _shifted(base: sp.spmatrix, step: sp.spmatrix, shifts
-             ) -> list[sp.csr_matrix]:
-    """``base + delta * step`` for each delta, summed on the joint sparsity
-    pattern (one array sum each, no sparse arithmetic per delta)."""
-    pattern = (abs(base) + abs(step)).tocsr()
-    rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
-    on_pattern = [np.asarray(m.tocsr()[rows, pattern.indices]).ravel()
-                  for m in (base, step)]
-    return [sp.csr_matrix((on_pattern[0] + delta * on_pattern[1],
-                           pattern.indices.copy(), pattern.indptr.copy()),
-                          shape=pattern.shape)
-            for delta in shifts]
+    return base, qubit_excitations(model.space), shifts
 
 
 def run_spectroscopy(config: ScenarioConfig, drive_target: int,
@@ -452,9 +435,10 @@ def run_spectroscopy(config: ScenarioConfig, drive_target: int,
 
     The probe amplitude must stay well under the coupling J so the lines
     remain resolvable.  The probe switches every resonator drive off, so
-    the model holds the qubits only.  Populations are time-averaged over the second half of the
-    probe window.  All frequencies are propagated together
-    (:func:`~stabsim.lindblad.evolve_many`); ``diagnostics`` holds the
+    the model holds the qubits only.  Populations are time-averaged over
+    the second half of the probe window.  All frequencies are propagated
+    together, as frame shifts of one generator
+    (:func:`~stabsim.lindblad.evolve_shifted`); ``diagnostics`` holds the
     scan's largest ``max_trace_drift`` and ``max_hermiticity_defect``, its
     smallest ``min_eigenvalue`` (None without frequencies), the summed
     ``rhs_evaluations``, and the ``propagator``: the dict every frequency
@@ -478,10 +462,14 @@ def run_spectroscopy(config: ScenarioConfig, drive_target: int,
     t_grid = np.linspace(0.0, duration, 81)
     sel = t_grid >= duration / 2.0
 
-    liouvs = _probe_liouvillians(config, amps, freqs)
-    results = evolve_many(liouvs, rho0, t_grid, observables=obs) if liouvs else []
-    pops = {lab: np.array([res.observables[f"P_{lab}"][sel].mean()
-                           for res in results]) for lab in labels}
+    results = []
+    if len(freqs):
+        results = evolve_shifted(*_probe_family(config, amps, freqs), rho0,
+                                 t_grid, observables=obs)
+    traces = np.array([[res.observables[key] for res in results]
+                       for key in obs])
+    traces = traces.reshape(len(obs), len(results), len(t_grid))[:, :, sel]
+    pops = dict(zip(labels, traces.mean(axis=2)))
     total = sum(pops[lab] * lab.count("e") for lab in labels)
     return SpectroscopyResult(freqs, pops, np.asarray(total),
                               _scan_diagnostics(results))

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -144,6 +145,25 @@ class TestEmbedAlgebra:
         for i, d in enumerate(dims):
             dense_j = np.kron(dense_j, mats[i] if i == j else np.eye(d))
         npt.assert_allclose(op.toarray(), dense @ dense_j, atol=1e-12)
+
+    @pytest.mark.parametrize("dims,mode", [
+        ((2, 3, 4), 0), ((2, 3, 4), 1), ((2, 3, 4), 2), ((3,), 0),
+    ], ids=["first", "middle-qutrit", "last", "lone-qutrit"])
+    def test_embed_equals_sparse_kron(self, dims, mode):
+        # the same entries as kron(kron(1, M), 1), zeros of M left out
+        rng = np.random.default_rng(mode)
+        d = dims[mode]
+        local = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        local[0, 1:] = 0.0
+        local[-1, -1] = 0.0
+        left = np.prod(dims[:mode], dtype=int)
+        right = np.prod(dims[mode + 1:], dtype=int)
+        ref = sps.kron(sps.kron(sps.identity(left), sps.csr_matrix(local),
+                                format="csr"),
+                       sps.identity(right), format="csr")
+        got = embed(space_of(*dims), mode, local).matrix
+        assert got.nnz == ref.nnz == left * right * np.count_nonzero(local)
+        assert abs(got - ref).max() == 0
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=20, deadline=None)

@@ -419,6 +419,29 @@ class TestEvolveMany:
         with pytest.raises(ValueError, match="no generators"):
             evolve_many([], np.eye(2) / 2, np.linspace(0.0, 1.0, 3))
 
+    def test_shifted_stack_matches_shifted_generators(self):
+        # the dense family L + delta diag F against one sparse generator
+        # of H + delta N per delta
+        L, rho0 = random_lindbladian(4, seed=5)
+        number = np.array([0.0, 1.0, 1.0, 2.0])
+        shifts = [-1.3, 0.0, 2.2]
+        t = np.linspace(0.0, 3.0, 13)
+        obs = {"n": number_op(L.space, 0)}
+        family = lindblad.evolve_shifted(L, number, shifts, rho0, t,
+                                         observables=obs)
+        gens = [lindblad._shifted_generator(L, number, delta)
+                for delta in shifts]
+        for res, ref in zip(family, evolve_many(gens, rho0, t,
+                                                observables=obs)):
+            npt.assert_allclose(res.observables["n"], ref.observables["n"],
+                                rtol=0, atol=1e-13)
+            assert res.diagnostics["min_eigenvalue"] == pytest.approx(
+                ref.diagnostics["min_eigenvalue"], abs=1e-13)
+        with pytest.raises(ValueError, match="number has shape"):
+            lindblad.evolve_shifted(L, number[:3], shifts, rho0, t)
+        with pytest.raises(ValueError, match="no generators"):
+            lindblad.evolve_shifted(L, number, [], rho0, t)
+
     def test_mixed_spaces_rejected(self):
         a, rho0 = random_lindbladian(4, seed=1)
         b, _ = random_lindbladian(3, seed=1)
@@ -440,6 +463,65 @@ class TestEvolveMany:
                         np.linspace(0, 2, 21))
         assert exc.value.diagnostics["generator"] == 1
         assert exc.value.diagnostics["t"] == pytest.approx(0.7)
+
+
+
+class TestPositivityCertificate:
+    """The observer's running minimum: blocks after t = 0 pass on one
+    Cholesky factorization, and fall back to ``eigvalsh``."""
+
+    @staticmethod
+    def run(monkeypatch, L, rho0, t):
+        """``(result, rhos, eigvalsh calls, per-point minimum)``."""
+        eigvalsh, calls = np.linalg.eigvalsh, []
+
+        def counting(a):
+            calls.append(len(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        res, rhos = evolved_states(L, rho0, t)
+        monkeypatch.undo()
+        per_point = eigvalsh(0.5 * (rhos + rhos.conj().transpose(0, 2, 1)))
+        return res, rhos, len(calls), per_point[:, 0].min()
+
+    def test_pure_start_certified_after_first_block(self, monkeypatch):
+        L, _ = random_lindbladian(4, seed=3)
+        rng = np.random.default_rng(3)
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        rho0 = DensityMatrix.from_state_vector(L.space, psi / np.linalg.norm(psi))
+        res, _, calls, ref = self.run(monkeypatch, L, rho0,
+                                      np.linspace(0.0, 5.0, 21))
+        assert calls == 1  # the t = 0 block only
+        assert res.diagnostics["min_eigenvalue"] == pytest.approx(ref, abs=1e-13)
+
+    def test_falling_minimum_takes_eigvalsh(self, monkeypatch):
+        # decay from the mixed state: lambda_min = exp(-t)/2 falls at every
+        # step, so no block passes the certificate
+        space = tls_space()
+        L = build_liouvillian(
+            LinearOperator(space, np.zeros((2, 2), dtype=complex)),
+            CollapseSet([(lowering_op(space, 0), 1.0)]))
+        t = np.linspace(0.0, 2.0, 21)
+        res, _, calls, ref = self.run(monkeypatch, L, np.eye(2) / 2, t)
+        assert calls == len(t)
+        assert res.diagnostics["min_eigenvalue"] == ref
+        assert ref == pytest.approx(0.5 * math.exp(-2.0), rel=1e-12)
+
+    def test_decoherence_free_pure_state(self, monkeypatch):
+        # a pure state stays rank one, so rho - m 1 is singular to rounding
+        # and the factorization fails on later blocks
+        rng = np.random.default_rng(2)
+        h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        L = make_liouvillian(h + h.conj().T, [])
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        rho0 = DensityMatrix.from_state_vector(L.space, psi / np.linalg.norm(psi))
+        res, rhos, calls, ref = self.run(monkeypatch, L, rho0,
+                                         np.linspace(0.0, 5.0, 21))
+        assert calls > 1
+        assert res.diagnostics["min_eigenvalue"] == pytest.approx(ref, abs=1e-13)
+        assert res.diagnostics["max_trace_drift"] == pytest.approx(
+            np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0).max(), abs=1e-15)
 
 
 def random_lindbladian(d, seed, density=1.0, rate=0.5, h_scale=1.0):

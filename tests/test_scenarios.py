@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabsim import scenarios
 from stabsim.device import (
     PumpDrive, ResonatorDrive, Truncations, bundled_scenario,
 )
 from stabsim.hamiltonian import named_qubit_state, qubit_space
 from stabsim.hilbert import DensityMatrix
-from stabsim.lindblad import evolve
+from stabsim.lindblad import _shifted_generator, evolve
 from stabsim.scenarios import (
-    DegenerateDataError, FitError, _probe_liouvillians, _qubit_state_labels,
+    DegenerateDataError, FitError, _probe_family, _qubit_state_labels,
     build_problem, fit_exponential, run_bell, run_spectroscopy, run_sweep, run_w, write_report, write_sweep,
 )
 
@@ -174,6 +175,13 @@ class TestScenarioRuns:
         with pytest.raises(ValueError, match="t_step 0.7 us .* 30.0 us window"):
             run_bell(ideal)
 
+    def test_fit_window_needs_five_points(self, quick_bell, monkeypatch):
+        # refused before the model is built: 0.3 us of 0.1 us steps holds
+        # 4 points, and the rate fit takes 5
+        monkeypatch.setattr(scenarios, "build_problem", None)
+        with pytest.raises(ValueError, match="t_final 0.3 us holds 4 grid"):
+            run_bell(quick_bell.replace(t_final=0.3))
+
 
 class TestCoherentOnlyThreeQubit:
     def test_pump_rabi_cycles_without_engineered_dissipation(self):
@@ -269,7 +277,15 @@ def probe_configs():
         "w": bundled_scenario("w"),
         "bell_qutrit": bell.replace(
             truncations=Truncations(qubit_dim=3, resonator_dim=4)),
+        # d = 36: d^2 = 1296 takes the per-generator Chebyshev branch
+        "bell_qd6": bell.replace(
+            truncations=Truncations(qubit_dim=6, resonator_dim=4)),
     }
+
+
+#: (frequencies, duration in us) of each scan compared with rebuilds
+PROBE_SCANS = {"bell": (9, 4.0), "w": (9, 4.0), "bell_qutrit": (9, 4.0),
+               "bell_qd6": (2, 0.4)}
 
 
 def rebuilt_probe_liouvillian(cfg, amps, freq):
@@ -288,31 +304,35 @@ class TestSpectroscopyFrameShift:
         amps = (0.15,) + (0.0,) * (cfg.n_qubits - 1)
         work = cfg.qubits[0].working_freq
         freqs = np.array([work - 7.3, work, work + 2.5, work + 11.0])
-        for f, shifted in zip(freqs, _probe_liouvillians(cfg, amps, freqs)):
+        base, number, shifts = _probe_family(cfg, amps, freqs)
+        for f, delta in zip(freqs, shifts):
+            shifted = _shifted_generator(base, number, delta)
             ref = rebuilt_probe_liouvillian(cfg, amps, f)
             scale = abs(ref.matrix).max()
             assert abs(shifted.matrix - ref.matrix).max() <= 1e-9 * scale
             assert abs(shifted.hamiltonian.matrix
                        - ref.hamiltonian.matrix).max() <= 1e-9 * scale
 
-    @pytest.mark.parametrize("name", ["bell", "w", "bell_qutrit"])
+    @pytest.mark.parametrize("name", list(PROBE_SCANS))
     def test_populations_match_per_frequency_rebuild(self, name):
         cfg = probe_configs()[name]
+        count, duration = PROBE_SCANS[name]
         amps = (0.15,) + (0.0,) * (cfg.n_qubits - 1)
         work = cfg.qubits[0].working_freq
-        freqs = np.linspace(work - 8.0, work + 12.0, 9)
-        result = run_spectroscopy(cfg, 0, freqs, amplitude=0.15)
+        freqs = np.linspace(work - 8.0, work + 12.0, count)
+        result = run_spectroscopy(cfg, 0, freqs, amplitude=0.15,
+                                  duration=duration)
         qspace = qubit_space(cfg)
         labels = _qubit_state_labels(cfg.n_qubits)
         obs = {lab: named_qubit_state(qspace, lab) for lab in labels}
         rho0 = DensityMatrix.from_state_vector(
             qspace, named_qubit_state(qspace, "g" * cfg.n_qubits))
-        t = np.linspace(0.0, 4.0, 81)
+        t = np.linspace(0.0, duration, 81)
         for k, f in enumerate(freqs):
             res = evolve(rebuilt_probe_liouvillian(cfg, amps, f), rho0, t,
                          observables=obs)
             for lab in labels:
-                ref = np.real(res.observables[lab][t >= 2.0]).mean()
+                ref = np.real(res.observables[lab][t >= duration / 2]).mean()
                 assert abs(result.populations[lab][k] - ref) <= 1e-9
 
 
