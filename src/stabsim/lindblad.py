@@ -28,19 +28,18 @@ floor(steps/s) full expansions plus the m (K_r - 1) of a last one over
 the r = steps mod s remaining points, which needs only the K_r terms of
 its shorter span.
 
-:func:`evolve_many` runs one state under several generators on one space
-(:func:`evolve` is its single-generator case), and :func:`evolve_shifted`
-under a family L + delta F with F diagonal on vec(rho).  Dense generators
-go in groups of floor(1024^2 / d^4), so a group's stacked propagators
-take no more memory than one 1024 x 1024 propagator: one stacked expm
-per group and one batched product per grid step.  Every propagator hands
-its states to one observer a block at a time (a grid step of the whole
-group, or one expansion's outputs), which evaluates the observables and
-monitors trace, hermiticity and positivity at every stored point, never
-enforcing them; no trajectory is kept.  Positivity after t = 0 is a
-batched Cholesky certificate against each generator's running minimum,
-with ``eigvalsh`` where it fails, so the reported minimum is always an
-``eigvalsh`` value.
+:func:`evolve_shifted` runs one state under a family L + delta F with F
+diagonal on vec(rho), and :func:`evolve` is its one-member delta = 0
+family.  Dense families go in groups of floor(1024^2 / d^4), so a group's
+stacked propagators take no more memory than one 1024 x 1024 propagator:
+one stacked expm per group and one batched product per grid step.  Every
+propagator hands its states to one observer a block at a time (a grid
+step of the whole group, or one expansion's outputs), which evaluates the
+observables and monitors trace, hermiticity and positivity at every
+stored point, never enforcing them; no trajectory is kept.  Positivity
+after t = 0 is a batched Cholesky certificate against each member's
+running minimum, with ``eigvalsh`` where it fails, so the reported
+minimum is always an ``eigvalsh`` value.
 
 The steady state is one matrix-free Arnoldi run: the no-jump (Sylvester)
 part of L is inverted from one eigendecomposition of the effective
@@ -366,20 +365,21 @@ def _dense_group_size(n: int) -> int:
     return max(1, _DENSE_PROPAGATOR_MAX ** 2 // n ** 2)
 
 
-def _dense_propagate(count: int, fill: Callable[[np.ndarray, slice], None],
+def _dense_propagate(L: np.ndarray, F: np.ndarray, shifts: np.ndarray,
                      y0: np.ndarray, n: int, dt: float,
                      observe: _StateObserver) -> list[tuple[int, dict]]:
-    """``(matvecs, propagator)`` per generator of stepping its vec(rho) by
-    its expm(L dt), a group of the ``count`` generators at a time:
-    ``fill(P, gens)`` writes the group's generators into the stack P that
-    expm reads, then one stacked expm per group and one batched product
-    per grid step, each step handed to ``observe`` whole."""
+    """``(matvecs, propagator)`` per member of stepping vec(rho) by
+    expm((L + delta diag F) dt), delta in ``shifts``, a group of members at
+    a time: each group's stack of L + delta diag F is written straight
+    into the array expm reads, then one stacked expm per group and one
+    batched product per grid step, each step handed to ``observe`` whole."""
     N = len(y0)
     size = _dense_group_size(N)
-    for g0 in range(0, count, size):
-        gens = slice(g0, min(g0 + size, count))
+    for g0 in range(0, len(shifts), size):
+        gens = slice(g0, min(g0 + size, len(shifts)))
         P = np.empty((gens.stop - g0, N, N), dtype=complex)
-        fill(P, gens)
+        P[:] = L
+        P.reshape(len(P), N * N)[:, ::N + 1] += shifts[gens, None] * F
         P *= dt
         P = expm(P)
         Y = np.repeat(y0[None, :], len(P), axis=0)
@@ -389,7 +389,7 @@ def _dense_propagate(count: int, fill: Callable[[np.ndarray, slice], None],
             observe(gens, slice(k, k + 1), Y[:, None])
     return [(n - 1, dict(method="dense_expm", terms=None, substeps=1,
                          outputs_per_expansion=None, half_width=None))
-            for _ in range(count)]
+            ] * len(shifts)
 
 
 def _chebyshev_propagate(liouvillian: Liouvillian, y0: np.ndarray, n: int,
@@ -431,7 +431,8 @@ class _StateObserver:
     """Integrity checks and observables of G generators' states on one
     grid of n points, fed a block of states at a time; no trajectory is
     kept.  A block Y[g, j] = vec(rho_g(t_j)) covers the generators
-    ``gens`` at the grid points ``times`` (two slices).
+    ``gens`` at the grid points ``times`` (two slices).  Trace drift and
+    hermiticity defect are kept as running maxima over the family.
 
     Positivity is tracked as each generator's running minimum m_g of
     exactly computed smallest eigenvalues (``eigvalsh``; the first block
@@ -446,15 +447,15 @@ class _StateObserver:
 
     def __init__(self, t_grid: np.ndarray, d: int, count: int,
                  observables: dict | None):
-        n = len(t_grid)
         weights = {k: _observable_weights(o)
                    for k, o in (observables or {}).items()}
         self.t_grid, self.d = t_grid, d
         self.is_state = {k: s for k, (_, s) in weights.items()}
         self.W = np.array([w for w, _ in weights.values()],
                           dtype=complex).reshape(len(weights), d * d).T
-        self.values = np.empty((count, len(weights), n), dtype=complex)
-        self.drift, self.herm = np.empty((2, count, n))
+        self.values = np.empty((len(weights), count, len(t_grid)),
+                               dtype=complex)
+        self.drift = self.herm = 0.0
         self.min_eig = np.full(count, np.inf)
 
     def _certified(self, gens: slice, hermitian: np.ndarray) -> bool:
@@ -493,9 +494,9 @@ class _StateObserver:
         herm = np.abs(rhos - adj).max(axis=(1, 2)).reshape(shape)
         hermitian = rhos + adj
         hermitian *= 0.5
-        self.drift[gens, times] = drift
-        self.herm[gens, times] = herm
-        self.values[gens, :, times] = (Y @ self.W).transpose(0, 2, 1)
+        self.drift = max(self.drift, float(drift.max()))
+        self.herm = max(self.herm, float(herm.max()))
+        self.values[:, gens, times] = (Y @ self.W).transpose(2, 0, 1)
         if self._certified(gens, hermitian):
             return
         min_eig = np.linalg.eigvalsh(hermitian)[:, 0].reshape(shape)
@@ -515,25 +516,26 @@ class _StateObserver:
         np.minimum(self.min_eig[gens], min_eig.min(axis=1),
                    out=self.min_eig[gens])
 
-    def results(self, runs: list[tuple[int, dict]]) -> list[EvolutionResult]:
-        """One result per generator from its ``(matvecs, propagator)``."""
-        out = []
-        for g, (matvecs, propagator) in enumerate(runs):
-            values = {k: self.values[g, i].real if s else self.values[g, i]
-                      for i, (k, s) in enumerate(self.is_state.items())}
-            out.append(EvolutionResult(self.t_grid, values, {
-                "max_trace_drift": float(self.drift[g].max()),
-                "max_hermiticity_defect": float(self.herm[g].max()),
-                "min_eigenvalue": float(self.min_eig[g]),
-                "rhs_evaluations": matvecs,
-                "propagator": propagator,
-            }))
-        return out
+    def result(self, runs: list[tuple[int, dict]]) -> EvolutionResult:
+        """The family's result from each member's ``(matvecs,
+        propagator)``: one row per member in each observable."""
+        props = [p for _, p in runs]
+        values = {k: self.values[i].real if s else self.values[i]
+                  for i, (k, s) in enumerate(self.is_state.items())}
+        return EvolutionResult(self.t_grid, values, {
+            "max_trace_drift": self.drift,
+            "max_hermiticity_defect": self.herm,
+            "min_eigenvalue": float(self.min_eig.min()),
+            "rhs_evaluations": sum(m for m, _ in runs),
+            "propagator": (props[0] if all(p == props[0] for p in props)
+                           else props),
+        })
 
 
-def _start(rho0: DensityMatrix | np.ndarray, t_grid: np.ndarray
+def _start(rho0: DensityMatrix | np.ndarray, t_grid: np.ndarray, d: int
            ) -> tuple[np.ndarray, np.ndarray, float]:
-    """``(t_grid, vec(rho0), dt)`` of a checked grid and ``rho0``."""
+    """``(t_grid, vec(rho0), dt)`` of a checked grid and a checked d x d
+    ``rho0``."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2:
         raise ValueError("t_grid must contain at least two times")
@@ -544,44 +546,12 @@ def _start(rho0: DensityMatrix | np.ndarray, t_grid: np.ndarray
     if not dt > 0 or np.abs(np.diff(t_grid) - dt).max() > slack:
         raise ValueError("t_grid must be uniform and increasing (a linspace)")
     rho_mat = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0)
+    if rho_mat.shape != (d, d):
+        raise ValueError(f"rho0 has shape {rho_mat.shape}, not {(d, d)}")
     if (np.abs(rho_mat - rho_mat.conj().T).max()
             > _HERMITIAN_RTOL * np.abs(rho_mat).max()):
         raise ValueError("rho0 is not Hermitian")
     return t_grid, vectorize(rho_mat), dt
-
-
-def evolve_many(liouvillians, rho0: DensityMatrix | np.ndarray,
-                t_grid: np.ndarray, observables: dict | None = None
-                ) -> list[EvolutionResult]:
-    """:func:`evolve` of one ``rho0`` under each of several generators on
-    one space, one result per generator, in order.
-
-    For d^2 <= 1024 the generators are propagated in groups of
-    ``1024^2 // d^4`` (one stacked expm and one batched product per grid
-    step); larger ones one after another.  Raises ``ValueError`` for an
-    empty list or generators on different spaces, besides the errors of
-    :func:`evolve`; an :class:`EvolutionError` names the failing
-    ``generator`` (its index) in its message and diagnostics.
-    """
-    liouvillians = list(liouvillians)
-    if not liouvillians:
-        raise ValueError("no generators to evolve")
-    space = liouvillians[0].space
-    if any(L.space != space for L in liouvillians[1:]):
-        raise ValueError("generators live on different spaces")
-    t_grid, y0, dt = _start(rho0, t_grid)
-    n, d = len(t_grid), space.total_dim
-    observe = _StateObserver(t_grid, d, len(liouvillians), observables)
-    if d * d <= _DENSE_PROPAGATOR_MAX:
-        def fill(P, gens):
-            for L, p in zip(liouvillians[gens], P):
-                L.matrix.toarray(out=p)
-
-        runs = _dense_propagate(len(liouvillians), fill, y0, n, dt, observe)
-    else:
-        runs = [_chebyshev_propagate(L, y0, n, dt, observe, i)
-                for i, L in enumerate(liouvillians)]
-    return observe.results(runs)
 
 
 def _commutator_diagonal(number: np.ndarray) -> np.ndarray:
@@ -592,7 +562,10 @@ def _commutator_diagonal(number: np.ndarray) -> np.ndarray:
 
 def _shifted_generator(liouvillian: Liouvillian, number: np.ndarray,
                        delta: float) -> Liouvillian:
-    """The generator of H + delta N, N = diag(``number``)."""
+    """The generator of H + delta N, N = diag(``number``); L itself at
+    delta = 0."""
+    if not delta:
+        return liouvillian
     space = liouvillian.space
     return Liouvillian(
         space,
@@ -605,17 +578,24 @@ def _shifted_generator(liouvillian: Liouvillian, number: np.ndarray,
 
 def evolve_shifted(liouvillian: Liouvillian, number: np.ndarray, shifts,
                    rho0: DensityMatrix | np.ndarray, t_grid: np.ndarray,
-                   observables: dict | None = None) -> list[EvolutionResult]:
-    """:func:`evolve_many` under the generators of H + delta N, one per
-    delta in ``shifts``, for the diagonal N = diag(``number``) (a frame
-    change, say).
+                   observables: dict | None = None) -> EvolutionResult:
+    """:func:`evolve` of one ``rho0`` under the generators of H + delta N,
+    one per delta in ``shifts``, for the diagonal N = diag(``number``) (a
+    frame change, say).
 
     The family is L(delta) = L + delta F with F = -i[N, .], which is
-    diagonal on vec(rho).  For d^2 <= 1024 each group's stack of
-    L + delta diag F is written straight into the array ``expm`` reads;
-    larger spaces evolve one generator per delta.  Raises ``ValueError``
-    for no shifts or a ``number`` that is not one value per basis state,
-    besides the errors of :func:`evolve_many`.
+    diagonal on vec(rho).  For d^2 <= 1024 the members go in groups of
+    ``1024^2 // d^4``, each group's stack of L + delta diag F written
+    straight into the array ``expm`` reads; larger spaces run one
+    Chebyshev propagation per delta.  The one result holds each observable
+    as a ``(len(shifts), len(t_grid))`` array, a row per delta, and the
+    family's diagnostics: the largest ``max_trace_drift`` and
+    ``max_hermiticity_defect``, the smallest ``min_eigenvalue``, the summed
+    ``rhs_evaluations`` and the ``propagator`` every member used, or a list
+    of one per member where they differ.  Raises ``ValueError`` for no
+    shifts or a ``number`` that is not one value per basis state, besides
+    the errors of :func:`evolve`; an :class:`EvolutionError` names the
+    failing ``generator`` (its row) in its message and diagnostics.
     """
     shifts = np.asarray(shifts, dtype=float).ravel()
     d = liouvillian.dim
@@ -624,21 +604,19 @@ def evolve_shifted(liouvillian: Liouvillian, number: np.ndarray, shifts,
         raise ValueError(f"number has shape {number.shape}, not ({d},)")
     if not len(shifts):
         raise ValueError("no generators to evolve")
-    if d * d > _DENSE_PROPAGATOR_MAX:
-        return evolve_many([_shifted_generator(liouvillian, number, delta)
-                            for delta in shifts], rho0, t_grid, observables)
-    t_grid, y0, dt = _start(rho0, t_grid)
-    N = d * d
-    base = liouvillian.matrix.toarray()
-    step = _commutator_diagonal(number)
-
-    def fill(P, gens):
-        P[:] = base
-        P.reshape(len(P), N * N)[:, ::N + 1] += shifts[gens, None] * step
-
+    t_grid, y0, dt = _start(rho0, t_grid, d)
+    n = len(t_grid)
     observe = _StateObserver(t_grid, d, len(shifts), observables)
-    return observe.results(_dense_propagate(len(shifts), fill, y0,
-                                            len(t_grid), dt, observe))
+    if d * d <= _DENSE_PROPAGATOR_MAX:
+        runs = _dense_propagate(liouvillian.matrix.toarray(),
+                                _commutator_diagonal(number), shifts, y0, n,
+                                dt, observe)
+    else:
+        runs = [_chebyshev_propagate(
+                    _shifted_generator(liouvillian, number, delta), y0, n, dt,
+                    observe, g)
+                for g, delta in enumerate(shifts)]
+    return observe.result(runs)
 
 
 def evolve(liouvillian: Liouvillian, rho0: DensityMatrix | np.ndarray,
@@ -649,13 +627,13 @@ def evolve(liouvillian: Liouvillian, rho0: DensityMatrix | np.ndarray,
     ``rho0`` is the state at ``t_grid[0]``.  Observables may be
     ``LinearOperator``s / matrices (expectation values) or state vectors
     (fidelities).  Raises ``ValueError`` for a grid that is not a uniform
-    increasing ``linspace``, a non-Hermitian ``rho0`` (relative ``1e-12``)
-    or, for d^2 > 1024, an L that does not preserve Hermiticity;
-    :class:`EvolutionError` on non-finite values or a positivity violation
-    below ``-1e-6``.  ``diagnostics["min_eigenvalue"]`` is the smallest
-    eigenvalue of rho's Hermitian part over the grid, from ``eigvalsh`` at
-    t = 0 and on every block a Cholesky certificate does not clear (see
-    :class:`_StateObserver`); ``max_trace_drift`` and
+    increasing ``linspace``, a ``rho0`` that is not d x d or not Hermitian
+    (relative ``1e-12``) or, for d^2 > 1024, an L that does not preserve
+    Hermiticity; :class:`EvolutionError` on non-finite values or a
+    positivity violation below ``-1e-6``.  ``diagnostics["min_eigenvalue"]``
+    is the smallest eigenvalue of rho's Hermitian part over the grid, from
+    ``eigvalsh`` at t = 0 and on every block a Cholesky certificate does
+    not clear (see :class:`_StateObserver`); ``max_trace_drift`` and
     ``max_hermiticity_defect`` are the largest |tr rho - 1| and
     |rho - rho^dag|.  ``diagnostics["propagator"]`` holds the ``method``
     (``dense_expm``/``chebyshev``), the ``terms`` K of an expansion, the
@@ -663,7 +641,10 @@ def evolve(liouvillian: Liouvillian, rho0: DensityMatrix | np.ndarray,
     (``outputs_per_expansion``) and its ``half_width`` R' (1/us); all but
     the method and m are None on the dense path.
     """
-    return evolve_many([liouvillian], rho0, t_grid, observables)[0]
+    res = evolve_shifted(liouvillian, np.zeros(liouvillian.dim), [0.0], rho0,
+                         t_grid, observables)
+    res.observables = {k: v[0] for k, v in res.observables.items()}
+    return res
 
 
 @dataclass

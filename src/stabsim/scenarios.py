@@ -438,11 +438,10 @@ def run_spectroscopy(config: ScenarioConfig, drive_target: int,
     the model holds the qubits only.  Populations are time-averaged over
     the second half of the probe window.  All frequencies are propagated
     together, as frame shifts of one generator
-    (:func:`~stabsim.lindblad.evolve_shifted`); ``diagnostics`` holds the
-    scan's largest ``max_trace_drift`` and ``max_hermiticity_defect``, its
-    smallest ``min_eigenvalue`` (None without frequencies), the summed
-    ``rhs_evaluations``, and the ``propagator``: the dict every frequency
-    used, or one per frequency where they differ.
+    (:func:`~stabsim.lindblad.evolve_shifted`), whose family diagnostics
+    are the scan's ``diagnostics``; without frequencies they read zero
+    drift, defect and ``rhs_evaluations`` and None for ``min_eigenvalue``
+    and ``propagator``.
     """
     j_min = min((j for j in config.couplings if j > 0), default=math.inf)
     if amplitude > j_min / 3.0:
@@ -453,8 +452,7 @@ def run_spectroscopy(config: ScenarioConfig, drive_target: int,
     freqs = np.asarray(freq_range, dtype=float)
     labels = _qubit_state_labels(config.n_qubits)
     qspace = qubit_space(config)
-    obs = {f"P_{lab}": np.asarray(named_qubit_state(qspace, lab))
-           for lab in labels}
+    obs = {lab: np.asarray(named_qubit_state(qspace, lab)) for lab in labels}
     amps = tuple(amplitude if i == drive_target else 0.0
                  for i in range(config.n_qubits))
     rho0 = DensityMatrix.from_state_vector(
@@ -462,35 +460,18 @@ def run_spectroscopy(config: ScenarioConfig, drive_target: int,
     t_grid = np.linspace(0.0, duration, 81)
     sel = t_grid >= duration / 2.0
 
-    results = []
     if len(freqs):
-        results = evolve_shifted(*_probe_family(config, amps, freqs), rho0,
-                                 t_grid, observables=obs)
-    traces = np.array([[res.observables[key] for res in results]
-                       for key in obs])
-    traces = traces.reshape(len(obs), len(results), len(t_grid))[:, :, sel]
-    pops = dict(zip(labels, traces.mean(axis=2)))
+        scan = evolve_shifted(*_probe_family(config, amps, freqs), rho0,
+                              t_grid, observables=obs)
+        traces, diagnostics = scan.observables, scan.diagnostics
+    else:
+        traces = dict.fromkeys(obs, np.empty((0, len(t_grid))))
+        diagnostics = {"max_trace_drift": 0.0, "max_hermiticity_defect": 0.0,
+                       "min_eigenvalue": None, "rhs_evaluations": 0,
+                       "propagator": None}
+    pops = {lab: traces[lab][:, sel].mean(axis=1) for lab in labels}
     total = sum(pops[lab] * lab.count("e") for lab in labels)
-    return SpectroscopyResult(freqs, pops, np.asarray(total),
-                              _scan_diagnostics(results))
-
-
-def _scan_diagnostics(results) -> dict:
-    """One scan's diagnostics from its per-frequency evolution results."""
-    diags = [res.diagnostics for res in results]
-    props = [dg["propagator"] for dg in diags]
-    if props and all(p == props[0] for p in props):
-        props = props[0]
-    return {
-        "max_trace_drift": max((dg["max_trace_drift"] for dg in diags),
-                               default=0.0),
-        "max_hermiticity_defect": max(
-            (dg["max_hermiticity_defect"] for dg in diags), default=0.0),
-        "min_eigenvalue": min((dg["min_eigenvalue"] for dg in diags),
-                              default=None),
-        "rhs_evaluations": sum(dg["rhs_evaluations"] for dg in diags),
-        "propagator": props or None,
-    }
+    return SpectroscopyResult(freqs, pops, np.asarray(total), diagnostics)
 
 
 # -- parameter sweeps ----------------------------------------------------------------

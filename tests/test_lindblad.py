@@ -16,7 +16,7 @@ from stabsim.hilbert import (
 )
 from stabsim.lindblad import (
     EvolutionError, Liouvillian, SteadyStateError, build_liouvillian, evolve,
-    evolve_many, residual_norm, steady_state, unvectorize, vectorize,
+    evolve_shifted, residual_norm, steady_state, unvectorize, vectorize,
 )
 from stabsim.scenarios import build_problem
 
@@ -233,6 +233,14 @@ class TestEvolve:
         with pytest.raises(ValueError, match="rho0 is not Hermitian"):
             evolve(L, rho0, np.linspace(0.0, 0.5, 3))
 
+    @pytest.mark.parametrize("d,density,sparse_path", PATHS)
+    def test_wrong_size_rho0_rejected(self, d, density, sparse_path):
+        L, _ = random_lindbladian(d, seed=5, density=density)
+        assert (d * d > lindblad._DENSE_PROPAGATOR_MAX) is sparse_path
+        with pytest.raises(ValueError,
+                           match=rf"rho0 has shape \(2, 2\), not \({d}, {d}\)"):
+            evolve(L, np.eye(2) / 2, np.linspace(0.0, 0.5, 3))
+
     def test_non_hermiticity_preserving_generator_rejected(self):
         L, rho0 = random_lindbladian(33, seed=5, density=0.1)
         bad = Liouvillian(L.space, 1j * L.matrix, L.hamiltonian, L.collapse)
@@ -371,44 +379,61 @@ class TestEvolve:
 
 
 class TestEvolveMany:
-    @pytest.mark.parametrize("d,density,seeds,t", [
-        (4, 1.0, (1, 2, 3), np.linspace(0.0, 5.0, 21)),
-        (33, 0.1, (1, 2), np.linspace(0.0, 0.5, 6)),
+    """One state under the family L + delta F of :func:`evolve_shifted`,
+    one stacked result."""
+
+    @pytest.mark.parametrize("d,density,shifts,t", [
+        (4, 1.0, [-1.3, 0.0, 2.2], np.linspace(0.0, 5.0, 21)),
+        (33, 0.1, [0.0, 1.7], np.linspace(0.0, 0.5, 6)),
     ], ids=["dense", "chebyshev"])
-    def test_each_result_matches_evolve(self, d, density, seeds, t):
-        gens = [random_lindbladian(d, seed=s, density=density)[0]
-                for s in seeds]
-        _, rho0 = random_lindbladian(d, seed=0)
+    def test_each_result_matches_evolve(self, d, density, shifts, t):
+        # each row against evolve of the generator of H + delta N, which is
+        # L itself at delta = 0: that row is evolve's, bit for bit
+        L, rho0 = random_lindbladian(d, seed=1, density=density)
+        number = np.arange(d) % 3.0
         rng = np.random.default_rng(0)
         psi = rng.normal(size=d) + 1j * rng.normal(size=d)
-        obs = {"n": number_op(gens[0].space, 0), "psi": psi / np.linalg.norm(psi)}
-        batch = evolve_many(gens, rho0, t, observables=obs)
-        assert len(batch) == len(gens)
-        for L, res in zip(gens, batch):
-            ref = evolve(L, rho0, t, observables=obs)
-            npt.assert_array_equal(res.times, ref.times)
-            for name in obs:
-                npt.assert_allclose(res.observables[name],
-                                    ref.observables[name], rtol=0, atol=1e-13)
-            diag, ref_diag = res.diagnostics, ref.diagnostics
-            for key in ("propagator", "rhs_evaluations"):
-                assert diag[key] == ref_diag[key]
-            for key in ("max_trace_drift", "max_hermiticity_defect",
-                        "min_eigenvalue"):
-                assert diag[key] == pytest.approx(ref_diag[key], abs=1e-13)
+        obs = {"n": number_op(L.space, 0), "psi": psi / np.linalg.norm(psi)}
+        family = evolve_shifted(L, number, shifts, rho0, t, observables=obs)
+        gens = [lindblad._shifted_generator(L, number, delta)
+                for delta in shifts]
+        assert gens[shifts.index(0.0)] is L
+        refs = [evolve(g, rho0, t, observables=obs) for g in gens]
+        npt.assert_array_equal(family.times, t)
+        for name in obs:
+            rows = family.observables[name]
+            assert rows.shape == (len(shifts), len(t))
+            for row, ref in zip(rows, refs):
+                npt.assert_allclose(row, ref.observables[name],
+                                    rtol=0, atol=1e-13)
+            npt.assert_array_equal(rows[shifts.index(0.0)],
+                                   evolve(L, rho0, t, observables=obs)
+                                   .observables[name])
+        diag = family.diagnostics
+        ref_diags = [ref.diagnostics for ref in refs]
+        props = [dg["propagator"] for dg in ref_diags]
+        assert diag["propagator"] == (
+            props[0] if all(p == props[0] for p in props) else props)
+        assert diag["rhs_evaluations"] == sum(
+            dg["rhs_evaluations"] for dg in ref_diags)
+        for key, worst in (("max_trace_drift", max),
+                           ("max_hermiticity_defect", max),
+                           ("min_eigenvalue", min)):
+            assert diag[key] == pytest.approx(
+                worst(dg[key] for dg in ref_diags), abs=1e-13)
 
     def test_groups_split_the_batch(self, monkeypatch):
-        # groups of two: the third generator starts a group of its own
-        gens = [random_lindbladian(4, seed=s)[0] for s in (1, 2, 3)]
-        _, rho0 = random_lindbladian(4, seed=0)
+        # groups of two: the third shift starts a group of its own
+        L, rho0 = random_lindbladian(4, seed=5)
+        number = np.array([0.0, 1.0, 1.0, 2.0])
+        shifts = [-1.3, 0.0, 2.2]
         t = np.linspace(0.0, 2.0, 9)
-        obs = {"n": number_op(gens[0].space, 0)}
-        whole = evolve_many(gens, rho0, t, observables=obs)
+        obs = {"n": number_op(L.space, 0)}
+        whole = evolve_shifted(L, number, shifts, rho0, t, observables=obs)
         monkeypatch.setattr(lindblad, "_dense_group_size", lambda n: 2)
-        split = evolve_many(gens, rho0, t, observables=obs)
-        for a, b in zip(whole, split):
-            npt.assert_allclose(a.observables["n"], b.observables["n"],
-                                rtol=0, atol=1e-13)
+        split = evolve_shifted(L, number, shifts, rho0, t, observables=obs)
+        npt.assert_allclose(whole.observables["n"], split.observables["n"],
+                            rtol=0, atol=1e-13)
 
     def test_group_size_rule(self):
         assert lindblad._dense_group_size(lindblad._DENSE_PROPAGATOR_MAX) == 1
@@ -416,41 +441,21 @@ class TestEvolveMany:
         assert lindblad._dense_group_size(16) == 4096
 
     def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError, match="no generators"):
-            evolve_many([], np.eye(2) / 2, np.linspace(0.0, 1.0, 3))
-
-    def test_shifted_stack_matches_shifted_generators(self):
-        # the dense family L + delta diag F against one sparse generator
-        # of H + delta N per delta
         L, rho0 = random_lindbladian(4, seed=5)
-        number = np.array([0.0, 1.0, 1.0, 2.0])
-        shifts = [-1.3, 0.0, 2.2]
-        t = np.linspace(0.0, 3.0, 13)
-        obs = {"n": number_op(L.space, 0)}
-        family = lindblad.evolve_shifted(L, number, shifts, rho0, t,
-                                         observables=obs)
-        gens = [lindblad._shifted_generator(L, number, delta)
-                for delta in shifts]
-        for res, ref in zip(family, evolve_many(gens, rho0, t,
-                                                observables=obs)):
-            npt.assert_allclose(res.observables["n"], ref.observables["n"],
-                                rtol=0, atol=1e-13)
-            assert res.diagnostics["min_eigenvalue"] == pytest.approx(
-                ref.diagnostics["min_eigenvalue"], abs=1e-13)
-        with pytest.raises(ValueError, match="number has shape"):
-            lindblad.evolve_shifted(L, number[:3], shifts, rho0, t)
         with pytest.raises(ValueError, match="no generators"):
-            lindblad.evolve_shifted(L, number, [], rho0, t)
+            evolve_shifted(L, np.zeros(4), [], rho0, np.linspace(0.0, 1.0, 3))
 
-    def test_mixed_spaces_rejected(self):
-        a, rho0 = random_lindbladian(4, seed=1)
-        b, _ = random_lindbladian(3, seed=1)
-        with pytest.raises(ValueError, match="different spaces"):
-            evolve_many([a, b], rho0, np.linspace(0.0, 1.0, 3))
+    def test_number_shape_checked(self):
+        L, rho0 = random_lindbladian(4, seed=5)
+        with pytest.raises(ValueError, match="number has shape"):
+            evolve_shifted(L, np.zeros(3), [0.0], rho0,
+                           np.linspace(0.0, 1.0, 3))
 
     def test_positivity_failure_names_generator_and_first_time(self):
-        # the second generator is time-reversed decay, whose |g> population
-        # turns negative after t = ln 2 (see TestEvolve)
+        # time-reversed decay, whose |g> population turns negative after
+        # t = ln 2 (see TestEvolve); a frame shift leaves the diagonal
+        # state's populations alone, so every member fails there and the
+        # first is named
         space = tls_space()
         decay = build_liouvillian(
             LinearOperator(space, np.zeros((2, 2), dtype=complex)),
@@ -458,12 +463,25 @@ class TestEvolveMany:
         reversed_decay = Liouvillian(space, -decay.matrix, decay.hamiltonian,
                                      decay.collapse)
         with pytest.raises(EvolutionError,
-                           match="generator 1 at t=0.7 us") as exc:
-            evolve_many([decay, reversed_decay, decay], np.eye(2) / 2,
-                        np.linspace(0, 2, 21))
-        assert exc.value.diagnostics["generator"] == 1
+                           match="generator 0 at t=0.7 us") as exc:
+            evolve_shifted(reversed_decay, [0.0, 1.0], [0.0, 1.0, -2.0],
+                           np.eye(2) / 2, np.linspace(0, 2, 21))
+        assert exc.value.diagnostics["generator"] == 0
         assert exc.value.diagnostics["t"] == pytest.approx(0.7)
 
+    def test_observer_names_the_failing_member(self):
+        # after a positive first block, only member 1 goes negative
+        observe = lindblad._StateObserver(np.linspace(0.0, 1.0, 3), 2, 3,
+                                          None)
+        good = vectorize(np.eye(2) / 2)
+        observe(slice(0, 3), slice(0, 1), np.array([good] * 3)[:, None])
+        bad = vectorize(np.diag([1.5, -0.5]))
+        with pytest.raises(EvolutionError,
+                           match="generator 1 at t=0.5 us") as exc:
+            observe(slice(0, 3), slice(1, 2),
+                    np.array([good, bad, good])[:, None])
+        assert exc.value.diagnostics["generator"] == 1
+        assert exc.value.diagnostics["min_eigenvalue"] == pytest.approx(-0.5)
 
 
 class TestPositivityCertificate:
@@ -662,7 +680,8 @@ class TestSteadyState:
         assert info["shift"] > 0 and info["cond_V"] >= 1.0
 
     def test_methods_agree(self, lu_steady_state):
-        # the bundled two-qubit scenario: GMRES against a direct sparse LU
+        # the bundled two-qubit scenario: the Arnoldi run against a direct
+        # sparse LU
         cfg, L = bundled_bell()
         ss = steady_state(L, tol=cfg.solver.steady_tol)
         npt.assert_allclose(ss.rho.matrix, lu_steady_state(L),
