@@ -422,6 +422,29 @@ class TestEvolveMany:
             assert diag[key] == pytest.approx(
                 worst(dg[key] for dg in ref_diags), abs=1e-13)
 
+    def test_shifted_stack_matches_shifted_generators(self):
+        # the dense family L + delta diag F against one sparse generator
+        # of H + delta N per delta, on a number operator with a repeated
+        # entry
+        L, rho0 = random_lindbladian(4, seed=5)
+        number = np.array([0.0, 1.0, 1.0, 2.0])
+        shifts = [-1.3, 0.0, 2.2]
+        t = np.linspace(0.0, 3.0, 13)
+        obs = {"n": number_op(L.space, 0)}
+        family = evolve_shifted(L, number, shifts, rho0, t, observables=obs)
+        refs = [evolve(lindblad._shifted_generator(L, number, delta), rho0,
+                       t, observables=obs) for delta in shifts]
+        for row, ref in zip(family.observables["n"], refs):
+            npt.assert_allclose(row, ref.observables["n"], rtol=0,
+                                atol=1e-13)
+        assert family.diagnostics["min_eigenvalue"] == pytest.approx(
+            min(ref.diagnostics["min_eigenvalue"] for ref in refs),
+            abs=1e-13)
+        with pytest.raises(ValueError, match="number has shape"):
+            evolve_shifted(L, number[:3], shifts, rho0, t)
+        with pytest.raises(ValueError, match="no generators"):
+            evolve_shifted(L, number, [], rho0, t)
+
     def test_groups_split_the_batch(self, monkeypatch):
         # groups of two: the third shift starts a group of its own
         L, rho0 = random_lindbladian(4, seed=5)
