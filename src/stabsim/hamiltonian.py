@@ -31,7 +31,7 @@ Model conventions (all frequencies configured in linear MHz, built in rad/us):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,8 +39,8 @@ import scipy.sparse as sp
 from . import rates
 from .device import ScenarioConfig, PumpDrive, derive_rates
 from .hilbert import (
-    QUBIT, RESONATOR, CompositeSpace, LinearOperator, ModeSpec,
-    basis_state, lowering_op, number_op,
+    QUBIT, RESONATOR, CompositeSpace, ModeSpec, basis_state, lowering_op,
+    number_op,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -61,31 +61,10 @@ class DrivenResonator:
 
 @dataclass
 class HamiltonianModel:
-    H: LinearOperator
+    space: CompositeSpace
+    H: sp.csr_matrix
     #: the resonators in the model, in mode order after the qubits
     resonators: tuple[DrivenResonator, ...] = ()
-
-    @property
-    def space(self) -> CompositeSpace:
-        return self.H.space
-
-
-@dataclass
-class CollapseSet:
-    """Collapse operators with their rates (1/us)."""
-
-    entries: list[tuple[LinearOperator, float]] = field(default_factory=list)
-
-    def __post_init__(self):
-        for _, rate in self.entries:
-            if rate < 0:
-                raise ValueError("collapse rates must be nonnegative")
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
 
 
 # -- spaces and named states --------------------------------------------------
@@ -104,9 +83,7 @@ def qubit_space(config: ScenarioConfig) -> CompositeSpace:
 
 def qubit_excitations(space: CompositeSpace) -> np.ndarray:
     """Total qubit excitation number of every basis state."""
-    qubits = [i for i, m in enumerate(space.modes) if m.kind == QUBIT]
-    occ = np.indices(space.dims).reshape(len(space.modes), -1)
-    return occ[qubits].sum(axis=0)
+    return space.occupations[:space.n_qubits].sum(axis=0)
 
 
 def single_excitation_modes(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -214,9 +191,12 @@ def build_dispersive(config: ScenarioConfig) -> HamiltonianModel:
 
     The space is :func:`model_space`: undriven resonators are left out, and
     each driven one is built in the frame displaced by its classical steady
-    amplitude.  Raises ``ValueError`` for more than two pumps, or for two
-    pumps whose frequency separation is not at least ten times both pump
-    amplitudes (the static two-pump construction is only valid in that
+    amplitude.  Every diagonal term (detunings, anharmonicity, cross-Kerr,
+    static Stark shift, two-pump manifold shift) is one array over the
+    occupation table; only the hopping, displacement and pump terms are
+    sparse products.  Raises ``ValueError`` for more than two pumps, or for
+    two pumps whose frequency separation is not at least ten times both
+    pump amplitudes (the static two-pump construction is only valid in that
     regime).
     """
     space = model_space(config)
@@ -224,68 +204,57 @@ def build_dispersive(config: ScenarioConfig) -> HamiltonianModel:
     drives = driven_resonators(config)
     stark = {r.index: r.n_bar for r in drives} if config.ac_stark_compensation else {}
     omega_p = _qubit_frame(config)
-
-    d = space.total_dim
-    H = LinearOperator(space, sp.csr_matrix((d, d), dtype=complex))
+    n = space.occupations.astype(float)
     b = [lowering_op(space, i) for i in range(L)]
-    nq = [number_op(space, i) for i in range(L)]
 
+    diagonal = []
     for i, q in enumerate(config.qubits):
         bare = q.working_freq
         if i in stark:
             bare -= 2.0 * config.resonators[i].chi * stark[i]
-        H = H + (TWO_PI * (bare - omega_p)) * nq[i]
-        if space.modes[i].dim > 2 and q.alpha != 0.0:
-            bd = b[i].dag()
-            H = H + (TWO_PI * q.alpha / 2.0) * (bd @ bd @ b[i] @ b[i])
-
+        diagonal += [(TWO_PI * (bare - omega_p)) * n[i],
+                     (TWO_PI * q.alpha / 2.0) * (n[i] * (n[i] - 1))]
+    off_diagonal = []
     for i, j in enumerate(config.couplings):
-        hop = b[i].dag() @ b[i + 1]
-        H = H + (-TWO_PI * j) * (hop + hop.dag())
-
+        hop = b[i].conj().T @ b[i + 1]
+        off_diagonal.append((-TWO_PI * j) * (hop + hop.conj().T))
     for mode, r in enumerate(drives, start=L):
         c = lowering_op(space, mode)
-        nr = c.dag() @ c
         K = TWO_PI * 2.0 * config.resonators[r.index].chi
-        n_q = nq[r.index]
-        H = H + (TWO_PI * r.detuning) * nr + K * (n_q @ nr)
-        H = H + K * ((r.alpha * c.dag() + np.conj(r.alpha) * c) @ n_q)
-        H = H + (K * r.n_bar) * n_q
+        n_q, n_r = n[r.index], n[mode]
+        diagonal += [(TWO_PI * r.detuning) * n_r, K * (n_q * n_r),
+                     (K * r.n_bar) * n_q]
+        off_diagonal.append(
+            K * ((r.alpha * c.conj().T + np.conj(r.alpha) * c) @ sp.diags(n_q)))
+    pump, shift = _pump_terms(space, config, b)
 
-    H = _add_pumps(H, space, config, omega_p)
-
-    defect = H.hermiticity_defect()
-    if defect > HERMITICITY_TOL * max(1.0, _spectral_scale(H)):
+    H = sum(off_diagonal, sp.diags(sum(diagonal) + shift, format="csr") + pump)
+    defect = abs(H - H.conj().T).max()
+    if defect > HERMITICITY_TOL * max(1.0, abs(H).max()):
         raise ValueError(f"built Hamiltonian is not Hermitian (defect {defect:.2e})")
 
-    return HamiltonianModel(H=H, resonators=drives)
+    return HamiltonianModel(space, H, drives)
 
 
-def _spectral_scale(H: LinearOperator) -> float:
-    return float(np.abs(H.matrix.data).max()) if H.matrix.nnz else 0.0
-
-
-def _add_pumps(H: LinearOperator, space: CompositeSpace, config: ScenarioConfig,
-               omega_p: float) -> LinearOperator:
+def _pump_terms(space: CompositeSpace, config: ScenarioConfig,
+                b: list[sp.csr_matrix]) -> tuple[sp.csr_matrix, np.ndarray]:
+    """``(P, shift)``: the Hermitian pump terms and the diagonal manifold
+    shift (zero but for two pumps)."""
     pumps = config.pumps
-    if not pumps:
-        return H
+    d = space.total_dim
+    zero = sp.csr_matrix((d, d), dtype=complex)
     if len(pumps) > 2:
         raise ValueError("at most two simultaneous pumps are supported")
-    L = config.n_qubits
-    b = [lowering_op(space, i) for i in range(L)]
 
-    def pump_op(pump: PumpDrive) -> LinearOperator:
-        out = LinearOperator(space, sp.csr_matrix((space.total_dim,) * 2, dtype=complex))
+    def raising(pump: PumpDrive) -> sp.csr_matrix:
         scale = pump.coefficient_scale
-        for i, amp in enumerate(pump.amplitudes):
-            if amp != 0:
-                out = out + (TWO_PI * amp * scale) * b[i].dag()
-        return out
+        return sum(((TWO_PI * amp * scale) * b[i].conj().T
+                    for i, amp in enumerate(pump.amplitudes) if amp != 0),
+                   zero)
 
-    if len(pumps) == 1:
-        op = pump_op(pumps[0])
-        return H + op + op.dag()
+    if len(pumps) < 2:
+        op = raising(pumps[0]) if pumps else zero
+        return op + op.conj().T, np.zeros(d)
 
     # Two pumps at different frequencies: keep the Hamiltonian static by
     # restricting each pump to the excitation-manifold step it addresses
@@ -301,26 +270,18 @@ def _add_pumps(H: LinearOperator, space: CompositeSpace, config: ScenarioConfig,
             f"10x the largest pump amplitude {max_amp:.3f} MHz")
 
     nq_total = qubit_excitations(space)
-    proj = [sp.diags((nq_total == n).astype(complex), format="csr")
-            for n in range(3)]
-
-    def restrict(op: LinearOperator, n_from: int) -> LinearOperator:
-        mat = proj[n_from + 1] @ op.matrix @ proj[n_from]
-        return LinearOperator(space, mat)
-
-    op1 = restrict(pump_op(p1), 0)
-    op2 = restrict(pump_op(p2), 1)
-    H = H + op1 + op1.dag() + op2 + op2.dag()
-    shift = sp.diags((nq_total >= 2).astype(complex) * TWO_PI
-                     * (p1.frequency - p2.frequency), format="csr")
-    return H + LinearOperator(space, shift)
+    proj = [sp.diags((nq_total == n).astype(float)) for n in range(3)]
+    op1 = proj[1] @ raising(p1) @ proj[0]
+    op2 = proj[2] @ raising(p2) @ proj[1]
+    shift = (nq_total >= 2) * (TWO_PI * (p1.frequency - p2.frequency))
+    return op1 + op1.conj().T + op2 + op2.conj().T, shift
 
 
 # -- collapse operators ----------------------------------------------------------
 
-def build_collapse_set(config: ScenarioConfig) -> CollapseSet:
+def build_collapse_set(config: ScenarioConfig) -> list[tuple[sp.csr_matrix, float]]:
     """Photon loss on every resonator in the model, relaxation and dephasing
-    on every qubit, on :func:`model_space`.
+    on every qubit, as ``(operator, rate)`` pairs on :func:`model_space`.
 
     Rates are 1/us: resonator loss is ``2*pi*kappa`` for a configured
     linewidth in MHz; qubit rates come from :func:`derive_rates`.  Qubits with
@@ -328,7 +289,7 @@ def build_collapse_set(config: ScenarioConfig) -> CollapseSet:
     """
     space = model_space(config)
     L = config.n_qubits
-    entries: list[tuple[LinearOperator, float]] = [
+    entries = [
         (lowering_op(space, mode), TWO_PI * config.resonators[r.index].kappa)
         for mode, r in enumerate(driven_resonators(config), start=L)]
     for i, q in enumerate(config.qubits):
@@ -337,7 +298,7 @@ def build_collapse_set(config: ScenarioConfig) -> CollapseSet:
             entries.append((lowering_op(space, i), gamma1))
         if gamma_phi > 0:
             entries.append((number_op(space, i), gamma_phi))
-    return CollapseSet(entries)
+    return entries
 
 
 # -- pump matrix elements ----------------------------------------------------------
@@ -354,5 +315,5 @@ def pump_matrix_element(space: CompositeSpace, pump: PumpDrive,
     acc = 0.0 + 0.0j
     for i, amp in enumerate(pump.amplitudes):
         if amp != 0:
-            acc += amp * np.vdot(bra, lowering_op(space, i).dag().matrix @ ket)
+            acc += amp * np.vdot(bra, lowering_op(space, i).conj().T @ ket)
     return complex(acc)

@@ -1,4 +1,4 @@
-"""Truncated-Fock composite Hilbert spaces and sparse operator algebra.
+"""Truncated-Fock composite Hilbert spaces and sparse operator constructors.
 
 Conventions used throughout the package:
 
@@ -7,8 +7,8 @@ Conventions used throughout the package:
 * Basis indexing is row-major over mode occupations: for occupations
   ``(n_0, ..., n_{m-1})`` the basis index is ``n_0*s_0 + ... + n_{m-1}``
   where ``s_i`` is the product of the dimensions of all later modes.
-* Operators are stored as sparse CSR matrices; entries below
-  ``PRUNE_TOL`` are dropped after every algebraic operation.
+* Operators are ``scipy.sparse`` CSR matrices, passed together with the
+  :class:`CompositeSpace` they act on.
 
 The truncated lowering operator satisfies ``[n, a] = -a`` exactly except on
 the top Fock level of each mode, where the truncation removes the matrix
@@ -24,14 +24,8 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-PRUNE_TOL = 1e-15
-
 QUBIT = "qubit"
 RESONATOR = "resonator"
-
-
-class SpaceMismatchError(ValueError):
-    """Raised when operands live on different composite spaces."""
 
 
 @dataclass(frozen=True)
@@ -76,6 +70,12 @@ class CompositeSpace:
         return math.prod(self.dims)
 
     @property
+    def occupations(self) -> np.ndarray:
+        """Occupation table: entry ``[i, k]`` is mode i's occupation in
+        basis state k."""
+        return np.indices(self.dims).reshape(len(self.modes), -1)
+
+    @property
     def n_qubits(self) -> int:
         return sum(1 for m in self.modes if m.kind == QUBIT)
 
@@ -98,70 +98,6 @@ class CompositeSpace:
                 )
             idx = idx * mode.dim + n
         return idx
-
-
-@dataclass
-class LinearOperator:
-    """Sparse complex operator on a :class:`CompositeSpace`."""
-
-    space: CompositeSpace
-    matrix: sp.csr_matrix
-
-    def __post_init__(self):
-        self.matrix = sp.csr_matrix(self.matrix, dtype=complex)
-        d = self.space.total_dim
-        if self.matrix.shape != (d, d):
-            raise ValueError(
-                f"matrix shape {self.matrix.shape} does not match space dim {d}"
-            )
-        self._prune()
-
-    def _prune(self):
-        m = self.matrix
-        if m.nnz:
-            m.data[np.abs(m.data) < PRUNE_TOL] = 0.0
-            m.eliminate_zeros()
-
-    # -- algebra ---------------------------------------------------------
-    def dag(self) -> "LinearOperator":
-        return LinearOperator(self.space, self.matrix.conj().T.tocsr())
-
-    def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
-        _check_same_space(self, other)
-        return LinearOperator(self.space, self.matrix @ other.matrix)
-
-    def __add__(self, other: "LinearOperator") -> "LinearOperator":
-        _check_same_space(self, other)
-        return LinearOperator(self.space, self.matrix + other.matrix)
-
-    def __sub__(self, other: "LinearOperator") -> "LinearOperator":
-        _check_same_space(self, other)
-        return LinearOperator(self.space, self.matrix - other.matrix)
-
-    def __mul__(self, scalar: complex) -> "LinearOperator":
-        return LinearOperator(self.space, self.matrix * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "LinearOperator":
-        return self * (-1.0)
-
-    def toarray(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    @property
-    def nnz(self) -> int:
-        return self.matrix.nnz
-
-    def hermiticity_defect(self) -> float:
-        """Max element of ``|A - A^dag|``."""
-        diff = self.matrix - self.matrix.conj().T
-        return 0.0 if diff.nnz == 0 else float(np.abs(diff.data).max())
-
-
-def _check_same_space(a, b):
-    if a.space is not b.space and a.space != b.space:
-        raise SpaceMismatchError("operands live on different composite spaces")
 
 
 @dataclass
@@ -191,7 +127,8 @@ def _local_lowering(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
 
 
-def embed(space: CompositeSpace, mode_index: int, local_matrix: np.ndarray) -> LinearOperator:
+def embed(space: CompositeSpace, mode_index: int, local_matrix: np.ndarray
+          ) -> sp.csr_matrix:
     """Tensor a single-mode matrix with identity on all other modes.
 
     kron(1_left, M, 1_right) has M_ij at row (l dim + i) right + r, column
@@ -216,27 +153,22 @@ def embed(space: CompositeSpace, mode_index: int, local_matrix: np.ndarray) -> L
     cols = ((block + j[:, None]) * right + r).ravel()
     vals = np.broadcast_to(local[i, j][:, None], shape).ravel()
     d = space.total_dim
-    return LinearOperator(space, sp.csr_matrix((vals, (rows, cols)),
-                                               shape=(d, d)))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(d, d))
 
 
-def lowering_op(space: CompositeSpace, mode_index: int) -> LinearOperator:
+def lowering_op(space: CompositeSpace, mode_index: int) -> sp.csr_matrix:
     """Truncated annihilation operator of one mode, sqrt(n) sub-diagonal."""
     if not 0 <= mode_index < len(space.modes):
         raise IndexError(f"mode index {mode_index} out of range")
     return embed(space, mode_index, _local_lowering(space.modes[mode_index].dim))
 
 
-def number_op(space: CompositeSpace, mode_index: int) -> LinearOperator:
+def number_op(space: CompositeSpace, mode_index: int) -> sp.csr_matrix:
     """Occupation-number operator of one mode, diag(0..dim-1)."""
     if not 0 <= mode_index < len(space.modes):
         raise IndexError(f"mode index {mode_index} out of range")
     dim = space.modes[mode_index].dim
     return embed(space, mode_index, np.diag(np.arange(dim, dtype=complex)))
-
-
-def identity_op(space: CompositeSpace) -> LinearOperator:
-    return LinearOperator(space, sp.identity(space.total_dim, format="csr", dtype=complex))
 
 
 def basis_state(space: CompositeSpace, occupations: Sequence[int]) -> np.ndarray:
@@ -251,7 +183,9 @@ def coherent_state(dim: int, alpha: complex) -> np.ndarray:
     weight renormalized away is :func:`coherent_tail`)."""
     n = np.arange(dim)
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, dim)))))
-    amps = np.exp(-0.5 * abs(alpha) ** 2 + n * np.log(alpha) - 0.5 * log_fact
+    # the complex log: np.log of a negative float is NaN
+    amps = np.exp(-0.5 * abs(alpha) ** 2 + n * np.log(complex(alpha))
+                  - 0.5 * log_fact
                   ) if alpha != 0 else np.eye(dim, 1, dtype=complex).ravel()
     amps = np.asarray(amps, dtype=complex)
     norm = np.linalg.norm(amps)

@@ -60,11 +60,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
-from scipy.sparse.linalg import LinearOperator as ScipyLinearOperator
-from scipy.sparse.linalg import ArpackNoConvergence, eigs
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
-from .hamiltonian import CollapseSet
-from .hilbert import CompositeSpace, DensityMatrix, LinearOperator
+from .hilbert import CompositeSpace, DensityMatrix
 
 SYLVESTER_ARNOLDI = "sylvester_arnoldi"
 
@@ -112,12 +110,13 @@ class SteadyStateError(RuntimeError):
 
 @dataclass
 class Liouvillian:
-    """Sparse superoperator for one Hamiltonian and collapse set."""
+    """Sparse superoperator for one Hamiltonian and its ``(operator, rate)``
+    collapse pairs."""
 
     space: CompositeSpace
     matrix: sp.csr_matrix
-    hamiltonian: LinearOperator
-    collapse: CollapseSet
+    hamiltonian: sp.csr_matrix
+    collapse: list[tuple[sp.csr_matrix, float]]
 
     @property
     def dim(self) -> int:
@@ -132,32 +131,38 @@ def unvectorize(v: np.ndarray, d: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape(d, d, order="F")
 
 
-def _damping(collapse: CollapseSet, space: CompositeSpace) -> sp.csr_matrix:
+def _damping(collapse: list, d: int) -> sp.csr_matrix:
     """sum_k r_k O_k^dag O_k, formed as A^dag W A with A the O_k stacked
     and W their rates on the diagonal (one sparse product, not one per
     operator)."""
-    d = space.total_dim
-    if any(op.space != space for op, _ in collapse):
-        raise ValueError("collapse operator lives on a different space")
-    if not len(collapse):
+    if not collapse:
         return sp.csr_matrix((d, d), dtype=complex)
-    A = sp.vstack([op.matrix for op, _ in collapse], format="csr")
+    A = sp.vstack([op for op, _ in collapse], format="csr")
     W = sp.diags(np.repeat([rate for _, rate in collapse], d))
     return (A.conj().T @ (W @ A)).tocsr()
 
 
-def build_liouvillian(H: LinearOperator, collapse: CollapseSet) -> Liouvillian:
-    """Vectorized generator -i[H, .] + sum rate * D(L), assembled as the
-    no-jump part rho -> -i(Heff rho - rho Heff^dag) of
+def build_liouvillian(space: CompositeSpace, H, collapse) -> Liouvillian:
+    """Vectorized generator -i[H, .] + sum rate * D(L) on ``space``, for H
+    and ``(operator, rate)`` collapse pairs as sparse or dense matrices,
+    assembled as the no-jump part rho -> -i(Heff rho - rho Heff^dag) of
     Heff = H - (i/2) sum r_k O_k^dag O_k plus the jumps
     sum r_k conj(O_k) kron O_k.
 
     Every term is a Kronecker product, written straight into one COO
     triplet set: kron(X, Y) has X_ab Y_ce at row a d + c, column b d + e;
-    the CSR conversion sums the duplicates once.
+    the CSR conversion sums the duplicates once.  Raises ``ValueError``
+    for an operator that is not d x d or a negative rate.
     """
-    d = H.space.total_dim
-    heff = (H.matrix - 0.5j * _damping(collapse, H.space)).tocoo()
+    d = space.total_dim
+    H = sp.csr_matrix(H, dtype=complex)
+    collapse = [(sp.csr_matrix(op, dtype=complex), rate)
+                for op, rate in collapse]
+    if any(op.shape != (d, d) for op in [H] + [op for op, _ in collapse]):
+        raise ValueError(f"an operator does not act on the space of dim {d}")
+    if any(rate < 0 for _, rate in collapse):
+        raise ValueError("collapse rates must be nonnegative")
+    heff = (H - 0.5j * _damping(collapse, d)).tocoo()
     a, b, v = heff.row, heff.col, heff.data
     c = d * np.arange(d)[:, None]
     # -i (1 kron Heff) and +i (conj(Heff) kron 1)
@@ -167,7 +172,7 @@ def build_liouvillian(H: LinearOperator, collapse: CollapseSet) -> Liouvillian:
             np.broadcast_to(1j * v.conj(), (d, len(v))).ravel()]
     for op, rate in collapse:
         if rate:
-            o = op.matrix.tocoo()
+            o = op.tocoo()
             rows.append((d * o.row[:, None] + o.row).ravel())
             cols.append((d * o.col[:, None] + o.col).ravel())
             vals.append((rate * np.outer(o.data.conj(), o.data)).ravel())
@@ -176,7 +181,7 @@ def build_liouvillian(H: LinearOperator, collapse: CollapseSet) -> Liouvillian:
                       shape=(d * d, d * d))
     # exact cancellations (the commutator's diagonal) are not kept
     L.eliminate_zeros()
-    return Liouvillian(H.space, L, H, collapse)
+    return Liouvillian(space, L, H, collapse)
 
 
 @dataclass
@@ -189,7 +194,7 @@ class EvolutionResult:
 def _observable_weights(obs) -> tuple[np.ndarray, bool]:
     """``(w, is_state)`` with tr(O rho) = w . vec(rho).  A state vector psi
     stands for O = |psi><psi|; its value is a fidelity, hence real."""
-    if isinstance(obs, LinearOperator):
+    if sp.issparse(obs):
         O = obs.toarray()
     else:
         O = np.asarray(obs, dtype=complex)
@@ -266,7 +271,7 @@ def _numerical_range_box(liouvillian: Liouvillian, A: sp.csr_matrix
     """
     H, collapse = liouvillian.hamiltonian.toarray(), liouvillian.collapse
     jump = sum(r * np.linalg.norm(op.toarray(), 2) ** 2 for op, r in collapse)
-    lam = np.linalg.eigvalsh(_damping(collapse, liouvillian.space).toarray())
+    lam = np.linalg.eigvalsh(_damping(collapse, liouvillian.dim).toarray())
     R = float(np.ptp(np.linalg.eigvalsh(H)) + jump) or 1.0
     sym = (A + A.T).tocsr()
     centre = sym.diagonal()
@@ -566,13 +571,11 @@ def _shifted_generator(liouvillian: Liouvillian, number: np.ndarray,
     delta = 0."""
     if not delta:
         return liouvillian
-    space = liouvillian.space
     return Liouvillian(
-        space,
+        liouvillian.space,
         (liouvillian.matrix
          + sp.diags(delta * _commutator_diagonal(number))).tocsr(),
-        LinearOperator(space, liouvillian.hamiltonian.matrix
-                       + sp.diags(delta * number)),
+        (liouvillian.hamiltonian + sp.diags(delta * number)).tocsr(),
         liouvillian.collapse)
 
 
@@ -624,9 +627,8 @@ def evolve(liouvillian: Liouvillian, rho0: DensityMatrix | np.ndarray,
            ) -> EvolutionResult:
     """Propagate vec(rho) exactly along the uniform ``t_grid`` (us).
 
-    ``rho0`` is the state at ``t_grid[0]``.  Observables may be
-    ``LinearOperator``s / matrices (expectation values) or state vectors
-    (fidelities).  Raises ``ValueError`` for a grid that is not a uniform
+    ``rho0`` is the state at ``t_grid[0]``.  Observables may be sparse or
+    dense matrices (expectation values) or state vectors (fidelities).  Raises ``ValueError`` for a grid that is not a uniform
     increasing ``linspace``, a ``rho0`` that is not d x d or not Hermitian
     (relative ``1e-12``) or, for d^2 > 1024, an L that does not preserve
     Hermiticity; :class:`EvolutionError` on non-finite values or a
@@ -681,7 +683,7 @@ def _no_jump_inverse(liouvillian: Liouvillian
     rho = V X V^dag maps to X_jk -> -i(lam_j - conj(lam_k)) X_jk.
     """
     d = liouvillian.dim
-    damping = _damping(liouvillian.collapse, liouvillian.space).toarray()
+    damping = _damping(liouvillian.collapse, d).toarray()
     sigma = _SHIFT_FRACTION * float(np.trace(damping).real) / d
     if not sigma > 0:
         raise SteadyStateError(
@@ -730,7 +732,7 @@ def steady_state(liouvillian: Liouvillian, tol: float = 1e-6) -> SteadyState:
         applications += 1
         return x - solve(L @ x)
 
-    K = ScipyLinearOperator((n, n), matvec=apply_k, dtype=complex)
+    K = LinearOperator((n, n), matvec=apply_k, dtype=complex)
     # a fixed start vector keeps the reported gap reproducible
     v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
     try:

@@ -38,9 +38,8 @@ from .hamiltonian import (
     single_excitation_modes,
 )
 from .hilbert import (
-    CompositeSpace, DensityMatrix, LinearOperator,
-    coherent_state, coherent_tail, identity_op, lowering_op, partial_trace,
-    product_state,
+    CompositeSpace, DensityMatrix, coherent_state, coherent_tail, lowering_op,
+    partial_trace, product_state,
 )
 from .lindblad import (
     Liouvillian, build_liouvillian, evolve, evolve_shifted, steady_state,
@@ -153,21 +152,22 @@ def fit_exponential(times, values) -> ExponentialFit:
 # -- scenario plumbing -----------------------------------------------------------
 
 def _qubit_projector(full_space: CompositeSpace, qspace: CompositeSpace,
-                     psi_q: np.ndarray) -> LinearOperator:
+                     psi_q: np.ndarray) -> sp.csr_matrix:
     """|psi><psi| on the qubit factor, identity on resonators."""
     proj = sp.csr_matrix(np.outer(psi_q, psi_q.conj()))
     res_dim = full_space.total_dim // qspace.total_dim
-    mat = sp.kron(proj, sp.identity(res_dim, format="csr"), format="csr")
-    return LinearOperator(full_space, mat)
+    return sp.kron(proj, sp.identity(res_dim, format="csr"), format="csr")
 
 
 def _lab_photon_operator(space: CompositeSpace, mode: int,
-                         alpha: complex) -> LinearOperator:
+                         alpha: complex) -> sp.csr_matrix:
     """Lab-frame photon number of the resonator at ``mode``, from the frame
     displaced by its classical steady amplitude ``alpha``."""
     c = lowering_op(space, mode)
-    return (c.dag() @ c + alpha * c.dag() + np.conj(alpha) * c
-            + (abs(alpha) ** 2) * identity_op(space))
+    cd = c.conj().T
+    return (cd @ c + alpha * cd + np.conj(alpha) * c
+            + (abs(alpha) ** 2) * sp.identity(space.total_dim, format="csr")
+            ).tocsr()
 
 
 def _qubit_state_labels(n: int) -> list[str]:
@@ -222,7 +222,7 @@ def _scenario_observables(config: ScenarioConfig, model: HamiltonianModel,
                                        named_qubit_state(qspace, target))
     # an undriven resonator is not in the model and stays empty
     photons = dict.fromkeys((r.label for r in config.resonators),
-                            0.0 * identity_op(space))
+                            sp.csr_matrix((space.total_dim,) * 2))
     for mode, r in enumerate(model.resonators, start=config.n_qubits):
         photons[r.label] = _lab_photon_operator(space, mode, r.alpha)
     obs.update((f"n_{label}", op) for label, op in photons.items())
@@ -275,7 +275,8 @@ def build_problem(config: ScenarioConfig) -> tuple[HamiltonianModel, Liouvillian
     which the benchmark's traced run wraps to time each layer.
     """
     model = build_dispersive(config)
-    return model, build_liouvillian(model.H, build_collapse_set(config))
+    return model, build_liouvillian(model.space, model.H,
+                                    build_collapse_set(config))
 
 
 def _run_scenario(config: ScenarioConfig, target: str, scenario_name: str,

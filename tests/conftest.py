@@ -6,8 +6,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from stabsim.effective import TWO_PI, ThreeLevelParams
-from stabsim.hamiltonian import CollapseSet
-from stabsim.hilbert import QUBIT, CompositeSpace, LinearOperator, ModeSpec
+from stabsim.hilbert import QUBIT, CompositeSpace, ModeSpec
 from stabsim.lindblad import Liouvillian, build_liouvillian, unvectorize
 
 
@@ -46,26 +45,19 @@ def lu_steady_state():
 GROUND, INTERMEDIATE, TARGET = 0, 1, 2
 
 
-def three_level_space() -> CompositeSpace:
-    return CompositeSpace([ModeSpec("loop", QUBIT, 3)])
-
-
-def _ketbra(space: CompositeSpace, i: int, j: int) -> LinearOperator:
-    m = np.zeros((3, 3), dtype=complex)
-    m[i, j] = 1.0
-    return LinearOperator(space, m)
+def _ketbra(i: int, j: int) -> sp.csr_matrix:
+    return sp.csr_matrix(([1.0 + 0j], ([i], [j])), shape=(3, 3))
 
 
 def three_level_liouvillian(p: ThreeLevelParams) -> Liouvillian:
     """Lindblad generator of the model, for cross-checking the closed form."""
-    space = three_level_space()
-    h = np.zeros((3, 3), dtype=complex)
-    h[GROUND, INTERMEDIATE] = h[INTERMEDIATE, GROUND] = TWO_PI * p.omega_p / 2.0
-    H = LinearOperator(space, h)
-    collapse = CollapseSet([
-        (_ketbra(space, GROUND, TARGET), p.gamma1),
-        (_ketbra(space, GROUND, INTERMEDIATE), p.gamma1),
-        (_ketbra(space, TARGET, INTERMEDIATE), p.gamma_s),
-        (_ketbra(space, INTERMEDIATE, TARGET), p.gamma_phi),
-    ])
-    return build_liouvillian(H, collapse)
+    pump = TWO_PI * p.omega_p / 2.0
+    H = pump * (_ketbra(GROUND, INTERMEDIATE) + _ketbra(INTERMEDIATE, GROUND))
+    collapse = [
+        (_ketbra(GROUND, TARGET), p.gamma1),
+        (_ketbra(GROUND, INTERMEDIATE), p.gamma1),
+        (_ketbra(TARGET, INTERMEDIATE), p.gamma_s),
+        (_ketbra(INTERMEDIATE, TARGET), p.gamma_phi),
+    ]
+    space = CompositeSpace([ModeSpec("loop", QUBIT, 3)])
+    return build_liouvillian(space, H, collapse)

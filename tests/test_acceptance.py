@@ -185,7 +185,6 @@ def test_criterion_5_experiment_estimate():
 
 def test_criterion_6_photon_calibration_and_stark_shift():
     from stabsim.hilbert import CompositeSpace, ModeSpec, lowering_op
-    from stabsim.hamiltonian import CollapseSet
     # driven damped cavity: steady occupation vs the calibration formula
     delta, kappa = 10.0, 1.1
     worst = 0.0
@@ -194,11 +193,11 @@ def test_criterion_6_photon_calibration_and_stark_shift():
         dim = 30
         space = CompositeSpace([ModeSpec("r", "resonator", dim)])
         c = lowering_op(space, 0)
-        H = (TWO_PI * delta) * (c.dag() @ c) + (TWO_PI * eps) * (c + c.dag())
-        liouv = build_liouvillian(H, CollapseSet([(c, TWO_PI * kappa)]))
+        n = c.conj().T @ c
+        H = (TWO_PI * delta) * n + (TWO_PI * eps) * (c + c.conj().T)
+        liouv = build_liouvillian(space, H, [(c, TWO_PI * kappa)])
         ss = steady_state(liouv, tol=1e-8)
-        n_sim = float(np.real((c.dag() @ c).matrix.toarray()
-                              @ ss.rho.matrix).trace())
+        n_sim = float(np.real((n.toarray() @ ss.rho.matrix).trace()))
         worst = max(worst, abs(n_sim / n_bar - 1.0))
     check("criterion 6a", worst <= 0.01,
           f"max photon-number error = {worst * 100:.3f}% (<= 1%)")
@@ -218,18 +217,18 @@ def _simulated_stark_shift(chi, delta, kappa, n_bar):
     shift."""
     from stabsim.hilbert import (CompositeSpace, DensityMatrix, ModeSpec,
                                  basis_state, lowering_op)
-    from stabsim.hamiltonian import CollapseSet
     dim = 16
     space = CompositeSpace([ModeSpec("q", "qubit", 2),
                             ModeSpec("r", "resonator", dim)])
     b = lowering_op(space, 0)
     c = lowering_op(space, 1)
-    nq = b.dag() @ b
+    nq = b.conj().T @ b
+    nr = c.conj().T @ c
     eps = math.sqrt(n_bar * (delta ** 2 + (kappa / 2) ** 2))
-    H = ((TWO_PI * delta) * (c.dag() @ c)
-         + (TWO_PI * 2 * chi) * (nq @ (c.dag() @ c))
-         + (TWO_PI * eps) * (c + c.dag()))
-    liouv = build_liouvillian(H, CollapseSet([(c, TWO_PI * kappa)]))
+    H = ((TWO_PI * delta) * nr
+         + (TWO_PI * 2 * chi) * (nq @ nr)
+         + (TWO_PI * eps) * (c + c.conj().T))
+    liouv = build_liouvillian(space, H, [(c, TWO_PI * kappa)])
     plus = (basis_state(space, (0, 0)) + basis_state(space, (1, 0))) / math.sqrt(2)
     rho0 = DensityMatrix.from_state_vector(space, plus)
     t = np.linspace(0.0, 3.0, 301)
@@ -315,8 +314,8 @@ def test_criterion_9_lindblad_integrity(single_channel_triple,
     qsp = qubit_space(cfg)
     psi = named_qubit_state(qsp, "T")
     proj = _qubit_projector(model.space, qsp, psi)
-    fa = float(np.real((proj.matrix @ a).diagonal().sum()))
-    fb = float(np.real((proj.matrix @ b).diagonal().sum()))
+    fa = float(np.real((proj @ a).diagonal().sum()))
+    fb = float(np.real((proj @ b).diagonal().sum()))
     check("criterion 9b", abs(fa - fb) <= 1e-4,
           f"Arnoldi vs direct-LU fidelity gap = {abs(fa - fb):.2e}")
 

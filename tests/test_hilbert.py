@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabsim.hilbert import (
-    QUBIT, RESONATOR, CompositeSpace, DensityMatrix, ModeSpec,
-    SpaceMismatchError, basis_state, coherent_state, coherent_tail, embed,
-    identity_op, lowering_op, number_op, partial_trace, product_state,
+    QUBIT, RESONATOR, CompositeSpace, DensityMatrix, ModeSpec, basis_state,
+    coherent_state, coherent_tail, embed, lowering_op, number_op,
+    partial_trace, product_state,
 )
 
 
@@ -78,7 +78,7 @@ class TestNumber:
         for i in range(2):
             a = lowering_op(sp, i)
             npt.assert_allclose(number_op(sp, i).toarray(),
-                                (a.dag() @ a).toarray(), atol=1e-14)
+                                (a.conj().T @ a).toarray(), atol=1e-14)
 
     def test_commutator_with_lowering_truncated(self):
         # [n, a] = -a holds exactly on the truncated space; the truncation
@@ -88,7 +88,8 @@ class TestNumber:
         n, a = number_op(sp, 0), lowering_op(sp, 0)
         comm = (n @ a - a @ n).toarray()
         npt.assert_allclose(comm, -a.toarray(), atol=1e-14)
-        canonical = (a @ a.dag() - a.dag() @ a).toarray()
+        ad = a.conj().T
+        canonical = (a @ ad - ad @ a).toarray()
         expected = np.eye(5, dtype=complex)
         expected[4, 4] = 1.0 - 5.0
         npt.assert_allclose(canonical, expected, atol=1e-14)
@@ -101,25 +102,13 @@ class TestEmbedAlgebra:
 
     def test_adjoint_of_lowering_is_raising(self):
         sp = space_of(3)
-        npt.assert_array_equal(lowering_op(sp, 0).dag().toarray(),
-                               lowering_op(sp, 0).toarray().conj().T)
-
-    def test_compose_with_identity(self):
-        sp = space_of(2, 2)
-        a = lowering_op(sp, 0)
-        npt.assert_array_equal((a @ identity_op(sp)).toarray(),
-                               a.toarray())
+        npt.assert_allclose(lowering_op(sp, 0).conj().T.toarray(),
+                            np.diag([1.0, np.sqrt(2.0)], -1), atol=0)
 
     def test_dimension_mismatch_rejected(self):
         sp = space_of(2, 3)
         with pytest.raises(ValueError, match="local matrix shape"):
             embed(sp, 0, np.eye(3))
-
-    def test_space_mismatch_rejected(self):
-        a = lowering_op(space_of(2), 0)
-        b = lowering_op(space_of(3), 0)
-        with pytest.raises(SpaceMismatchError):
-            a @ b
 
     @given(st.lists(st.integers(2, 4), min_size=1, max_size=3),
            st.integers(0, 10**6))
@@ -161,23 +150,10 @@ class TestEmbedAlgebra:
         ref = sps.kron(sps.kron(sps.identity(left), sps.csr_matrix(local),
                                 format="csr"),
                        sps.identity(right), format="csr")
-        got = embed(space_of(*dims), mode, local).matrix
+        got = embed(space_of(*dims), mode, local)
+        assert isinstance(got, sps.csr_matrix)
         assert got.nnz == ref.nnz == left * right * np.count_nonzero(local)
         assert abs(got - ref).max() == 0
-
-    @given(st.integers(0, 10**6))
-    @settings(max_examples=20, deadline=None)
-    def test_adjoint_involution_and_product_rule(self, seed):
-        sp = space_of(2, 3)
-        rng = np.random.default_rng(seed)
-        d = sp.total_dim
-        a = embed(sp, 0, rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        b = embed(sp, 1, rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-        npt.assert_allclose(a.dag().dag().toarray(), a.toarray(),
-                            atol=1e-12)
-        npt.assert_allclose((a @ b).dag().toarray(),
-                            (b.dag() @ a.dag()).toarray(),
-                            atol=1e-12)
 
 
 class TestBasisStates:
@@ -208,11 +184,13 @@ class TestBasisStates:
         assert np.sum(n * np.abs(psi) ** 2) == pytest.approx(abs(alpha) ** 2,
                                                              rel=1e-10)
 
-    @pytest.mark.parametrize("dim,alpha", [(3, 0.0), (4, 0.86), (3, 1.1j),
-                                           (6, 0.5 - 0.7j)])
+    @pytest.mark.parametrize("dim,alpha", [(3, 0.0), (4, 0.86), (4, -0.86),
+                                           (3, 1.1j), (6, 0.5 - 0.7j)])
     def test_coherent_tail_is_weight_beyond_truncation(self, dim, alpha):
         # 40 levels hold |alpha> to machine precision
         psi = coherent_state(40, alpha)
+        # a real amplitude, negative ones included, is its complex form
+        npt.assert_array_equal(psi, coherent_state(40, complex(alpha)))
         assert coherent_tail(dim, alpha) == pytest.approx(
             np.sum(np.abs(psi[dim:]) ** 2), rel=1e-10, abs=1e-16)
 

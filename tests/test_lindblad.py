@@ -9,10 +9,10 @@ from scipy.special import jv
 
 from stabsim import lindblad
 from stabsim.device import QubitParams, bundled_scenario
-from stabsim.hamiltonian import CollapseSet, named_qubit_state
+from stabsim.hamiltonian import named_qubit_state
 from stabsim.hilbert import (
-    QUBIT, CompositeSpace, DensityMatrix, LinearOperator, ModeSpec,
-    basis_state, lowering_op, number_op, partial_trace,
+    QUBIT, CompositeSpace, DensityMatrix, ModeSpec, basis_state, lowering_op,
+    number_op, partial_trace,
 )
 from stabsim.lindblad import (
     EvolutionError, Liouvillian, SteadyStateError, build_liouvillian, evolve,
@@ -29,10 +29,7 @@ def make_liouvillian(h, collapse_pairs, dims=None):
     dims = dims or [h.shape[0]]
     space = CompositeSpace([ModeSpec(f"m{i}", QUBIT, d)
                             for i, d in enumerate(dims)])
-    H = LinearOperator(space, h)
-    cols = CollapseSet([(LinearOperator(space, op), rate)
-                        for op, rate in collapse_pairs])
-    return build_liouvillian(H, cols)
+    return build_liouvillian(space, h, collapse_pairs)
 
 
 def direct_rhs(h, collapse_pairs, rho):
@@ -80,23 +77,26 @@ class TestBuildLiouvillian:
                 assert abs(np.trace(image)) < 1e-11
 
     def test_space_mismatch_rejected(self):
-        space_a = tls_space()
         space_b = CompositeSpace([ModeSpec("q", QUBIT, 3)])
-        H = LinearOperator(space_a, np.zeros((2, 2), dtype=complex))
-        bad = CollapseSet([(LinearOperator(space_b,
-                                           np.zeros((3, 3), dtype=complex)),
-                            1.0)])
-        with pytest.raises(ValueError, match="different space"):
-            build_liouvillian(H, bad)
+        bad = [(lowering_op(space_b, 0), 1.0)]
+        with pytest.raises(ValueError, match="space of dim 2"):
+            build_liouvillian(tls_space(), np.zeros((2, 2)), bad)
+        with pytest.raises(ValueError, match="space of dim 3"):
+            build_liouvillian(space_b, np.zeros((2, 2)), bad)
+
+    def test_negative_rate_rejected(self):
+        space = tls_space()
+        with pytest.raises(ValueError, match="nonnegative"):
+            build_liouvillian(space, np.zeros((2, 2)),
+                              [(lowering_op(space, 0), -0.1)])
 
 
 class TestEvolve:
     def test_exponential_decay(self):
         gamma = 0.8
         space = tls_space()
-        H = LinearOperator(space, np.zeros((2, 2), dtype=complex))
-        cols = CollapseSet([(lowering_op(space, 0), gamma)])
-        L = build_liouvillian(H, cols)
+        L = build_liouvillian(space, np.zeros((2, 2)),
+                              [(lowering_op(space, 0), gamma)])
         rho0 = DensityMatrix.from_state_vector(space, basis_state(space, (1,)))
         t = np.linspace(0.0, 4.0, 33)
         res = evolve(L, rho0, t, observables={"n": number_op(space, 0)})
@@ -125,12 +125,12 @@ class TestEvolve:
         space = CompositeSpace([ModeSpec("r", "resonator", dim)])
         c = lowering_op(space, 0)
         two_pi = 2 * math.pi
-        h = (two_pi * delta) * (c.dag() @ c).toarray() \
-            + (two_pi * eps) * (c + c.dag()).toarray()
-        L = make_liouvillian_res(space, h, [(c.toarray(), two_pi * kappa)])
+        n = c.conj().T @ c
+        h = (two_pi * delta) * n + (two_pi * eps) * (c + c.conj().T)
+        L = build_liouvillian(space, h, [(c, two_pi * kappa)])
         rho0 = DensityMatrix.from_state_vector(space, basis_state(space, (0,)))
         t = np.linspace(0.0, 12.0, 25)
-        res = evolve(L, rho0, t, observables={"n": (c.dag() @ c)})
+        res = evolve(L, rho0, t, observables={"n": n})
         n_ss = float(np.real(res.observables["n"][-1]))
         assert n_ss == pytest.approx(photon_number(eps, delta, kappa),
                                      rel=1e-3)
@@ -319,9 +319,8 @@ class TestEvolve:
     def test_integrity_diagnostics(self):
         gamma = 0.3
         space = tls_space()
-        H = LinearOperator(space,
-                           np.array([[0, 1], [1, 0]], dtype=complex))
-        L = build_liouvillian(H, CollapseSet([(lowering_op(space, 0), gamma)]))
+        L = build_liouvillian(space, np.array([[0, 1], [1, 0]]),
+                              [(lowering_op(space, 0), gamma)])
         rho0 = DensityMatrix.from_state_vector(space, basis_state(space, (1,)))
         res = evolve(L, rho0, np.linspace(0, 20, 101))
         assert res.diagnostics["max_trace_drift"] <= 1e-8
@@ -330,9 +329,7 @@ class TestEvolve:
 
     def test_positivity_abort(self):
         space = tls_space()
-        L = build_liouvillian(
-            LinearOperator(space, np.zeros((2, 2), dtype=complex)),
-            CollapseSet([]))
+        L = build_liouvillian(space, np.zeros((2, 2)), [])
         bad = np.diag([1.5, -0.5]).astype(complex)  # trace 1, not positive
         with pytest.raises(EvolutionError, match="positivity"):
             evolve(L, bad, np.linspace(0, 1, 5))
@@ -341,9 +338,8 @@ class TestEvolve:
         # time-reversed decay from the mixed state drains |g> until its
         # population turns negative after t = ln 2
         space = tls_space()
-        decay = build_liouvillian(
-            LinearOperator(space, np.zeros((2, 2), dtype=complex)),
-            CollapseSet([(lowering_op(space, 0), 1.0)]))
+        decay = build_liouvillian(space, np.zeros((2, 2)),
+                                  [(lowering_op(space, 0), 1.0)])
         reversed_decay = Liouvillian(space, -decay.matrix, decay.hamiltonian,
                                      decay.collapse)
         with pytest.raises(EvolutionError, match="t=0.7 us") as exc:
@@ -356,7 +352,7 @@ class TestEvolve:
         op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi /= np.linalg.norm(psi)
-        lin = LinearOperator(L.space, op.T)
+        lin = sp.csr_matrix(op.T)
         t = np.linspace(0.0, 3.0, 13)
         res, rhos = evolved_states(
             L, rho0, t, observables={"op": op, "lin": lin, "psi": psi})
@@ -480,9 +476,8 @@ class TestEvolveMany:
         # state's populations alone, so every member fails there and the
         # first is named
         space = tls_space()
-        decay = build_liouvillian(
-            LinearOperator(space, np.zeros((2, 2), dtype=complex)),
-            CollapseSet([(lowering_op(space, 0), 1.0)]))
+        decay = build_liouvillian(space, np.zeros((2, 2)),
+                                  [(lowering_op(space, 0), 1.0)])
         reversed_decay = Liouvillian(space, -decay.matrix, decay.hamiltonian,
                                      decay.collapse)
         with pytest.raises(EvolutionError,
@@ -540,9 +535,8 @@ class TestPositivityCertificate:
         # decay from the mixed state: lambda_min = exp(-t)/2 falls at every
         # step, so no block passes the certificate
         space = tls_space()
-        L = build_liouvillian(
-            LinearOperator(space, np.zeros((2, 2), dtype=complex)),
-            CollapseSet([(lowering_op(space, 0), 1.0)]))
+        L = build_liouvillian(space, np.zeros((2, 2)),
+                              [(lowering_op(space, 0), 1.0)])
         t = np.linspace(0.0, 2.0, 21)
         res, _, calls, ref = self.run(monkeypatch, L, np.eye(2) / 2, t)
         assert calls == len(t)
@@ -622,13 +616,6 @@ def planned_matvecs(L, t, prop):
     return (steps // s) * m * (K - 1) + (m * (K_r - 1) if steps % s else 0)
 
 
-def make_liouvillian_res(space, h, collapse_pairs):
-    H = LinearOperator(space, h)
-    cols = CollapseSet([(LinearOperator(space, op), rate)
-                        for op, rate in collapse_pairs])
-    return build_liouvillian(H, cols)
-
-
 def bundled_bell(decoherence=True):
     """``(config, Liouvillian)`` of the bundled two-qubit scenario; without
     ``decoherence`` the qubits have T1 = T_phi = infinity."""
@@ -649,20 +636,21 @@ def oracle_cases():
                                id=f"random-d{d}-s{seed}")
     space = tls_space()
     yield pytest.param(build_liouvillian(
-        LinearOperator(space, np.diag([0.0, 5.0]).astype(complex)),
-        CollapseSet([(lowering_op(space, 0), 1.0)])), id="pure-decay")
+        space, np.diag([0.0, 5.0]), [(lowering_op(space, 0), 1.0)]),
+        id="pure-decay")
     # H = sigma_x with decay 4 puts Heff on an exceptional point: it has
     # one eigenvector, and only the split preconditioner has a basis
     yield pytest.param(build_liouvillian(
-        LinearOperator(space, np.array([[0, 1], [1, 0]], complex)),
-        CollapseSet([(lowering_op(space, 0), 4.0)])), id="exceptional-point")
+        space, np.array([[0, 1], [1, 0]]), [(lowering_op(space, 0), 4.0)]),
+        id="exceptional-point")
     # the n_bar = 0.74 cavity of acceptance criterion 6a
     cav = CompositeSpace([ModeSpec("r", "resonator", 30)])
     c = lowering_op(cav, 0)
     eps = math.sqrt(0.74 * (10.0 ** 2 + 0.55 ** 2))
-    yield pytest.param(build_liouvillian(
-        (2 * math.pi * 10.0) * (c.dag() @ c) + (2 * math.pi * eps) * (c + c.dag()),
-        CollapseSet([(c, 2 * math.pi * 1.1)])), id="driven-cavity-d30")
+    H = ((2 * math.pi * 10.0) * (c.conj().T @ c)
+         + (2 * math.pi * eps) * (c + c.conj().T))
+    yield pytest.param(build_liouvillian(cav, H, [(c, 2 * math.pi * 1.1)]),
+                       id="driven-cavity-d30")
 
 
 class TestSteadyState:
@@ -687,8 +675,8 @@ class TestSteadyState:
 
     def test_pure_decay_reaches_ground(self):
         space = tls_space()
-        H = LinearOperator(space, np.diag([0.0, 5.0]).astype(complex))
-        L = build_liouvillian(H, CollapseSet([(lowering_op(space, 0), 1.0)]))
+        L = build_liouvillian(space, np.diag([0.0, 5.0]),
+                              [(lowering_op(space, 0), 1.0)])
         ss = steady_state(L, tol=1e-10)
         npt.assert_allclose(ss.rho.matrix, np.diag([1.0, 0.0]), atol=1e-10)
         assert ss.residual < 1e-12
@@ -714,11 +702,9 @@ class TestSteadyState:
         # two uncoupled decaying qubits with no cross relaxation conserve
         # each qubit's ground projector: the kernel is degenerate
         space = CompositeSpace([ModeSpec("a", QUBIT, 2), ModeSpec("b", QUBIT, 2)])
-        h = np.zeros((4, 4), dtype=complex)
         # dephasing on both qubits only: every diagonal state is steady
-        cols = CollapseSet([(number_op(space, 0), 1.0),
-                            (number_op(space, 1), 1.0)])
-        L = build_liouvillian(LinearOperator(space, h), cols)
+        cols = [(number_op(space, 0), 1.0), (number_op(space, 1), 1.0)]
+        L = build_liouvillian(space, np.zeros((4, 4)), cols)
         with pytest.raises(SteadyStateError, match="not unique|residual"):
             steady_state(L, tol=1e-9)
 
@@ -768,8 +754,7 @@ class TestSteadyState:
 
     def test_residual_norm(self):
         space = tls_space()
-        L = build_liouvillian(
-            LinearOperator(space, np.zeros((2, 2), dtype=complex)),
-            CollapseSet([(lowering_op(space, 0), 2.0)]))
+        L = build_liouvillian(space, np.zeros((2, 2)),
+                              [(lowering_op(space, 0), 2.0)])
         rho = np.diag([0.5, 0.5]).astype(complex)
         assert residual_norm(L, rho) == pytest.approx(1.0)

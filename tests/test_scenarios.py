@@ -310,8 +310,8 @@ class TestSpectroscopyFrameShift:
             ref = rebuilt_probe_liouvillian(cfg, amps, f)
             scale = abs(ref.matrix).max()
             assert abs(shifted.matrix - ref.matrix).max() <= 1e-9 * scale
-            assert abs(shifted.hamiltonian.matrix
-                       - ref.hamiltonian.matrix).max() <= 1e-9 * scale
+            assert abs(shifted.hamiltonian
+                       - ref.hamiltonian).max() <= 1e-9 * scale
 
     @pytest.mark.parametrize("name", list(PROBE_SCANS))
     def test_populations_match_per_frequency_rebuild(self, name):
