@@ -25,7 +25,11 @@ Model conventions (all frequencies configured in linear MHz, built in rad/us):
   steady amplitude ``abar``: the linear drive term disappears in favour of
   ``2*chi (abar D^dag + abar^* D) n_q`` plus the static shift
   ``2*chi*n_bar*n_q``.  This is exactly equivalent to the lab-frame model
-  and far less truncation-hungry.
+  and far less truncation-hungry.  The resonator's frame phase is chosen
+  so that ``abar = sqrt(n_bar)`` is real: exp(i phi n_r) commutes with
+  every other term and only rephases D, so the photon loss, the photon
+  number and the qubits' state are unchanged, and H is real unless a pump
+  amplitude is complex.
 """
 
 from __future__ import annotations
@@ -56,7 +60,8 @@ class DrivenResonator:
     label: str
     detuning: float   # in-model drive detuning, MHz
     n_bar: float
-    alpha: complex    # classical steady amplitude
+    alpha: float      # steady amplitude: its magnitude sqrt(n_bar), in the
+                      # resonator's phase frame
 
 
 @dataclass
@@ -162,7 +167,8 @@ def lowest_mode_weights(config: ScenarioConfig) -> np.ndarray:
 
 def driven_resonators(config: ScenarioConfig) -> tuple[DrivenResonator, ...]:
     """Every resonator whose drive is active, in configured order, with its
-    in-model detuning and classical steady amplitude."""
+    in-model detuning and the magnitude of its classical steady amplitude,
+    which its phase frame makes real."""
     weights = lowest_mode_weights(config) if config.raman_pull_correction else None
     out = []
     for i, drv in enumerate(config.raman):
@@ -172,8 +178,9 @@ def driven_resonators(config: ScenarioConfig) -> tuple[DrivenResonator, ...]:
         pull = 2.0 * res.chi * weights[i] if config.raman_pull_correction else 0.0
         det = drv.detuning - pull
         eps = rates.drive_amplitude(drv.n_bar, det, res.kappa)
-        denom = det ** 2 + (res.kappa / 2) ** 2
-        alpha = -eps * (det + 1j * res.kappa / 2) / denom
+        # |alpha| of the lab amplitude -eps (det + i kappa/2)/(det^2 +
+        # kappa^2/4), which the resonator's phase frame makes real
+        alpha = eps / math.hypot(det, res.kappa / 2)
         out.append(DrivenResonator(i, res.label, det, drv.n_bar, alpha))
     return tuple(out)
 
@@ -225,7 +232,7 @@ def build_dispersive(config: ScenarioConfig) -> HamiltonianModel:
         diagonal += [(TWO_PI * r.detuning) * n_r, K * (n_q * n_r),
                      (K * r.n_bar) * n_q]
         off_diagonal.append(
-            K * ((r.alpha * c.conj().T + np.conj(r.alpha) * c) @ sp.diags(n_q)))
+            (K * r.alpha) * ((c.conj().T + c) @ sp.diags(n_q)))
     pump, shift = _pump_terms(space, config, b)
 
     H = sum(off_diagonal, sp.diags(sum(diagonal) + shift, format="csr") + pump)

@@ -26,7 +26,8 @@ s (at most the grid's steps), delta and, only where s = 1 fails, m
 substeps a step, to minimize the m (K - 1) real matvecs of each of the
 floor(steps/s) full expansions plus the m (K_r - 1) of a last one over
 the r = steps mod s remaining points, which needs only the K_r terms of
-its shorter span.
+its shorter span.  Each term S_k+1 = B S_k + S_k-1 is one call of scipy's
+CSR kernel, accumulating B S_k in place into the copy of S_k-1.
 
 :func:`evolve_shifted` runs one state under a family L + delta F with F
 diagonal on vec(rho), and :func:`evolve` is its one-member delta = 0
@@ -60,6 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
+from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
 from .hilbert import CompositeSpace, DensityMatrix
@@ -347,7 +349,7 @@ def _chebyshev_sums(B: sp.csr_matrix, x: np.ndarray, coef: np.ndarray,
     """out[j] = sum_k coef[j, k] S_k x with S_0 = 1, S_1 = B/2 and
     S_k+1 = B S_k + S_k-1, the S_k written into the rows of ``buf`` and
     summed a buffer at a time; ``out`` may hold x."""
-    K = coef.shape[1]
+    K, n = coef.shape[1], B.shape[0]
     buf[0] = x
     buf[1] = 0.5 * (B @ x)
     out[:] = 0.0
@@ -355,7 +357,11 @@ def _chebyshev_sums(B: sp.csr_matrix, x: np.ndarray, coef: np.ndarray,
     while True:
         top = min(len(buf), K - k0)
         for i in range(max(first, 2), top):
-            np.add(B @ buf[i - 1], buf[i - 2], out=buf[i])
+            # scipy's kernel accumulates y += B x in place; without the @
+            # dispatch, a zeroed temporary and a separate add a term on
+            # `bell` takes about a fifth less time (78 -> 64 us, 2 vCPUs)
+            buf[i] = buf[i - 2]
+            csr_matvec(n, n, B.indptr, B.indices, B.data, buf[i - 1], buf[i])
         out += coef[:, k0 + first:k0 + top] @ buf[first:top]
         if k0 + top == K:
             return
@@ -393,7 +399,8 @@ def _dense_propagate(L: np.ndarray, F: np.ndarray, shifts: np.ndarray,
             Y = (P @ Y[:, :, None])[:, :, 0]
             observe(gens, slice(k, k + 1), Y[:, None])
     return [(n - 1, dict(method="dense_expm", terms=None, substeps=1,
-                         outputs_per_expansion=None, half_width=None))
+                         outputs_per_expansion=None, half_width=None,
+                         matrix_nnz=None))
             ] * len(shifts)
 
 
@@ -429,7 +436,8 @@ def _chebyshev_propagate(liouvillian: Liouvillian, y0: np.ndarray, n: int,
     steps = n - 1
     matvecs = (steps // s) * m * (K - 1) + (m * (K_r - 1) if steps % s else 0)
     return matvecs, dict(method="chebyshev", terms=K, substeps=m,
-                         outputs_per_expansion=s, half_width=R)
+                         outputs_per_expansion=s, half_width=R,
+                         matrix_nnz=B.nnz)
 
 
 class _StateObserver:
@@ -640,8 +648,9 @@ def evolve(liouvillian: Liouvillian, rho0: DensityMatrix | np.ndarray,
     |rho - rho^dag|.  ``diagnostics["propagator"]`` holds the ``method``
     (``dense_expm``/``chebyshev``), the ``terms`` K of an expansion, the
     ``substeps`` m of a step, the grid points s an expansion serves
-    (``outputs_per_expansion``) and its ``half_width`` R' (1/us); all but
-    the method and m are None on the dense path.
+    (``outputs_per_expansion``), its ``half_width`` R' (1/us) and the
+    nonzeros of the real matrix it multiplies (``matrix_nnz``); all but the
+    method and m are None on the dense path.
     """
     res = evolve_shifted(liouvillian, np.zeros(liouvillian.dim), [0.0], rho0,
                          t_grid, observables)

@@ -160,14 +160,13 @@ def _qubit_projector(full_space: CompositeSpace, qspace: CompositeSpace,
 
 
 def _lab_photon_operator(space: CompositeSpace, mode: int,
-                         alpha: complex) -> sp.csr_matrix:
+                         alpha: float) -> sp.csr_matrix:
     """Lab-frame photon number of the resonator at ``mode``, from the frame
-    displaced by its classical steady amplitude ``alpha``."""
+    displaced by its real classical steady amplitude ``alpha``."""
     c = lowering_op(space, mode)
     cd = c.conj().T
-    return (cd @ c + alpha * cd + np.conj(alpha) * c
-            + (abs(alpha) ** 2) * sp.identity(space.total_dim, format="csr")
-            ).tocsr()
+    return (cd @ c + alpha * (cd + c)
+            + alpha ** 2 * sp.identity(space.total_dim, format="csr")).tocsr()
 
 
 def _qubit_state_labels(n: int) -> list[str]:

@@ -77,6 +77,17 @@ class TestDispersive:
             model = build_dispersive(bundled_scenario(name))
             assert hermiticity_defect(model.H) < 1e-10
 
+    @pytest.mark.parametrize("name", [
+        "bell", "bell_pump2", "bell_single_channel", "w"])
+    def test_resonator_phase_frame_makes_h_real(self, name):
+        # each amplitude is rotated real, and the bundled pumps are real
+        model = build_dispersive(bundled_scenario(name))
+        assert abs(model.H.imag).max() == 0.0
+        assert model.resonators
+        for r in model.resonators:
+            assert isinstance(r.alpha, float) and r.alpha >= 0.0
+            assert r.alpha ** 2 == pytest.approx(r.n_bar, rel=1e-14)
+
     def test_raman_pull_correction_applied(self):
         cfg = bundled_scenario("bell_single_channel")
         model = build_dispersive(cfg)

@@ -217,6 +217,18 @@ class TestEvolve:
         npt.assert_allclose(lindblad._bessel_j(tau, kmax)[orders], ref,
                             rtol=1e-11, atol=1e-14)
 
+    def test_csr_kernel_accumulates_in_place(self):
+        # the Chebyshev recurrence relies on this private scipy kernel
+        # adding A x into y; a scipy that changes it fails here first
+        rng = np.random.default_rng(4)
+        A = sp.random(50, 40, density=0.2, format="csr", random_state=rng)
+        assert A.data.dtype == np.float64 and A.indices.dtype == np.int32
+        x, y = rng.normal(size=40), rng.normal(size=50)
+        expected = A @ x + y
+        lindblad.csr_matvec(50, 40, A.indptr, A.indices, A.data, x, y)
+        # the kernel sums in another order: a few ulps of the O(1) entries
+        npt.assert_allclose(y, expected, rtol=0, atol=1e-14)
+
     @pytest.mark.parametrize("d,density,sparse_path", PATHS)
     def test_matvec_count_is_positive_int(self, d, density, sparse_path):
         L, rho0 = random_lindbladian(d, seed=2, density=density)

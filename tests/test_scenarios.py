@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,7 @@ from stabsim.device import (
 )
 from stabsim.hamiltonian import named_qubit_state, qubit_space
 from stabsim.hilbert import DensityMatrix
-from stabsim.lindblad import _shifted_generator, evolve
+from stabsim.lindblad import _shifted_generator, build_liouvillian, evolve
 from stabsim.scenarios import (
     DegenerateDataError, FitError, _probe_family, _qubit_state_labels,
     build_problem, fit_exponential, run_bell, run_spectroscopy, run_sweep, run_w, write_report, write_sweep,
@@ -181,6 +182,56 @@ class TestScenarioRuns:
         monkeypatch.setattr(scenarios, "build_problem", None)
         with pytest.raises(ValueError, match="t_final 0.3 us holds 4 grid"):
             run_bell(quick_bell.replace(t_final=0.3))
+
+
+def complex_amplitude_frame(config, model):
+    """X -> U X U^dag for U = exp(i sum_r phi_r n_r), phi_r the phase of
+    resonator r's lab-frame steady amplitude -eps (det + i kappa/2) /
+    (det^2 + kappa^2/4): the map to the frame where that amplitude is
+    complex.  Entries between states of equal phase are kept exactly."""
+    phase = np.zeros(model.space.total_dim)
+    for mode, r in enumerate(model.resonators, start=config.n_qubits):
+        kappa = config.resonators[r.index].kappa
+        phase += (np.angle(-(r.detuning + 0.5j * kappa))
+                  * model.space.occupations[mode])
+
+    def rotate(X):
+        X = sp.coo_matrix(X, dtype=complex)
+        return sp.csr_matrix(
+            (X.data * np.exp(1j * (phase[X.row] - phase[X.col])),
+             (X.row, X.col)), shape=X.shape)
+
+    return rotate
+
+
+class TestResonatorPhaseFrame:
+    # bell (d = 64) propagates by Chebyshev, bell_single_channel (d = 24)
+    # by dense expm; in the complex frame the Chebyshev matrix has the
+    # extra nonzeros that the real frame saves
+    @pytest.mark.parametrize("name, nnz", [
+        ("bell", (47_008, 59_104)), ("bell_single_channel", (None, None))])
+    def test_complex_amplitude_frame_gives_the_same_run(self, name, nnz):
+        cfg = bundled_scenario(name)
+        model, L = build_problem(cfg)
+        rotate = complex_amplitude_frame(cfg, model)
+        H = rotate(model.H)
+        assert abs(H.imag).max() > 1e-3 * abs(H).max()
+        rho0 = scenarios.initial_density(cfg, model).matrix
+        obs = {k: v for k, v in scenarios._scenario_observables(
+            cfg, model, "T").items() if k == "F_target" or k.startswith("n_")}
+        t = np.linspace(0.0, 10 * cfg.t_step, 11)
+        real = evolve(L, rho0, t, observables=obs)
+        # U only rephases each c_r, which leaves every D(c) as it is
+        rotated = evolve(
+            build_liouvillian(model.space, H, L.collapse),
+            rotate(rho0).toarray(), t,
+            observables={k: rotate(v) for k, v in obs.items()})
+        assert (real.diagnostics["propagator"]["matrix_nnz"],
+                rotated.diagnostics["propagator"]["matrix_nnz"]) == nnz
+        assert real.observables["n_R2"].real.max() > 0.1
+        for key in obs:
+            npt.assert_allclose(rotated.observables[key],
+                                real.observables[key], rtol=0, atol=1e-12)
 
 
 class TestCoherentOnlyThreeQubit:
@@ -408,7 +459,8 @@ class TestReportOutput:
         # d = 24 (d^2 = 576) takes the dense propagator, one matvec a step
         assert payload["diagnostics"]["propagator"] == {
             "method": "dense_expm", "terms": None, "substeps": 1,
-            "outputs_per_expansion": None, "half_width": None}
+            "outputs_per_expansion": None, "half_width": None,
+            "matrix_nnz": None}
         assert payload["diagnostics"]["rhs_evaluations"] == len(report.times) - 1
         header = (out / "traces.csv").read_text().splitlines()[0].split(",")
         assert header[0] == "t_us"
