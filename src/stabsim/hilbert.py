@@ -4,11 +4,15 @@ Conventions used throughout the package:
 
 * A composite space is an ordered tensor product of modes, all qubit modes
   first, then all resonator modes.
-* Basis indexing is row-major over mode occupations: for occupations
-  ``(n_0, ..., n_{m-1})`` the basis index is ``n_0*s_0 + ... + n_{m-1}``
-  where ``s_i`` is the product of the dimensions of all later modes.
-* Operators are ``scipy.sparse`` CSR matrices, passed together with the
-  :class:`CompositeSpace` they act on.
+* The basis is the occupation table: basis state k has occupation
+  ``occupations[i, k]`` of mode i.  :meth:`CompositeSpace.index` is the one
+  ordering rule, row-major over the occupations: ``(n_0, ..., n_{m-1})``
+  sits at ``n_0*s_0 + ... + n_{m-1}`` where ``s_i`` is the product of the
+  dimensions of all later modes.  Operators and state vectors are built
+  from the table.
+* Operators are ``scipy.sparse`` CSR matrices and density matrices are
+  dense d x d arrays, each passed together with the
+  :class:`CompositeSpace` it acts on.
 
 The truncated lowering operator satisfies ``[n, a] = -a`` exactly except on
 the top Fock level of each mode, where the truncation removes the matrix
@@ -73,7 +77,7 @@ class CompositeSpace:
     def occupations(self) -> np.ndarray:
         """Occupation table: entry ``[i, k]`` is mode i's occupation in
         basis state k."""
-        return np.indices(self.dims).reshape(len(self.modes), -1)
+        return np.indices(self.dims).reshape(len(self.modes), self.total_dim)
 
     @property
     def n_qubits(self) -> int:
@@ -83,92 +87,45 @@ class CompositeSpace:
     def n_resonators(self) -> int:
         return sum(1 for m in self.modes if m.kind == RESONATOR)
 
-    def index(self, occupations: Sequence[int]) -> int:
-        """Basis index of a product state, row-major over occupations."""
-        if len(occupations) != len(self.modes):
+    def index(self, occupations) -> int | np.ndarray:
+        """Basis index of one occupation tuple, or of each column of a table
+        of them (one row per mode), row-major over the occupations."""
+        occ = np.asarray(occupations)
+        if len(occ) != len(self.modes):
             raise ValueError(
-                f"expected {len(self.modes)} occupations, got {len(occupations)}"
+                f"expected {len(self.modes)} occupations, got {len(occ)}"
             )
-        idx = 0
-        for n, mode in zip(occupations, self.modes):
-            if not 0 <= n < mode.dim:
+        for n, mode in zip(occ, self.modes):
+            bad = (n < 0) | (n >= mode.dim)
+            if bad.any():
                 raise ValueError(
-                    f"occupation {n} exceeds truncation of mode {mode.label!r} "
-                    f"(dim {mode.dim})"
+                    f"occupation {np.extract(bad, n)[0]} exceeds truncation "
+                    f"of mode {mode.label!r} (dim {mode.dim})"
                 )
-            idx = idx * mode.dim + n
-        return idx
-
-
-@dataclass
-class DensityMatrix:
-    """Dense density matrix on a :class:`CompositeSpace`."""
-
-    space: CompositeSpace
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        d = self.space.total_dim
-        if self.matrix.shape != (d, d):
-            raise ValueError(
-                f"matrix shape {self.matrix.shape} does not match space dim {d}"
-            )
-
-    @classmethod
-    def from_state_vector(cls, space: CompositeSpace, psi: np.ndarray) -> "DensityMatrix":
-        psi = np.asarray(psi, dtype=complex).ravel()
-        return cls(space, np.outer(psi, psi.conj()))
+        return np.ravel_multi_index(tuple(occ), self.dims)
 
 
 # -- constructors ---------------------------------------------------------
 
-def _local_lowering(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
-
-
-def embed(space: CompositeSpace, mode_index: int, local_matrix: np.ndarray
-          ) -> sp.csr_matrix:
-    """Tensor a single-mode matrix with identity on all other modes.
-
-    kron(1_left, M, 1_right) has M_ij at row (l dim + i) right + r, column
-    (l dim + j) right + r for every l < left and r < right: one triplet
-    set, converted to CSR once.
-    """
-    if not 0 <= mode_index < len(space.modes):
-        raise IndexError(f"mode index {mode_index} out of range")
-    local = np.asarray(local_matrix, dtype=complex)
-    dim = space.modes[mode_index].dim
-    if local.shape != (dim, dim):
-        raise ValueError(
-            f"local matrix shape {local.shape} does not match mode dim {dim}"
-        )
-    i, j = np.nonzero(local)
-    left = math.prod(space.dims[:mode_index])
-    right = math.prod(space.dims[mode_index + 1:])
-    shape = (left, len(i), right)
-    block = dim * np.arange(left)[:, None, None]
-    r = np.arange(right)
-    rows = ((block + i[:, None]) * right + r).ravel()
-    cols = ((block + j[:, None]) * right + r).ravel()
-    vals = np.broadcast_to(local[i, j][:, None], shape).ravel()
-    d = space.total_dim
-    return sp.csr_matrix((vals, (rows, cols)), shape=(d, d))
-
-
 def lowering_op(space: CompositeSpace, mode_index: int) -> sp.csr_matrix:
-    """Truncated annihilation operator of one mode, sqrt(n) sub-diagonal."""
+    """Truncated annihilation operator of one mode: weight sqrt(n_i) from
+    each basis state with n_i > 0 to the one with n_i - 1."""
     if not 0 <= mode_index < len(space.modes):
         raise IndexError(f"mode index {mode_index} out of range")
-    return embed(space, mode_index, _local_lowering(space.modes[mode_index].dim))
+    occ = space.occupations
+    cols = np.flatnonzero(occ[mode_index])
+    lowered = occ[:, cols]
+    lowered[mode_index] -= 1
+    weights = np.sqrt(occ[mode_index, cols]).astype(complex)
+    d = space.total_dim
+    return sp.csr_matrix((weights, (space.index(lowered), cols)), shape=(d, d))
 
 
 def number_op(space: CompositeSpace, mode_index: int) -> sp.csr_matrix:
-    """Occupation-number operator of one mode, diag(0..dim-1)."""
+    """Occupation-number operator of one mode, diag(n_i)."""
     if not 0 <= mode_index < len(space.modes):
         raise IndexError(f"mode index {mode_index} out of range")
-    dim = space.modes[mode_index].dim
-    return embed(space, mode_index, np.diag(np.arange(dim, dtype=complex)))
+    return sp.diags(space.occupations[mode_index].astype(complex), format="csr")
 
 
 def basis_state(space: CompositeSpace, occupations: Sequence[int]) -> np.ndarray:
@@ -201,37 +158,40 @@ def coherent_tail(dim: int, alpha: complex) -> float:
 
 
 def product_state(space: CompositeSpace, factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Tensor product of per-mode state vectors."""
+    """Tensor product of per-mode state vectors: entry k is the product of
+    f_i[n_i(k)] over the modes, multiplied in mode order."""
     if len(factors) != len(space.modes):
         raise ValueError("one factor per mode required")
-    psi = np.ones(1, dtype=complex)
-    for f, mode in zip(factors, space.modes):
+    psi = np.ones(space.total_dim, dtype=complex)
+    for f, mode, n in zip(factors, space.modes, space.occupations):
         f = np.asarray(f, dtype=complex).ravel()
         if f.size != mode.dim:
             raise ValueError(f"factor size {f.size} does not match dim {mode.dim}")
-        psi = np.kron(psi, f)
+        psi *= f[n]
     return psi
 
 
 # -- functionals ----------------------------------------------------------
 
-def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced density matrix on the kept modes (indices into ``space.modes``)."""
+def partial_trace(space: CompositeSpace, rho: np.ndarray, keep: Iterable[int]
+                  ) -> np.ndarray:
+    """Reduced density matrix of the d x d ``rho`` on the kept modes
+    (indices into ``space.modes``)."""
     keep = sorted(set(keep))
     if not keep:
         raise ValueError("keep set must be nonempty")
-    space = rho.space
     nmodes = len(space.modes)
     if any(not 0 <= k < nmodes for k in keep):
         raise IndexError("keep index out of range")
+    d = space.total_dim
+    rho = np.asarray(rho)
+    if rho.shape != (d, d):
+        raise ValueError(f"rho has shape {rho.shape}, not {(d, d)}")
     dims = space.dims
-    arr = rho.matrix.reshape(dims + dims)
+    arr = rho.reshape(dims + dims)
     # trace out the complement, highest axis first so indices stay valid
     for k in sorted(set(range(nmodes)) - set(keep), reverse=True):
         nd = arr.ndim // 2
         arr = np.trace(arr, axis1=k, axis2=k + nd)
-    kept_modes = [space.modes[k] for k in keep]
-    sub = CompositeSpace(kept_modes)
-    d = sub.total_dim
-    return DensityMatrix(sub, arr.reshape(d, d))
-
+    kept = math.prod(dims[k] for k in keep)
+    return arr.reshape(kept, kept)

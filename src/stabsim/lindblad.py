@@ -27,7 +27,9 @@ substeps a step, to minimize the m (K - 1) real matvecs of each of the
 floor(steps/s) full expansions plus the m (K_r - 1) of a last one over
 the r = steps mod s remaining points, which needs only the K_r terms of
 its shorter span.  Each term S_k+1 = B S_k + S_k-1 is one call of scipy's
-CSR kernel, accumulating B S_k in place into the copy of S_k-1.
+CSR kernel, accumulating B S_k in place into the copy of S_k-1.  B's rows
+and columns are relabelled in the stable order of its row lengths, which
+leaves every sum as it was and lets the kernel predict where rows end.
 
 :func:`evolve_shifted` runs one state under a family L + delta F with F
 diagonal on vec(rho), and :func:`evolve` is its one-member delta = 0
@@ -64,7 +66,7 @@ from scipy.linalg import expm
 from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
-from .hilbert import CompositeSpace, DensityMatrix
+from .hilbert import CompositeSpace
 
 SYLVESTER_ARNOLDI = "sylvester_arnoldi"
 
@@ -370,6 +372,17 @@ def _chebyshev_sums(B: sp.csr_matrix, x: np.ndarray, coef: np.ndarray,
         k0, first = k0 + top - 2, 2
 
 
+def _rows_by_length(B: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
+    """``(P B P^T, perm)``: B's rows and columns both relabelled by the
+    stable order ``perm`` of its row lengths, each row's entries kept in
+    their stored order, so that (P B P^T) x[perm] = (B x)[perm] with every
+    entry the same sum in the same order."""
+    perm = np.argsort(np.diff(B.indptr), kind="stable")
+    B = B[perm]
+    return sp.csr_matrix((B.data, np.argsort(perm)[B.indices], B.indptr),
+                         shape=B.shape), perm
+
+
 def _dense_group_size(n: int) -> int:
     """Generators of vector length n propagated together: their stacked
     propagators take no more memory than one of the largest dense size."""
@@ -418,12 +431,17 @@ def _chebyshev_propagate(liouvillian: Liouvillian, y0: np.ndarray, n: int,
     A = A.real
     c, R, m, coef, K_r = _chebyshev_plan(liouvillian, A, dt, n - 1)
     (s, K), N = coef.shape, A.shape[0]
-    B = ((2.0 / R) * (A - c * sp.identity(N))).tocsr()
+    # equal-length rows run together, so scipy's CSR kernel predicts its
+    # row-end branch: a term on `bell` takes 57.8 -> 44.9 us and on `w`
+    # 68.7 -> 61.2 us (medians of 12 alternating runs, 2 vCPUs), for
+    # bitwise the same vectors
+    B, perm = _rows_by_length(((2.0 / R) * (A - c * sp.identity(N))).tocsr())
+    unperm = np.argsort(perm)
     out = np.empty((s, N))
     out[0] = (Q.conj().T @ y0).real
     gens = slice(gen, gen + 1)
     observe(gens, slice(0, 1), (out[:1] @ Q.T)[None])
-    x = out[0]
+    x = out[0, perm]
     buf = np.empty((min(_CHUNK_ROWS, K), N))
     for j in range(0, n - 1, s):
         # the last expansion may serve r < s grid points with K_r terms
@@ -432,7 +450,7 @@ def _chebyshev_propagate(liouvillian: Liouvillian, y0: np.ndarray, n: int,
         for _ in range(m):  # m > 1 only where s = 1
             _chebyshev_sums(B, x, coef[:r, :K if r == s else K_r], buf, rows)
             x = rows[-1]
-        observe(gens, slice(j + 1, j + 1 + r), (rows @ Q.T)[None])
+        observe(gens, slice(j + 1, j + 1 + r), (rows[:, unperm] @ Q.T)[None])
     steps = n - 1
     matvecs = (steps // s) * m * (K - 1) + (m * (K_r - 1) if steps % s else 0)
     return matvecs, dict(method="chebyshev", terms=K, substeps=m,
@@ -545,7 +563,7 @@ class _StateObserver:
         })
 
 
-def _start(rho0: DensityMatrix | np.ndarray, t_grid: np.ndarray, d: int
+def _start(rho0: np.ndarray, t_grid: np.ndarray, d: int
            ) -> tuple[np.ndarray, np.ndarray, float]:
     """``(t_grid, vec(rho0), dt)`` of a checked grid and a checked d x d
     ``rho0``."""
@@ -558,13 +576,13 @@ def _start(rho0: DensityMatrix | np.ndarray, t_grid: np.ndarray, d: int
     slack = 1e-9 * abs(dt) + 16 * np.finfo(float).eps * np.abs(t_grid).max()
     if not dt > 0 or np.abs(np.diff(t_grid) - dt).max() > slack:
         raise ValueError("t_grid must be uniform and increasing (a linspace)")
-    rho_mat = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0)
-    if rho_mat.shape != (d, d):
-        raise ValueError(f"rho0 has shape {rho_mat.shape}, not {(d, d)}")
-    if (np.abs(rho_mat - rho_mat.conj().T).max()
-            > _HERMITIAN_RTOL * np.abs(rho_mat).max()):
+    rho0 = np.asarray(rho0)
+    if rho0.shape != (d, d):
+        raise ValueError(f"rho0 has shape {rho0.shape}, not {(d, d)}")
+    if (np.abs(rho0 - rho0.conj().T).max()
+            > _HERMITIAN_RTOL * np.abs(rho0).max()):
         raise ValueError("rho0 is not Hermitian")
-    return t_grid, vectorize(rho_mat), dt
+    return t_grid, vectorize(rho0), dt
 
 
 def _commutator_diagonal(number: np.ndarray) -> np.ndarray:
@@ -588,7 +606,7 @@ def _shifted_generator(liouvillian: Liouvillian, number: np.ndarray,
 
 
 def evolve_shifted(liouvillian: Liouvillian, number: np.ndarray, shifts,
-                   rho0: DensityMatrix | np.ndarray, t_grid: np.ndarray,
+                   rho0: np.ndarray, t_grid: np.ndarray,
                    observables: dict | None = None) -> EvolutionResult:
     """:func:`evolve` of one ``rho0`` under the generators of H + delta N,
     one per delta in ``shifts``, for the diagonal N = diag(``number``) (a
@@ -630,7 +648,7 @@ def evolve_shifted(liouvillian: Liouvillian, number: np.ndarray, shifts,
     return observe.result(runs)
 
 
-def evolve(liouvillian: Liouvillian, rho0: DensityMatrix | np.ndarray,
+def evolve(liouvillian: Liouvillian, rho0: np.ndarray,
            t_grid: np.ndarray, observables: dict | None = None
            ) -> EvolutionResult:
     """Propagate vec(rho) exactly along the uniform ``t_grid`` (us).
@@ -660,7 +678,7 @@ def evolve(liouvillian: Liouvillian, rho0: DensityMatrix | np.ndarray,
 
 @dataclass
 class SteadyState:
-    rho: DensityMatrix
+    rho: np.ndarray
     residual: float
     method: str
     info: dict = field(default_factory=dict)
@@ -767,5 +785,4 @@ def steady_state(liouvillian: Liouvillian, tol: float = 1e-6) -> SteadyState:
         raise SteadyStateError(
             f"steady-state residual {res:.3e} exceeds tolerance {tol:.1e} "
             f"after {applications} Arnoldi iterations")
-    return SteadyState(DensityMatrix(liouvillian.space, rho), res,
-                       SYLVESTER_ARNOLDI, info)
+    return SteadyState(rho, res, SYLVESTER_ARNOLDI, info)

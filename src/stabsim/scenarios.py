@@ -38,8 +38,8 @@ from .hamiltonian import (
     single_excitation_modes,
 )
 from .hilbert import (
-    CompositeSpace, DensityMatrix, coherent_state, coherent_tail, lowering_op,
-    partial_trace, product_state,
+    CompositeSpace, coherent_state, coherent_tail, lowering_op, partial_trace,
+    product_state,
 )
 from .lindblad import (
     Liouvillian, build_liouvillian, evolve, evolve_shifted, steady_state,
@@ -179,9 +179,10 @@ def _eigenstate_labels(n: int) -> list[str]:
 
 
 def initial_density(config: ScenarioConfig, model: HamiltonianModel,
-                    initial: str | None = None) -> DensityMatrix:
-    """Initial state: the named qubit state (``initial``, else the
-    configured one), resonators empty in the lab frame.
+                    initial: str | None = None) -> np.ndarray:
+    """Initial density matrix on ``model.space``: the named qubit state
+    (``initial``, else the configured one), resonators empty in the lab
+    frame.
 
     In the displaced frame an empty lab resonator is the coherent state at
     minus the classical drive amplitude.
@@ -195,7 +196,8 @@ def initial_density(config: ScenarioConfig, model: HamiltonianModel,
     dim = config.truncations.resonator_dim
     psi_r = product_state(res_space, [coherent_state(dim, -r.alpha)
                                       for r in model.resonators])
-    return DensityMatrix.from_state_vector(space, np.kron(psi_q, psi_r))
+    psi = np.kron(psi_q, psi_r)
+    return np.outer(psi, psi.conj())
 
 
 def _has_qubit_decoherence(config: ScenarioConfig) -> bool:
@@ -256,11 +258,14 @@ class ScenarioReport:
         }
 
 
-def _target_fidelity(rho: DensityMatrix, n_qubits: int, target: str) -> float:
-    """<target| rho_q |target> with rho_q the qubit-reduced state."""
-    reduced = partial_trace(rho, range(n_qubits))
-    psi = named_qubit_state(reduced.space, target)
-    return float(np.real(np.vdot(psi, reduced.matrix @ psi)))
+def _target_fidelity(space: CompositeSpace, rho: np.ndarray, target: str
+                     ) -> float:
+    """<target| rho_q |target> with rho_q the qubit-reduced state of the
+    density matrix ``rho`` on ``space``."""
+    n = space.n_qubits
+    reduced = partial_trace(space, rho, range(n))
+    psi = named_qubit_state(CompositeSpace(space.modes[:n]), target)
+    return float(np.real(np.vdot(psi, reduced @ psi)))
 
 
 def build_problem(config: ScenarioConfig) -> tuple[HamiltonianModel, Liouvillian]:
@@ -305,7 +310,7 @@ def _run_scenario(config: ScenarioConfig, target: str, scenario_name: str,
 
     if decohering:
         steadym = steady_state(liouv, tol=config.solver.steady_tol)
-        steady_fid = _target_fidelity(steadym.rho, config.n_qubits, target)
+        steady_fid = _target_fidelity(liouv.space, steadym.rho, target)
         steady_method = steadym.method
         steady_res = steadym.residual
         iterations = steadym.info["iterations"]
@@ -455,8 +460,8 @@ def run_spectroscopy(config: ScenarioConfig, drive_target: int,
     obs = {lab: np.asarray(named_qubit_state(qspace, lab)) for lab in labels}
     amps = tuple(amplitude if i == drive_target else 0.0
                  for i in range(config.n_qubits))
-    rho0 = DensityMatrix.from_state_vector(
-        qspace, named_qubit_state(qspace, "g" * config.n_qubits))
+    ground = named_qubit_state(qspace, "g" * config.n_qubits)
+    rho0 = np.outer(ground, ground.conj())
     t_grid = np.linspace(0.0, duration, 81)
     sel = t_grid >= duration / 2.0
 
@@ -540,7 +545,7 @@ def _sweep_point(args) -> tuple[float, float, float, float, str | None]:
         cfg = _apply_axis(config, axis, value)
         _, liouv = build_problem(cfg)
         steadym = steady_state(liouv, tol=cfg.solver.steady_tol)
-        fid = _target_fidelity(steadym.rho, cfg.n_qubits, "T")
+        fid = _target_fidelity(liouv.space, steadym.rho, "T")
         gamma = measure_transfer_rate(cfg)
         return (fid, gamma, steadym.residual, steadym.info["kernel_gap"],
                 None)

@@ -170,7 +170,7 @@ def test_criterion_4_three_level_oracle_equivalence():
         p = ThreeLevelParams(omega, g1, gphi, gs)
         ss = steady_state(three_level_liouvillian(p), tol=1e-9)
         worst = max(worst, abs(exact_fidelity(p)
-                                - float(np.real(ss.rho.matrix[2, 2]))))
+                                - float(np.real(ss.rho[2, 2]))))
     elapsed = time.monotonic() - tic
     check("criterion 4", worst <= 1e-8 and elapsed <= 30.0,
           f"max |closed form - oracle| = {worst:.2e} over 1000 draws "
@@ -197,7 +197,7 @@ def test_criterion_6_photon_calibration_and_stark_shift():
         H = (TWO_PI * delta) * n + (TWO_PI * eps) * (c + c.conj().T)
         liouv = build_liouvillian(space, H, [(c, TWO_PI * kappa)])
         ss = steady_state(liouv, tol=1e-8)
-        n_sim = float(np.real((n.toarray() @ ss.rho.matrix).trace()))
+        n_sim = float(np.real((n.toarray() @ ss.rho).trace()))
         worst = max(worst, abs(n_sim / n_bar - 1.0))
     check("criterion 6a", worst <= 0.01,
           f"max photon-number error = {worst * 100:.3f}% (<= 1%)")
@@ -215,8 +215,8 @@ def _simulated_stark_shift(chi, delta, kappa, n_bar):
     """Phase-accumulation rate of a qubit superposition while its resonator
     is driven; the probe rotates at the qubit frame so the slope is the
     shift."""
-    from stabsim.hilbert import (CompositeSpace, DensityMatrix, ModeSpec,
-                                 basis_state, lowering_op)
+    from stabsim.hilbert import (CompositeSpace, ModeSpec, basis_state,
+                                 lowering_op)
     dim = 16
     space = CompositeSpace([ModeSpec("q", "qubit", 2),
                             ModeSpec("r", "resonator", dim)])
@@ -230,7 +230,7 @@ def _simulated_stark_shift(chi, delta, kappa, n_bar):
          + (TWO_PI * eps) * (c + c.conj().T))
     liouv = build_liouvillian(space, H, [(c, TWO_PI * kappa)])
     plus = (basis_state(space, (0, 0)) + basis_state(space, (1, 0))) / math.sqrt(2)
-    rho0 = DensityMatrix.from_state_vector(space, plus)
+    rho0 = np.outer(plus, plus.conj())
     t = np.linspace(0.0, 3.0, 301)
     res = evolve(liouv, rho0, t, observables={"coh": b})
     coh = np.asarray(res.observables["coh"], dtype=complex)
@@ -309,7 +309,7 @@ def test_criterion_9_lindblad_integrity(single_channel_triple,
 
     cfg = bundled_scenario("bell")
     model, liouv = build_problem(cfg)
-    a = steady_state(liouv, tol=cfg.solver.steady_tol).rho.matrix
+    a = steady_state(liouv, tol=cfg.solver.steady_tol).rho
     b = lu_steady_state(liouv)
     qsp = qubit_space(cfg)
     psi = named_qubit_state(qsp, "T")

@@ -45,7 +45,7 @@ def dressing(config) -> np.ndarray:
 
 def steady_fidelity(config, liouv) -> float:
     rho = steady_state(liouv, tol=config.solver.steady_tol).rho
-    return _target_fidelity(rho, config.n_qubits, "T")
+    return _target_fidelity(liouv.space, rho, "T")
 
 
 @pytest.mark.parametrize("name, tol", [("bell_single_channel", 2e-4),

@@ -19,7 +19,7 @@ rate = st.floats(1e-2, 1e2)
 def oracle_fidelity(p: ThreeLevelParams) -> float:
     """Target population of the numerically solved stationary state."""
     ss = steady_state(three_level_liouvillian(p), tol=1e-9)
-    return float(np.real(ss.rho.matrix[2, 2]))
+    return float(np.real(ss.rho[2, 2]))
 
 
 class TestExactFidelity:

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabsim.hilbert import (
-    QUBIT, RESONATOR, CompositeSpace, DensityMatrix, ModeSpec, basis_state,
-    coherent_state, coherent_tail, embed, lowering_op, number_op,
-    partial_trace, product_state,
+    QUBIT, RESONATOR, CompositeSpace, ModeSpec, basis_state, coherent_state,
+    coherent_tail, lowering_op, number_op, partial_trace, product_state,
 )
 
 
@@ -16,6 +15,27 @@ def space_of(*dims, kinds=None):
     kinds = kinds or [QUBIT] * len(dims)
     return CompositeSpace([ModeSpec(f"m{i}", k, d)
                            for i, (d, k) in enumerate(zip(dims, kinds))])
+
+
+#: (dims, qubit count) of the spaces the Kronecker oracles run on: mixed
+#: dims, qubit_dim 3, and three or more modes
+KRON_SPACES = [((2, 2), 2), ((2, 3, 4), 1), ((3, 3, 4, 4), 2),
+               ((2, 2, 2, 5), 3), ((3,), 1), ((4, 3), 0)]
+
+
+def mixed_space(dims, n_qubits):
+    return space_of(*dims, kinds=[QUBIT] * n_qubits
+                    + [RESONATOR] * (len(dims) - n_qubits))
+
+
+def kron_oracle(dims, mode, local):
+    """1 (x) ... (x) local (x) ... (x) 1, one sparse Kronecker factor at a
+    time."""
+    op = sps.identity(1, format="csr")
+    for i, d in enumerate(dims):
+        op = sps.kron(op, local if i == mode else sps.identity(d),
+                      format="csr")
+    return op
 
 
 def random_density(rng, d):
@@ -55,11 +75,24 @@ class TestLowering:
         assert np.count_nonzero(a) == 2
 
     def test_tensor_factor_matches_kronecker_oracle(self):
-        # two dim-2 modes, operator on the second: identity (x) lowering
-        sp = space_of(2, 2)
-        a_local = np.array([[0, 1], [0, 0]], dtype=complex)
-        expected = np.kron(np.eye(2), a_local)
-        npt.assert_array_equal(lowering_op(sp, 1).toarray(), expected)
+        # the table rules give the entries of kron(1, a, 1) and
+        # kron(1, n, 1) exactly, explicit zeros left out
+        for dims, n_qubits in KRON_SPACES:
+            space = mixed_space(dims, n_qubits)
+            for mode, d in enumerate(dims):
+                a = np.diag(np.sqrt(np.arange(1, d)), 1).astype(complex)
+                n = np.diag(np.arange(d)).astype(complex)
+                for got, local in ((lowering_op(space, mode), a),
+                                   (number_op(space, mode), n)):
+                    ref = kron_oracle(dims, mode, sps.csr_matrix(local))
+                    assert isinstance(got, sps.csr_matrix)
+                    assert got.nnz == ref.nnz
+                    npt.assert_array_equal(got.toarray(), ref.toarray())
+
+    def test_adjoint_of_lowering_is_raising(self):
+        sp = space_of(3)
+        npt.assert_allclose(lowering_op(sp, 0).conj().T.toarray(),
+                            np.diag([1.0, np.sqrt(2.0)], -1), atol=0)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
@@ -93,67 +126,6 @@ class TestNumber:
         expected = np.eye(5, dtype=complex)
         expected[4, 4] = 1.0 - 5.0
         npt.assert_allclose(canonical, expected, atol=1e-14)
-
-
-class TestEmbedAlgebra:
-    def test_embed_identity_is_global_identity(self):
-        sp = space_of(2, 3)
-        npt.assert_array_equal(embed(sp, 1, np.eye(3)).toarray(), np.eye(6))
-
-    def test_adjoint_of_lowering_is_raising(self):
-        sp = space_of(3)
-        npt.assert_allclose(lowering_op(sp, 0).conj().T.toarray(),
-                            np.diag([1.0, np.sqrt(2.0)], -1), atol=0)
-
-    def test_dimension_mismatch_rejected(self):
-        sp = space_of(2, 3)
-        with pytest.raises(ValueError, match="local matrix shape"):
-            embed(sp, 0, np.eye(3))
-
-    @given(st.lists(st.integers(2, 4), min_size=1, max_size=3),
-           st.integers(0, 10**6))
-    @settings(max_examples=30, deadline=None)
-    def test_embed_compose_against_dense_kron_oracle(self, dims, seed):
-        # random local matrices on random modes vs an explicit dense build
-        space = space_of(*dims)
-        if space.total_dim > 64:
-            return
-        rng = np.random.default_rng(seed)
-        mats = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-                for d in dims]
-        idx = rng.integers(len(dims))
-        dense = np.eye(1, dtype=complex)
-        for i, d in enumerate(dims):
-            dense = np.kron(dense, mats[i] if i == idx else np.eye(d))
-        npt.assert_allclose(embed(space, int(idx), mats[idx]).toarray(),
-                            dense, atol=1e-12)
-        # product of two embeddings equals the dense product
-        j = int(rng.integers(len(dims)))
-        op = embed(space, int(idx), mats[idx]) @ embed(space, j, mats[j])
-        dense_j = np.eye(1, dtype=complex)
-        for i, d in enumerate(dims):
-            dense_j = np.kron(dense_j, mats[i] if i == j else np.eye(d))
-        npt.assert_allclose(op.toarray(), dense @ dense_j, atol=1e-12)
-
-    @pytest.mark.parametrize("dims,mode", [
-        ((2, 3, 4), 0), ((2, 3, 4), 1), ((2, 3, 4), 2), ((3,), 0),
-    ], ids=["first", "middle-qutrit", "last", "lone-qutrit"])
-    def test_embed_equals_sparse_kron(self, dims, mode):
-        # the same entries as kron(kron(1, M), 1), zeros of M left out
-        rng = np.random.default_rng(mode)
-        d = dims[mode]
-        local = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        local[0, 1:] = 0.0
-        local[-1, -1] = 0.0
-        left = np.prod(dims[:mode], dtype=int)
-        right = np.prod(dims[mode + 1:], dtype=int)
-        ref = sps.kron(sps.kron(sps.identity(left), sps.csr_matrix(local),
-                                format="csr"),
-                       sps.identity(right), format="csr")
-        got = embed(space_of(*dims), mode, local)
-        assert isinstance(got, sps.csr_matrix)
-        assert got.nnz == ref.nnz == left * right * np.count_nonzero(local)
-        assert abs(got - ref).max() == 0
 
 
 class TestBasisStates:
@@ -198,6 +170,33 @@ class TestBasisStates:
         sp = space_of(2, 2)
         psi = product_state(sp, [np.array([0, 1]), np.array([1, 0])])
         npt.assert_array_equal(psi, basis_state(sp, (1, 0)))
+        # random factors: the same products as the np.kron chain
+        rng = np.random.default_rng(5)
+        for dims, n_qubits in KRON_SPACES:
+            factors = [rng.normal(size=d) + 1j * rng.normal(size=d)
+                       for d in dims]
+            ref = np.ones(1, dtype=complex)
+            for f in factors:
+                ref = np.kron(ref, f)
+            npt.assert_array_equal(
+                product_state(mixed_space(dims, n_qubits), factors), ref)
+
+    def test_index_of_occupation_table(self):
+        # the table's columns are the basis states in order, and a table
+        # is checked like a single tuple
+        sp = space_of(2, 3, 4)
+        npt.assert_array_equal(sp.index(sp.occupations), np.arange(24))
+        npt.assert_array_equal(sp.index([[1, 0], [2, 0], [3, 1]]), [23, 1])
+        with pytest.raises(ValueError, match="truncation of mode 'm1'"):
+            sp.index([[1, 0], [2, 3], [3, 1]])
+        with pytest.raises(ValueError, match="expected 3 occupations"):
+            sp.index([[1, 0], [2, 0]])
+
+    def test_space_without_modes(self):
+        # the resonator factor of a qubit-only model
+        empty = CompositeSpace([])
+        assert empty.occupations.shape == (0, 1)
+        npt.assert_array_equal(product_state(empty, []), [1.0])
 
 
 class TestPartialTrace:
@@ -206,14 +205,14 @@ class TestPartialTrace:
         rng = np.random.default_rng(7)
         rho_a = random_density(rng, 2)
         rho_b = random_density(rng, 3)
-        rho = DensityMatrix(sp, np.kron(rho_a, rho_b))
-        npt.assert_allclose(partial_trace(rho, [0]).matrix, rho_a, atol=1e-12)
+        rho = np.kron(rho_a, rho_b)
+        npt.assert_allclose(partial_trace(sp, rho, [0]), rho_a, atol=1e-12)
 
     def test_maximally_entangled_reduces_to_mixed(self):
         sp = space_of(2, 2)
         psi = (basis_state(sp, (0, 0)) + basis_state(sp, (1, 1))) / np.sqrt(2)
-        red = partial_trace(DensityMatrix.from_state_vector(sp, psi), [0])
-        npt.assert_allclose(red.matrix, np.eye(2) / 2, atol=1e-12)
+        red = partial_trace(sp, np.outer(psi, psi.conj()), [0])
+        npt.assert_allclose(red, np.eye(2) / 2, atol=1e-12)
 
     def test_against_index_summation_oracle(self):
         sp = space_of(2, 3)
@@ -225,21 +224,23 @@ class TestPartialTrace:
             for j in range(2):
                 for k in range(3):
                     expected[i, j] += rho[i * 3 + k, j * 3 + k]
-        red = partial_trace(DensityMatrix(sp, rho), [0])
-        npt.assert_allclose(red.matrix, expected, atol=1e-13)
+        red = partial_trace(sp, rho, [0])
+        npt.assert_allclose(red, expected, atol=1e-13)
 
     def test_empty_keep_rejected(self):
         sp = space_of(2, 2)
-        rho = DensityMatrix(sp, np.eye(4) / 4)
         with pytest.raises(ValueError, match="nonempty"):
-            partial_trace(rho, [])
+            partial_trace(sp, np.eye(4) / 4, [])
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            partial_trace(space_of(2, 3), np.eye(4) / 4, [0])
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
     def test_trace_and_positivity_preserved(self, seed):
         sp = space_of(2, 3, 2)
         rng = np.random.default_rng(seed)
-        rho = DensityMatrix(sp, random_density(rng, 12))
-        red = partial_trace(rho, [0, 2])
-        assert np.trace(red.matrix).real == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.eigvalsh(red.matrix)[0] >= -1e-10
+        red = partial_trace(sp, random_density(rng, 12), [0, 2])
+        assert np.trace(red).real == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.eigvalsh(red)[0] >= -1e-10

@@ -11,7 +11,7 @@ from stabsim import lindblad
 from stabsim.device import QubitParams, bundled_scenario
 from stabsim.hamiltonian import named_qubit_state
 from stabsim.hilbert import (
-    QUBIT, CompositeSpace, DensityMatrix, ModeSpec, basis_state, lowering_op,
+    QUBIT, CompositeSpace, ModeSpec, basis_state, lowering_op,
     number_op, partial_trace,
 )
 from stabsim.lindblad import (
@@ -19,6 +19,11 @@ from stabsim.lindblad import (
     evolve_shifted, residual_norm, steady_state, unvectorize, vectorize,
 )
 from stabsim.scenarios import build_problem
+
+
+def pure(psi):
+    """|psi><psi| as a d x d array."""
+    return np.outer(psi, psi.conj())
 
 
 def tls_space():
@@ -97,7 +102,7 @@ class TestEvolve:
         space = tls_space()
         L = build_liouvillian(space, np.zeros((2, 2)),
                               [(lowering_op(space, 0), gamma)])
-        rho0 = DensityMatrix.from_state_vector(space, basis_state(space, (1,)))
+        rho0 = pure(basis_state(space, (1,)))
         t = np.linspace(0.0, 4.0, 33)
         res = evolve(L, rho0, t, observables={"n": number_op(space, 0)})
         npt.assert_allclose(np.real(res.observables["n"]),
@@ -110,7 +115,7 @@ class TestEvolve:
         space = tls_space()
         h = 0.5 * omega * np.array([[0, 1], [1, 0]], dtype=complex)
         L = make_liouvillian(h, [])
-        rho0 = DensityMatrix.from_state_vector(space, basis_state(space, (0,)))
+        rho0 = pure(basis_state(space, (0,)))
         t = np.linspace(0.0, 10.0, 401)
         res = evolve(L, rho0, t, observables={"n": number_op(space, 0)})
         expected = np.sin(omega * t / 2.0) ** 2
@@ -128,7 +133,7 @@ class TestEvolve:
         n = c.conj().T @ c
         h = (two_pi * delta) * n + (two_pi * eps) * (c + c.conj().T)
         L = build_liouvillian(space, h, [(c, two_pi * kappa)])
-        rho0 = DensityMatrix.from_state_vector(space, basis_state(space, (0,)))
+        rho0 = pure(basis_state(space, (0,)))
         t = np.linspace(0.0, 12.0, 25)
         res = evolve(L, rho0, t, observables={"n": n})
         n_ss = float(np.real(res.observables["n"][-1]))
@@ -228,6 +233,27 @@ class TestEvolve:
         lindblad.csr_matvec(50, 40, A.indptr, A.indices, A.data, x, y)
         # the kernel sums in another order: a few ulps of the O(1) entries
         npt.assert_allclose(y, expected, rtol=0, atol=1e-14)
+
+    def test_rows_grouped_by_length_give_the_same_sums(self):
+        # bell's Chebyshev matrix B with its rows grouped by length: the
+        # permuted product is the rows of B x, bitwise, and so is every
+        # sum of an expansion
+        cfg, L = bundled_bell()
+        Q = lindblad._hermitian_basis(L.dim)
+        A = (Q.conj().T @ L.matrix @ Q).real.tocsr()
+        c, R, _, coef, _ = lindblad._chebyshev_plan(L, A, cfg.t_step, 10)
+        B = ((2.0 / R) * (A - c * sp.identity(A.shape[0]))).tocsr()
+        grouped, perm = lindblad._rows_by_length(B)
+        lengths = np.diff(grouped.indptr)
+        assert (np.diff(lengths) >= 0).all() and lengths[0] < lengths[-1]
+        assert grouped.nnz == B.nnz == 47_008
+        x = np.random.default_rng(8).normal(size=B.shape[0])
+        npt.assert_array_equal(grouped @ x[perm], (B @ x)[perm])
+        buf = np.empty((32, B.shape[0]))
+        sums, grouped_sums = np.empty((2, len(coef), B.shape[0]))
+        lindblad._chebyshev_sums(B, x, coef, buf, sums)
+        lindblad._chebyshev_sums(grouped, x[perm], coef, buf, grouped_sums)
+        npt.assert_array_equal(grouped_sums, sums[:, perm])
 
     @pytest.mark.parametrize("d,density,sparse_path", PATHS)
     def test_matvec_count_is_positive_int(self, d, density, sparse_path):
@@ -333,7 +359,7 @@ class TestEvolve:
         space = tls_space()
         L = build_liouvillian(space, np.array([[0, 1], [1, 0]]),
                               [(lowering_op(space, 0), gamma)])
-        rho0 = DensityMatrix.from_state_vector(space, basis_state(space, (1,)))
+        rho0 = pure(basis_state(space, (1,)))
         res = evolve(L, rho0, np.linspace(0, 20, 101))
         assert res.diagnostics["max_trace_drift"] <= 1e-8
         assert res.diagnostics["max_hermiticity_defect"] <= 1e-9
@@ -537,7 +563,7 @@ class TestPositivityCertificate:
         L, _ = random_lindbladian(4, seed=3)
         rng = np.random.default_rng(3)
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-        rho0 = DensityMatrix.from_state_vector(L.space, psi / np.linalg.norm(psi))
+        rho0 = pure(psi / np.linalg.norm(psi))
         res, _, calls, ref = self.run(monkeypatch, L, rho0,
                                       np.linspace(0.0, 5.0, 21))
         assert calls == 1  # the t = 0 block only
@@ -562,7 +588,7 @@ class TestPositivityCertificate:
         h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         L = make_liouvillian(h + h.conj().T, [])
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-        rho0 = DensityMatrix.from_state_vector(L.space, psi / np.linalg.norm(psi))
+        rho0 = pure(psi / np.linalg.norm(psi))
         res, rhos, calls, ref = self.run(monkeypatch, L, rho0,
                                          np.linspace(0.0, 5.0, 21))
         assert calls > 1
@@ -669,7 +695,7 @@ class TestSteadyState:
     @pytest.mark.parametrize("L", oracle_cases())
     def test_matches_direct_lu_oracle(self, L, lu_steady_state):
         ss = steady_state(L, tol=1e-9)
-        npt.assert_allclose(ss.rho.matrix, lu_steady_state(L),
+        npt.assert_allclose(ss.rho, lu_steady_state(L),
                             rtol=0, atol=1e-10)
 
     def test_decoherence_free_bell_matches_oracle(self, lu_steady_state):
@@ -677,11 +703,12 @@ class TestSteadyState:
         # (far from the plateau) kernel state
         cfg, L = bundled_bell(decoherence=False)
         ss = steady_state(L, tol=1e-9)
-        npt.assert_allclose(ss.rho.matrix, lu_steady_state(L),
+        npt.assert_allclose(ss.rho, lu_steady_state(L),
                             rtol=0, atol=1e-10)
-        reduced = partial_trace(ss.rho, range(cfg.n_qubits))
-        psi = named_qubit_state(reduced.space, "T")
-        fid = float(np.real(np.vdot(psi, reduced.matrix @ psi)))
+        reduced = partial_trace(L.space, ss.rho, range(cfg.n_qubits))
+        psi = named_qubit_state(
+            CompositeSpace(L.space.modes[:cfg.n_qubits]), "T")
+        fid = float(np.real(np.vdot(psi, reduced @ psi)))
         assert fid == pytest.approx(0.46978, abs=5e-6)
         assert 1e-8 < ss.info["kernel_gap"] < 1.0
 
@@ -690,7 +717,7 @@ class TestSteadyState:
         L = build_liouvillian(space, np.diag([0.0, 5.0]),
                               [(lowering_op(space, 0), 1.0)])
         ss = steady_state(L, tol=1e-10)
-        npt.assert_allclose(ss.rho.matrix, np.diag([1.0, 0.0]), atol=1e-10)
+        npt.assert_allclose(ss.rho, np.diag([1.0, 0.0]), atol=1e-10)
         assert ss.residual < 1e-12
         assert ss.method == "sylvester_arnoldi"
 
@@ -707,7 +734,7 @@ class TestSteadyState:
         # sparse LU
         cfg, L = bundled_bell()
         ss = steady_state(L, tol=cfg.solver.steady_tol)
-        npt.assert_allclose(ss.rho.matrix, lu_steady_state(L),
+        npt.assert_allclose(ss.rho, lu_steady_state(L),
                             rtol=0, atol=1e-10)
 
     def test_degenerate_kernel_detected(self):
@@ -754,7 +781,7 @@ class TestSteadyState:
 
         monkeypatch.setattr(lindblad, "eigs", rotated_eigs)
         ss = steady_state(L, tol=1e-9)
-        npt.assert_allclose(ss.rho.matrix, lu_steady_state(L),
+        npt.assert_allclose(ss.rho, lu_steady_state(L),
                             rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("name", ["bell", "bell_pump2",

@@ -14,7 +14,6 @@ from stabsim.device import (
     PumpDrive, ResonatorDrive, Truncations, bundled_scenario,
 )
 from stabsim.hamiltonian import named_qubit_state, qubit_space
-from stabsim.hilbert import DensityMatrix
 from stabsim.lindblad import _shifted_generator, build_liouvillian, evolve
 from stabsim.scenarios import (
     DegenerateDataError, FitError, _probe_family, _qubit_state_labels,
@@ -159,6 +158,17 @@ class TestScenarioRuns:
         with pytest.raises(ValueError, match="two-qubit"):
             run_bell(bundled_scenario("w"))
 
+    def test_qubit_only_initial_state(self):
+        # bell_single_channel on R1 drives no resonator: rho0 is the
+        # configured qubit state times the empty resonator factor [1]
+        cfg = scenarios._select_channels(
+            bundled_scenario("bell_single_channel"), "R1")
+        model, _ = build_problem(cfg)
+        assert model.space.dims == (2, 2)
+        psi = named_qubit_state(qubit_space(cfg), cfg.initial_state)
+        npt.assert_array_equal(scenarios.initial_density(cfg, model),
+                               np.outer(psi, psi.conj()))
+
     def test_initial_state_override(self, quick_bell):
         report = run_bell(quick_bell, channels="R2", initial="eg")
         assert report.traces["P_eg"][0] == pytest.approx(1.0, abs=1e-9)
@@ -216,7 +226,7 @@ class TestResonatorPhaseFrame:
         rotate = complex_amplitude_frame(cfg, model)
         H = rotate(model.H)
         assert abs(H.imag).max() > 1e-3 * abs(H).max()
-        rho0 = scenarios.initial_density(cfg, model).matrix
+        rho0 = scenarios.initial_density(cfg, model)
         obs = {k: v for k, v in scenarios._scenario_observables(
             cfg, model, "T").items() if k == "F_target" or k.startswith("n_")}
         t = np.linspace(0.0, 10 * cfg.t_step, 11)
@@ -246,8 +256,8 @@ class TestCoherentOnlyThreeQubit:
                                  q.working_freq)
                          for q in bundled_scenario("w").qubits))
         model, liouv = build_problem(cfg)
-        rho0 = DensityMatrix.from_state_vector(
-            model.space, named_qubit_state(model.space, "ggg"))
+        ground = named_qubit_state(model.space, "ggg")
+        rho0 = np.outer(ground, ground.conj())
         obs = {name: np.asarray(named_qubit_state(model.space, name))
                for name in ("W", "B", "ggg")}
         t = np.linspace(0.0, 10.0, 201)
@@ -376,8 +386,8 @@ class TestSpectroscopyFrameShift:
         qspace = qubit_space(cfg)
         labels = _qubit_state_labels(cfg.n_qubits)
         obs = {lab: named_qubit_state(qspace, lab) for lab in labels}
-        rho0 = DensityMatrix.from_state_vector(
-            qspace, named_qubit_state(qspace, "g" * cfg.n_qubits))
+        ground = named_qubit_state(qspace, "g" * cfg.n_qubits)
+        rho0 = np.outer(ground, ground.conj())
         t = np.linspace(0.0, duration, 81)
         for k, f in enumerate(freqs):
             res = evolve(rebuilt_probe_liouvillian(cfg, amps, f), rho0, t,
