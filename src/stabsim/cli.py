@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 runtime/solver failure (message on stderr),
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -18,7 +17,7 @@ from .device import ScenarioConfig, bundled_scenario, load_scenario
 from .modes import build_quadratic_form, cooling_matrix, kerr_coefficients, normal_modes
 from .scenarios import (
     CHANNEL_CHOICES, PUMP_CHOICES, SWEEP_AXES, run_bell, run_spectroscopy,
-    run_sweep, run_w, write_report, write_sweep,
+    run_sweep, run_w, write_report, write_spectroscopy, write_sweep,
 )
 
 
@@ -58,19 +57,7 @@ def _cmd_spectroscopy(args) -> int:
     config = _load_config(args.config, "bell")
     freqs = _parse_values(args.freqs)
     result = run_spectroscopy(config, args.target, freqs, args.amplitude)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    import csv
-    with open(out / "traces.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        names = list(result.populations)
-        writer.writerow(["freq_mhz"] + names + ["total_excitation"])
-        for i, f in enumerate(result.frequencies):
-            writer.writerow([repr(float(f))]
-                            + [repr(float(result.populations[n][i])) for n in names]
-                            + [repr(float(result.total_excitation[i]))])
-    (out / "diagnostics.json").write_text(
-        json.dumps(result.diagnostics, indent=2) + "\n")
+    out = write_spectroscopy(result, args.out)
     print(f"{len(freqs)} points -> {out}")
     return 0
 

@@ -110,17 +110,11 @@ def single_excitation_modes(config: ScenarioConfig) -> tuple[np.ndarray, np.ndar
 
 
 _NAMED_TWO_QUBIT = {
-    "gg": [((0, 0), 1.0)],
-    "ge": [((0, 1), 1.0)],
-    "eg": [((1, 0), 1.0)],
-    "ee": [((1, 1), 1.0)],
     "T": [((0, 1), 1 / math.sqrt(2)), ((1, 0), 1 / math.sqrt(2))],
     "S": [((0, 1), 1 / math.sqrt(2)), ((1, 0), -1 / math.sqrt(2))],
 }
 
 _NAMED_THREE_QUBIT = {
-    "ggg": [((0, 0, 0), 1.0)],
-    "eee": [((1, 1, 1), 1.0)],
     "W": [((1, 0, 0), 1 / math.sqrt(3)), ((0, 1, 0), 1 / math.sqrt(3)),
           ((0, 0, 1), 1 / math.sqrt(3))],
     "A": [((1, 0, 0), 1 / math.sqrt(2)), ((0, 0, 1), -1 / math.sqrt(2))],
@@ -137,22 +131,20 @@ _NAMED_THREE_QUBIT = {
 def named_qubit_state(space: CompositeSpace, name: str) -> np.ndarray:
     """Named qubit-array state on a qubit-only composite space.
 
-    Product states are spelled with g/e letters; the entangled
-    single-excitation eigenstates use their conventional letters
-    (T/S for two qubits, W/A/B and C/D/E for three).
+    Product states are spelled with g/e letters; the entangled one- and
+    two-excitation eigenstates use their conventional letters (T/S for two
+    qubits, W/A/B and C/D/E for three).
     """
     n = space.n_qubits
     if space.n_resonators:
         raise ValueError("named states are defined on qubit-only spaces")
-    table = {2: _NAMED_TWO_QUBIT, 3: _NAMED_THREE_QUBIT}.get(n)
-    if table is None or name not in table:
-        # fall back to a g/e string of the right length
-        if len(name) == n and set(name) <= {"g", "e"}:
-            occ = tuple(1 if ch == "e" else 0 for ch in name)
-            return basis_state(space, occ)
+    if len(name) == n and set(name) <= {"g", "e"}:
+        return basis_state(space, tuple(1 if ch == "e" else 0 for ch in name))
+    terms = {2: _NAMED_TWO_QUBIT, 3: _NAMED_THREE_QUBIT}.get(n, {}).get(name)
+    if terms is None:
         raise ValueError(f"unknown named state {name!r} for {n} qubits")
     psi = np.zeros(space.total_dim, dtype=complex)
-    for occ, amp in table[name]:
+    for occ, amp in terms:
         psi[space.index(occ)] = amp
     return psi
 

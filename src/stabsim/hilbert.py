@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -73,11 +74,13 @@ class CompositeSpace:
     def total_dim(self) -> int:
         return math.prod(self.dims)
 
-    @property
+    @cached_property
     def occupations(self) -> np.ndarray:
-        """Occupation table: entry ``[i, k]`` is mode i's occupation in
-        basis state k."""
-        return np.indices(self.dims).reshape(len(self.modes), self.total_dim)
+        """Occupation table, read-only: entry ``[i, k]`` is mode i's
+        occupation in basis state k."""
+        table = np.indices(self.dims).reshape(len(self.modes), self.total_dim)
+        table.flags.writeable = False
+        return table
 
     @property
     def n_qubits(self) -> int:
@@ -95,13 +98,16 @@ class CompositeSpace:
             raise ValueError(
                 f"expected {len(self.modes)} occupations, got {len(occ)}"
             )
-        for n, mode in zip(occ, self.modes):
-            bad = (n < 0) | (n >= mode.dim)
-            if bad.any():
-                raise ValueError(
-                    f"occupation {np.extract(bad, n)[0]} exceeds truncation "
-                    f"of mode {mode.label!r} (dim {mode.dim})"
-                )
+        dims = np.reshape(self.dims, (-1,) + (1,) * (occ.ndim - 1))
+        bad = (occ < 0) | (occ >= dims)
+        if bad.any():
+            # the first offending mode, then its first offending state
+            first = tuple(np.argwhere(bad)[0])
+            mode = self.modes[first[0]]
+            raise ValueError(
+                f"occupation {occ[first]} exceeds truncation "
+                f"of mode {mode.label!r} (dim {mode.dim})"
+            )
         return np.ravel_multi_index(tuple(occ), self.dims)
 
 

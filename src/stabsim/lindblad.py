@@ -168,7 +168,8 @@ def build_liouvillian(space: CompositeSpace, H, collapse) -> Liouvillian:
         raise ValueError("collapse rates must be nonnegative")
     heff = (H - 0.5j * _damping(collapse, d)).tocoo()
     a, b, v = heff.row, heff.col, heff.data
-    c = d * np.arange(d)[:, None]
+    # int32 triplets (d^2 < 2^31 here) halve the index transients
+    c = d * np.arange(d, dtype=np.int32)[:, None]
     # -i (1 kron Heff) and +i (conj(Heff) kron 1)
     rows = [(c + a).ravel(), (d * a + c // d).ravel()]
     cols = [(c + b).ravel(), (d * b + c // d).ravel()]
@@ -378,9 +379,15 @@ def _rows_by_length(B: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
     their stored order, so that (P B P^T) x[perm] = (B x)[perm] with every
     entry the same sum in the same order."""
     perm = np.argsort(np.diff(B.indptr), kind="stable")
-    B = B[perm]
-    return sp.csr_matrix((B.data, np.argsort(perm)[B.indices], B.indptr),
-                         shape=B.shape), perm
+    lengths = np.diff(B.indptr)[perm]
+    indptr = np.zeros_like(B.indptr)
+    np.cumsum(lengths, out=indptr[1:])
+    # entry j of new row i is entry j of old row perm[i], gathered straight
+    # from B's arrays: a B[perm] copy beside B raised peak RSS by 0.4 MB on
+    # `bell` though the live data hardly grew
+    take = np.arange(B.nnz) + np.repeat(B.indptr[perm] - indptr[:-1], lengths)
+    return sp.csr_matrix((B.data[take], np.argsort(perm)[B.indices[take]],
+                          indptr), shape=B.shape), perm
 
 
 def _dense_group_size(n: int) -> int:

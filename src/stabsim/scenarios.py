@@ -583,44 +583,45 @@ def run_sweep(config: ScenarioConfig, axis: str, values,
 
 # -- report output ----------------------------------------------------------------
 
-def write_report(report: ScenarioReport, outdir: str | Path) -> Path:
-    """Write report.json and traces.csv; returns the output directory."""
+def _write_run(outdir: str | Path, summary: dict, columns: dict,
+               summary_name: str = "report.json") -> Path:
+    """Write ``summary`` as sorted-key JSON to ``summary_name`` and
+    ``columns`` (header -> equal-length values) as traces.csv, numbers as
+    ``repr(float(v))`` and strings as they are; returns the directory."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "report.json", "w") as fh:
-        json.dump(report.to_jsonable(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (out / summary_name).write_text(
+        json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    cells = ([v if isinstance(v, str) else repr(float(v)) for v in col]
+             for col in columns.values())
     with open(out / "traces.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        names = list(report.traces)
-        writer.writerow(["t_us"] + names)
-        for i, t in enumerate(report.times):
-            writer.writerow([repr(float(t))]
-                            + [repr(float(report.traces[n][i])) for n in names])
+        csv.writer(fh).writerows([list(columns), *zip(*cells, strict=True)])
     return out
 
 
+def write_report(report: ScenarioReport, outdir: str | Path) -> Path:
+    """Write report.json and traces.csv; returns the output directory."""
+    return _write_run(outdir, report.to_jsonable(),
+                      {"t_us": report.times, **report.traces})
+
+
 def write_sweep(result: SweepResult, outdir: str | Path) -> Path:
-    out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Write report.json (NaN as null) and traces.csv, one row per value."""
     columns = {"steady_fidelity": result.steady_fidelity,
                "gamma_st_per_us": result.gamma_st,
                "steady_residual": result.steady_residual,
                "kernel_gap": result.kernel_gap}
-    with open(out / "report.json", "w") as fh:
-        json.dump({
-            "axis": result.axis,
-            "values": [float(v) for v in result.values],
-            **{name: [None if math.isnan(v) else float(v) for v in col]
-               for name, col in columns.items()},
-            "errors": result.errors,
-        }, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out / "traces.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([result.axis, *columns, "error"])
-        for i, v in enumerate(result.values):
-            writer.writerow([repr(float(v))]
-                            + [repr(float(col[i])) for col in columns.values()]
-                            + [result.errors[i] or ""])
-    return out
+    summary = {"axis": result.axis, "errors": result.errors,
+               "values": [float(v) for v in result.values],
+               **{name: [None if math.isnan(v) else float(v) for v in col]
+                  for name, col in columns.items()}}
+    return _write_run(outdir, summary, {
+        result.axis: result.values, **columns,
+        "error": [e or "" for e in result.errors]})
+
+
+def write_spectroscopy(result: SpectroscopyResult, outdir: str | Path) -> Path:
+    """Write diagnostics.json and traces.csv, one row per probe frequency."""
+    return _write_run(outdir, result.diagnostics, {
+        "freq_mhz": result.frequencies, **result.populations,
+        "total_excitation": result.total_excitation}, "diagnostics.json")

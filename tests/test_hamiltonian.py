@@ -417,6 +417,14 @@ class TestModeHelpers:
         cfg = bundled_scenario("bell")
         with pytest.raises(ValueError, match="qubit-only"):
             named_qubit_state(model_space(cfg), "T")
+        # on a qubit-only space a g/e name is the unit basis vector
+        for n, qubit_dim in ((2, 2), (2, 3), (3, 2), (3, 3)):
+            qs = CompositeSpace([ModeSpec(f"q{i}", QUBIT, qubit_dim)
+                                 for i in range(n)])
+            for name in ("g" * n, "e" * n, "g" * (n - 1) + "e"):
+                psi = np.zeros(qs.total_dim, dtype=complex)
+                psi[qs.index(tuple(int(ch == "e") for ch in name))] = 1.0
+                npt.assert_array_equal(named_qubit_state(qs, name), psi)
 
     def test_single_excitation_modes_sorted(self):
         vals, vecs = single_excitation_modes(bundled_scenario("w"))

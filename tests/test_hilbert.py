@@ -191,6 +191,23 @@ class TestBasisStates:
             sp.index([[1, 0], [2, 3], [3, 1]])
         with pytest.raises(ValueError, match="expected 3 occupations"):
             sp.index([[1, 0], [2, 0]])
+        # qubit_dim 3: f is kept; the first offending mode and value named
+        q3 = space_of(3, 3, 4, kinds=[QUBIT, QUBIT, RESONATOR])
+        assert q3.index((2, 2, 3)) == 35
+        with pytest.raises(ValueError, match=r"occupation 3 exceeds "
+                           r"truncation of mode 'm1' \(dim 3\)"):
+            q3.index([[2, 0], [0, 3], [4, -1]])
+        with pytest.raises(ValueError, match="occupation -1 exceeds "
+                           "truncation of mode 'm0'"):
+            q3.index((-1, 2, 0))
+        with pytest.raises(ValueError, match="expected 3 occupations"):
+            q3.index((2, 2))
+
+    def test_occupation_table_is_cached_and_read_only(self):
+        sp = space_of(2, 3, 4)
+        assert sp.occupations is sp.occupations
+        with pytest.raises(ValueError, match="read-only"):
+            sp.occupations[0, 0] = 1
 
     def test_space_without_modes(self):
         # the resonator factor of a qubit-only model

@@ -17,7 +17,8 @@ from stabsim.hamiltonian import named_qubit_state, qubit_space
 from stabsim.lindblad import _shifted_generator, build_liouvillian, evolve
 from stabsim.scenarios import (
     DegenerateDataError, FitError, _probe_family, _qubit_state_labels,
-    build_problem, fit_exponential, run_bell, run_spectroscopy, run_sweep, run_w, write_report, write_sweep,
+    build_problem, fit_exponential, run_bell, run_spectroscopy, run_sweep, run_w, write_report,
+    write_spectroscopy, write_sweep,
 )
 
 
@@ -499,3 +500,20 @@ class TestReportOutput:
         assert lines[0].split(",") == ["kappa", "steady_fidelity",
                                        "gamma_st_per_us", "steady_residual",
                                        "kernel_gap", "error"]
+
+    @pytest.mark.parametrize("count", [3, 0])
+    def test_spectroscopy_output(self, tmp_path, count):
+        # one repr-float row per frequency, and the scan's diagnostics
+        freqs = np.linspace(4200.0, 4204.0, count)
+        result = run_spectroscopy(bundled_scenario("bell"), 0, freqs, 0.1)
+        out = write_spectroscopy(result, tmp_path / "spec")
+        lines = (out / "traces.csv").read_text().splitlines()
+        assert lines[0].split(",") == ["freq_mhz", "gg", "ge", "eg", "ee",
+                                       "total_excitation"]
+        assert len(lines) == 1 + count
+        for i, line in enumerate(lines[1:]):
+            row = [freqs[i], *(pops[i] for pops in result.populations.values()),
+                   result.total_excitation[i]]
+            assert line.split(",") == [repr(float(v)) for v in row]
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag == result.diagnostics
