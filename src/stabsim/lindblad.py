@@ -6,15 +6,22 @@ column stacking: vec(rho) = rho.reshape(-1, order="F"), for which
 vec(A rho B) = (B^T kron A) vec(rho).  The resulting sparse matrix acts on
 vectors of length d^2.
 
-Time evolution is exact propagation on a uniform time grid.  Small spaces
-(d^2 <= 1024) apply the dense one-step propagator expm(L dt); larger ones
-run a Chebyshev expansion (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
-(1984)) of the real matrix A that L is in an orthonormal Hermitian basis.
-W(A) lies in a box of half-height R (the spread of H plus J = sum r_k
-||O_k||_2^2) whose real extent is both an analytic interval (from the
-damping and J) and the Gershgorin interval of A's symmetric part.  Scaled
-by a half-width R' = R (1 + delta), delta in {0, 0.1, 0.2}, the box lies
-in a Bernstein ellipse rho; with the Crouzeix-Palencia constant 1 + sqrt 2
+Time evolution is exact propagation on a uniform time grid.
+:func:`evolve_shifted` runs one state under a family L + delta F with F =
+-i[N, .] diagonal on vec(rho); :func:`evolve` is its one-member delta = 0
+family.  A family whose propagators stack at least two to a group of
+floor(1024^2 / d^4) (the memory of one 1024 x 1024 propagator) runs dense:
+one stacked expm(L dt) per group and one batched product per grid step.
+Every other call is one Chebyshev expansion (Tal-Ezer & Kosloff, J. Chem.
+Phys. 81, 3967 (1984)) of the real block matrix 1 kron A_0 + diag(delta)
+kron A_F, A_0 and A_F the matrices of L and F in an orthonormal Hermitian
+basis; A_F is skew-symmetric.  W of the block lies in a box of half-height
+R (the larger spread of H + delta N at the two end members, which bounds
+every member's as the spread is convex in delta, plus J = sum r_k
+||O_k||_2^2) whose real extent, every member's, is both an analytic
+interval (from the damping and J) and the Gershgorin interval of A_0's
+symmetric part.  Scaled by the half-width R' = 1.1 R, the box lies in a
+Bernstein ellipse rho; with the Crouzeix-Palencia constant 1 + sqrt 2
 (SIAM J. Matrix Anal. Appl. 38, 649 (2017)), K terms of exp(A t) err by at
 most (1 + sqrt 2) 2 sum_{k>=K} |J_k(R' t)| rho^k.  K is the least count
 making this < 1e-14 with no term > 1e14 (beyond double precision).  The
@@ -22,8 +29,8 @@ Chebyshev vectors do not depend on t, so one expansion over s steps gives
 all s grid points, each from its own Bessel coefficients (Kosloff, Annu.
 Rev. Phys. Chem. 45, 145 (1994)).  Miller's backward recurrence gives
 the J_k, scaled by Neumann's sum J_0 + 2 sum_k J_2k = 1.  The plan picks
-s (at most the grid's steps), delta and, only where s = 1 fails, m
-substeps a step, to minimize the m (K - 1) real matvecs of each of the
+s (at most the grid's steps) and, only where s = 1 fails, m substeps a
+step, to minimize the m (K - 1) real matvecs of each of the
 floor(steps/s) full expansions plus the m (K_r - 1) of a last one over
 the r = steps mod s remaining points, which needs only the K_r terms of
 its shorter span.  Each term S_k+1 = B S_k + S_k-1 is one call of scipy's
@@ -31,18 +38,13 @@ CSR kernel, accumulating B S_k in place into the copy of S_k-1.  B's rows
 and columns are relabelled in the stable order of its row lengths, which
 leaves every sum as it was and lets the kernel predict where rows end.
 
-:func:`evolve_shifted` runs one state under a family L + delta F with F
-diagonal on vec(rho), and :func:`evolve` is its one-member delta = 0
-family.  Dense families go in groups of floor(1024^2 / d^4), so a group's
-stacked propagators take no more memory than one 1024 x 1024 propagator:
-one stacked expm per group and one batched product per grid step.  Every
-propagator hands its states to one observer a block at a time (a grid
-step of the whole group, or one expansion's outputs), which evaluates the
-observables and monitors trace, hermiticity and positivity at every
-stored point, never enforcing them; no trajectory is kept.  Positivity
-after t = 0 is a batched Cholesky certificate against each member's
-running minimum, with ``eigvalsh`` where it fails, so the reported
-minimum is always an ``eigvalsh`` value.
+Every propagator hands its states to one observer a block at a time (a
+grid step of a dense group, or one expansion's outputs for every
+member), which evaluates the observables and monitors trace, hermiticity
+and positivity at every stored point, never enforcing them; no trajectory
+is kept.  Positivity after t = 0 is a batched Cholesky certificate against
+each member's running minimum, with ``eigvalsh`` where it fails, so the
+reported minimum is always an ``eigvalsh`` value.
 
 The steady state is one matrix-free Arnoldi run: the no-jump (Sylvester)
 part of L is inverted from one eigendecomposition of the effective
@@ -72,15 +74,16 @@ SYLVESTER_ARNOLDI = "sylvester_arnoldi"
 
 #: positivity violation that aborts an evolution
 POSITIVITY_ABORT = 1e-6
-#: largest d^2 propagated with a dense expm(L dt); its 16 MB bounds memory
+#: d^2 of the largest dense propagator; a dense group's stacked
+#: propagators take no more than its 16 MB
 _DENSE_PROPAGATOR_MAX = 1024
 #: Chebyshev propagation: bound on the truncation error of one expansion
 _CHEBYSHEV_TOL = 1e-14
 #: the Crouzeix-Palencia constant 1 + sqrt 2 times the 2 of the
 #: coefficients (2 - delta_k0) J_k
 _CP_TERM = 2 * (1 + math.sqrt(2))
-#: widenings delta tried for the expansion's half-width R' = R (1 + delta)
-_WIDENINGS = (0.0, 0.1, 0.2)
+#: the expansion's half-width R' over the box's half-height R
+_WIDEN = 1.1
 #: rows of the buffer the Chebyshev vectors are summed from
 _CHUNK_ROWS = 32
 #: refused anti-Hermitian part of rho0 and of L, relative to the largest entry
@@ -263,21 +266,28 @@ def _chebyshev_terms(tau: float, log_rho: float) -> int | None:
     return None
 
 
-def _numerical_range_box(liouvillian: Liouvillian, A: sp.csr_matrix
+def _numerical_range_box(liouvillian: Liouvillian, A: sp.csr_matrix,
+                         number: np.ndarray, shifts: np.ndarray
                          ) -> tuple[float, float, float]:
-    """``(R, lo, hi)``: the numerical range W(A) lies in the box
-    [lo, hi] x [-iR, iR], for A the real matrix of L in
+    """``(R, lo, hi)``: the numerical range of every member A + delta A_F,
+    delta in ``shifts``, lies in the box [lo, hi] x [-iR, iR], for A and
+    A_F the real matrices of L and F = -i[N, .], N = diag(``number``), in
     :func:`_hermitian_basis`.
 
-    R is the spread of H plus J = sum r_k ||O_k||_2^2 (1 for L = 0).
-    Re W(A) is W of the symmetric part (A + A^T)/2, so [lo, hi] is the
-    intersection of the analytic interval [-max D - J, -min D + J]
+    R is the larger spread of H + delta N at the least and the largest
+    delta plus J = sum r_k ||O_k||_2^2 (1 for L = 0): the spread is convex
+    in delta, so it bounds every member's.  A_F is skew-symmetric, so every
+    member's Re W is W of A's symmetric part (A + A^T)/2, and [lo, hi] is
+    the intersection of the analytic interval [-max D - J, -min D + J]
     (D = sum r_k O_k^dag O_k) with that part's Gershgorin interval.
     """
     H, collapse = liouvillian.hamiltonian.toarray(), liouvillian.collapse
     jump = sum(r * np.linalg.norm(op.toarray(), 2) ** 2 for op, r in collapse)
     lam = np.linalg.eigvalsh(_damping(collapse, liouvillian.dim).toarray())
-    R = float(np.ptp(np.linalg.eigvalsh(H)) + jump) or 1.0
+    spread = max(np.ptp(np.linalg.eigvalsh(
+                     H + np.diag(delta * number) if delta else H))
+                 for delta in (shifts.min(), shifts.max()))
+    R = float(spread + jump) or 1.0
     sym = (A + A.T).tocsr()
     centre = sym.diagonal()
     radius = abs(sym) @ np.ones(A.shape[0]) - np.abs(centre)
@@ -285,66 +295,56 @@ def _numerical_range_box(liouvillian: Liouvillian, A: sp.csr_matrix
             min(-lam[0] + jump, 0.5 * (centre + radius).max()))
 
 
-def _chebyshev_plan(liouvillian: Liouvillian, A: sp.csr_matrix, h: float,
-                    steps: int) -> tuple[float, float, int, np.ndarray, int]:
-    """``(c, R', m, coef, K_r)`` for ``steps`` grid steps of length h: with
+def _chebyshev_plan(box: tuple[float, float, float], h: float, steps: int
+                    ) -> tuple[float, float, int, np.ndarray, int, int]:
+    """``(c, R', m, coef, K_r, matvecs)`` for ``steps`` grid steps of
+    length h, A's numerical range in the ``box`` ``(R, lo, hi)``: with
     A' = (A - c)/R', S_0 = 1, S_1 = A' and S_k+1 = 2 A' S_k + S_k-1,
     exp(A j h/m) = sum_k coef[j-1, k] S_k for j = 1..s, s = len(coef).
     One expansion gives s grid points (m = 1), or a step is m applications
     of the single row.  The last r = steps mod s points take only the
     K_r <= K terms the rule needs over r h; K_r = K when s divides steps.
-    The bound of the module docstring picks s, m, R' and
-    K = coef.shape[1] to minimize the matvecs on the grid."""
-    R, lo, hi = _numerical_range_box(liouvillian, A)
+    The bound of the module docstring picks s, m and K = coef.shape[1] to
+    minimize the ``matvecs`` on the grid."""
+    R, lo, hi = box
     c, a = 0.5 * (lo + hi), 0.5 * (hi - lo)
-
-    def expansions(span: float) -> dict[float, int]:
-        """``{R': K}`` of the widened half-widths whose rule holds over
-        ``span``."""
-        found = {}
-        for delta in _WIDENINGS:
-            wide = R * (1 + delta)
-            # log rho of the Bernstein ellipse (foci +-1 in w = -i A')
-            # through the box corner R/R' + i a/R'
-            x, y = R / wide, a / wide
-            log_rho = math.acosh(max(
-                1.0, 0.5 * (math.hypot(1 - x, y) + math.hypot(1 + x, y))))
-            K = _chebyshev_terms(wide * span, log_rho)
-            if K is not None:
-                found[wide] = K
-        return found
+    wide = _WIDEN * R
+    # log rho of the Bernstein ellipse (foci +-1 in w = -i A') through the
+    # box corner R/R' + i a/R'
+    x, y = R / wide, a / wide
+    log_rho = math.acosh(max(
+        1.0, 0.5 * (math.hypot(1 - x, y) + math.hypot(1 + x, y))))
 
     # grow s while the term rule holds and the grid's matvecs fall; only
     # when s = 1 fails, grow m the same way.  The rule is checked at the
     # block's last point, whose tail is the largest: the tail lies past
     # k = R' s h, where J_k(tau) grows with tau.  So the K_r of the span
     # r h, found when s was r, serve the last r < s points
-    plan = None  # (matvecs, s, m, K, R', K_r)
-    spans: dict[int, dict[float, int]] = {}  # s -> expansions(s h), m = 1
+    plan = None  # (matvecs, s, m, K, K_r)
+    spans: dict[int, int | None] = {}  # s -> K over s h, m = 1
     s = m = 1
     while s <= steps:
-        found = expansions(s * h / m)
+        K = _chebyshev_terms(wide * (s * h / m), log_rho)
         if m == 1:
-            spans[s] = found
-        if not found and plan is not None:
+            spans[s] = K
+        if K is None and plan is not None:
             break
-        if found:
-            wide = min(found, key=found.get)
-            K, r = found[wide], steps % s
-            K_r = spans[r].get(wide, K) if r else K
+        if K is not None:
+            r = steps % s
+            K_r = spans[r] if r else K
             matvecs = (steps // s) * m * (K - 1) + (m * (K_r - 1) if r else 0)
             if plan is not None and matvecs >= plan[0]:
                 break
-            plan = (matvecs, s, m, K, wide, K_r)
+            plan = (matvecs, s, m, K, K_r)
         if plan is None or m > 1:
             m += 1
         else:
             s += 1
-    _, s, m, K, wide, K_r = plan
+    matvecs, s, m, K, K_r = plan
     times = (h / m) * np.arange(1, s + 1)
     coef = np.array([_bessel_j(wide * t, K) for t in times])
     coef[:, 1:] *= 2.0
-    return c, wide, m, coef * np.exp(c * times)[:, None], K_r
+    return c, wide, m, coef * np.exp(c * times)[:, None], K_r, matvecs
 
 
 def _chebyshev_sums(B: sp.csr_matrix, x: np.ndarray, coef: np.ndarray,
@@ -398,8 +398,8 @@ def _dense_group_size(n: int) -> int:
 
 def _dense_propagate(L: np.ndarray, F: np.ndarray, shifts: np.ndarray,
                      y0: np.ndarray, n: int, dt: float,
-                     observe: _StateObserver) -> list[tuple[int, dict]]:
-    """``(matvecs, propagator)`` per member of stepping vec(rho) by
+                     observe: _StateObserver) -> tuple[int, dict]:
+    """``(matvecs, propagator)`` of stepping vec(rho) by
     expm((L + delta diag F) dt), delta in ``shifts``, a group of members at
     a time: each group's stack of L + delta diag F is written straight
     into the array expm reads, then one stacked expm per group and one
@@ -418,25 +418,32 @@ def _dense_propagate(L: np.ndarray, F: np.ndarray, shifts: np.ndarray,
         for k in range(1, n):
             Y = (P @ Y[:, :, None])[:, :, 0]
             observe(gens, slice(k, k + 1), Y[:, None])
-    return [(n - 1, dict(method="dense_expm", terms=None, substeps=1,
-                         outputs_per_expansion=None, half_width=None,
-                         matrix_nnz=None))
-            ] * len(shifts)
+    return len(shifts) * (n - 1), dict(
+        method="dense_expm", terms=None, substeps=1,
+        outputs_per_expansion=None, half_width=None, matrix_nnz=None)
 
 
-def _chebyshev_propagate(liouvillian: Liouvillian, y0: np.ndarray, n: int,
-                         dt: float, observe: _StateObserver, gen: int
+def _chebyshev_propagate(liouvillian: Liouvillian, number: np.ndarray,
+                         shifts: np.ndarray, y0: np.ndarray, n: int,
+                         dt: float, observe: _StateObserver
                          ) -> tuple[int, dict]:
-    """``(matvecs, propagator)`` of propagating y0 over n grid points with
-    the Chebyshev plan; each expansion's outputs go to ``observe`` as
-    generator ``gen``'s block as they are made."""
-    L = liouvillian.matrix
-    Q = _hermitian_basis(liouvillian.dim)
+    """``(matvecs, propagator)`` of propagating y0 over n grid points under
+    every L + delta F, delta in ``shifts``, as one Chebyshev propagation of
+    the block matrix 1 kron A + diag(delta) kron A_F; each expansion's
+    outputs go to ``observe`` for every member as they are made.  A
+    one-member delta = 0 family multiplies A itself."""
+    L, d, G = liouvillian.matrix, liouvillian.dim, len(shifts)
+    Q = _hermitian_basis(d)
     A = (Q.conj().T @ L @ Q).tocsr()
     if abs(A.imag).max() > _HERMITIAN_RTOL * abs(L).max():
         raise ValueError("generator does not preserve Hermiticity")
     A = A.real
-    c, R, m, coef, K_r = _chebyshev_plan(liouvillian, A, dt, n - 1)
+    box = _numerical_range_box(liouvillian, A, number, shifts)
+    c, R, m, coef, K_r, matvecs = _chebyshev_plan(box, dt, n - 1)
+    if G > 1 or shifts[0]:
+        # F maps Hermitian matrices to Hermitian ones: A_F is exactly real
+        A_F = (Q.conj().T @ sp.diags(_commutator_diagonal(number)) @ Q).real
+        A = sp.kron(sp.identity(G), A) + sp.kron(sp.diags(shifts), A_F)
     (s, K), N = coef.shape, A.shape[0]
     # equal-length rows run together, so scipy's CSR kernel predicts its
     # row-end branch: a term on `bell` takes 57.8 -> 44.9 us and on `w`
@@ -444,10 +451,16 @@ def _chebyshev_propagate(liouvillian: Liouvillian, y0: np.ndarray, n: int,
     # bitwise the same vectors
     B, perm = _rows_by_length(((2.0 / R) * (A - c * sp.identity(N))).tocsr())
     unperm = np.argsort(perm)
+
+    def emit(times: slice, rows: np.ndarray) -> None:
+        # a row per grid point, the members' x end to end -> Y[g, j]
+        Y = rows.reshape(-1, d * d) @ Q.T
+        observe(slice(0, G), times,
+                Y.reshape(len(rows), G, d * d).transpose(1, 0, 2))
+
     out = np.empty((s, N))
-    out[0] = (Q.conj().T @ y0).real
-    gens = slice(gen, gen + 1)
-    observe(gens, slice(0, 1), (out[:1] @ Q.T)[None])
+    out[0] = np.tile((Q.conj().T @ y0).real, G)
+    emit(slice(0, 1), out[:1])
     x = out[0, perm]
     buf = np.empty((min(_CHUNK_ROWS, K), N))
     for j in range(0, n - 1, s):
@@ -457,12 +470,10 @@ def _chebyshev_propagate(liouvillian: Liouvillian, y0: np.ndarray, n: int,
         for _ in range(m):  # m > 1 only where s = 1
             _chebyshev_sums(B, x, coef[:r, :K if r == s else K_r], buf, rows)
             x = rows[-1]
-        observe(gens, slice(j + 1, j + 1 + r), (rows[:, unperm] @ Q.T)[None])
-    steps = n - 1
-    matvecs = (steps // s) * m * (K - 1) + (m * (K_r - 1) if steps % s else 0)
-    return matvecs, dict(method="chebyshev", terms=K, substeps=m,
-                         outputs_per_expansion=s, half_width=R,
-                         matrix_nnz=B.nnz)
+        emit(slice(j + 1, j + 1 + r), rows[:, unperm])
+    return G * matvecs, dict(method="chebyshev", terms=K, substeps=m,
+                             outputs_per_expansion=s, half_width=R,
+                             matrix_nnz=B.nnz)
 
 
 class _StateObserver:
@@ -554,19 +565,17 @@ class _StateObserver:
         np.minimum(self.min_eig[gens], min_eig.min(axis=1),
                    out=self.min_eig[gens])
 
-    def result(self, runs: list[tuple[int, dict]]) -> EvolutionResult:
-        """The family's result from each member's ``(matvecs,
-        propagator)``: one row per member in each observable."""
-        props = [p for _, p in runs]
+    def result(self, matvecs: int, propagator: dict) -> EvolutionResult:
+        """The family's result, one row per member in each observable, with
+        its member matvecs and its one ``propagator`` record."""
         values = {k: self.values[i].real if s else self.values[i]
                   for i, (k, s) in enumerate(self.is_state.items())}
         return EvolutionResult(self.t_grid, values, {
             "max_trace_drift": self.drift,
             "max_hermiticity_defect": self.herm,
             "min_eigenvalue": float(self.min_eig.min()),
-            "rhs_evaluations": sum(m for m, _ in runs),
-            "propagator": (props[0] if all(p == props[0] for p in props)
-                           else props),
+            "rhs_evaluations": matvecs,
+            "propagator": propagator,
         })
 
 
@@ -598,20 +607,6 @@ def _commutator_diagonal(number: np.ndarray) -> np.ndarray:
     return -1j * np.subtract.outer(number, number).ravel(order="F")
 
 
-def _shifted_generator(liouvillian: Liouvillian, number: np.ndarray,
-                       delta: float) -> Liouvillian:
-    """The generator of H + delta N, N = diag(``number``); L itself at
-    delta = 0."""
-    if not delta:
-        return liouvillian
-    return Liouvillian(
-        liouvillian.space,
-        (liouvillian.matrix
-         + sp.diags(delta * _commutator_diagonal(number))).tocsr(),
-        (liouvillian.hamiltonian + sp.diags(delta * number)).tocsr(),
-        liouvillian.collapse)
-
-
 def evolve_shifted(liouvillian: Liouvillian, number: np.ndarray, shifts,
                    rho0: np.ndarray, t_grid: np.ndarray,
                    observables: dict | None = None) -> EvolutionResult:
@@ -620,18 +615,21 @@ def evolve_shifted(liouvillian: Liouvillian, number: np.ndarray, shifts,
     frame change, say).
 
     The family is L(delta) = L + delta F with F = -i[N, .], which is
-    diagonal on vec(rho).  For d^2 <= 1024 the members go in groups of
-    ``1024^2 // d^4``, each group's stack of L + delta diag F written
-    straight into the array ``expm`` reads; larger spaces run one
-    Chebyshev propagation per delta.  The one result holds each observable
-    as a ``(len(shifts), len(t_grid))`` array, a row per delta, and the
-    family's diagnostics: the largest ``max_trace_drift`` and
-    ``max_hermiticity_defect``, the smallest ``min_eigenvalue``, the summed
-    ``rhs_evaluations`` and the ``propagator`` every member used, or a list
-    of one per member where they differ.  Raises ``ValueError`` for no
-    shifts or a ``number`` that is not one value per basis state, besides
-    the errors of :func:`evolve`; an :class:`EvolutionError` names the
-    failing ``generator`` (its row) in its message and diagnostics.
+    diagonal on vec(rho).  A family of more than one member whose
+    propagators stack at least two to a group of ``1024^2 // d^4`` runs
+    dense, each group's stack of L + delta diag F written straight into the
+    array ``expm`` reads.  Every other call, :func:`evolve` included, runs
+    one Chebyshev propagation of the block matrix of the whole family (see
+    the module docstring).  The one result holds each observable as a
+    ``(len(shifts), len(t_grid))`` array, a row per delta, and the family's
+    diagnostics: the largest ``max_trace_drift`` and
+    ``max_hermiticity_defect``, the smallest ``min_eigenvalue``, the
+    ``rhs_evaluations`` summed over members (a block matvec counts one per
+    member) and the family's one ``propagator`` record.  Raises
+    ``ValueError`` for no shifts or a ``number`` that is not one value per
+    basis state, besides the errors of :func:`evolve`; an
+    :class:`EvolutionError` names the failing ``generator`` (its row) in
+    its message and diagnostics.
     """
     shifts = np.asarray(shifts, dtype=float).ravel()
     d = liouvillian.dim
@@ -643,39 +641,40 @@ def evolve_shifted(liouvillian: Liouvillian, number: np.ndarray, shifts,
     t_grid, y0, dt = _start(rho0, t_grid, d)
     n = len(t_grid)
     observe = _StateObserver(t_grid, d, len(shifts), observables)
-    if d * d <= _DENSE_PROPAGATOR_MAX:
-        runs = _dense_propagate(liouvillian.matrix.toarray(),
-                                _commutator_diagonal(number), shifts, y0, n,
-                                dt, observe)
+    if len(shifts) > 1 and _dense_group_size(d * d) > 1:
+        run = _dense_propagate(liouvillian.matrix.toarray(),
+                               _commutator_diagonal(number), shifts, y0, n, dt,
+                               observe)
     else:
-        runs = [_chebyshev_propagate(
-                    _shifted_generator(liouvillian, number, delta), y0, n, dt,
-                    observe, g)
-                for g, delta in enumerate(shifts)]
-    return observe.result(runs)
+        run = _chebyshev_propagate(liouvillian, number, shifts, y0, n, dt,
+                                   observe)
+    return observe.result(*run)
 
 
 def evolve(liouvillian: Liouvillian, rho0: np.ndarray,
            t_grid: np.ndarray, observables: dict | None = None
            ) -> EvolutionResult:
-    """Propagate vec(rho) exactly along the uniform ``t_grid`` (us).
+    """Propagate vec(rho) exactly along the uniform ``t_grid`` (us) by
+    one Chebyshev propagation.
 
     ``rho0`` is the state at ``t_grid[0]``.  Observables may be sparse or
-    dense matrices (expectation values) or state vectors (fidelities).  Raises ``ValueError`` for a grid that is not a uniform
-    increasing ``linspace``, a ``rho0`` that is not d x d or not Hermitian
-    (relative ``1e-12``) or, for d^2 > 1024, an L that does not preserve
-    Hermiticity; :class:`EvolutionError` on non-finite values or a
-    positivity violation below ``-1e-6``.  ``diagnostics["min_eigenvalue"]``
-    is the smallest eigenvalue of rho's Hermitian part over the grid, from
-    ``eigvalsh`` at t = 0 and on every block a Cholesky certificate does
-    not clear (see :class:`_StateObserver`); ``max_trace_drift`` and
+    dense matrices (expectation values) or state vectors (fidelities).
+    Raises ``ValueError`` for a grid that is not a uniform increasing
+    ``linspace``, a ``rho0`` that is not d x d or not Hermitian (relative
+    ``1e-12``) or an L that does not preserve Hermiticity;
+    :class:`EvolutionError` on non-finite values or a positivity violation
+    below ``-1e-6``.  ``diagnostics["min_eigenvalue"]`` is the smallest
+    eigenvalue of rho's Hermitian part over the grid, from ``eigvalsh`` at
+    t = 0 and on every block a Cholesky certificate does not clear (see
+    :class:`_StateObserver`); ``max_trace_drift`` and
     ``max_hermiticity_defect`` are the largest |tr rho - 1| and
     |rho - rho^dag|.  ``diagnostics["propagator"]`` holds the ``method``
-    (``dense_expm``/``chebyshev``), the ``terms`` K of an expansion, the
-    ``substeps`` m of a step, the grid points s an expansion serves
-    (``outputs_per_expansion``), its ``half_width`` R' (1/us) and the
-    nonzeros of the real matrix it multiplies (``matrix_nnz``); all but the
-    method and m are None on the dense path.
+    (``chebyshev``; ``dense_expm`` only for a dense family of
+    :func:`evolve_shifted`, whose other entries but m are None), the
+    ``terms`` K of an expansion, the ``substeps`` m of a step, the grid
+    points s an expansion serves (``outputs_per_expansion``), its
+    ``half_width`` R' (1/us) and the nonzeros of the real matrix it
+    multiplies (``matrix_nnz``).
     """
     res = evolve_shifted(liouvillian, np.zeros(liouvillian.dim), [0.0], rho0,
                          t_grid, observables)

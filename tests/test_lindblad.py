@@ -18,7 +18,7 @@ from stabsim.lindblad import (
     EvolutionError, Liouvillian, SteadyStateError, build_liouvillian, evolve,
     evolve_shifted, residual_norm, steady_state, unvectorize, vectorize,
 )
-from stabsim.scenarios import build_problem
+from stabsim.scenarios import _probe_family, build_problem
 
 
 def pure(psi):
@@ -140,9 +140,10 @@ class TestEvolve:
         assert n_ss == pytest.approx(photon_number(eps, delta, kappa),
                                      rel=1e-3)
 
-    # d = 4 takes the dense-propagator path, d = 33 (d^2 = 1089) the
-    # Chebyshev path; the sparser d = 33 model keeps the dense reference
-    # affordable
+    # evolve runs the Chebyshev expansion at both sizes.  A family of two
+    # members runs dense at d = 4, where the stacked propagators batch, and
+    # as one Chebyshev block at d = 33 (d^2 = 1089, a group of one); the
+    # sparser d = 33 model keeps the dense reference affordable
     PATHS = [(4, 1.0, False), (33, 0.1, True)]
     # (collapse rate, H scale) of the generic model and of two more run on
     # both paths: a strongly damped one, and one whose H is scaled up until
@@ -150,18 +151,19 @@ class TestEvolve:
     MODELS = {"generic": (0.5, 1.0), "damped": (50.0, 1.0),
               "fast": (0.5, 100.0)}
 
-    @pytest.mark.parametrize("d,density,sparse_path,model", [
+    @pytest.mark.parametrize("d,density,block_family,model", [
         pytest.param(4, 1.0, False, "generic", id="4-1.0-False"),
         pytest.param(33, 0.1, True, "generic", id="33-0.1-True"),
         (4, 1.0, False, "damped"), (33, 0.1, True, "damped"),
         (4, 1.0, False, "fast"), (33, 0.1, True, "fast"),
     ])
-    def test_matches_matrix_exponential(self, d, density, sparse_path, model):
+    def test_matches_matrix_exponential(self, d, density, block_family,
+                                        model):
         rate, h_scale = self.MODELS[model]
         L, rho0 = random_lindbladian(d, seed=9, density=density, rate=rate,
                                      h_scale=h_scale)
-        assert (d * d > lindblad._DENSE_PROPAGATOR_MAX) is sparse_path
-        t = np.linspace(0.0, 0.5, 3) if sparse_path else np.linspace(0, 5, 21)
+        assert (lindblad._dense_group_size(d * d) == 1) is block_family
+        t = np.linspace(0.0, 0.5, 3) if block_family else np.linspace(0, 5, 21)
         spread = np.ptp(np.linalg.eigvalsh(L.hamiltonian.toarray()))
         if model == "damped":
             # mean damping tr(sum r O^dag O)/d against H's spectral spread
@@ -174,17 +176,28 @@ class TestEvolve:
         # every grid point is checked against its own reference state
         _, rhos = evolved_states(L, rho0, t)
         A = L.matrix.toarray()
-        if sparse_path:
+        if block_family:
             # one dense 1089 x 1089 expm per case: point k is P^k vec(rho0)
             P = expm(A * (t[1] - t[0]))
             refs = [vectorize(rho0)]
             for _ in t[1:]:
                 refs.append(P @ refs[-1])
         else:
-            # the dense path steps expm(L dt) itself; check expm(L t_k)
             refs = [expm(A * tk) @ vectorize(rho0) for tk in t]
         for rho, ref in zip(rhos, refs):
             npt.assert_allclose(rho, unvectorize(ref, d), rtol=0, atol=1e-10)
+        if not block_family:
+            # the dense family steps expm((L + delta F) dt) itself; check
+            # expm((L + delta F) t_k) for each member
+            number, shifts = np.arange(d) % 3.0, [0.0, 1.3]
+            res, members = family_states(L, number, shifts, rho0, t)
+            assert res.diagnostics["propagator"]["method"] == "dense_expm"
+            F = np.diag(lindblad._commutator_diagonal(number))
+            for delta, rhos in zip(shifts, members):
+                for tk, rho in zip(t, rhos):
+                    ref = expm((A + delta * F) * tk) @ vectorize(rho0)
+                    npt.assert_allclose(rho, unvectorize(ref, d), rtol=0,
+                                        atol=1e-10)
 
     @pytest.mark.parametrize("model", ["generic", "damped", "fast"])
     def test_box_encloses_numerical_range(self, model):
@@ -195,7 +208,7 @@ class TestEvolve:
                                   h_scale=h_scale)
         Q = lindblad._hermitian_basis(L.dim)
         A = (Q.conj().T @ L.matrix @ Q).real.toarray()
-        R, lo, hi = lindblad._numerical_range_box(L, sp.csr_matrix(A))
+        R, lo, hi = single_box(L, sp.csr_matrix(A))
         re = np.linalg.eigvalsh(0.5 * (A + A.T))
         im = np.linalg.eigvalsh(0.5j * (A.T - A))
         assert lo <= re[0] and re[-1] <= hi
@@ -241,7 +254,8 @@ class TestEvolve:
         cfg, L = bundled_bell()
         Q = lindblad._hermitian_basis(L.dim)
         A = (Q.conj().T @ L.matrix @ Q).real.tocsr()
-        c, R, _, coef, _ = lindblad._chebyshev_plan(L, A, cfg.t_step, 10)
+        c, R, _, coef, _, _ = lindblad._chebyshev_plan(
+            single_box(L, A), cfg.t_step, 10)
         B = ((2.0 / R) * (A - c * sp.identity(A.shape[0]))).tocsr()
         grouped, perm = lindblad._rows_by_length(B)
         lengths = np.diff(grouped.indptr)
@@ -255,35 +269,49 @@ class TestEvolve:
         lindblad._chebyshev_sums(grouped, x[perm], coef, buf, grouped_sums)
         npt.assert_array_equal(grouped_sums, sums[:, perm])
 
-    @pytest.mark.parametrize("d,density,sparse_path", PATHS)
-    def test_matvec_count_is_positive_int(self, d, density, sparse_path):
+    @staticmethod
+    def runs(L):
+        """evolve and a two-member family of L (dense or block)."""
+        yield lambda rho0, t: evolve(L, rho0, t)
+        yield lambda rho0, t: evolve_shifted(L, np.arange(L.dim) % 2.0,
+                                             [0.0, 0.5], rho0, t)
+
+    @pytest.mark.parametrize("d,density,block_family", PATHS)
+    def test_matvec_count_is_positive_int(self, d, density, block_family):
         L, rho0 = random_lindbladian(d, seed=2, density=density)
-        assert (d * d > lindblad._DENSE_PROPAGATOR_MAX) is sparse_path
-        res = evolve(L, rho0, np.linspace(0.0, 0.5, 6))
-        count = res.diagnostics["rhs_evaluations"]
-        assert type(count) is int and count > 0
+        assert (lindblad._dense_group_size(d * d) == 1) is block_family
+        for run in self.runs(L):
+            count = run(rho0, np.linspace(0.0, 0.5, 6)).diagnostics[
+                "rhs_evaluations"]
+            assert type(count) is int and count > 0
 
-    @pytest.mark.parametrize("d,density,sparse_path", PATHS)
-    def test_non_hermitian_rho0_rejected(self, d, density, sparse_path):
+    @pytest.mark.parametrize("d,density,block_family", PATHS)
+    def test_non_hermitian_rho0_rejected(self, d, density, block_family):
         L, rho0 = random_lindbladian(d, seed=5, density=density)
-        assert (d * d > lindblad._DENSE_PROPAGATOR_MAX) is sparse_path
+        assert (lindblad._dense_group_size(d * d) == 1) is block_family
         rho0[0, 1] += 1e-6
-        with pytest.raises(ValueError, match="rho0 is not Hermitian"):
-            evolve(L, rho0, np.linspace(0.0, 0.5, 3))
+        for run in self.runs(L):
+            with pytest.raises(ValueError, match="rho0 is not Hermitian"):
+                run(rho0, np.linspace(0.0, 0.5, 3))
 
-    @pytest.mark.parametrize("d,density,sparse_path", PATHS)
-    def test_wrong_size_rho0_rejected(self, d, density, sparse_path):
+    @pytest.mark.parametrize("d,density,block_family", PATHS)
+    def test_wrong_size_rho0_rejected(self, d, density, block_family):
         L, _ = random_lindbladian(d, seed=5, density=density)
-        assert (d * d > lindblad._DENSE_PROPAGATOR_MAX) is sparse_path
-        with pytest.raises(ValueError,
-                           match=rf"rho0 has shape \(2, 2\), not \({d}, {d}\)"):
-            evolve(L, np.eye(2) / 2, np.linspace(0.0, 0.5, 3))
+        assert (lindblad._dense_group_size(d * d) == 1) is block_family
+        for run in self.runs(L):
+            with pytest.raises(
+                    ValueError,
+                    match=rf"rho0 has shape \(2, 2\), not \({d}, {d}\)"):
+                run(np.eye(2) / 2, np.linspace(0.0, 0.5, 3))
 
     def test_non_hermiticity_preserving_generator_rejected(self):
-        L, rho0 = random_lindbladian(33, seed=5, density=0.1)
-        bad = Liouvillian(L.space, 1j * L.matrix, L.hamiltonian, L.collapse)
-        with pytest.raises(ValueError, match="preserve Hermiticity"):
-            evolve(bad, rho0, np.linspace(0.0, 0.5, 3))
+        # every evolve runs the Chebyshev expansion, which checks L
+        for d, density in [(4, 1.0), (33, 0.1)]:
+            L, rho0 = random_lindbladian(d, seed=5, density=density)
+            bad = Liouvillian(L.space, 1j * L.matrix, L.hamiltonian,
+                              L.collapse)
+            with pytest.raises(ValueError, match="preserve Hermiticity"):
+                evolve(bad, rho0, np.linspace(0.0, 0.5, 3))
 
     def test_bell_matvec_count_is_exact_and_bounded(self):
         cfg, L = bundled_bell()
@@ -310,6 +338,21 @@ class TestEvolve:
         s = evolve(L, rho0, t).diagnostics["propagator"][
             "outputs_per_expansion"]
         assert 1 < s <= points - 1
+
+    @pytest.mark.parametrize("name, plan", [
+        ("bell", (4, 323, 1, 8050)),
+        ("bell_single_channel", (5, 355, 1, 7080)),
+        ("bell_pump2", (4, 322, 1, 8025)), ("w", (7, 479, 1, 6854))])
+    def test_bundled_plans(self, name, plan):
+        # (s, K, m, matvecs) on each bundled scenario's 100-step grid
+        cfg = bundled_scenario(name)
+        assert round(cfg.t_final / cfg.t_step) == 100
+        L = build_problem(cfg)[1]
+        Q = lindblad._hermitian_basis(L.dim)
+        A = (Q.conj().T @ L.matrix @ Q).real.tocsr()
+        _, _, m, coef, _, matvecs = lindblad._chebyshev_plan(
+            single_box(L, A), cfg.t_step, 100)
+        assert (*coef.shape, m, matvecs) == plan
 
     @pytest.mark.parametrize("model", ["generic", "fast"])
     def test_partial_last_expansion_matches_propagator_powers(self, model):
@@ -344,8 +387,9 @@ class TestEvolve:
         t = np.linspace(0.0, 0.5, 3)
         res = evolve(L, rho0, t)
         assert res.diagnostics["propagator"]["substeps"] > 1
-        # the Gershgorin box must not cost the damped model work
-        assert res.diagnostics["rhs_evaluations"] <= 2400 * (len(t) - 1)
+        # the box must not cost the damped model work: its plan takes 2420
+        # matvecs a step, and the Gershgorin interval alone 5733
+        assert res.diagnostics["rhs_evaluations"] <= 2420 * (len(t) - 1)
 
     @pytest.mark.parametrize("grid", [[0.0, 0.1, 0.3], [0.0, 0.2, 0.1],
                                       [1.0, 1.0, 1.0]])
@@ -418,21 +462,22 @@ class TestEvolveMany:
 
     @pytest.mark.parametrize("d,density,shifts,t", [
         (4, 1.0, [-1.3, 0.0, 2.2], np.linspace(0.0, 5.0, 21)),
-        (33, 0.1, [0.0, 1.7], np.linspace(0.0, 0.5, 6)),
+        (33, 0.1, [-2.1, -0.4, 0.0, 1.7, 3.2], np.linspace(0.0, 0.5, 6)),
     ], ids=["dense", "chebyshev"])
     def test_each_result_matches_evolve(self, d, density, shifts, t):
-        # each row against evolve of the generator of H + delta N, which is
-        # L itself at delta = 0: that row is evolve's, bit for bit
+        # each row against evolve of the generator of H + delta N built
+        # from scratch.  The family has one propagator record and counts
+        # each member's matvecs; its rows are no longer evolve's per-member
+        # runs, so neither the delta = 0 row's bits nor per-member records
+        # are compared
         L, rho0 = random_lindbladian(d, seed=1, density=density)
         number = np.arange(d) % 3.0
         rng = np.random.default_rng(0)
         psi = rng.normal(size=d) + 1j * rng.normal(size=d)
         obs = {"n": number_op(L.space, 0), "psi": psi / np.linalg.norm(psi)}
         family = evolve_shifted(L, number, shifts, rho0, t, observables=obs)
-        gens = [lindblad._shifted_generator(L, number, delta)
-                for delta in shifts]
-        assert gens[shifts.index(0.0)] is L
-        refs = [evolve(g, rho0, t, observables=obs) for g in gens]
+        refs = [evolve(shifted_liouvillian(L, number, delta), rho0, t,
+                       observables=obs) for delta in shifts]
         npt.assert_array_equal(family.times, t)
         for name in obs:
             rows = family.observables[name]
@@ -440,16 +485,14 @@ class TestEvolveMany:
             for row, ref in zip(rows, refs):
                 npt.assert_allclose(row, ref.observables[name],
                                     rtol=0, atol=1e-13)
-            npt.assert_array_equal(rows[shifts.index(0.0)],
-                                   evolve(L, rho0, t, observables=obs)
-                                   .observables[name])
         diag = family.diagnostics
+        prop = diag["propagator"]
+        if prop["method"] == "dense_expm":
+            assert diag["rhs_evaluations"] == len(shifts) * (len(t) - 1)
+        else:
+            assert diag["rhs_evaluations"] == len(shifts) * planned_matvecs(
+                L, t, prop, number, shifts)
         ref_diags = [ref.diagnostics for ref in refs]
-        props = [dg["propagator"] for dg in ref_diags]
-        assert diag["propagator"] == (
-            props[0] if all(p == props[0] for p in props) else props)
-        assert diag["rhs_evaluations"] == sum(
-            dg["rhs_evaluations"] for dg in ref_diags)
         for key, worst in (("max_trace_drift", max),
                            ("max_hermiticity_defect", max),
                            ("min_eigenvalue", min)):
@@ -457,17 +500,17 @@ class TestEvolveMany:
                 worst(dg[key] for dg in ref_diags), abs=1e-13)
 
     def test_shifted_stack_matches_shifted_generators(self):
-        # the dense family L + delta diag F against one sparse generator
-        # of H + delta N per delta, on a number operator with a repeated
-        # entry
+        # the dense family L + delta diag F against one generator of
+        # H + delta N per delta, built from scratch, on a number operator
+        # with a repeated entry
         L, rho0 = random_lindbladian(4, seed=5)
         number = np.array([0.0, 1.0, 1.0, 2.0])
         shifts = [-1.3, 0.0, 2.2]
         t = np.linspace(0.0, 3.0, 13)
         obs = {"n": number_op(L.space, 0)}
         family = evolve_shifted(L, number, shifts, rho0, t, observables=obs)
-        refs = [evolve(lindblad._shifted_generator(L, number, delta), rho0,
-                       t, observables=obs) for delta in shifts]
+        refs = [evolve(shifted_liouvillian(L, number, delta), rho0, t,
+                       observables=obs) for delta in shifts]
         for row, ref in zip(family.observables["n"], refs):
             npt.assert_allclose(row, ref.observables["n"], rtol=0,
                                 atol=1e-13)
@@ -493,9 +536,21 @@ class TestEvolveMany:
                             rtol=0, atol=1e-13)
 
     def test_group_size_rule(self):
+        # a family runs dense only where a group stacks two propagators:
+        # up to d = 26, not at d^2 = 1024; the d = 4 scan fits one group
         assert lindblad._dense_group_size(lindblad._DENSE_PROPAGATOR_MAX) == 1
-        # the d = 4 spectroscopy scan fits one group
+        assert lindblad._dense_group_size(26 ** 2) == 2
+        assert lindblad._dense_group_size(27 ** 2) == 1
         assert lindblad._dense_group_size(16) == 4096
+        t = np.linspace(0.0, 0.1, 3)
+        for d, density, method in [(4, 1.0, "dense_expm"),
+                                   (32, 0.1, "chebyshev")]:
+            L, rho0 = random_lindbladian(d, seed=5, density=density)
+            family = evolve_shifted(L, np.arange(d) % 2.0, [0.0, 1.0], rho0, t)
+            assert family.diagnostics["propagator"]["method"] == method
+            # a one-member family never runs dense
+            single = evolve_shifted(L, np.arange(d) % 2.0, [1.0], rho0, t)
+            assert single.diagnostics["propagator"]["method"] == "chebyshev"
 
     def test_empty_batch_rejected(self):
         L, rho0 = random_lindbladian(4, seed=5)
@@ -540,13 +595,77 @@ class TestEvolveMany:
         assert exc.value.diagnostics["min_eigenvalue"] == pytest.approx(-0.5)
 
 
+class TestFamilyBlock:
+    """The Chebyshev block 1 kron A + diag(delta) kron A_F of a family and
+    the one box its plan takes."""
+
+    def test_frame_shift_matrix_is_real_and_skew(self):
+        # Q^dag F Q, formed as the propagator forms it, has an exactly zero
+        # imaginary part, so taking its real part drops nothing
+        rng = np.random.default_rng(6)
+        number = rng.integers(0, 3, size=7) + rng.normal(size=7)
+        Q = lindblad._hermitian_basis(7)
+        F = lindblad._commutator_diagonal(number)
+        A_F = Q.conj().T @ sp.diags(F) @ Q
+        assert not A_F.imag.toarray().any()
+        dense = Q.conj().T.toarray() @ np.diag(F) @ Q.toarray()
+        npt.assert_allclose(A_F.toarray(), dense, rtol=0, atol=1e-15)
+        npt.assert_array_equal(A_F.real.toarray(), -A_F.real.toarray().T)
+
+    @staticmethod
+    def random_family():
+        L, _ = random_lindbladian(33, seed=1, density=0.1)
+        return L, np.arange(33) % 3.0, np.array([-2.1, -0.4, 0.0, 1.7, 3.2])
+
+    @staticmethod
+    def spectroscopy_family():
+        cfg = bundled_scenario("bell")
+        work = cfg.qubits[0].working_freq
+        freqs = np.linspace(work - 10.0, work + 10.0, 81)
+        return _probe_family(cfg, (0.1, 0.0), freqs)
+
+    @pytest.mark.parametrize("family", ["random", "spectroscopy"])
+    def test_end_members_bound_every_member(self, family):
+        # the spread of H + delta N plus J at deltas drawn inside the range
+        # never exceeds the half-height R of the plan's box
+        L, number, shifts = getattr(self, f"{family}_family")()
+        Q = lindblad._hermitian_basis(L.dim)
+        A = (Q.conj().T @ L.matrix @ Q).real.tocsr()
+        R, _, _ = lindblad._numerical_range_box(L, A, number, shifts)
+        jump = sum(r * np.linalg.norm(op.toarray(), 2) ** 2
+                   for op, r in L.collapse)
+        H = L.hamiltonian.toarray()
+        rng = np.random.default_rng(2)
+        for delta in rng.uniform(shifts.min(), shifts.max(), 40):
+            spread = np.ptp(np.linalg.eigvalsh(H + np.diag(delta * number)))
+            assert spread + jump <= R
+
+    def test_block_rows_match_rebuilt_members(self):
+        # every row of a five-member block against evolve of that member's
+        # generator built from scratch
+        L, number, shifts = self.random_family()
+        rng = np.random.default_rng(0)
+        g = rng.normal(size=(33, 33)) + 1j * rng.normal(size=(33, 33))
+        rho0 = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        t = np.linspace(0.0, 0.5, 6)
+        obs = {"n": number_op(L.space, 0)}
+        family = evolve_shifted(L, number, shifts, rho0, t, observables=obs)
+        assert family.diagnostics["propagator"]["method"] == "chebyshev"
+        for row, delta in zip(family.observables["n"], shifts):
+            ref = evolve(shifted_liouvillian(L, number, delta), rho0, t,
+                         observables=obs)
+            npt.assert_allclose(row, ref.observables["n"], rtol=0,
+                                atol=1e-13)
+
+
 class TestPositivityCertificate:
     """The observer's running minimum: blocks after t = 0 pass on one
     Cholesky factorization, and fall back to ``eigvalsh``."""
 
     @staticmethod
     def run(monkeypatch, L, rho0, t):
-        """``(result, rhos, eigvalsh calls, per-point minimum)``."""
+        """``(result, rhos, eigvalsh calls, per-point minimum)`` of a dense
+        two-member family, whose blocks are its grid steps."""
         eigvalsh, calls = np.linalg.eigvalsh, []
 
         def counting(a):
@@ -554,8 +673,11 @@ class TestPositivityCertificate:
             return eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        res, rhos = evolved_states(L, rho0, t)
+        res, rhos = family_states(L, np.arange(L.dim) % 2.0, [0.0, 0.7],
+                                  rho0, t)
+        assert res.diagnostics["propagator"]["method"] == "dense_expm"
         monkeypatch.undo()
+        rhos = rhos.reshape(-1, L.dim, L.dim)
         per_point = eigvalsh(0.5 * (rhos + rhos.conj().transpose(0, 2, 1)))
         return res, rhos, len(calls), per_point[:, 0].min()
 
@@ -614,20 +736,47 @@ def random_lindbladian(d, seed, density=1.0, rate=0.5, h_scale=1.0):
     return L, rho0 / np.trace(rho0).real
 
 
+def matrix_units(d):
+    """The d^2 matrix-unit observables E_ab = |a><b|: tr(E_ab rho) = rho_ba
+    picks one entry of the propagated vector, so states read back through
+    them are exact."""
+    eye = np.eye(d)
+    return {(a, b): np.outer(eye[a], eye[b])
+            for a in range(d) for b in range(d)}
+
+
 def evolved_states(L, rho0, t, observables=None):
     """``(result, rhos)``: :func:`evolve` on ``t`` and rho(t_j) at every
-    grid point, read back through the d^2 matrix-unit observables
-    E_ab = |a><b|.  tr(E_ab rho) = rho_ba picks one entry of the propagated
-    vector, so the states are exact."""
-    d = L.dim
-    eye = np.eye(d)
-    units = {(a, b): np.outer(eye[a], eye[b])
-             for a in range(d) for b in range(d)}
+    grid point, read back through :func:`matrix_units`."""
+    units = matrix_units(L.dim)
     res = evolve(L, rho0, t, observables={**units, **(observables or {})})
-    rhos = np.empty((len(t), d, d), dtype=complex)
+    rhos = np.empty((len(t), L.dim, L.dim), dtype=complex)
     for a, b in units:
         rhos[:, b, a] = res.observables.pop((a, b))
     return res, rhos
+
+
+def family_states(L, number, shifts, rho0, t):
+    """``(result, rhos)``: :func:`evolve_shifted` on ``t`` and rho_g(t_j) of
+    every member g at every grid point, read back through
+    :func:`matrix_units`."""
+    units = matrix_units(L.dim)
+    res = evolve_shifted(L, number, shifts, rho0, t, observables=units)
+    rhos = np.empty((len(shifts), len(t), L.dim, L.dim), dtype=complex)
+    for a, b in units:
+        rhos[:, :, b, a] = res.observables.pop((a, b))
+    return res, rhos
+
+
+def shifted_liouvillian(L, number, delta):
+    """The generator of H + delta diag(``number``), built from scratch."""
+    return build_liouvillian(L.space, L.hamiltonian + sp.diags(delta * number),
+                             L.collapse)
+
+
+def single_box(L, A):
+    """The numerical-range box of evolve's one-member delta = 0 family."""
+    return lindblad._numerical_range_box(L, A, np.zeros(L.dim), np.zeros(1))
 
 
 def assert_matches_propagator_powers(L, rho0, t, rhos):
@@ -639,19 +788,25 @@ def assert_matches_propagator_powers(L, rho0, t, rhos):
         ref = P @ ref
 
 
-def planned_matvecs(L, t, prop):
-    """Matvecs of the Chebyshev plan on grid ``t``, checked against the
+def planned_matvecs(L, t, prop, number=None, shifts=(0.0,)):
+    """Matvecs of the Chebyshev plan on grid ``t`` for the family of
+    ``number`` and ``shifts`` (evolve's by default), checked against the
     reported ``prop``: floor(steps/s) expansions of m (K - 1) matvecs, and
     where s does not divide the steps a last one of m (K_r - 1)."""
     Q = lindblad._hermitian_basis(L.dim)
     A = (Q.conj().T @ L.matrix @ Q).real.tocsr()
+    number = np.zeros(L.dim) if number is None else number
+    box = lindblad._numerical_range_box(L, A, number, np.asarray(shifts))
     steps = len(t) - 1
-    _, _, m, coef, K_r = lindblad._chebyshev_plan(L, A, t[1] - t[0], steps)
+    _, R, m, coef, K_r, matvecs = lindblad._chebyshev_plan(
+        box, t[1] - t[0], steps)
     s, K = coef.shape
-    assert (s, m, K) == (prop["outputs_per_expansion"], prop["substeps"],
-                         prop["terms"])
+    assert (s, m, K, R) == (prop["outputs_per_expansion"], prop["substeps"],
+                            prop["terms"], prop["half_width"])
     assert K_r <= K
-    return (steps // s) * m * (K - 1) + (m * (K_r - 1) if steps % s else 0)
+    assert matvecs == (steps // s) * m * (K - 1) + (
+        m * (K_r - 1) if steps % s else 0)
+    return matvecs
 
 
 def bundled_bell(decoherence=True):

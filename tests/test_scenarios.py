@@ -14,7 +14,7 @@ from stabsim.device import (
     PumpDrive, ResonatorDrive, Truncations, bundled_scenario,
 )
 from stabsim.hamiltonian import named_qubit_state, qubit_space
-from stabsim.lindblad import _shifted_generator, build_liouvillian, evolve
+from stabsim.lindblad import _commutator_diagonal, build_liouvillian, evolve
 from stabsim.scenarios import (
     DegenerateDataError, FitError, _probe_family, _qubit_state_labels,
     build_problem, fit_exponential, run_bell, run_spectroscopy, run_sweep, run_w, write_report,
@@ -216,11 +216,11 @@ def complex_amplitude_frame(config, model):
 
 
 class TestResonatorPhaseFrame:
-    # bell (d = 64) propagates by Chebyshev, bell_single_channel (d = 24)
-    # by dense expm; in the complex frame the Chebyshev matrix has the
-    # extra nonzeros that the real frame saves
+    # bell (d = 64) and bell_single_channel (d = 24) both propagate by
+    # Chebyshev; in the complex frame its matrix has the extra nonzeros
+    # that the real frame saves
     @pytest.mark.parametrize("name, nnz", [
-        ("bell", (47_008, 59_104)), ("bell_single_channel", (None, None))])
+        ("bell", (47_008, 59_104)), ("bell_single_channel", (5_494, 6_414))])
     def test_complex_amplitude_frame_gives_the_same_run(self, name, nnz):
         cfg = bundled_scenario(name)
         model, L = build_problem(cfg)
@@ -339,7 +339,8 @@ def probe_configs():
         "w": bundled_scenario("w"),
         "bell_qutrit": bell.replace(
             truncations=Truncations(qubit_dim=3, resonator_dim=4)),
-        # d = 36: d^2 = 1296 takes the per-generator Chebyshev branch
+        # d = 36: d^2 = 1296, a family too large to batch dense, takes
+        # the Chebyshev block
         "bell_qd6": bell.replace(
             truncations=Truncations(qubit_dim=6, resonator_dim=4)),
     }
@@ -367,12 +368,14 @@ class TestSpectroscopyFrameShift:
         work = cfg.qubits[0].working_freq
         freqs = np.array([work - 7.3, work, work + 2.5, work + 11.0])
         base, number, shifts = _probe_family(cfg, amps, freqs)
+        # L(f) = L(f0) + delta F with F = -i[N_q, .], the family that
+        # evolve_shifted propagates, and H(f) = H(f0) + delta N_q
         for f, delta in zip(freqs, shifts):
-            shifted = _shifted_generator(base, number, delta)
             ref = rebuilt_probe_liouvillian(cfg, amps, f)
             scale = abs(ref.matrix).max()
-            assert abs(shifted.matrix - ref.matrix).max() <= 1e-9 * scale
-            assert abs(shifted.hamiltonian
+            shift = sp.diags(delta * _commutator_diagonal(number))
+            assert abs(base.matrix + shift - ref.matrix).max() <= 1e-9 * scale
+            assert abs(base.hamiltonian + sp.diags(delta * number)
                        - ref.hamiltonian).max() <= 1e-9 * scale
 
     @pytest.mark.parametrize("name", list(PROBE_SCANS))
@@ -467,12 +470,15 @@ class TestReportOutput:
         for key in ("max_trace_drift", "max_hermiticity_defect",
                     "min_eigenvalue", "rhs_evaluations"):
             assert key in payload["diagnostics"]
-        # d = 24 (d^2 = 576) takes the dense propagator, one matvec a step
-        assert payload["diagnostics"]["propagator"] == {
-            "method": "dense_expm", "terms": None, "substeps": 1,
-            "outputs_per_expansion": None, "half_width": None,
-            "matrix_nnz": None}
-        assert payload["diagnostics"]["rhs_evaluations"] == len(report.times) - 1
+        # d = 8 runs one Chebyshev plan: two expansions of 227 terms serve
+        # the 20 steps
+        prop = payload["diagnostics"]["propagator"]
+        assert prop == {
+            "method": "chebyshev", "terms": 227, "substeps": 1,
+            "outputs_per_expansion": 10, "matrix_nnz": 502,
+            "half_width": report.diagnostics["propagator"]["half_width"]}
+        assert prop["half_width"] > 0
+        assert payload["diagnostics"]["rhs_evaluations"] == 2 * 226
         header = (out / "traces.csv").read_text().splitlines()[0].split(",")
         assert header[0] == "t_us"
         assert set(header[1:]) == set(report.traces)
