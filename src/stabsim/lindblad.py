@@ -9,42 +9,34 @@ vectors of length d^2.
 Time evolution is exact propagation on a uniform time grid.
 :func:`evolve_shifted` runs one state under a family L + delta F with F =
 -i[N, .] diagonal on vec(rho); :func:`evolve` is its one-member delta = 0
-family.  A family whose propagators stack at least two to a group of
-floor(1024^2 / d^4) (the memory of one 1024 x 1024 propagator) runs dense:
-one stacked expm(L dt) per group and one batched product per grid step.
-Every other call is one Chebyshev expansion (Tal-Ezer & Kosloff, J. Chem.
-Phys. 81, 3967 (1984)) of the real block matrix 1 kron A_0 + diag(delta)
-kron A_F, A_0 and A_F the matrices of L and F in an orthonormal Hermitian
-basis; A_F is skew-symmetric.  W of the block lies in a box of half-height
-R (the larger spread of H + delta N at the two end members, which bounds
-every member's as the spread is convex in delta, plus J = sum r_k
-||O_k||_2^2) whose real extent, every member's, is both an analytic
-interval (from the damping and J) and the Gershgorin interval of A_0's
-symmetric part.  Scaled by the half-width R' = 1.1 R, the box lies in a
-Bernstein ellipse rho; with the Crouzeix-Palencia constant 1 + sqrt 2
-(SIAM J. Matrix Anal. Appl. 38, 649 (2017)), K terms of exp(A t) err by at
-most (1 + sqrt 2) 2 sum_{k>=K} |J_k(R' t)| rho^k.  K is the least count
-making this < 1e-14 with no term > 1e14 (beyond double precision).  The
-Chebyshev vectors do not depend on t, so one expansion over s steps gives
-all s grid points, each from its own Bessel coefficients (Kosloff, Annu.
-Rev. Phys. Chem. 45, 145 (1994)).  Miller's backward recurrence gives
-the J_k, scaled by Neumann's sum J_0 + 2 sum_k J_2k = 1.  The plan picks
-s (at most the grid's steps) and, only where s = 1 fails, m substeps a
-step, to minimize the m (K - 1) real matvecs of each of the
-floor(steps/s) full expansions plus the m (K_r - 1) of a last one over
-the r = steps mod s remaining points, which needs only the K_r terms of
-its shorter span.  Each term S_k+1 = B S_k + S_k-1 is one call of scipy's
-CSR kernel, accumulating B S_k in place into the copy of S_k-1.  B's rows
-and columns are relabelled in the stable order of its row lengths, which
-leaves every sum as it was and lets the kernel predict where rows end.
+family.  A family of more than one member at d^2 <= 1024 runs dense:
+one stacked expm(L dt) per group of floor(1024^2 / d^4) members (the
+memory of one 1024 x 1024 propagator) and one batched product per grid
+step.  Every other call is one Chebyshev plan (Tal-Ezer & Kosloff, J.
+Chem. Phys. 81, 3967 (1984)) for the real block matrix 1 kron A_0 +
+diag(delta) kron A_F, A_0 and A_F the matrices of L and F in an
+orthonormal Hermitian basis (A_F is skew-symmetric), expanded a block of
+members at a time within the same memory.  W of the block lies in a box
+of half-height R (the larger spread of H + delta N at the two end
+members, which bounds every member's as the spread is convex in delta,
+plus J = sum r_k ||O_k||_2^2) whose real extent, every member's, is both
+an analytic interval (from the damping and J) and the Gershgorin interval
+of A_0's symmetric part.  Scaled by the half-width R' (1.1 R, or R where
+that plans fewer matvecs), the box lies in a Bernstein ellipse rho; with
+the Crouzeix-Palencia constant 1 + sqrt 2 (SIAM J. Matrix Anal. Appl. 38,
+649 (2017)), K terms of exp(A t) err by at most (1 + sqrt 2) 2
+sum_{k>=K} |J_k(R' t)| rho^k.  K is the least count making this < 1e-14
+with no term > 1e14 (beyond double precision).  The Chebyshev vectors do
+not depend on t, so one expansion over s steps gives all s grid points,
+each from its own Bessel coefficients (Kosloff, Annu. Rev. Phys. Chem.
+45, 145 (1994)); the plan picks s and, only where s = 1 fails, m
+substeps a step to minimize the real matvecs on the grid.
 
 Every propagator hands its states to one observer a block at a time (a
-grid step of a dense group, or one expansion's outputs for every
-member), which evaluates the observables and monitors trace, hermiticity
-and positivity at every stored point, never enforcing them; no trajectory
-is kept.  Positivity after t = 0 is a batched Cholesky certificate against
-each member's running minimum, with ``eigvalsh`` where it fails, so the
-reported minimum is always an ``eigvalsh`` value.
+grid step of a dense group, or one expansion's outputs for a block of
+members), which evaluates the observables and monitors trace, hermiticity
+and positivity (:class:`_StateObserver`) at every stored point, never
+enforcing them; no trajectory is kept.
 
 The steady state is one matrix-free Arnoldi run: the no-jump (Sylvester)
 part of L is inverted from one eigendecomposition of the effective
@@ -82,7 +74,7 @@ _CHEBYSHEV_TOL = 1e-14
 #: the Crouzeix-Palencia constant 1 + sqrt 2 times the 2 of the
 #: coefficients (2 - delta_k0) J_k
 _CP_TERM = 2 * (1 + math.sqrt(2))
-#: the expansion's half-width R' over the box's half-height R
+#: the expansion's half-width R' over the box's R, tried beside R' = R
 _WIDEN = 1.1
 #: rows of the buffer the Chebyshev vectors are summed from
 _CHUNK_ROWS = 32
@@ -286,7 +278,7 @@ def _numerical_range_box(liouvillian: Liouvillian, A: sp.csr_matrix,
     lam = np.linalg.eigvalsh(_damping(collapse, liouvillian.dim).toarray())
     spread = max(np.ptp(np.linalg.eigvalsh(
                      H + np.diag(delta * number) if delta else H))
-                 for delta in (shifts.min(), shifts.max()))
+                 for delta in {shifts.min(), shifts.max()})
     R = float(spread + jump) or 1.0
     sym = (A + A.T).tocsr()
     centre = sym.diagonal()
@@ -305,42 +297,46 @@ def _chebyshev_plan(box: tuple[float, float, float], h: float, steps: int
     of the single row.  The last r = steps mod s points take only the
     K_r <= K terms the rule needs over r h; K_r = K when s divides steps.
     The bound of the module docstring picks s, m and K = coef.shape[1] to
-    minimize the ``matvecs`` on the grid."""
+    minimize the ``matvecs`` on the grid, at whichever half-width, R' = R
+    or 1.1 R, takes fewer (R on a tie)."""
     R, lo, hi = box
     c, a = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    wide = _WIDEN * R
-    # log rho of the Bernstein ellipse (foci +-1 in w = -i A') through the
-    # box corner R/R' + i a/R'
-    x, y = R / wide, a / wide
-    log_rho = math.acosh(max(
-        1.0, 0.5 * (math.hypot(1 - x, y) + math.hypot(1 + x, y))))
-
-    # grow s while the term rule holds and the grid's matvecs fall; only
-    # when s = 1 fails, grow m the same way.  The rule is checked at the
-    # block's last point, whose tail is the largest: the tail lies past
-    # k = R' s h, where J_k(tau) grows with tau.  So the K_r of the span
-    # r h, found when s was r, serve the last r < s points
-    plan = None  # (matvecs, s, m, K, K_r)
-    spans: dict[int, int | None] = {}  # s -> K over s h, m = 1
-    s = m = 1
-    while s <= steps:
-        K = _chebyshev_terms(wide * (s * h / m), log_rho)
-        if m == 1:
-            spans[s] = K
-        if K is None and plan is not None:
-            break
-        if K is not None:
-            r = steps % s
-            K_r = spans[r] if r else K
-            matvecs = (steps // s) * m * (K - 1) + (m * (K_r - 1) if r else 0)
-            if plan is not None and matvecs >= plan[0]:
+    best = None  # (matvecs, s, m, K, K_r, R'); R' = R wins a tie
+    for wide in (R, _WIDEN * R):
+        # log rho of the Bernstein ellipse (foci +-1 in w = -i A') through
+        # the box corner R/R' + i a/R'
+        x, y = R / wide, a / wide
+        log_rho = math.acosh(max(
+            1.0, 0.5 * (math.hypot(1 - x, y) + math.hypot(1 + x, y))))
+        # grow s while the term rule holds and the grid's matvecs fall;
+        # only when s = 1 fails, grow m the same way.  The rule is checked
+        # at the block's last point, whose tail is the largest: the tail
+        # lies past k = R' s h, where J_k(tau) grows with tau.  So the K_r
+        # of the span r h, found when s was r, serve the last r < s points
+        plan = None
+        spans: dict[int, int | None] = {}  # s -> K over s h, m = 1
+        s = m = 1
+        while s <= steps:
+            K = _chebyshev_terms(wide * (s * h / m), log_rho)
+            if m == 1:
+                spans[s] = K
+            if K is None and plan is not None:
                 break
-            plan = (matvecs, s, m, K, K_r)
-        if plan is None or m > 1:
-            m += 1
-        else:
-            s += 1
-    matvecs, s, m, K, K_r = plan
+            if K is not None:
+                r = steps % s
+                K_r = spans[r] if r else K
+                matvecs = ((steps // s) * m * (K - 1)
+                           + (m * (K_r - 1) if r else 0))
+                if plan is not None and matvecs >= plan[0]:
+                    break
+                plan = (matvecs, s, m, K, K_r, wide)
+            if plan is None or m > 1:
+                m += 1
+            else:
+                s += 1
+        if best is None or plan[0] < best[0]:
+            best = plan
+    matvecs, s, m, K, K_r, wide = best
     times = (h / m) * np.arange(1, s + 1)
     coef = np.array([_bessel_j(wide * t, K) for t in times])
     coef[:, 1:] *= 2.0
@@ -428,10 +424,11 @@ def _chebyshev_propagate(liouvillian: Liouvillian, number: np.ndarray,
                          dt: float, observe: _StateObserver
                          ) -> tuple[int, dict]:
     """``(matvecs, propagator)`` of propagating y0 over n grid points under
-    every L + delta F, delta in ``shifts``, as one Chebyshev propagation of
-    the block matrix 1 kron A + diag(delta) kron A_F; each expansion's
-    outputs go to ``observe`` for every member as they are made.  A
-    one-member delta = 0 family multiplies A itself."""
+    every L + delta F, delta in ``shifts``, by Chebyshev propagation of the
+    block matrix 1 kron A + diag(delta) kron A_F under one plan, a block of
+    members at a time within the memory of one dense propagator.  Each
+    expansion's outputs go to ``observe`` as they are made.  A one-member
+    delta = 0 family multiplies A itself."""
     L, d, G = liouvillian.matrix, liouvillian.dim, len(shifts)
     Q = _hermitian_basis(d)
     A = (Q.conj().T @ L @ Q).tocsr()
@@ -440,40 +437,51 @@ def _chebyshev_propagate(liouvillian: Liouvillian, number: np.ndarray,
     A = A.real
     box = _numerical_range_box(liouvillian, A, number, shifts)
     c, R, m, coef, K_r, matvecs = _chebyshev_plan(box, dt, n - 1)
+    s, K = coef.shape
     if G > 1 or shifts[0]:
         # F maps Hermitian matrices to Hermitian ones: A_F is exactly real
         A_F = (Q.conj().T @ sp.diags(_commutator_diagonal(number)) @ Q).real
-        A = sp.kron(sp.identity(G), A) + sp.kron(sp.diags(shifts), A_F)
-    (s, K), N = coef.shape, A.shape[0]
-    # equal-length rows run together, so scipy's CSR kernel predicts its
-    # row-end branch: a term on `bell` takes 57.8 -> 44.9 us and on `w`
-    # 68.7 -> 61.2 us (medians of 12 alternating runs, 2 vCPUs), for
-    # bitwise the same vectors
-    B, perm = _rows_by_length(((2.0 / R) * (A - c * sp.identity(N))).tocsr())
-    unperm = np.argsort(perm)
+    # a member takes s + 32 rows of d^2 floats for its Chebyshev vectors
+    # and about 8 complex copies of its s states in emit and the observer;
+    # a block takes no more than the 16 MB of one dense propagator
+    size = max(1, 2 * _DENSE_PROPAGATOR_MAX ** 2
+               // ((17 * s + _CHUNK_ROWS) * d * d))
+    x0, nnz = (Q.conj().T @ y0).real, None
 
-    def emit(times: slice, rows: np.ndarray) -> None:
+    def emit(gens: slice, times: slice, rows: np.ndarray) -> None:
         # a row per grid point, the members' x end to end -> Y[g, j]
-        Y = rows.reshape(-1, d * d) @ Q.T
-        observe(slice(0, G), times,
-                Y.reshape(len(rows), G, d * d).transpose(1, 0, 2))
+        Y = (rows.reshape(-1, d * d) @ Q.T).reshape(len(rows), -1, d * d)
+        observe(gens, times, Y.transpose(1, 0, 2))
 
-    out = np.empty((s, N))
-    out[0] = np.tile((Q.conj().T @ y0).real, G)
-    emit(slice(0, 1), out[:1])
-    x = out[0, perm]
-    buf = np.empty((min(_CHUNK_ROWS, K), N))
-    for j in range(0, n - 1, s):
-        # the last expansion may serve r < s grid points with K_r terms
-        r = min(s, n - 1 - j)
-        rows = out[:r]
-        for _ in range(m):  # m > 1 only where s = 1
-            _chebyshev_sums(B, x, coef[:r, :K if r == s else K_r], buf, rows)
-            x = rows[-1]
-        emit(slice(j + 1, j + 1 + r), rows[:, unperm])
+    for g0 in range(0, G, size):
+        gens = slice(g0, min(g0 + size, G))
+        block = A if G == 1 and not shifts[0] else (
+            sp.kron(sp.identity(gens.stop - g0), A)
+            + sp.kron(sp.diags(shifts[gens]), A_F))
+        N = block.shape[0]
+        # equal-length rows run together, so scipy's CSR kernel predicts
+        # its row-end branch: a term on `bell` takes 57.8 -> 44.9 us, on `w`
+        # 68.7 -> 61.2 us (medians of 12 runs, 2 vCPUs), bitwise the same
+        B, perm = _rows_by_length(
+            ((2.0 / R) * (block - c * sp.identity(N))).tocsr())
+        unperm, nnz = np.argsort(perm), nnz or B.nnz
+        out = np.empty((s, N))
+        out[0] = np.tile(x0, gens.stop - g0)
+        emit(gens, slice(0, 1), out[:1])
+        x = out[0, perm]
+        buf = np.empty((min(_CHUNK_ROWS, K), N))
+        for j in range(0, n - 1, s):
+            # the last expansion may serve r < s grid points with K_r terms
+            r = min(s, n - 1 - j)
+            rows = out[:r]
+            for _ in range(m):  # m > 1 only where s = 1
+                _chebyshev_sums(B, x, coef[:r, :K if r == s else K_r], buf,
+                                rows)
+                x = rows[-1]
+            emit(gens, slice(j + 1, j + 1 + r), rows[:, unperm])
     return G * matvecs, dict(method="chebyshev", terms=K, substeps=m,
                              outputs_per_expansion=s, half_width=R,
-                             matrix_nnz=B.nnz)
+                             matrix_nnz=nnz)
 
 
 class _StateObserver:
@@ -612,24 +620,20 @@ def evolve_shifted(liouvillian: Liouvillian, number: np.ndarray, shifts,
                    observables: dict | None = None) -> EvolutionResult:
     """:func:`evolve` of one ``rho0`` under the generators of H + delta N,
     one per delta in ``shifts``, for the diagonal N = diag(``number``) (a
-    frame change, say).
+    frame change, say): L(delta) = L + delta F, F = -i[N, .].
 
-    The family is L(delta) = L + delta F with F = -i[N, .], which is
-    diagonal on vec(rho).  A family of more than one member whose
-    propagators stack at least two to a group of ``1024^2 // d^4`` runs
-    dense, each group's stack of L + delta diag F written straight into the
-    array ``expm`` reads.  Every other call, :func:`evolve` included, runs
-    one Chebyshev propagation of the block matrix of the whole family (see
-    the module docstring).  The one result holds each observable as a
-    ``(len(shifts), len(t_grid))`` array, a row per delta, and the family's
-    diagnostics: the largest ``max_trace_drift`` and
-    ``max_hermiticity_defect``, the smallest ``min_eigenvalue``, the
+    A family of more than one member at d^2 <= 1024 runs dense; every
+    other call, :func:`evolve` included, runs one Chebyshev plan for the
+    family's block matrix, a block of members at a time in the memory of
+    one dense propagator (see the module docstring).  The result holds
+    each observable as a ``(len(shifts), len(t_grid))`` array, a row per
+    delta, and the family's diagnostics: the largest ``max_trace_drift``
+    and ``max_hermiticity_defect``, the smallest ``min_eigenvalue``, the
     ``rhs_evaluations`` summed over members (a block matvec counts one per
-    member) and the family's one ``propagator`` record.  Raises
-    ``ValueError`` for no shifts or a ``number`` that is not one value per
-    basis state, besides the errors of :func:`evolve`; an
-    :class:`EvolutionError` names the failing ``generator`` (its row) in
-    its message and diagnostics.
+    member) and one ``propagator`` record.  Raises ``ValueError`` for no
+    shifts or a ``number`` that is not one value per basis state, besides
+    the errors of :func:`evolve`; an :class:`EvolutionError` names the
+    failing ``generator`` (its row) in its message and diagnostics.
     """
     shifts = np.asarray(shifts, dtype=float).ravel()
     d = liouvillian.dim
@@ -641,7 +645,7 @@ def evolve_shifted(liouvillian: Liouvillian, number: np.ndarray, shifts,
     t_grid, y0, dt = _start(rho0, t_grid, d)
     n = len(t_grid)
     observe = _StateObserver(t_grid, d, len(shifts), observables)
-    if len(shifts) > 1 and _dense_group_size(d * d) > 1:
+    if len(shifts) > 1 and d * d <= _DENSE_PROPAGATOR_MAX:
         run = _dense_propagate(liouvillian.matrix.toarray(),
                                _commutator_diagonal(number), shifts, y0, n, dt,
                                observe)
@@ -674,7 +678,7 @@ def evolve(liouvillian: Liouvillian, rho0: np.ndarray,
     ``terms`` K of an expansion, the ``substeps`` m of a step, the grid
     points s an expansion serves (``outputs_per_expansion``), its
     ``half_width`` R' (1/us) and the nonzeros of the real matrix it
-    multiplies (``matrix_nnz``).
+    multiplies (``matrix_nnz``; a family's first block's).
     """
     res = evolve_shifted(liouvillian, np.zeros(liouvillian.dim), [0.0], rho0,
                          t_grid, observables)
@@ -693,11 +697,6 @@ class SteadyState:
 def residual_norm(liouvillian: Liouvillian, rho: np.ndarray) -> float:
     """Max-norm of L vec(rho)."""
     return float(np.abs(liouvillian.matrix @ vectorize(rho)).max())
-
-
-def _hermitize_normalize(rho: np.ndarray) -> np.ndarray:
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho / np.trace(rho).real
 
 
 def _no_jump_inverse(liouvillian: Liouvillian
@@ -785,7 +784,8 @@ def steady_state(liouvillian: Liouvillian, tol: float = 1e-6) -> SteadyState:
     # trace removes it before the Hermitian part is taken
     x = vecs[:, np.argmax(np.abs(mu))]
     x = x / x[np.arange(d) * (d + 1)].sum()
-    rho = _hermitize_normalize(unvectorize(x, d))
+    rho = unvectorize(x, d)
+    rho = (rho + rho.conj().T) / (2 * np.trace(rho).real)
     res = residual_norm(liouvillian, rho)
     if not res <= tol:
         raise SteadyStateError(

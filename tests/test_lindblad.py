@@ -142,7 +142,7 @@ class TestEvolve:
 
     # evolve runs the Chebyshev expansion at both sizes.  A family of two
     # members runs dense at d = 4, where the stacked propagators batch, and
-    # as one Chebyshev block at d = 33 (d^2 = 1089, a group of one); the
+    # as one Chebyshev block at d = 33 (d^2 = 1089 > 1024); the
     # sparser d = 33 model keeps the dense reference affordable
     PATHS = [(4, 1.0, False), (33, 0.1, True)]
     # (collapse rate, H scale) of the generic model and of two more run on
@@ -162,7 +162,7 @@ class TestEvolve:
         rate, h_scale = self.MODELS[model]
         L, rho0 = random_lindbladian(d, seed=9, density=density, rate=rate,
                                      h_scale=h_scale)
-        assert (lindblad._dense_group_size(d * d) == 1) is block_family
+        assert (d * d > lindblad._DENSE_PROPAGATOR_MAX) is block_family
         t = np.linspace(0.0, 0.5, 3) if block_family else np.linspace(0, 5, 21)
         spread = np.ptp(np.linalg.eigvalsh(L.hamiltonian.toarray()))
         if model == "damped":
@@ -279,7 +279,7 @@ class TestEvolve:
     @pytest.mark.parametrize("d,density,block_family", PATHS)
     def test_matvec_count_is_positive_int(self, d, density, block_family):
         L, rho0 = random_lindbladian(d, seed=2, density=density)
-        assert (lindblad._dense_group_size(d * d) == 1) is block_family
+        assert (d * d > lindblad._DENSE_PROPAGATOR_MAX) is block_family
         for run in self.runs(L):
             count = run(rho0, np.linspace(0.0, 0.5, 6)).diagnostics[
                 "rhs_evaluations"]
@@ -288,7 +288,7 @@ class TestEvolve:
     @pytest.mark.parametrize("d,density,block_family", PATHS)
     def test_non_hermitian_rho0_rejected(self, d, density, block_family):
         L, rho0 = random_lindbladian(d, seed=5, density=density)
-        assert (lindblad._dense_group_size(d * d) == 1) is block_family
+        assert (d * d > lindblad._DENSE_PROPAGATOR_MAX) is block_family
         rho0[0, 1] += 1e-6
         for run in self.runs(L):
             with pytest.raises(ValueError, match="rho0 is not Hermitian"):
@@ -297,7 +297,7 @@ class TestEvolve:
     @pytest.mark.parametrize("d,density,block_family", PATHS)
     def test_wrong_size_rho0_rejected(self, d, density, block_family):
         L, _ = random_lindbladian(d, seed=5, density=density)
-        assert (lindblad._dense_group_size(d * d) == 1) is block_family
+        assert (d * d > lindblad._DENSE_PROPAGATOR_MAX) is block_family
         for run in self.runs(L):
             with pytest.raises(
                     ValueError,
@@ -387,9 +387,9 @@ class TestEvolve:
         t = np.linspace(0.0, 0.5, 3)
         res = evolve(L, rho0, t)
         assert res.diagnostics["propagator"]["substeps"] > 1
-        # the box must not cost the damped model work: its plan takes 2420
+        # the box must not cost the damped model work: its plan takes 2400
         # matvecs a step, and the Gershgorin interval alone 5733
-        assert res.diagnostics["rhs_evaluations"] <= 2420 * (len(t) - 1)
+        assert res.diagnostics["rhs_evaluations"] <= 2400 * (len(t) - 1)
 
     @pytest.mark.parametrize("grid", [[0.0, 0.1, 0.3], [0.0, 0.2, 0.1],
                                       [1.0, 1.0, 1.0]])
@@ -536,15 +536,16 @@ class TestEvolveMany:
                             rtol=0, atol=1e-13)
 
     def test_group_size_rule(self):
-        # a family runs dense only where a group stacks two propagators:
-        # up to d = 26, not at d^2 = 1024; the d = 4 scan fits one group
+        # a family runs dense up to d^2 = 1024, one propagator a group
+        # from d = 27; the d = 4 scan fits one group
         assert lindblad._dense_group_size(lindblad._DENSE_PROPAGATOR_MAX) == 1
         assert lindblad._dense_group_size(26 ** 2) == 2
         assert lindblad._dense_group_size(27 ** 2) == 1
         assert lindblad._dense_group_size(16) == 4096
         t = np.linspace(0.0, 0.1, 3)
         for d, density, method in [(4, 1.0, "dense_expm"),
-                                   (32, 0.1, "chebyshev")]:
+                                   (32, 0.1, "dense_expm"),
+                                   (33, 0.1, "chebyshev")]:
             L, rho0 = random_lindbladian(d, seed=5, density=density)
             family = evolve_shifted(L, np.arange(d) % 2.0, [0.0, 1.0], rho0, t)
             assert family.diagnostics["propagator"]["method"] == method
@@ -656,6 +657,37 @@ class TestFamilyBlock:
                          observables=obs)
             npt.assert_allclose(row, ref.observables["n"], rtol=0,
                                 atol=1e-13)
+
+    def test_member_blocks_split_the_family(self, monkeypatch):
+        # the five members fit one block; with room for two members' rows
+        # the same plan runs blocks of 2, 2 and 1 to the same result
+        L, number, shifts = self.random_family()
+        _, rho0 = random_lindbladian(33, seed=1, density=0.1)
+        t = np.linspace(0.0, 0.5, 6)
+        obs = {"n": number_op(L.space, 0)}
+        reorder, blocks = lindblad._rows_by_length, []
+
+        def counting(B):
+            blocks.append(B.shape[0] // 33 ** 2)
+            return reorder(B)
+
+        monkeypatch.setattr(lindblad, "_rows_by_length", counting)
+        whole = evolve_shifted(L, number, shifts, rho0, t, observables=obs)
+        assert blocks == [5]
+        monkeypatch.setattr(lindblad, "_DENSE_PROPAGATOR_MAX", 400)
+        split = evolve_shifted(L, number, shifts, rho0, t, observables=obs)
+        assert blocks == [5, 2, 2, 1]
+        npt.assert_allclose(split.observables["n"], whole.observables["n"],
+                            rtol=0, atol=1e-14)
+        assert (split.diagnostics["rhs_evaluations"]
+                == whole.diagnostics["rhs_evaluations"])
+        # one plan: only the nonzeros, the first block's, differ
+        plan, split_plan = (dict(res.diagnostics["propagator"])
+                            for res in (whole, split))
+        assert split_plan.pop("matrix_nnz") < plan.pop("matrix_nnz")
+        assert split_plan == plan
+        assert split.diagnostics["min_eigenvalue"] == pytest.approx(
+            whole.diagnostics["min_eigenvalue"], abs=1e-14)
 
 
 class TestPositivityCertificate:
