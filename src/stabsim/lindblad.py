@@ -6,17 +6,18 @@ column stacking: vec(rho) = rho.reshape(-1, order="F"), for which
 vec(A rho B) = (B^T kron A) vec(rho).  The resulting sparse matrix acts on
 vectors of length d^2.
 
-Time evolution is exact propagation on a uniform time grid.
-:func:`evolve_shifted` runs one state under a family L + delta F with F =
--i[N, .] diagonal on vec(rho); :func:`evolve` is its one-member delta = 0
-family.  A family of more than one member at d^2 <= 1024 runs dense:
-one stacked expm(L dt) per group of floor(1024^2 / d^4) members (the
-memory of one 1024 x 1024 propagator) and one batched product per grid
-step.  Every other call is one Chebyshev plan (Tal-Ezer & Kosloff, J.
-Chem. Phys. 81, 3967 (1984)) for the real block matrix 1 kron A_0 +
-diag(delta) kron A_F, A_0 and A_F the matrices of L and F in an
-orthonormal Hermitian basis (A_F is skew-symmetric), expanded a block of
-members at a time within the same memory.  W of the block lies in a box
+Time evolution is exact propagation on a uniform time grid of the real x
+of rho = Q x, Q an orthonormal Hermitian basis.  :func:`evolve_shifted`
+runs one state under a family L + delta F with F = -i[N, .] diagonal on
+vec(rho); :func:`evolve` is its one-member delta = 0 family.  Every call
+checks that A_0 = Q^dag L Q is real (L preserves Hermiticity); A_F =
+Q^dag F Q is skew-symmetric.  A family of more than one member at
+d^2 <= 1024 runs dense: one stacked real expm((A_0 + delta A_F) dt) per
+group of floor(1024^2 / d^4) members (the memory of one 1024 x 1024
+propagator) and one batched product per grid step.  Every other call is
+one Chebyshev plan (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984))
+for the block matrix 1 kron A_0 + diag(delta) kron A_F, a block of
+members at a time within 16 MB.  W of the block lies in a box
 of half-height R (the larger spread of H + delta N at the two end
 members, which bounds every member's as the spread is convex in delta,
 plus J = sum r_k ||O_k||_2^2) whose real extent, every member's, is both
@@ -32,11 +33,11 @@ each from its own Bessel coefficients (Kosloff, Annu. Rev. Phys. Chem.
 45, 145 (1994)); the plan picks s and, only where s = 1 fails, m
 substeps a step to minimize the real matvecs on the grid.
 
-Every propagator hands its states to one observer a block at a time (a
-grid step of a dense group, or one expansion's outputs for a block of
-members), which evaluates the observables and monitors trace, hermiticity
-and positivity (:class:`_StateObserver`) at every stored point, never
-enforcing them; no trajectory is kept.
+Both propagators hand their states' x to one observer a block at a time
+(a grid step of a dense group, or one expansion's outputs for a block of
+members), which builds each state once, exactly Hermitian, evaluates the
+observables and monitors trace and positivity (:class:`_StateObserver`)
+at every stored point, never enforcing them; no trajectory is kept.
 
 The steady state is one matrix-free Arnoldi run: the no-jump (Sylvester)
 part of L is inverted from one eigendecomposition of the effective
@@ -67,7 +68,7 @@ SYLVESTER_ARNOLDI = "sylvester_arnoldi"
 #: positivity violation that aborts an evolution
 POSITIVITY_ABORT = 1e-6
 #: d^2 of the largest dense propagator; a dense group's stacked
-#: propagators take no more than its 16 MB
+#: propagators take no more than its 8 MB
 _DENSE_PROPAGATOR_MAX = 1024
 #: Chebyshev propagation: bound on the truncation error of one expansion
 _CHEBYSHEV_TOL = 1e-14
@@ -392,70 +393,54 @@ def _dense_group_size(n: int) -> int:
     return max(1, _DENSE_PROPAGATOR_MAX ** 2 // n ** 2)
 
 
-def _dense_propagate(L: np.ndarray, F: np.ndarray, shifts: np.ndarray,
-                     y0: np.ndarray, n: int, dt: float,
+def _dense_propagate(A: np.ndarray, A_F: np.ndarray, shifts: np.ndarray,
+                     x0: np.ndarray, n: int, dt: float,
                      observe: _StateObserver) -> tuple[int, dict]:
-    """``(matvecs, propagator)`` of stepping vec(rho) by
-    expm((L + delta diag F) dt), delta in ``shifts``, a group of members at
-    a time: each group's stack of L + delta diag F is written straight
-    into the array expm reads, then one stacked expm per group and one
-    batched product per grid step, each step handed to ``observe`` whole."""
-    N = len(y0)
-    size = _dense_group_size(N)
+    """``(matvecs, propagator)`` of stepping x by expm((A + delta A_F) dt),
+    delta in ``shifts``: one stacked real expm per group of members, its
+    stack written straight into the array expm reads, and one batched
+    product per grid step, each step handed to ``observe`` whole."""
+    size = _dense_group_size(len(x0))
     for g0 in range(0, len(shifts), size):
         gens = slice(g0, min(g0 + size, len(shifts)))
-        P = np.empty((gens.stop - g0, N, N), dtype=complex)
-        P[:] = L
-        P.reshape(len(P), N * N)[:, ::N + 1] += shifts[gens, None] * F
+        P = shifts[gens, None, None] * A_F
+        P += A
         P *= dt
         P = expm(P)
-        Y = np.repeat(y0[None, :], len(P), axis=0)
-        observe(gens, slice(0, 1), Y[:, None])
+        X = np.repeat(x0[None, :], len(P), axis=0)
+        observe(gens, slice(0, 1), X[:, None])
         for k in range(1, n):
-            Y = (P @ Y[:, :, None])[:, :, 0]
-            observe(gens, slice(k, k + 1), Y[:, None])
+            X = (P @ X[:, :, None])[:, :, 0]
+            observe(gens, slice(k, k + 1), X[:, None])
     return len(shifts) * (n - 1), dict(
         method="dense_expm", terms=None, substeps=1,
         outputs_per_expansion=None, half_width=None, matrix_nnz=None)
 
 
-def _chebyshev_propagate(liouvillian: Liouvillian, number: np.ndarray,
-                         shifts: np.ndarray, y0: np.ndarray, n: int,
+def _chebyshev_propagate(liouvillian: Liouvillian, A: sp.csr_matrix,
+                         A_F: sp.csr_matrix | None, number: np.ndarray,
+                         shifts: np.ndarray, x0: np.ndarray, n: int,
                          dt: float, observe: _StateObserver
                          ) -> tuple[int, dict]:
-    """``(matvecs, propagator)`` of propagating y0 over n grid points under
-    every L + delta F, delta in ``shifts``, by Chebyshev propagation of the
-    block matrix 1 kron A + diag(delta) kron A_F under one plan, a block of
-    members at a time within the memory of one dense propagator.  Each
-    expansion's outputs go to ``observe`` as they are made.  A one-member
-    delta = 0 family multiplies A itself."""
-    L, d, G = liouvillian.matrix, liouvillian.dim, len(shifts)
-    Q = _hermitian_basis(d)
-    A = (Q.conj().T @ L @ Q).tocsr()
-    if abs(A.imag).max() > _HERMITIAN_RTOL * abs(L).max():
-        raise ValueError("generator does not preserve Hermiticity")
-    A = A.real
+    """``(matvecs, propagator)`` of propagating x0 over n grid points under
+    every A + delta A_F, delta in ``shifts``, by Chebyshev propagation of
+    the block matrix 1 kron A + diag(delta) kron A_F under one plan, a
+    block of members at a time within 16 MB.  Each expansion's outputs go
+    to ``observe`` as they are made.  A one-member delta = 0 family
+    (``A_F`` None) multiplies A itself."""
+    d2, G, nnz = A.shape[0], len(shifts), None
     box = _numerical_range_box(liouvillian, A, number, shifts)
     c, R, m, coef, K_r, matvecs = _chebyshev_plan(box, dt, n - 1)
     s, K = coef.shape
-    if G > 1 or shifts[0]:
-        # F maps Hermitian matrices to Hermitian ones: A_F is exactly real
-        A_F = (Q.conj().T @ sp.diags(_commutator_diagonal(number)) @ Q).real
-    # a member takes s + 32 rows of d^2 floats for its Chebyshev vectors
-    # and about 8 complex copies of its s states in emit and the observer;
-    # a block takes no more than the 16 MB of one dense propagator
+    # a member's s + 32 rows of Chebyshev vectors, s outputs, about 5 s
+    # rows in the observer and share of the block peaked at (12 s + 32) d^2
+    # floats on the 81-member d = 36 probe scan (s = 21); a block takes at
+    # most 16 MB, there 5 members (14.7-15.1 MB; 6 took 17.2 MB)
     size = max(1, 2 * _DENSE_PROPAGATOR_MAX ** 2
-               // ((17 * s + _CHUNK_ROWS) * d * d))
-    x0, nnz = (Q.conj().T @ y0).real, None
-
-    def emit(gens: slice, times: slice, rows: np.ndarray) -> None:
-        # a row per grid point, the members' x end to end -> Y[g, j]
-        Y = (rows.reshape(-1, d * d) @ Q.T).reshape(len(rows), -1, d * d)
-        observe(gens, times, Y.transpose(1, 0, 2))
-
+               // ((12 * s + _CHUNK_ROWS) * d2))
     for g0 in range(0, G, size):
         gens = slice(g0, min(g0 + size, G))
-        block = A if G == 1 and not shifts[0] else (
+        block = A if A_F is None else (
             sp.kron(sp.identity(gens.stop - g0), A)
             + sp.kron(sp.diags(shifts[gens]), A_F))
         N = block.shape[0]
@@ -467,7 +452,7 @@ def _chebyshev_propagate(liouvillian: Liouvillian, number: np.ndarray,
         unperm, nnz = np.argsort(perm), nnz or B.nnz
         out = np.empty((s, N))
         out[0] = np.tile(x0, gens.stop - g0)
-        emit(gens, slice(0, 1), out[:1])
+        observe(gens, slice(0, 1), out[:1].reshape(-1, 1, d2))
         x = out[0, perm]
         buf = np.empty((min(_CHUNK_ROWS, K), N))
         for j in range(0, n - 1, s):
@@ -478,7 +463,9 @@ def _chebyshev_propagate(liouvillian: Liouvillian, number: np.ndarray,
                 _chebyshev_sums(B, x, coef[:r, :K if r == s else K_r], buf,
                                 rows)
                 x = rows[-1]
-            emit(gens, slice(j + 1, j + 1 + r), rows[:, unperm])
+            # a row per grid point, the members' x end to end -> X[g, j]
+            observe(gens, slice(j + 1, j + 1 + r),
+                    rows[:, unperm].reshape(r, -1, d2).transpose(1, 0, 2))
     return G * matvecs, dict(method="chebyshev", terms=K, substeps=m,
                              outputs_per_expansion=s, half_width=R,
                              matrix_nnz=nnz)
@@ -487,76 +474,73 @@ def _chebyshev_propagate(liouvillian: Liouvillian, number: np.ndarray,
 class _StateObserver:
     """Integrity checks and observables of G generators' states on one
     grid of n points, fed a block of states at a time; no trajectory is
-    kept.  A block Y[g, j] = vec(rho_g(t_j)) covers the generators
-    ``gens`` at the grid points ``times`` (two slices).  Trace drift and
-    hermiticity defect are kept as running maxima over the family.
+    kept.  A block X[g, j] = x of rho_g(t_j) = Q x covers the generators
+    ``gens`` at the grid points ``times`` (two slices); the row-major
+    d x d reshape of Q x is rho^T, Hermitian with rho's eigenvalues.
+    Trace drift |x_1 + ... + x_d - 1| is a running maximum over the family.
 
     Positivity is tracked as each generator's running minimum m_g of
     exactly computed smallest eigenvalues (``eigvalsh``; the first block
     always).  A later block needs no eigenvalues when one batched Cholesky
-    factorization of its Hermitian parts minus m_g 1 succeeds: then every
-    state's lambda_min exceeds m_g up to the factorization's backward
-    error, a few d eps ||rho|| (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed. (2002), ch. 10), so neither the minimum
-    nor the abort can change.  Where the factorization fails, the whole
-    block takes ``eigvalsh``, so the reported minimum is always an
-    ``eigvalsh`` value."""
+    factorization of its states minus m_g 1 succeeds: then every state's
+    lambda_min exceeds m_g up to the factorization's backward error, a few
+    d eps ||rho|| (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed. (2002), ch. 10), so neither the minimum nor the abort can
+    change.  Where the factorization fails, the whole block takes
+    ``eigvalsh``, so the reported minimum is always an ``eigvalsh``
+    value."""
 
-    def __init__(self, t_grid: np.ndarray, d: int, count: int,
+    def __init__(self, t_grid: np.ndarray, Q: sp.csr_matrix, count: int,
                  observables: dict | None):
+        d = math.isqrt(Q.shape[0])
         weights = {k: _observable_weights(o)
                    for k, o in (observables or {}).items()}
         self.t_grid, self.d = t_grid, d
+        # a row of Q holds at most one real and one imaginary entry: each
+        # part of (Q x)_i is coef x[src] (coef 0 where Q has no such entry)
+        self.src, self.coef = np.zeros((d * d, 2), int), np.zeros((d * d, 2))
+        row = np.repeat(np.arange(d * d), np.diff(Q.indptr))
+        part = (Q.data.imag != 0).astype(int)
+        self.src[row, part] = Q.indices
+        self.coef[row, part] = Q.data.real + Q.data.imag
         self.is_state = {k: s for k, (_, s) in weights.items()}
         self.W = np.array([w for w, _ in weights.values()],
                           dtype=complex).reshape(len(weights), d * d).T
         self.values = np.empty((len(weights), count, len(t_grid)),
                                dtype=complex)
-        self.drift = self.herm = 0.0
+        self.drift = 0.0
         self.min_eig = np.full(count, np.inf)
 
-    def _certified(self, gens: slice, hermitian: np.ndarray) -> bool:
-        """Whether the Hermitian parts (blocks of ``gens``, stacked in a
-        C-contiguous array) are all positive definite after subtracting
-        their generator's minimum so far; ``hermitian`` is shifted in place
-        and restored."""
-        floor = self.min_eig[gens]
-        if not np.isfinite(floor).all():
-            return False
+    def __call__(self, gens: slice, times: slice, X: np.ndarray) -> None:
         d = self.d
-        diag = hermitian.reshape(len(floor), -1, d * d)[:, :, ::d + 1]
-        kept = diag.copy()
-        diag -= floor[:, None, None]
-        try:
-            np.linalg.cholesky(hermitian)
-            return True
-        except np.linalg.LinAlgError:
-            diag[:] = kept
-            return False
-
-    def __call__(self, gens: slice, times: slice, Y: np.ndarray) -> None:
-        d = self.d
-        if not np.isfinite(Y).all():
-            g, j = np.argwhere(~np.isfinite(Y))[0, :2]
+        if not np.isfinite(X).all():
+            g, j = np.argwhere(~np.isfinite(X))[0, :2]
             t = float(self.t_grid[times.start + j])
             raise EvolutionError(
                 f"propagation produced non-finite values in generator "
                 f"{gens.start + g} at t={t:.4g} us",
                 {"generator": int(gens.start + g), "t": t})
-        # Y[g, j] is vec(rho) in column order: rho = Y[g, j].reshape(d, d).T
-        rhos = Y.reshape(-1, d, d).transpose(0, 2, 1)
-        adj = rhos.conj().transpose(0, 2, 1)
-        shape = Y.shape[:2]
-        drift = np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0).reshape(shape)
-        herm = np.abs(rhos - adj).max(axis=(1, 2)).reshape(shape)
-        hermitian = rhos + adj
-        hermitian *= 0.5
+        # vec(rho) = Q x as (real, imaginary) pairs, in the new C-ordered
+        # array the complex view needs
+        Y = np.take(X, self.src, axis=2)
+        Y *= self.coef
+        Y = Y.view(complex)[..., 0]
+        drift = np.abs(X[:, :, :d].sum(axis=2) - 1.0)
         self.drift = max(self.drift, float(drift.max()))
-        self.herm = max(self.herm, float(herm.max()))
         self.values[:, gens, times] = (Y @ self.W).transpose(2, 0, 1)
-        if self._certified(gens, hermitian):
-            return
-        min_eig = np.linalg.eigvalsh(hermitian)[:, 0].reshape(shape)
+        rhos = Y.reshape(*X.shape[:2], d, d)
+        floor = self.min_eig[gens]
+        if np.isfinite(floor).all():
+            # the certificate: every rho - m_g 1 factorizes
+            diag = np.arange(d)
+            kept = rhos[:, :, diag, diag]
+            rhos[:, :, diag, diag] -= floor[:, None, None]
+            try:
+                np.linalg.cholesky(rhos)
+                return
+            except np.linalg.LinAlgError:
+                rhos[:, :, diag, diag] = kept
+        min_eig = np.linalg.eigvalsh(rhos)[..., 0]
         bad = np.argwhere(min_eig < -POSITIVITY_ABORT)
         if bad.size:
             # blocks arrive in time order: the first bad point of the
@@ -568,8 +552,7 @@ class _StateObserver:
                 f"t={t:.4g} us (min eig {min_eig[g, j]:.3e})",
                 {"generator": int(gens.start + g), "t": float(t),
                  "min_eigenvalue": float(min_eig[g, j]),
-                 "trace_drift": float(drift[g, j]),
-                 "hermiticity": float(herm[g, j])})
+                 "trace_drift": float(drift[g, j])})
         np.minimum(self.min_eig[gens], min_eig.min(axis=1),
                    out=self.min_eig[gens])
 
@@ -580,7 +563,7 @@ class _StateObserver:
                   for i, (k, s) in enumerate(self.is_state.items())}
         return EvolutionResult(self.t_grid, values, {
             "max_trace_drift": self.drift,
-            "max_hermiticity_defect": self.herm,
+            "max_hermiticity_defect": 0.0,
             "min_eigenvalue": float(self.min_eig.min()),
             "rhs_evaluations": matvecs,
             "propagator": propagator,
@@ -622,16 +605,18 @@ def evolve_shifted(liouvillian: Liouvillian, number: np.ndarray, shifts,
     one per delta in ``shifts``, for the diagonal N = diag(``number``) (a
     frame change, say): L(delta) = L + delta F, F = -i[N, .].
 
-    A family of more than one member at d^2 <= 1024 runs dense; every
-    other call, :func:`evolve` included, runs one Chebyshev plan for the
-    family's block matrix, a block of members at a time in the memory of
-    one dense propagator (see the module docstring).  The result holds
-    each observable as a ``(len(shifts), len(t_grid))`` array, a row per
-    delta, and the family's diagnostics: the largest ``max_trace_drift``
-    and ``max_hermiticity_defect``, the smallest ``min_eigenvalue``, the
-    ``rhs_evaluations`` summed over members (a block matvec counts one per
-    member) and one ``propagator`` record.  Raises ``ValueError`` for no
-    shifts or a ``number`` that is not one value per basis state, besides
+    Every call checks that L preserves Hermiticity, then steps rho's real
+    coordinates: a family of more than one member at d^2 <= 1024 runs
+    dense, every other call, :func:`evolve` included, one Chebyshev plan
+    for the family's block matrix, a block of members at a time within
+    16 MB (see the module docstring).  The result holds each observable
+    as a ``(len(shifts), len(t_grid))`` array, a row per delta, and the
+    family's diagnostics: the largest ``max_trace_drift``, the
+    ``max_hermiticity_defect`` (0.0, see :func:`evolve`), the smallest
+    ``min_eigenvalue``, the ``rhs_evaluations`` summed over members (a
+    block matvec counts one per member) and one ``propagator`` record.
+    Raises ``ValueError`` for no shifts, non-finite shifts (naming their
+    rows) or a ``number`` that is not one value per basis state, besides
     the errors of :func:`evolve`; an :class:`EvolutionError` names the
     failing ``generator`` (its row) in its message and diagnostics.
     """
@@ -642,24 +627,36 @@ def evolve_shifted(liouvillian: Liouvillian, number: np.ndarray, shifts,
         raise ValueError(f"number has shape {number.shape}, not ({d},)")
     if not len(shifts):
         raise ValueError("no generators to evolve")
+    if not np.isfinite(shifts).all():
+        bad = np.flatnonzero(~np.isfinite(shifts)).tolist()
+        raise ValueError(f"shifts must be finite: rows {bad} are "
+                         f"{shifts[bad].tolist()}")
     t_grid, y0, dt = _start(rho0, t_grid, d)
-    n = len(t_grid)
-    observe = _StateObserver(t_grid, d, len(shifts), observables)
+    L, Q = liouvillian.matrix, _hermitian_basis(d)
+    Qh = Q.conj().T
+    A = (Qh @ L @ Q).tocsr()
+    if abs(A.imag).max() > _HERMITIAN_RTOL * abs(L).max():
+        raise ValueError("generator does not preserve Hermiticity")
+    A = A.real
+    # F maps Hermitian matrices to Hermitian ones: A_F is exactly real
+    A_F = (Qh @ sp.diags(_commutator_diagonal(number)) @ Q).real if (
+        len(shifts) > 1 or shifts[0]) else None
+    x0, n = (Qh @ y0).real, len(t_grid)
+    observe = _StateObserver(t_grid, Q, len(shifts), observables)
     if len(shifts) > 1 and d * d <= _DENSE_PROPAGATOR_MAX:
-        run = _dense_propagate(liouvillian.matrix.toarray(),
-                               _commutator_diagonal(number), shifts, y0, n, dt,
+        run = _dense_propagate(A.toarray(), A_F.toarray(), shifts, x0, n, dt,
                                observe)
     else:
-        run = _chebyshev_propagate(liouvillian, number, shifts, y0, n, dt,
-                                   observe)
+        run = _chebyshev_propagate(liouvillian, A, A_F, number, shifts, x0,
+                                   n, dt, observe)
     return observe.result(*run)
 
 
 def evolve(liouvillian: Liouvillian, rho0: np.ndarray,
            t_grid: np.ndarray, observables: dict | None = None
            ) -> EvolutionResult:
-    """Propagate vec(rho) exactly along the uniform ``t_grid`` (us) by
-    one Chebyshev propagation.
+    """Propagate rho exactly along the uniform ``t_grid`` (us) by one
+    Chebyshev propagation of its real Hermitian-basis coordinates.
 
     ``rho0`` is the state at ``t_grid[0]``.  Observables may be sparse or
     dense matrices (expectation values) or state vectors (fidelities).
@@ -668,17 +665,18 @@ def evolve(liouvillian: Liouvillian, rho0: np.ndarray,
     ``1e-12``) or an L that does not preserve Hermiticity;
     :class:`EvolutionError` on non-finite values or a positivity violation
     below ``-1e-6``.  ``diagnostics["min_eigenvalue"]`` is the smallest
-    eigenvalue of rho's Hermitian part over the grid, from ``eigvalsh`` at
-    t = 0 and on every block a Cholesky certificate does not clear (see
-    :class:`_StateObserver`); ``max_trace_drift`` and
-    ``max_hermiticity_defect`` are the largest |tr rho - 1| and
-    |rho - rho^dag|.  ``diagnostics["propagator"]`` holds the ``method``
-    (``chebyshev``; ``dense_expm`` only for a dense family of
-    :func:`evolve_shifted`, whose other entries but m are None), the
-    ``terms`` K of an expansion, the ``substeps`` m of a step, the grid
-    points s an expansion serves (``outputs_per_expansion``), its
-    ``half_width`` R' (1/us) and the nonzeros of the real matrix it
-    multiplies (``matrix_nnz``; a family's first block's).
+    eigenvalue of rho over the grid, from ``eigvalsh`` at t = 0 and on
+    every block a Cholesky certificate does not clear (see
+    :class:`_StateObserver`); ``max_trace_drift`` is the largest
+    |tr rho - 1|.  States built from real coordinates are exactly
+    Hermitian: ``max_hermiticity_defect`` (|rho - rho^dag|) reads 0.0.
+    ``diagnostics["propagator"]`` holds the ``method`` (``chebyshev``;
+    ``dense_expm`` only for a dense family of :func:`evolve_shifted`, whose
+    other entries but m are None), the ``terms`` K of an expansion, the
+    ``substeps`` m of a step, the grid points s an expansion serves
+    (``outputs_per_expansion``), its ``half_width`` R' (1/us) and the
+    nonzeros of the real matrix it multiplies (``matrix_nnz``; a family's
+    first block's).
     """
     res = evolve_shifted(liouvillian, np.zeros(liouvillian.dim), [0.0], rho0,
                          t_grid, observables)

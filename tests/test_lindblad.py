@@ -305,13 +305,19 @@ class TestEvolve:
                 run(np.eye(2) / 2, np.linspace(0.0, 0.5, 3))
 
     def test_non_hermiticity_preserving_generator_rejected(self):
-        # every evolve runs the Chebyshev expansion, which checks L
+        # one gate checks L before either path runs: evolve's Chebyshev
+        # expansion at both sizes, and a two-member family, dense at d = 4
+        t = np.linspace(0.0, 0.5, 3)
         for d, density in [(4, 1.0), (33, 0.1)]:
             L, rho0 = random_lindbladian(d, seed=5, density=density)
             bad = Liouvillian(L.space, 1j * L.matrix, L.hamiltonian,
                               L.collapse)
             with pytest.raises(ValueError, match="preserve Hermiticity"):
-                evolve(bad, rho0, np.linspace(0.0, 0.5, 3))
+                evolve(bad, rho0, t)
+        L, rho0 = random_lindbladian(4, seed=5)
+        bad = Liouvillian(L.space, 1j * L.matrix, L.hamiltonian, L.collapse)
+        with pytest.raises(ValueError, match="preserve Hermiticity"):
+            evolve_shifted(bad, np.arange(4) % 2.0, [0.0, 1.0], rho0, t)
 
     def test_bell_matvec_count_is_exact_and_bounded(self):
         cfg, L = bundled_bell()
@@ -489,6 +495,9 @@ class TestEvolveMany:
         prop = diag["propagator"]
         if prop["method"] == "dense_expm":
             assert diag["rhs_evaluations"] == len(shifts) * (len(t) - 1)
+            # the dense path steps real coordinates: every state is built
+            # exactly Hermitian
+            assert diag["max_hermiticity_defect"] == 0.0
         else:
             assert diag["rhs_evaluations"] == len(shifts) * planned_matvecs(
                 L, t, prop, number, shifts)
@@ -582,18 +591,37 @@ class TestEvolveMany:
         assert exc.value.diagnostics["t"] == pytest.approx(0.7)
 
     def test_observer_names_the_failing_member(self):
-        # after a positive first block, only member 1 goes negative
-        observe = lindblad._StateObserver(np.linspace(0.0, 1.0, 3), 2, 3,
+        # after a positive first block, only member 1 goes negative; the
+        # observer reads real coordinates x = Re(Q^dag vec(rho))
+        Q = lindblad._hermitian_basis(2)
+        observe = lindblad._StateObserver(np.linspace(0.0, 1.0, 3), Q, 3,
                                           None)
-        good = vectorize(np.eye(2) / 2)
+
+        def coords(rho):
+            return (Q.conj().T @ vectorize(rho)).real
+
+        good = coords(np.eye(2) / 2)
         observe(slice(0, 3), slice(0, 1), np.array([good] * 3)[:, None])
-        bad = vectorize(np.diag([1.5, -0.5]))
+        bad = coords(np.diag([1.5, -0.5]))
         with pytest.raises(EvolutionError,
                            match="generator 1 at t=0.5 us") as exc:
             observe(slice(0, 3), slice(1, 2),
                     np.array([good, bad, good])[:, None])
         assert exc.value.diagnostics["generator"] == 1
         assert exc.value.diagnostics["min_eigenvalue"] == pytest.approx(-0.5)
+
+    @pytest.mark.parametrize("shifts,rows", [
+        ([np.nan], r"\[0\] are \[nan\]"),
+        ([0.0, np.inf, np.nan], r"\[1, 2\] are \[inf, nan\]"),
+    ], ids=["chebyshev", "dense"])
+    def test_non_finite_shifts_rejected(self, shifts, rows):
+        # a one-member family would run Chebyshev, a three-member one at
+        # d = 4 dense; both are refused before either runs
+        L, rho0 = random_lindbladian(4, seed=5)
+        with pytest.raises(ValueError, match="shifts must be finite: rows "
+                                             + rows):
+            evolve_shifted(L, np.arange(4) % 2.0, shifts, rho0,
+                           np.linspace(0.0, 0.5, 3))
 
 
 class TestFamilyBlock:
@@ -674,7 +702,7 @@ class TestFamilyBlock:
         monkeypatch.setattr(lindblad, "_rows_by_length", counting)
         whole = evolve_shifted(L, number, shifts, rho0, t, observables=obs)
         assert blocks == [5]
-        monkeypatch.setattr(lindblad, "_DENSE_PROPAGATOR_MAX", 400)
+        monkeypatch.setattr(lindblad, "_DENSE_PROPAGATOR_MAX", 380)
         split = evolve_shifted(L, number, shifts, rho0, t, observables=obs)
         assert blocks == [5, 2, 2, 1]
         npt.assert_allclose(split.observables["n"], whole.observables["n"],
