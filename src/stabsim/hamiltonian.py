@@ -43,8 +43,8 @@ import scipy.sparse as sp
 from . import rates
 from .device import ScenarioConfig, PumpDrive, derive_rates
 from .hilbert import (
-    QUBIT, RESONATOR, CompositeSpace, ModeSpec, basis_state, lowering_op,
-    number_op,
+    QUBIT, RESONATOR, CompositeSpace, ModeSpec, basis_state, ladder_op,
+    lowering_op, number_op,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -190,13 +190,14 @@ def build_dispersive(config: ScenarioConfig) -> HamiltonianModel:
 
     The space is :func:`model_space`: undriven resonators are left out, and
     each driven one is built in the frame displaced by its classical steady
-    amplitude.  Every diagonal term (detunings, anharmonicity, cross-Kerr,
-    static Stark shift, two-pump manifold shift) is one array over the
-    occupation table; only the hopping, displacement and pump terms are
-    sparse products.  Raises ``ValueError`` for more than two pumps, or for
-    two pumps whose frequency separation is not at least ten times both
-    pump amplitudes (the static two-pump construction is only valid in that
-    regime).
+    amplitude.  H = D + T + T^dag: every diagonal term (detunings,
+    anharmonicity, cross-Kerr, static Stark shift, two-pump manifold
+    shift) is one array D over the occupation table, and T sums the
+    :func:`~stabsim.hilbert.ladder_op` terms: the hopping b_i^dag b_i+1, the
+    displacement coupling D_r n_q and the pump raising b_i^dag.  Raises
+    ``ValueError`` for more than two pumps, or for two pumps whose
+    frequency separation is not at least ten times both pump amplitudes
+    (the static two-pump construction is only valid in that regime).
     """
     space = model_space(config)
     L = config.n_qubits
@@ -204,7 +205,6 @@ def build_dispersive(config: ScenarioConfig) -> HamiltonianModel:
     stark = {r.index: r.n_bar for r in drives} if config.ac_stark_compensation else {}
     omega_p = _qubit_frame(config)
     n = space.occupations.astype(float)
-    b = [lowering_op(space, i) for i in range(L)]
 
     diagonal = []
     for i, q in enumerate(config.qubits):
@@ -213,21 +213,22 @@ def build_dispersive(config: ScenarioConfig) -> HamiltonianModel:
             bare -= 2.0 * config.resonators[i].chi * stark[i]
         diagonal += [(TWO_PI * (bare - omega_p)) * n[i],
                      (TWO_PI * q.alpha / 2.0) * (n[i] * (n[i] - 1))]
-    off_diagonal = []
-    for i, j in enumerate(config.couplings):
-        hop = b[i].conj().T @ b[i + 1]
-        off_diagonal.append((-TWO_PI * j) * (hop + hop.conj().T))
+    # (coefficient, steps, weight) of each ladder term of T
+    ladder = [(-TWO_PI * j, {i: 1, i + 1: -1}, None)
+              for i, j in enumerate(config.couplings)]
     for mode, r in enumerate(drives, start=L):
-        c = lowering_op(space, mode)
         K = TWO_PI * 2.0 * config.resonators[r.index].chi
         n_q, n_r = n[r.index], n[mode]
         diagonal += [(TWO_PI * r.detuning) * n_r, K * (n_q * n_r),
                      (K * r.n_bar) * n_q]
-        off_diagonal.append(
-            (K * r.alpha) * ((c.conj().T + c) @ sp.diags(n_q)))
-    pump, shift = _pump_terms(space, config, b)
+        ladder.append((K * r.alpha, {mode: -1}, n_q))
+    pumps, shift = _pump_terms(space, config)
 
-    H = sum(off_diagonal, sp.diags(sum(diagonal) + shift, format="csr") + pump)
+    d = space.total_dim
+    T = sum((coef * ladder_op(space, steps, weight)
+             for coef, steps, weight in ladder + pumps),
+            sp.csr_matrix((d, d), dtype=complex))
+    H = sp.diags(sum(diagonal) + shift, format="csr") + T + T.conj().T
     defect = abs(H - H.conj().T).max()
     if defect > HERMITICITY_TOL * max(1.0, abs(H).max()):
         raise ValueError(f"built Hamiltonian is not Hermitian (defect {defect:.2e})")
@@ -235,25 +236,22 @@ def build_dispersive(config: ScenarioConfig) -> HamiltonianModel:
     return HamiltonianModel(space, H, drives)
 
 
-def _pump_terms(space: CompositeSpace, config: ScenarioConfig,
-                b: list[sp.csr_matrix]) -> tuple[sp.csr_matrix, np.ndarray]:
-    """``(P, shift)``: the Hermitian pump terms and the diagonal manifold
-    shift (zero but for two pumps)."""
+def _pump_terms(space: CompositeSpace, config: ScenarioConfig
+                ) -> tuple[list, np.ndarray]:
+    """``(terms, shift)``: the pump raising terms b_i^dag as ``(coefficient,
+    steps, weight)`` ladder terms, and the diagonal manifold shift (zero but
+    for two pumps)."""
     pumps = config.pumps
-    d = space.total_dim
-    zero = sp.csr_matrix((d, d), dtype=complex)
     if len(pumps) > 2:
         raise ValueError("at most two simultaneous pumps are supported")
 
-    def raising(pump: PumpDrive) -> sp.csr_matrix:
+    def raising(pump: PumpDrive, weight=None) -> list:
         scale = pump.coefficient_scale
-        return sum(((TWO_PI * amp * scale) * b[i].conj().T
-                    for i, amp in enumerate(pump.amplitudes) if amp != 0),
-                   zero)
+        return [(TWO_PI * amp * scale, {i: 1}, weight)
+                for i, amp in enumerate(pump.amplitudes) if amp != 0]
 
     if len(pumps) < 2:
-        op = raising(pumps[0]) if pumps else zero
-        return op + op.conj().T, np.zeros(d)
+        return (raising(pumps[0]) if pumps else []), np.zeros(space.total_dim)
 
     # Two pumps at different frequencies: keep the Hamiltonian static by
     # restricting each pump to the excitation-manifold step it addresses
@@ -269,11 +267,9 @@ def _pump_terms(space: CompositeSpace, config: ScenarioConfig,
             f"10x the largest pump amplitude {max_amp:.3f} MHz")
 
     nq_total = qubit_excitations(space)
-    proj = [sp.diags((nq_total == n).astype(float)) for n in range(3)]
-    op1 = proj[1] @ raising(p1) @ proj[0]
-    op2 = proj[2] @ raising(p2) @ proj[1]
     shift = (nq_total >= 2) * (TWO_PI * (p1.frequency - p2.frequency))
-    return op1 + op1.conj().T + op2 + op2.conj().T, shift
+    return (raising(p1, (nq_total == 0).astype(float))
+            + raising(p2, (nq_total == 1).astype(float))), shift
 
 
 # -- collapse operators ----------------------------------------------------------

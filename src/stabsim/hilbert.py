@@ -9,7 +9,8 @@ Conventions used throughout the package:
   ordering rule, row-major over the occupations: ``(n_0, ..., n_{m-1})``
   sits at ``n_0*s_0 + ... + n_{m-1}`` where ``s_i`` is the product of the
   dimensions of all later modes.  Operators and state vectors are built
-  from the table.
+  from the table, every off-diagonal operator by the one occupation-shift
+  rule, :func:`ladder_op`.
 * Operators are ``scipy.sparse`` CSR matrices and density matrices are
   dense d x d arrays, each passed together with the
   :class:`CompositeSpace` it acts on.
@@ -113,18 +114,42 @@ class CompositeSpace:
 
 # -- constructors ---------------------------------------------------------
 
+def ladder_op(space: CompositeSpace, steps: dict[int, int],
+              weight: np.ndarray | None = None) -> sp.csr_matrix:
+    """Occupation shift by ``steps`` ({mode index: +1 or -1}): each basis
+    state whose modes can all move within their truncations goes to the
+    moved state, with the bosonic factor sqrt(max(n_i, n_i + s_i)) of each
+    mode, multiplied in mode order, times ``weight`` of the state it leaves
+    (one value per basis state; a zero weight drops the entry)."""
+    occ, dims, steps = space.occupations, space.dims, sorted(steps.items())
+    movable = np.ones(space.total_dim, dtype=bool)
+    for i, s in steps:
+        if not 0 <= i < len(dims):
+            raise IndexError(f"mode index {i} out of range")
+        if s not in (-1, 1):
+            raise ValueError(f"mode {i}: a step must be +1 or -1, got {s}")
+        movable &= (occ[i] > 0) if s < 0 else (occ[i] < dims[i] - 1)
+    if weight is not None:
+        movable &= weight != 0
+    cols = np.flatnonzero(movable)
+    moved = occ[:, cols]
+    factor = np.ones(len(cols))
+    for i, s in steps:
+        moved[i] += s
+        factor *= np.sqrt(np.maximum(occ[i, cols], moved[i]))
+    if weight is not None:
+        factor *= weight[cols]
+    # each moved index is its column's plus one offset, so the rows ascend
+    # and row k's entries start at the count of moved indices below k
+    d = space.total_dim
+    indptr = np.searchsorted(space.index(moved), np.arange(d + 1))
+    return sp.csr_matrix((factor.astype(complex), cols, indptr), shape=(d, d))
+
+
 def lowering_op(space: CompositeSpace, mode_index: int) -> sp.csr_matrix:
     """Truncated annihilation operator of one mode: weight sqrt(n_i) from
     each basis state with n_i > 0 to the one with n_i - 1."""
-    if not 0 <= mode_index < len(space.modes):
-        raise IndexError(f"mode index {mode_index} out of range")
-    occ = space.occupations
-    cols = np.flatnonzero(occ[mode_index])
-    lowered = occ[:, cols]
-    lowered[mode_index] -= 1
-    weights = np.sqrt(occ[mode_index, cols]).astype(complex)
-    d = space.total_dim
-    return sp.csr_matrix((weights, (space.index(lowered), cols)), shape=(d, d))
+    return ladder_op(space, {mode_index: -1})
 
 
 def number_op(space: CompositeSpace, mode_index: int) -> sp.csr_matrix:

@@ -446,7 +446,8 @@ def run_spectroscopy(config: ScenarioConfig, drive_target: int,
     (:func:`~stabsim.lindblad.evolve_shifted`), whose family diagnostics
     are the scan's ``diagnostics``; without frequencies they read zero
     drift, defect and ``rhs_evaluations`` and None for ``min_eigenvalue``
-    and ``propagator``.
+    and ``propagator``.  Raises ``ValueError`` for non-finite frequencies,
+    naming their rows and values.
     """
     j_min = min((j for j in config.couplings if j > 0), default=math.inf)
     if amplitude > j_min / 3.0:
@@ -455,6 +456,10 @@ def run_spectroscopy(config: ScenarioConfig, drive_target: int,
         raise IndexError("drive target out of range")
 
     freqs = np.asarray(freq_range, dtype=float)
+    if not np.isfinite(freqs).all():
+        bad = np.flatnonzero(~np.isfinite(freqs)).tolist()
+        raise ValueError(f"probe frequencies must be finite: rows {bad} are "
+                         f"{freqs[bad].tolist()}")
     labels = _qubit_state_labels(config.n_qubits)
     qspace = qubit_space(config)
     obs = {lab: np.asarray(named_qubit_state(qspace, lab)) for lab in labels}

@@ -140,6 +140,21 @@ class TestSpectroscopyCommand:
         assert diag["rhs_evaluations"] == 5 * 80
         assert diag["propagator"]["method"] == "dense_expm"
 
+    @pytest.mark.parametrize("freqs,named", [
+        ("nan,4200", "rows [0] are [nan]"),
+        ("4200,inf", "rows [1] are [inf]"),
+    ])
+    def test_non_finite_frequency_names_its_row(self, quick_config, tmp_path,
+                                                capsys, freqs, named):
+        code = cli_main(["spectroscopy", "--config", str(quick_config),
+                         "--freqs", freqs, "--amplitude", "0.1",
+                         "--out", str(tmp_path / "spec")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"probe frequencies must be finite: {named}" in err
+        assert "shift" not in err
+        assert not (tmp_path / "spec").exists()
+
 
 def test_import_leaves_out_optimize_and_special():
     # the two subpackages take about 0.15 s to import, and no stabsim

@@ -11,14 +11,14 @@ from stabsim.device import (
 )
 from stabsim.hamiltonian import (
     HERMITICITY_TOL, TWO_PI, build_collapse_set, build_dispersive,
-    lowest_mode_weights, model_space, named_qubit_state, pump_matrix_element,
-    qubit_space, single_excitation_modes,
+    driven_resonators, lowest_mode_weights, model_space, named_qubit_state,
+    pump_matrix_element, qubit_space, single_excitation_modes,
 )
 from stabsim.hilbert import (
     QUBIT, RESONATOR, CompositeSpace, ModeSpec, basis_state, lowering_op,
     number_op,
 )
-from stabsim.scenarios import _select_channels
+from stabsim.scenarios import _select_channels, _select_pumps
 
 
 def hermiticity_defect(H):
@@ -46,7 +46,81 @@ def drives_off(cfg):
                                    for d in cfg.raman))
 
 
+def kron_hamiltonian(config):
+    """Dense H of the dispersive model from Kronecker products of
+    single-mode operators, without the occupation table's ladder rule:
+    the diagonal terms in the order the model sums them, then the hopping,
+    displacement and pump terms."""
+    dims = model_space(config).dims
+
+    def embed(mode, local):
+        op = np.ones((1, 1))
+        for i, dim in enumerate(dims):
+            op = np.kron(op, local if i == mode else np.eye(dim))
+        return op.astype(complex)
+
+    a = [embed(i, np.diag(np.sqrt(np.arange(1, dim)), 1))
+         for i, dim in enumerate(dims)]
+    n = [embed(i, np.diag(np.arange(dim, dtype=float)))
+         for i, dim in enumerate(dims)]
+    L, drives = config.n_qubits, driven_resonators(config)
+    eye = np.eye(len(n[0]))
+    pumps = config.pumps
+    frame = pumps[0].frequency if pumps else config.qubits[0].working_freq
+    stark = ({r.index: r.n_bar for r in drives}
+             if config.ac_stark_compensation else {})
+    diagonal, off = [], []
+    for i, q in enumerate(config.qubits):
+        bare = q.working_freq
+        if i in stark:
+            bare -= 2.0 * config.resonators[i].chi * stark[i]
+        diagonal += [TWO_PI * (bare - frame) * n[i],
+                     (TWO_PI * q.alpha / 2.0) * (n[i] @ (n[i] - eye))]
+    for i, j in enumerate(config.couplings):
+        hop = a[i].conj().T @ a[i + 1]
+        off.append((-TWO_PI * j) * (hop + hop.conj().T))
+    for mode, r in enumerate(drives, start=L):
+        K = TWO_PI * 2.0 * config.resonators[r.index].chi
+        n_q = n[r.index]
+        diagonal += [(TWO_PI * r.detuning) * n[mode], K * (n_q @ n[mode]),
+                     (K * r.n_bar) * n_q]
+        off.append((K * r.alpha) * ((a[mode].conj().T + a[mode]) @ n_q))
+    nq = sum(n[:L])
+    proj = [np.diag((np.diag(nq) == k).astype(float)) for k in range(3)]
+    steps = [(0, 1), (1, 2)] if len(pumps) == 2 else [(None, None)]
+    for pump, (lo, hi) in zip(pumps, steps):
+        op = sum((TWO_PI * amp * pump.coefficient_scale) * a[i].conj().T
+                 for i, amp in enumerate(pump.amplitudes) if amp != 0)
+        if lo is not None:
+            op = proj[hi] @ op @ proj[lo]
+        off.append(op + op.conj().T)
+    if len(pumps) == 2:
+        diagonal.append(np.diag(np.diag(nq) >= 2)
+                        * (TWO_PI * (pumps[0].frequency - pumps[1].frequency)))
+    return sum(diagonal) + sum(off)
+
+
+def qubit_dim_3(name):
+    cfg = bundled_scenario(name)
+    return cfg.replace(truncations=Truncations(
+        qubit_dim=3, resonator_dim=cfg.truncations.resonator_dim))
+
+
 class TestDispersive:
+    @pytest.mark.parametrize("config", [
+        bundled_scenario("bell"), bundled_scenario("bell_single_channel"),
+        bundled_scenario("bell_pump2"), bundled_scenario("w"),
+        _select_pumps(bundled_scenario("bell_pump2"), "P1+P2"),
+        qubit_dim_3("bell"),
+    ], ids=["bell", "bell_single_channel", "bell_pump2", "w",
+            "bell_pump2_P1+P2", "bell_qubit_dim_3"])
+    def test_matches_kronecker_oracle(self, config):
+        # the ladder terms give the Kronecker products' entries exactly
+        H = build_dispersive(config).H
+        ref = kron_hamiltonian(config)
+        assert H.nnz == np.count_nonzero(ref)
+        npt.assert_array_equal(H.toarray(), ref)
+
     def test_bell_single_excitation_gap(self):
         cfg = drives_off(bundled_scenario("bell"))
         model = build_dispersive(cfg)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from stabsim.hilbert import (
     QUBIT, RESONATOR, CompositeSpace, ModeSpec, basis_state, coherent_state,
-    coherent_tail, lowering_op, number_op, partial_trace, product_state,
+    coherent_tail, ladder_op, lowering_op, number_op, partial_trace,
+    product_state,
 )
 
 
@@ -97,6 +98,36 @@ class TestLowering:
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             lowering_op(space_of(2), 1)
+
+
+class TestLadder:
+    def test_two_mode_shift_matches_kronecker_oracle(self):
+        # {i: +1, j: -1} weighted by the state it leaves is
+        # kron(a_i^dag) kron(a_j) diag(weight), explicit zeros left out
+        rng = np.random.default_rng(0)
+        for dims, n_qubits in KRON_SPACES:
+            space = mixed_space(dims, n_qubits)
+            weight = rng.integers(0, 3, space.total_dim).astype(float)
+            for i in range(len(dims)):
+                for j in set(range(len(dims))) - {i}:
+                    a = [kron_oracle(dims, m, sps.csr_matrix(
+                        np.diag(np.sqrt(np.arange(1, dims[m])), 1)))
+                        for m in (i, j)]
+                    ref = a[0].T @ a[1] @ sps.diags(weight)
+                    ref.eliminate_zeros()
+                    got = ladder_op(space, {i: 1, j: -1}, weight)
+                    assert got.nnz == ref.nnz
+                    npt.assert_allclose(got.toarray(), ref.toarray(),
+                                        rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("mode", [2, -1])
+    def test_mode_out_of_range(self, mode):
+        with pytest.raises(IndexError, match="out of range"):
+            ladder_op(space_of(2, 3), {0: 1, mode: -1})
+
+    def test_step_must_be_one_level(self):
+        with pytest.raises(ValueError, match="step must be"):
+            ladder_op(space_of(3), {0: 2})
 
 
 class TestNumber:

@@ -641,6 +641,20 @@ class TestFamilyBlock:
         npt.assert_allclose(A_F.toarray(), dense, rtol=0, atol=1e-15)
         npt.assert_array_equal(A_F.real.toarray(), -A_F.real.toarray().T)
 
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_frame_shift_matrix_from_pairs_matches_product(self, d):
+        # A_F built from its pairs equals Re(Q^dag diag(F) Q) to 1 ulp, in
+        # the same entries, for integer and generic occupations
+        rng = np.random.default_rng(d)
+        Q = lindblad._hermitian_basis(d)
+        for number in (rng.integers(0, 3, size=d).astype(float),
+                       rng.integers(0, 3, size=d) + rng.normal(size=d)):
+            F = lindblad._commutator_diagonal(number)
+            ref = (Q.conj().T @ sp.diags(F) @ Q).real.toarray()
+            got = lindblad._frame_shift_matrix(number)
+            assert got.nnz == np.count_nonzero(ref)
+            npt.assert_array_max_ulp(got.toarray(), ref, maxulp=1)
+
     @staticmethod
     def random_family():
         L, _ = random_lindbladian(33, seed=1, density=0.1)
@@ -725,7 +739,8 @@ class TestPositivityCertificate:
     @staticmethod
     def run(monkeypatch, L, rho0, t):
         """``(result, rhos, eigvalsh calls, per-point minimum)`` of a dense
-        two-member family, whose blocks are its grid steps."""
+        two-member family, whose blocks are its t = 0 states and then runs
+        of ``_DENSE_BLOCK_STEPS`` grid steps."""
         eigvalsh, calls = np.linalg.eigvalsh, []
 
         def counting(a):
@@ -759,7 +774,9 @@ class TestPositivityCertificate:
                               [(lowering_op(space, 0), 1.0)])
         t = np.linspace(0.0, 2.0, 21)
         res, _, calls, ref = self.run(monkeypatch, L, np.eye(2) / 2, t)
-        assert calls == len(t)
+        # every block takes eigvalsh: t = 0, then the 20 steps in runs
+        blocks = math.ceil((len(t) - 1) / lindblad._DENSE_BLOCK_STEPS)
+        assert calls == 1 + blocks
         assert res.diagnostics["min_eigenvalue"] == ref
         assert ref == pytest.approx(0.5 * math.exp(-2.0), rel=1e-12)
 
