@@ -43,13 +43,11 @@ import scipy.sparse as sp
 from . import rates
 from .device import ScenarioConfig, PumpDrive, derive_rates
 from .hilbert import (
-    QUBIT, RESONATOR, CompositeSpace, ModeSpec, basis_state, ladder_op,
+    QUBIT, RESONATOR, CompositeSpace, ModeSpec, _ladder_triplets, basis_state,
     lowering_op, number_op,
 )
 
 TWO_PI = 2.0 * math.pi
-
-HERMITICITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -192,9 +190,11 @@ def build_dispersive(config: ScenarioConfig) -> HamiltonianModel:
     each driven one is built in the frame displaced by its classical steady
     amplitude.  H = D + T + T^dag: every diagonal term (detunings,
     anharmonicity, cross-Kerr, static Stark shift, two-pump manifold
-    shift) is one array D over the occupation table, and T sums the
-    :func:`~stabsim.hilbert.ladder_op` terms: the hopping b_i^dag b_i+1, the
-    displacement coupling D_r n_q and the pump raising b_i^dag.  Raises
+    shift) is one array D over the occupation table, and T holds the
+    terms of :func:`~stabsim.hilbert.ladder_op`'s rule: the hopping
+    b_i^dag b_i+1, the displacement coupling D_r n_q and the pump raising
+    b_i^dag.  D, each ladder term and its conjugate transpose are one
+    triplet set, so H is Hermitian by construction and made CSR once.  Raises
     ``ValueError`` for more than two pumps, or for two pumps whose
     frequency separation is not at least ten times both pump amplitudes
     (the static two-pump construction is only valid in that regime).
@@ -225,14 +225,18 @@ def build_dispersive(config: ScenarioConfig) -> HamiltonianModel:
     pumps, shift = _pump_terms(space, config)
 
     d = space.total_dim
-    T = sum((coef * ladder_op(space, steps, weight)
-             for coef, steps, weight in ladder + pumps),
-            sp.csr_matrix((d, d), dtype=complex))
-    H = sp.diags(sum(diagonal) + shift, format="csr") + T + T.conj().T
-    defect = abs(H - H.conj().T).max()
-    if defect > HERMITICITY_TOL * max(1.0, abs(H).max()):
-        raise ValueError(f"built Hamiltonian is not Hermitian (defect {defect:.2e})")
-
+    rows, cols, vals = [np.arange(d)], [np.arange(d)], [sum(diagonal) + shift]
+    for coef, steps, weight in ladder + pumps:
+        r, c, factor = _ladder_triplets(space, steps, weight)
+        rows += [r, c]
+        cols += [c, r]
+        vals += [coef * factor, np.conj(coef) * factor]
+    # + 0j makes the values complex and their zeros positive, as the sum of
+    # sparse terms leaves them
+    H = sp.csr_matrix((np.concatenate(vals) + 0j,
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(d, d))
+    H.eliminate_zeros()
     return HamiltonianModel(space, H, drives)
 
 
@@ -295,20 +299,3 @@ def build_collapse_set(config: ScenarioConfig) -> list[tuple[sp.csr_matrix, floa
             entries.append((number_op(space, i), gamma_phi))
     return entries
 
-
-# -- pump matrix elements ----------------------------------------------------------
-
-def pump_matrix_element(space: CompositeSpace, pump: PumpDrive,
-                        bra: np.ndarray, ket: np.ndarray) -> complex:
-    """<bra| sum_i Omega_i b_i^dag |ket> on a qubit-only space, in MHz."""
-    if space.n_resonators:
-        raise ValueError("pump matrix elements are defined on qubit-only spaces")
-    bra = np.asarray(bra, dtype=complex).ravel()
-    ket = np.asarray(ket, dtype=complex).ravel()
-    if bra.size != space.total_dim or ket.size != space.total_dim:
-        raise ValueError("state vector size does not match space")
-    acc = 0.0 + 0.0j
-    for i, amp in enumerate(pump.amplitudes):
-        if amp != 0:
-            acc += amp * np.vdot(bra, lowering_op(space, i).conj().T @ ket)
-    return complex(acc)

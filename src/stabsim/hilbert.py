@@ -114,13 +114,11 @@ class CompositeSpace:
 
 # -- constructors ---------------------------------------------------------
 
-def ladder_op(space: CompositeSpace, steps: dict[int, int],
-              weight: np.ndarray | None = None) -> sp.csr_matrix:
-    """Occupation shift by ``steps`` ({mode index: +1 or -1}): each basis
-    state whose modes can all move within their truncations goes to the
-    moved state, with the bosonic factor sqrt(max(n_i, n_i + s_i)) of each
-    mode, multiplied in mode order, times ``weight`` of the state it leaves
-    (one value per basis state; a zero weight drops the entry)."""
+def _ladder_triplets(space: CompositeSpace, steps: dict[int, int],
+                     weight: np.ndarray | None = None
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, cols, factors)`` of :func:`ladder_op`'s entries, the rows
+    ascending."""
     occ, dims, steps = space.occupations, space.dims, sorted(steps.items())
     movable = np.ones(space.total_dim, dtype=bool)
     for i, s in steps:
@@ -140,9 +138,20 @@ def ladder_op(space: CompositeSpace, steps: dict[int, int],
     if weight is not None:
         factor *= weight[cols]
     # each moved index is its column's plus one offset, so the rows ascend
-    # and row k's entries start at the count of moved indices below k
+    return space.index(moved), cols, factor
+
+
+def ladder_op(space: CompositeSpace, steps: dict[int, int],
+              weight: np.ndarray | None = None) -> sp.csr_matrix:
+    """Occupation shift by ``steps`` ({mode index: +1 or -1}): each basis
+    state whose modes can all move within their truncations goes to the
+    moved state, with the bosonic factor sqrt(max(n_i, n_i + s_i)) of each
+    mode, multiplied in mode order, times ``weight`` of the state it leaves
+    (one value per basis state; a zero weight drops the entry)."""
+    rows, cols, factor = _ladder_triplets(space, steps, weight)
+    # row k's entries start at the count of rows below k
     d = space.total_dim
-    indptr = np.searchsorted(space.index(moved), np.arange(d + 1))
+    indptr = np.searchsorted(rows, np.arange(d + 1))
     return sp.csr_matrix((factor.astype(complex), cols, indptr), shape=(d, d))
 
 
@@ -153,10 +162,16 @@ def lowering_op(space: CompositeSpace, mode_index: int) -> sp.csr_matrix:
 
 
 def number_op(space: CompositeSpace, mode_index: int) -> sp.csr_matrix:
-    """Occupation-number operator of one mode, diag(n_i)."""
+    """Occupation-number operator of one mode, diag(n_i), its zeros not
+    stored."""
     if not 0 <= mode_index < len(space.modes):
         raise IndexError(f"mode index {mode_index} out of range")
-    return sp.diags(space.occupations[mode_index].astype(complex), format="csr")
+    n = space.occupations[mode_index]
+    d = space.total_dim
+    cols = np.flatnonzero(n)
+    indptr = np.searchsorted(cols, np.arange(d + 1))
+    return sp.csr_matrix((n[cols].astype(complex), cols, indptr),
+                         shape=(d, d))
 
 
 def basis_state(space: CompositeSpace, occupations: Sequence[int]) -> np.ndarray:

@@ -9,9 +9,18 @@ vectors of length d^2.
 Time evolution is exact propagation on a uniform time grid of the real x
 of rho = Q x, Q an orthonormal Hermitian basis.  :func:`evolve_shifted`
 runs one state under a family L + delta F with F = -i[N, .] diagonal on
-vec(rho); :func:`evolve` is its one-member delta = 0 family.  Every call
-checks that A_0 = Q^dag L Q is real (L preserves Hermiticity); A_F =
-Q^dag F Q, built from Q's pairs, is skew-symmetric.  A family of more
+vec(rho); :func:`evolve` is its one-member delta = 0 family.  A_0 =
+Q^dag L Q is formed from L's CSR entries through the pair map of Q: each
+row of Q holds at most a real and an imaginary entry, in the same two
+columns for the entries rho_ab and rho_ba, so the entries of L in rows
+{u, u'} and columns {v, v'} (u', v' the transposed entries' indices) form
+a 2 x 2 block that lands on at most 4 entries of A_0, and no other entry
+does.  Each block is summed over its rows, then its columns, each term
+one product with 1, 1/sqrt 2 or +-i/sqrt 2, as the sparse product sums
+it, so A_0 is bitwise Q^dag L Q; the dense path scatters the entries into
+its array, the Chebyshev path makes one CSR matrix of them.  A_F =
+Q^dag F Q is formed the same way and is skew-symmetric.  Every call
+checks that A_0 is real (L preserves Hermiticity).  A family of more
 than one member at d^2 <= 1024 runs dense: one stacked real
 expm((A_0 + delta A_F) dt) per group of floor(1024^2 / d^4) members (the
 memory of one 1024 x 1024 propagator) and one batched product per grid
@@ -56,6 +65,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -118,16 +128,34 @@ class SteadyStateError(RuntimeError):
 @dataclass
 class Liouvillian:
     """Sparse superoperator for one Hamiltonian and its ``(operator, rate)``
-    collapse pairs."""
+    collapse pairs, with their damping D = sum r_k O_k^dag O_k as a dense
+    array (from the pairs by :func:`_damping` where not given)."""
 
     space: CompositeSpace
     matrix: sp.csr_matrix
     hamiltonian: sp.csr_matrix
     collapse: list[tuple[sp.csr_matrix, float]]
+    damping: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.damping is None:
+            self.damping = _damping(self.collapse, self.dim)
 
     @property
     def dim(self) -> int:
         return self.space.total_dim
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """||O_k||_2^2 of each channel, the largest eigenvalue of
+        O_k^dag O_k, which is formed as :func:`_damping` forms D."""
+        out = np.zeros(len(self.collapse))
+        for k, (op, _) in enumerate(self.collapse):
+            at, left, right = _row_pairs(op)
+            gram = np.zeros((self.dim, self.dim), dtype=complex)
+            np.add.at(gram, at, left * right)
+            out[k] = np.linalg.eigvalsh(gram)[-1]
+        return out
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -138,23 +166,53 @@ def unvectorize(v: np.ndarray, d: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape(d, d, order="F")
 
 
-def _damping(collapse: list, d: int) -> sp.csr_matrix:
-    """sum_k r_k O_k^dag O_k, formed as A^dag W A with A the O_k stacked
-    and W their rates on the diagonal (one sparse product, not one per
-    operator)."""
-    if not collapse:
-        return sp.csr_matrix((d, d), dtype=complex)
-    A = sp.vstack([op for op, _ in collapse], format="csr")
-    W = sp.diags(np.repeat([rate for _, rate in collapse], d))
-    return (A.conj().T @ (W @ A)).tocsr()
+def _csr_triplets(op: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray,
+                                              np.ndarray]:
+    """``(rows, cols, values)`` of a CSR matrix's stored entries, in order."""
+    rows = np.repeat(np.arange(op.shape[0], dtype=np.int32), np.diff(op.indptr))
+    return rows, op.indices, op.data
+
+
+def _row_pairs(op: sp.csr_matrix
+               ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+    """``((b, c), conj(O_ab), O_ac)`` for every ordered pair of stored
+    entries of one row a of ``op``, row by row: the terms of O^dag O."""
+    _, cols, vals = _csr_triplets(op)
+    count = np.diff(op.indptr)
+    per = np.repeat(count, count)  # entries in each entry's row
+    e = np.repeat(np.arange(op.nnz), per)
+    f = (np.repeat(np.repeat(op.indptr[:-1], count), per)
+         + np.arange(len(e)) - np.repeat(np.cumsum(per) - per, per))
+    return (cols[e], cols[f]), vals[e].conj(), vals[f]
+
+
+def _damping(collapse: list, d: int) -> np.ndarray:
+    """D = sum_k r_k O_k^dag O_k as a dense d x d array: entry (b, c) sums
+    conj(O_ab) (r O_ac) over the rows a holding both, channel after
+    channel and row after row, one pair of stored entries per term: the
+    order of the sparse product S^dag (W S) of the stacked O_k and their
+    rates, so D is bitwise that product."""
+    damping = np.zeros((d, d), dtype=complex)
+    for op, rate in collapse:
+        at, left, right = _row_pairs(op)
+        np.add.at(damping, at, left * (rate * right))
+    return damping
+
+
+def _as_csr(op) -> sp.csr_matrix:
+    """A complex CSR matrix of a sparse or dense operator, itself if it is
+    one."""
+    if sp.issparse(op) and op.format == "csr" and op.dtype == complex:
+        return op
+    return sp.csr_matrix(op, dtype=complex)
 
 
 def build_liouvillian(space: CompositeSpace, H, collapse) -> Liouvillian:
     """Vectorized generator -i[H, .] + sum rate * D(L) on ``space``, for H
     and ``(operator, rate)`` collapse pairs as sparse or dense matrices,
     assembled as the no-jump part rho -> -i(Heff rho - rho Heff^dag) of
-    Heff = H - (i/2) sum r_k O_k^dag O_k plus the jumps
-    sum r_k conj(O_k) kron O_k.
+    Heff = H - (i/2) D, D = sum r_k O_k^dag O_k (:func:`_damping`, kept on
+    the result), plus the jumps sum r_k conj(O_k) kron O_k.
 
     Every term is a Kronecker product, written straight into one COO
     triplet set: kron(X, Y) has X_ab Y_ce at row a d + c, column b d + e;
@@ -162,16 +220,17 @@ def build_liouvillian(space: CompositeSpace, H, collapse) -> Liouvillian:
     for an operator that is not d x d or a negative rate.
     """
     d = space.total_dim
-    H = sp.csr_matrix(H, dtype=complex)
-    collapse = [(sp.csr_matrix(op, dtype=complex), rate)
-                for op, rate in collapse]
+    H = _as_csr(H)
+    collapse = [(_as_csr(op), rate) for op, rate in collapse]
     if any(op.shape != (d, d) for op in [H] + [op for op, _ in collapse]):
         raise ValueError(f"an operator does not act on the space of dim {d}")
     if any(rate < 0 for _, rate in collapse):
         raise ValueError("collapse rates must be nonnegative")
-    heff = (H - 0.5j * _damping(collapse, d)).tocoo()
-    a, b, v = heff.row, heff.col, heff.data
+    damping = _damping(collapse, d)
+    heff = H.toarray() - 0.5j * damping
     # int32 triplets (d^2 < 2^31 here) halve the index transients
+    a, b = (i.astype(np.int32) for i in np.nonzero(heff))
+    v = heff[a, b]
     c = d * np.arange(d, dtype=np.int32)[:, None]
     # -i (1 kron Heff) and +i (conj(Heff) kron 1)
     rows = [(c + a).ravel(), (d * a + c // d).ravel()]
@@ -180,16 +239,16 @@ def build_liouvillian(space: CompositeSpace, H, collapse) -> Liouvillian:
             np.broadcast_to(1j * v.conj(), (d, len(v))).ravel()]
     for op, rate in collapse:
         if rate:
-            o = op.tocoo()
-            rows.append((d * o.row[:, None] + o.row).ravel())
-            cols.append((d * o.col[:, None] + o.col).ravel())
-            vals.append((rate * np.outer(o.data.conj(), o.data)).ravel())
+            o_row, o_col, o_val = _csr_triplets(op)
+            rows.append((d * o_row[:, None] + o_row).ravel())
+            cols.append((d * o_col[:, None] + o_col).ravel())
+            vals.append((rate * np.outer(o_val.conj(), o_val)).ravel())
     L = sp.csr_matrix((np.concatenate(vals),
                        (np.concatenate(rows), np.concatenate(cols))),
                       shape=(d * d, d * d))
     # exact cancellations (the commutator's diagonal) are not kept
     L.eliminate_zeros()
-    return Liouvillian(space, L, H, collapse)
+    return Liouvillian(space, L, H, collapse, damping)
 
 
 @dataclass
@@ -215,13 +274,110 @@ def _observable_weights(obs) -> tuple[np.ndarray, bool]:
 
 def _hermitian_basis(d: int) -> sp.csr_matrix:
     """Unitary Q with columns vec(E_aa), vec(E_ab + E_ba)/sqrt 2 and
-    vec(i(E_ab - E_ba))/sqrt 2 (a < b): Hermitian rho = Q x with x real."""
+    vec(i(E_ab - E_ba))/sqrt 2 (a < b): Hermitian rho = Q x with x real.
+    The propagators read Q through :func:`_pair_map`; this matrix is its
+    reference."""
     a, b = np.triu_indices(d, 1)
     col, s = d + np.arange(len(a)), np.full(len(a), math.sqrt(0.5))
     rows = np.concatenate([np.arange(d) * (d + 1), *[a + d*b, b + d*a] * 2])
     cols = np.concatenate([np.arange(d), col, col, col + len(a), col + len(a)])
     vals = np.concatenate([np.ones(d), s, s, 1j * s, -1j * s])
     return sp.csr_matrix((vals, (rows, cols)), shape=(d * d, d * d))
+
+
+def _pair_map(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(src, coef)``, each d^2 x 2: row w = i + d j of the Hermitian basis
+    Q of :func:`_hermitian_basis` holds coef[w, 0] at column src[w, 0] and
+    i coef[w, 1] at column src[w, 1], coef 0 where it holds no entry.  The
+    entry rho_ij, i < j, of pair p reads the symmetric coordinate d + p
+    with 1/sqrt 2 and the antisymmetric one d + P + p with i/sqrt 2, P the
+    number of pairs; rho_ji reads them with 1/sqrt 2 and -i/sqrt 2."""
+    a, b = np.triu_indices(d, 1)
+    pair = np.arange(len(a), dtype=np.int32)
+    src, coef = np.zeros((d * d, 2), dtype=np.int32), np.zeros((d * d, 2))
+    diag = np.arange(d) * (d + 1)
+    src[diag, 0], coef[diag, 0] = np.arange(d), 1.0
+    for w, sign in ((a + d * b, 1.0), (b + d * a, -1.0)):
+        src[w, 0], src[w, 1] = d + pair, d + len(a) + pair
+        coef[w] = math.sqrt(0.5), sign * math.sqrt(0.5)
+    return src, coef
+
+
+#: blocks of :func:`_real_triplets` summed at a time: on `bell` (21,871
+#: blocks) the sum peaks 3.84 MB above its start (tracemalloc), below the
+#: 4.0 MB of Q^dag L Q; 4,096 at a time peaked at 4.25 MB and all at once
+#: at 8.55 MB, none of them faster.  Summing each chunk's blocks into its
+#: own arrays peaked lower (2.65 MB) but raised the `bell` job's peak RSS
+#: by 0.7 MB (ru_maxrss, 6 runs each)
+_BLOCKS = 1024
+
+
+def _real_triplets(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                   pairs: tuple[np.ndarray, np.ndarray]
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """``(r, c, a, residue)``: the nonzero entries a of Re(Q^dag M Q), each
+    once, and the largest |Im| of its entries, for the d^2 x d^2 matrix M
+    of entries (``rows``, ``cols``, ``vals``; repeated ones add) and Q of
+    ``pairs``.
+
+    Rows u and u' of Q, u' the index of the transposed entry (u' = u on
+    the diagonal), hold the same two columns, so the entries of M in rows
+    {u, u'} and columns {v, v'} form one 2 x 2 block, and each lands on
+    the at most 4 entries (src[u, p], src[v, q]) of the parts p, q that
+    rows u and v of Q hold, as conj(Q_up) m Q_vq, and no other entry of M
+    does.  Each block is summed as the product Q^dag M Q sums it: over its
+    rows, lower index first, then over its columns, each term one product
+    with an entry of Q (1, 1/sqrt 2 or +-i/sqrt 2), so A is bitwise the
+    sparse product's."""
+    src, coef = pairs
+    d, s = math.isqrt(len(src)), math.sqrt(0.5)
+    upper = (coef[:, 1] > 0).astype(np.intp)  # a + d b of a pair a < b
+    # number the blocks in the order of their keys: a stable sort takes
+    # half the time of np.unique on `bell`'s 43,519 keys and, unlike its
+    # quicksort, adds no peak RSS to the spectroscopy scan (0.35 MB)
+    key = src[rows, 0].astype(np.int64) * len(src) + src[cols, 0]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.empty(len(key), dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    block = np.empty(len(key), dtype=np.intp)
+    block[order] = np.cumsum(new) - 1
+    nb = int(np.count_nonzero(new))
+    del key, order, new
+    # each block's rows R[p] and columns C[q] of A, and M[2 t_u + t_v]: its
+    # entry in the lower (t = 0) or upper row and column, summed in M's
+    # order
+    u, v = np.empty(nb, dtype=np.int32), np.empty(nb, dtype=np.int32)
+    u[block], v[block] = rows, cols
+    R, C = src[u].T, src[v].T
+    block += (2 * nb) * upper[rows]
+    block += nb * upper[cols]
+    M = np.zeros((4, nb), dtype=complex)
+    np.add.at(M.reshape(-1), block, vals)
+    del block
+    A, residue = np.empty((2, 2, nb)), 0.0
+    for b in range(0, nb, _BLOCKS):
+        m, part = M[:, b:b + _BLOCKS], slice(b, b + _BLOCKS)
+        # conj(Q) of a pair's lower and upper row: (s, s) in part 0 and
+        # (i s, -i s) in part 1; Q of its columns, the conjugates.  A
+        # diagonal row or column holds 1 in part 0 and nothing in part 1.
+        # B[p, t_v] sums the rows, T[p, q] then the columns; i s x - i s y
+        # is formed as i (s x - s y), bitwise the same
+        lo, hi = s * m[:2], s * m[2:]
+        B = np.stack([lo + hi, 1j * (lo - hi)])
+        on_diag = R[0, part] < d
+        B[0][:, on_diag], B[1][:, on_diag] = m[:2, on_diag], 0.0
+        lo, hi = s * B[:, 0], s * B[:, 1]
+        T = np.stack([lo + hi, 1j * (hi - lo)], axis=1)
+        on_diag = C[0, part] < d
+        T[:, 0, on_diag], T[:, 1, on_diag] = B[:, 0, on_diag], 0.0
+        residue = max(residue, float(np.abs(T.imag).max(initial=0.0)))
+        A[:, :, part] = T.real
+    del M
+    keep = A != 0
+    return (np.broadcast_to(R[:, None], A.shape)[keep],
+            np.broadcast_to(C[None], A.shape)[keep], A[keep], residue)
 
 
 def _bessel_j(tau: float, kmax: int) -> np.ndarray:
@@ -281,9 +437,10 @@ def _numerical_range_box(liouvillian: Liouvillian, A: sp.csr_matrix,
     the intersection of the analytic interval [-max D - J, -min D + J]
     (D = sum r_k O_k^dag O_k) with that part's Gershgorin interval.
     """
-    H, collapse = liouvillian.hamiltonian.toarray(), liouvillian.collapse
-    jump = sum(r * np.linalg.norm(op.toarray(), 2) ** 2 for op, r in collapse)
-    lam = np.linalg.eigvalsh(_damping(collapse, liouvillian.dim).toarray())
+    H = liouvillian.hamiltonian.toarray()
+    jump = sum(r * norm for (_, r), norm in zip(liouvillian.collapse,
+                                                liouvillian.norms))
+    lam = np.linalg.eigvalsh(liouvillian.damping)
     spread = max(np.ptp(np.linalg.eigvalsh(
                      H + np.diag(delta * number) if delta else H))
                  for delta in {shifts.min(), shifts.max()})
@@ -502,19 +659,15 @@ class _StateObserver:
     ``eigvalsh``, so the reported minimum is always an ``eigvalsh``
     value."""
 
-    def __init__(self, t_grid: np.ndarray, Q: sp.csr_matrix, count: int,
+    def __init__(self, t_grid: np.ndarray,
+                 pairs: tuple[np.ndarray, np.ndarray], count: int,
                  observables: dict | None):
-        d = math.isqrt(Q.shape[0])
+        d = math.isqrt(len(pairs[0]))
         weights = {k: _observable_weights(o)
                    for k, o in (observables or {}).items()}
         self.t_grid, self.d = t_grid, d
-        # a row of Q holds at most one real and one imaginary entry: each
-        # part of (Q x)_i is coef x[src] (coef 0 where Q has no such entry)
-        self.src, self.coef = np.zeros((d * d, 2), int), np.zeros((d * d, 2))
-        row = np.repeat(np.arange(d * d), np.diff(Q.indptr))
-        part = (Q.data.imag != 0).astype(int)
-        self.src[row, part] = Q.indices
-        self.coef[row, part] = Q.data.real + Q.data.imag
+        # each part of (Q x)_i is coef x[src] (see _pair_map)
+        self.src, self.coef = pairs
         self.is_state = {k: s for k, (_, s) in weights.items()}
         self.W = np.array([w for w, _ in weights.values()],
                           dtype=complex).reshape(len(weights), d * d).T
@@ -610,21 +763,16 @@ def _commutator_diagonal(number: np.ndarray) -> np.ndarray:
     return -1j * np.subtract.outer(number, number).ravel(order="F")
 
 
-def _frame_shift_matrix(number: np.ndarray) -> sp.csr_matrix:
-    """A_F = Re(Q^dag F Q) of F = -i[N, .], N = diag(``number``), from the
-    pairs of :func:`_hermitian_basis`: F turns the symmetric coordinate of
-    each pair a < b into its antisymmetric one at rate n_a - n_b and back
-    at the opposite rate (no entry where n_a = n_b), each rate the sum of
-    the product's two equal terms ((n_a - n_b) sqrt 1/2) sqrt 1/2."""
-    d = len(number)
-    a, b = np.triu_indices(d, 1)
-    s = math.sqrt(0.5)
-    rate = 2 * ((number[a] - number[b]) * s * s)
-    pair = np.flatnonzero(rate)
-    sym, anti = d + pair, d + len(a) + pair
-    return sp.csr_matrix((np.concatenate([rate[pair], -rate[pair]]),
-                          (np.concatenate([sym, anti]),
-                           np.concatenate([anti, sym]))), shape=(d * d, d * d))
+def _assemble(triplets: tuple, n: int, dense: bool
+              ) -> np.ndarray | sp.csr_matrix:
+    """The n x n matrix of :func:`_real_triplets`' ``(r, c, a)``, each
+    entry given once: a dense array, or one CSR matrix."""
+    r, c, a = triplets
+    if not dense:
+        return sp.csr_matrix((a, (r, c)), shape=(n, n))
+    M = np.zeros((n, n))
+    M[r, c] = a
+    return M
 
 
 def evolve_shifted(liouvillian: Liouvillian, number: np.ndarray, shifts,
@@ -661,19 +809,25 @@ def evolve_shifted(liouvillian: Liouvillian, number: np.ndarray, shifts,
         raise ValueError(f"shifts must be finite: rows {bad} are "
                          f"{shifts[bad].tolist()}")
     t_grid, y0, dt = _start(rho0, t_grid, d)
-    L, Q = liouvillian.matrix, _hermitian_basis(d)
-    Qh = Q.conj().T
-    A = (Qh @ L @ Q).tocsr()
-    if (np.abs(A.data.imag).max(initial=0.0)
-            > _HERMITIAN_RTOL * np.abs(L.data).max(initial=0.0)):
+    L, pairs = liouvillian.matrix, _pair_map(d)
+    *A, residue = _real_triplets(*_csr_triplets(L), pairs)
+    if residue > _HERMITIAN_RTOL * np.abs(L.data).max(initial=0.0):
         raise ValueError("generator does not preserve Hermiticity")
-    A = A.real
-    A_F = _frame_shift_matrix(number) if len(shifts) > 1 or shifts[0] else None
-    x0, n = (Qh @ y0).real, len(t_grid)
-    observe = _StateObserver(t_grid, Q, len(shifts), observables)
-    if len(shifts) > 1 and d * d <= _DENSE_PROPAGATOR_MAX:
-        run = _dense_propagate(A.toarray(), A_F.toarray(), shifts, x0, n, dt,
-                               observe)
+    dense = len(shifts) > 1 and d * d <= _DENSE_PROPAGATOR_MAX
+    A = _assemble(A, d * d, dense)
+    A_F = None
+    if len(shifts) > 1 or shifts[0]:
+        F = _commutator_diagonal(number)
+        w = np.flatnonzero(F).astype(np.int32)
+        A_F = _assemble(_real_triplets(w, w, F[w], pairs)[:3], d * d, dense)
+    # x0 = Re(Q^dag vec rho0), each coordinate summed in row order
+    src, coef = pairs
+    x0, n = np.zeros(d * d), len(t_grid)
+    np.add.at(x0, src[:, 0], coef[:, 0] * y0.real)
+    np.add.at(x0, src[:, 1], coef[:, 1] * y0.imag)
+    observe = _StateObserver(t_grid, pairs, len(shifts), observables)
+    if dense:
+        run = _dense_propagate(A, A_F, shifts, x0, n, dt, observe)
     else:
         run = _chebyshev_propagate(liouvillian, A, A_F, number, shifts, x0,
                                    n, dt, observe)
@@ -741,7 +895,7 @@ def _no_jump_inverse(liouvillian: Liouvillian
     rho = V X V^dag maps to X_jk -> -i(lam_j - conj(lam_k)) X_jk.
     """
     d = liouvillian.dim
-    damping = _damping(liouvillian.collapse, d).toarray()
+    damping = liouvillian.damping
     sigma = _SHIFT_FRACTION * float(np.trace(damping).real) / d
     if not sigma > 0:
         raise SteadyStateError(

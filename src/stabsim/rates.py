@@ -2,8 +2,7 @@
 
 Public signatures take linear MHz (the omega/2pi numbers quoted on the
 bench); rate outputs are 1/us, so dimensionful formulas convert to angular
-units internally.  Quantities that are ratios of like units (photon number,
-directionality) are evaluated directly.
+units internally.
 """
 
 from __future__ import annotations
@@ -29,17 +28,6 @@ class RateEstimate:
     optimal_detuning: float
 
 
-def photon_number(epsilon: float, delta_r: float, kappa: float) -> float:
-    """Steady photon number of a driven damped cavity.
-
-    n = eps^2 / (Delta_r^2 + (kappa/2)^2); scale-invariant, so any
-    consistent unit works for the three arguments.
-    """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    return epsilon ** 2 / (delta_r ** 2 + (kappa / 2.0) ** 2)
-
-
 def drive_amplitude(n_bar: float, delta_r: float, kappa: float) -> float:
     """Drive amplitude (MHz) that holds ``n_bar`` photons at this detuning."""
     if kappa <= 0:
@@ -47,11 +35,6 @@ def drive_amplitude(n_bar: float, delta_r: float, kappa: float) -> float:
     if n_bar < 0:
         raise ValueError("n_bar must be nonnegative")
     return math.sqrt(n_bar * (delta_r ** 2 + (kappa / 2.0) ** 2))
-
-
-def stark_shift(n_bar: float, chi: float) -> float:
-    """Qubit frequency shift 2*n_bar*chi (MHz) from a populated resonator."""
-    return 2.0 * n_bar * chi
 
 
 def golden_rule_rate(chi_kk: float, m_kl: float, m_kp: float, n_bar: float,
@@ -82,9 +65,3 @@ def golden_rule_rate(chi_kk: float, m_kl: float, m_kp: float, n_bar: float,
     ratio = math.inf if reverse == 0 else forward / reverse
     return RateEstimate(forward, reverse, ratio, gap)
 
-
-def directionality_ratio(gap: float, kappa: float) -> float:
-    """Forward/reverse ratio at the optimal detuning: 16 (gap/kappa)^2 + 1."""
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    return 16.0 * (gap / kappa) ** 2 + 1.0

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .device import (
     ResonatorDrive, PumpDrive, ScenarioConfig, derive_rates,
@@ -38,8 +37,8 @@ from .hamiltonian import (
     single_excitation_modes,
 )
 from .hilbert import (
-    CompositeSpace, coherent_state, coherent_tail, lowering_op, partial_trace,
-    product_state,
+    CompositeSpace, _ladder_triplets, coherent_state, coherent_tail,
+    partial_trace, product_state,
 )
 from .lindblad import (
     Liouvillian, build_liouvillian, evolve, evolve_shifted, steady_state,
@@ -152,21 +151,31 @@ def fit_exponential(times, values) -> ExponentialFit:
 # -- scenario plumbing -----------------------------------------------------------
 
 def _qubit_projector(full_space: CompositeSpace, qspace: CompositeSpace,
-                     psi_q: np.ndarray) -> sp.csr_matrix:
-    """|psi><psi| on the qubit factor, identity on resonators."""
-    proj = sp.csr_matrix(np.outer(psi_q, psi_q.conj()))
-    res_dim = full_space.total_dim // qspace.total_dim
-    return sp.kron(proj, sp.identity(res_dim, format="csr"), format="csr")
+                     psi_q: np.ndarray) -> np.ndarray:
+    """|psi><psi| on the qubit factor, identity on resonators, as a dense
+    array: the qubits lead the basis order, so entry (q r, q' r') is
+    psi_q psi_q'^* where the resonator states r = r' agree, else 0."""
+    proj = np.outer(psi_q, psi_q.conj())
+    nq, res_dim = qspace.total_dim, full_space.total_dim // qspace.total_dim
+    out = np.zeros((nq, res_dim, nq, res_dim), dtype=complex)
+    r = np.arange(res_dim)
+    out[:, r, :, r] = proj
+    return out.reshape(full_space.total_dim, full_space.total_dim)
 
 
 def _lab_photon_operator(space: CompositeSpace, mode: int,
-                         alpha: float) -> sp.csr_matrix:
-    """Lab-frame photon number of the resonator at ``mode``, from the frame
-    displaced by its real classical steady amplitude ``alpha``."""
-    c = lowering_op(space, mode)
-    cd = c.conj().T
-    return (cd @ c + alpha * (cd + c)
-            + alpha ** 2 * sp.identity(space.total_dim, format="csr")).tocsr()
+                         alpha: float) -> np.ndarray:
+    """Lab-frame photon number c^dag c + alpha (c^dag + c) + alpha^2 of the
+    resonator at ``mode``, from the frame displaced by its real classical
+    steady amplitude ``alpha``, as a dense array from the entries of c."""
+    rows, cols, factor = _ladder_triplets(space, {mode: -1})
+    d = space.total_dim
+    op = np.zeros((d, d), dtype=complex)
+    op[rows, cols] = op[cols, rows] = alpha * factor
+    number = np.zeros(d)
+    number[cols] = factor * factor
+    op[np.arange(d), np.arange(d)] = number + alpha ** 2
+    return op
 
 
 def _qubit_state_labels(n: int) -> list[str]:
@@ -223,7 +232,7 @@ def _scenario_observables(config: ScenarioConfig, model: HamiltonianModel,
                                        named_qubit_state(qspace, target))
     # an undriven resonator is not in the model and stays empty
     photons = dict.fromkeys((r.label for r in config.resonators),
-                            sp.csr_matrix((space.total_dim,) * 2))
+                            np.zeros((space.total_dim,) * 2))
     for mode, r in enumerate(model.resonators, start=config.n_qubits):
         photons[r.label] = _lab_photon_operator(space, mode, r.alpha)
     obs.update((f"n_{label}", op) for label, op in photons.items())
@@ -322,10 +331,10 @@ def _run_scenario(config: ScenarioConfig, target: str, scenario_name: str,
         steady_res = float(np.ptp(tail))
         iterations = kernel_gap = None
 
-    fitted_rate = fitted_tau = None
+    fitted_rate = fitted_tau = asymptote = None
     try:
         f = fit_exponential(t_grid[window], fid[window])
-        fitted_rate, fitted_tau = f.rate, f.tau
+        fitted_rate, fitted_tau, asymptote = f.rate, f.tau, f.asymptote
     except (DegenerateDataError, FitError):
         pass
 
@@ -345,6 +354,11 @@ def _run_scenario(config: ScenarioConfig, target: str, scenario_name: str,
         diagnostics={**result.diagnostics, "steady_state": {
             "method": steady_method, "residual": steady_res,
             "iterations": iterations, "kernel_gap": kernel_gap},
+            # how far the fitted window ends from the steady state
+            "final_minus_steady_fidelity": float(fid[window][-1]) - steady_fid,
+            "fit_asymptote_minus_steady_fidelity":
+                None if asymptote is None else asymptote - steady_fid,
+            "fit_window_us": [float(t_grid[0]), float(t_grid[window][-1])],
             "truncation": {"rho0_dropped_norm": {
                 r.label: coherent_tail(config.truncations.resonator_dim, r.alpha)
                 for r in model.resonators}}},

@@ -5,8 +5,9 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
+from stabsim.device import PumpDrive
 from stabsim.effective import TWO_PI, ThreeLevelParams
-from stabsim.hilbert import QUBIT, CompositeSpace, ModeSpec
+from stabsim.hilbert import QUBIT, CompositeSpace, ModeSpec, lowering_op
 from stabsim.lindblad import Liouvillian, build_liouvillian, unvectorize
 
 
@@ -61,3 +62,45 @@ def three_level_liouvillian(p: ThreeLevelParams) -> Liouvillian:
     ]
     space = CompositeSpace([ModeSpec("loop", QUBIT, 3)])
     return build_liouvillian(space, H, collapse)
+
+
+# -- closed forms and matrix elements -------------------------------------------
+
+
+def photon_number(epsilon: float, delta_r: float, kappa: float) -> float:
+    """Steady photon number of a driven damped cavity.
+
+    n = eps^2 / (Delta_r^2 + (kappa/2)^2); scale-invariant, so any
+    consistent unit works for the three arguments.
+    """
+    if kappa <= 0:
+        raise ValueError("kappa must be positive")
+    return epsilon ** 2 / (delta_r ** 2 + (kappa / 2.0) ** 2)
+
+
+def stark_shift(n_bar: float, chi: float) -> float:
+    """Qubit frequency shift 2*n_bar*chi (MHz) from a populated resonator."""
+    return 2.0 * n_bar * chi
+
+
+def directionality_ratio(gap: float, kappa: float) -> float:
+    """Forward/reverse ratio at the optimal detuning: 16 (gap/kappa)^2 + 1."""
+    if kappa <= 0:
+        raise ValueError("kappa must be positive")
+    return 16.0 * (gap / kappa) ** 2 + 1.0
+
+
+def pump_matrix_element(space: CompositeSpace, pump: PumpDrive,
+                        bra: np.ndarray, ket: np.ndarray) -> complex:
+    """<bra| sum_i Omega_i b_i^dag |ket> on a qubit-only space, in MHz."""
+    if space.n_resonators:
+        raise ValueError("pump matrix elements are defined on qubit-only spaces")
+    bra = np.asarray(bra, dtype=complex).ravel()
+    ket = np.asarray(ket, dtype=complex).ravel()
+    if bra.size != space.total_dim or ket.size != space.total_dim:
+        raise ValueError("state vector size does not match space")
+    acc = 0.0 + 0.0j
+    for i, amp in enumerate(pump.amplitudes):
+        if amp != 0:
+            acc += amp * np.vdot(bra, lowering_op(space, i).conj().T @ ket)
+    return complex(acc)

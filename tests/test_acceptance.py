@@ -13,7 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import three_level_liouvillian
+from conftest import (
+    directionality_ratio, pump_matrix_element, three_level_liouvillian,
+)
 from stabsim.device import (
     QubitParams, ResonatorDrive, bundled_scenario,
 )
@@ -21,15 +23,14 @@ from stabsim.effective import (
     ThreeLevelParams, exact_fidelity, experiment_estimate,
 )
 from stabsim.hamiltonian import (
-    TWO_PI, build_dispersive, named_qubit_state, pump_matrix_element,
-    qubit_space,
+    TWO_PI, build_dispersive, named_qubit_state, qubit_space,
 )
 from stabsim.lindblad import build_liouvillian, evolve, steady_state
 from stabsim.modes import (
     QuadraticForm, build_quadratic_form, cooling_matrix, kerr_coefficients,
     normal_modes,
 )
-from stabsim.rates import directionality_ratio, golden_rule_rate
+from stabsim.rates import golden_rule_rate
 from stabsim.scenarios import (
     _qubit_projector, build_problem, initial_density, measure_transfer_rate,
     run_bell, run_sweep, run_w,

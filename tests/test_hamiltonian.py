@@ -9,16 +9,21 @@ from stabsim import rates
 from stabsim.device import (
     PumpDrive, ResonatorDrive, Truncations, bundled_scenario, derive_g,
 )
+from conftest import pump_matrix_element
 from stabsim.hamiltonian import (
-    HERMITICITY_TOL, TWO_PI, build_collapse_set, build_dispersive,
-    driven_resonators, lowest_mode_weights, model_space, named_qubit_state,
-    pump_matrix_element, qubit_space, single_excitation_modes,
+    TWO_PI, build_collapse_set, build_dispersive, driven_resonators,
+    lowest_mode_weights, model_space, named_qubit_state, qubit_space,
+    single_excitation_modes,
 )
 from stabsim.hilbert import (
     QUBIT, RESONATOR, CompositeSpace, ModeSpec, basis_state, lowering_op,
     number_op,
 )
 from stabsim.scenarios import _select_channels, _select_pumps
+
+
+#: Hermiticity defect, relative to the largest entry, the oracle accepts
+HERMITICITY_TOL = 1e-10
 
 
 def hermiticity_defect(H):

@@ -26,6 +26,9 @@ def pure(psi):
     return np.outer(psi, psi.conj())
 
 
+BUNDLED = ["bell", "bell_single_channel", "bell_pump2", "w"]
+
+
 def tls_space():
     return CompositeSpace([ModeSpec("q", QUBIT, 2)])
 
@@ -95,6 +98,63 @@ class TestBuildLiouvillian:
             build_liouvillian(space, np.zeros((2, 2)),
                               [(lowering_op(space, 0), -0.1)])
 
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_stored_damping_is_the_rate_weighted_gram_sum(self, d):
+        # D = sum r_k O_k^dag O_k and each ||O_k||_2^2, against dense
+        # products, for dense, sparse and diagonal operators
+        rng = np.random.default_rng(d)
+        dense = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        sparse = dense.T * (rng.random((d, d)) < 0.3)
+        pairs = [(dense, 0.7), (sparse, 1.3), (np.diag(np.arange(d) + 0j), 0.2)]
+        L = make_liouvillian(np.zeros((d, d)), pairs, dims=[d])
+        ref = sum(r * o.conj().T @ o for o, r in pairs)
+        npt.assert_allclose(L.damping, ref, rtol=0,
+                            atol=1e-14 * np.abs(ref).max())
+        npt.assert_allclose(L.norms, [np.linalg.norm(o, 2) ** 2
+                                      for o, _ in pairs], rtol=1e-13)
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_damping_is_the_stacked_product(self, name):
+        # bitwise the sparse product S^dag (W S) of the stacked operators
+        # S and their rates W, which sums the same terms in the same order
+        L = build_problem(bundled_scenario(name))[1]
+        S = sp.vstack([op for op, _ in L.collapse], format="csr")
+        W = sp.diags(np.repeat([r for _, r in L.collapse], L.dim))
+        assert L.damping.tobytes() == (S.conj().T @ (W @ S)).toarray().tobytes()
+
+
+class TestRealMatrix:
+    """A = Re(Q^dag L Q) from L's entries through the pair map."""
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_random_lindbladians(self, d):
+        for seed, density in ((d, 1.0), (d + 20, 0.3)):
+            L, _ = random_lindbladian(d, seed=seed, density=density)
+            # 1j L does not preserve Hermiticity: its residue is read too
+            for M in (L.matrix, 1j * L.matrix):
+                assert_pair_map_matches_product(M)
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_models(self, name):
+        assert_pair_map_matches_product(
+            build_problem(bundled_scenario(name))[1].matrix)
+
+    def test_repeated_entries_add(self):
+        # a CSR matrix that stores each entry as two halves, unsummed,
+        # gives the A of the summed matrix
+        L, _ = random_lindbladian(3, seed=4)
+        M = L.matrix.tocoo()
+        rows = np.concatenate([M.row, M.row])
+        order = np.argsort(rows, kind="stable")
+        split = sp.csr_matrix(
+            (np.concatenate([0.5 * M.data, 0.5 * M.data])[order],
+             np.concatenate([M.col, M.col])[order],
+             np.searchsorted(rows[order], np.arange(M.shape[0] + 1))),
+            shape=M.shape)
+        assert not split.has_canonical_format
+        npt.assert_array_equal(real_matrix(split).toarray(),
+                               real_matrix(L.matrix).toarray())
+
 
 class TestEvolve:
     def test_exponential_decay(self):
@@ -124,7 +184,7 @@ class TestEvolve:
 
     def test_driven_damped_cavity_reaches_photon_formula(self):
         # steady <c^dag c> of a linear cavity matches the drive calibration
-        from stabsim.rates import photon_number
+        from conftest import photon_number
         eps, delta, kappa = 2.0, 4.0, 1.5  # linear MHz
         dim = 25
         space = CompositeSpace([ModeSpec("r", "resonator", dim)])
@@ -594,8 +654,8 @@ class TestEvolveMany:
         # after a positive first block, only member 1 goes negative; the
         # observer reads real coordinates x = Re(Q^dag vec(rho))
         Q = lindblad._hermitian_basis(2)
-        observe = lindblad._StateObserver(np.linspace(0.0, 1.0, 3), Q, 3,
-                                          None)
+        observe = lindblad._StateObserver(np.linspace(0.0, 1.0, 3),
+                                          lindblad._pair_map(2), 3, None)
 
         def coords(rho):
             return (Q.conj().T @ vectorize(rho)).real
@@ -651,7 +711,7 @@ class TestFamilyBlock:
                        rng.integers(0, 3, size=d) + rng.normal(size=d)):
             F = lindblad._commutator_diagonal(number)
             ref = (Q.conj().T @ sp.diags(F) @ Q).real.toarray()
-            got = lindblad._frame_shift_matrix(number)
+            got = real_matrix(sp.diags(F).tocsr())
             assert got.nnz == np.count_nonzero(ref)
             npt.assert_array_max_ulp(got.toarray(), ref, maxulp=1)
 
@@ -849,6 +909,37 @@ def shifted_liouvillian(L, number, delta):
     """The generator of H + delta diag(``number``), built from scratch."""
     return build_liouvillian(L.space, L.hamiltonian + sp.diags(delta * number),
                              L.collapse)
+
+
+def assert_pair_map_matches_product(M):
+    """The pair map's A, each entry once, and its imaginary residue
+    against the sparse product Q^dag M Q: every block sums the same
+    products in the same order, so they agree bitwise, inside the 1 ulp of
+    max|M| that the propagation needs."""
+    n = M.shape[0]
+    d = math.isqrt(n)
+    Q = lindblad._hermitian_basis(d)
+    ref = (Q.conj().T @ M @ Q).tocsr()
+    r, c, a, residue = lindblad._real_triplets(
+        *lindblad._csr_triplets(M), lindblad._pair_map(d))
+    assert len(np.unique(r.astype(np.int64) * n + c)) == len(r)
+    got, want = sp.csr_matrix((a, (r, c)), shape=(n, n)), ref.real.tocsr()
+    want.eliminate_zeros()
+    for A in (got, want):
+        A.sort_indices()
+    npt.assert_array_equal(got.indptr, want.indptr)
+    npt.assert_array_equal(got.indices, want.indices)
+    npt.assert_array_equal(got.data, want.data)
+    assert residue == np.abs(ref.data.imag).max(initial=0.0)
+
+
+def real_matrix(M):
+    """Re(Q^dag M Q) as the propagators form it from the pair map, for a
+    d^2 x d^2 CSR matrix M."""
+    n = M.shape[0]
+    r, c, a, _ = lindblad._real_triplets(
+        *lindblad._csr_triplets(M), lindblad._pair_map(math.isqrt(n)))
+    return sp.csr_matrix((a, (r, c)), shape=(n, n))
 
 
 def single_box(L, A):

@@ -4,10 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabsim.rates import (
-    directionality_ratio, drive_amplitude, golden_rule_rate, photon_number,
-    stark_shift,
-)
+from conftest import directionality_ratio, photon_number, stark_shift
+from stabsim.rates import drive_amplitude, golden_rule_rate
 
 TWO_PI = 2 * math.pi
 

@@ -14,6 +14,7 @@ from stabsim.device import (
     PumpDrive, ResonatorDrive, Truncations, bundled_scenario,
 )
 from stabsim.hamiltonian import named_qubit_state, qubit_space
+from stabsim.hilbert import lowering_op
 from stabsim.lindblad import _commutator_diagonal, build_liouvillian, evolve
 from stabsim.scenarios import (
     DegenerateDataError, FitError, _probe_family, _qubit_state_labels,
@@ -195,6 +196,50 @@ class TestScenarioRuns:
             run_bell(quick_bell.replace(t_final=0.3))
 
 
+def sparse_observables(config, model, target):
+    """The scenario observables as sparse Kronecker products of the qubit
+    projectors with the resonator identity, and the lab photon numbers
+    c^dag c + alpha (c^dag + c) + alpha^2 as sparse sums."""
+    qspace, space = qubit_space(config), model.space
+    d = space.total_dim
+    eye = sp.identity(d // qspace.total_dim, format="csr")
+
+    def projector(label):
+        psi = named_qubit_state(qspace, label)
+        return sp.kron(sp.csr_matrix(np.outer(psi, psi.conj())), eye,
+                       format="csr")
+
+    n = config.n_qubits
+    obs = {f"P_{label}": projector(label) for label in
+           _qubit_state_labels(n) + scenarios._eigenstate_labels(n)}
+    obs["F_target"] = projector(target)
+    photons = dict.fromkeys((r.label for r in config.resonators),
+                            sp.csr_matrix((d, d)))
+    for mode, r in enumerate(model.resonators, start=n):
+        c = lowering_op(space, mode)
+        cd = c.conj().T
+        photons[r.label] = (cd @ c + r.alpha * (cd + c)
+                            + r.alpha ** 2 * sp.identity(d, format="csr"))
+    obs.update((f"n_{label}", op) for label, op in photons.items())
+    return obs
+
+
+class TestObservables:
+    @pytest.mark.parametrize("name, target", [
+        ("bell", "T"), ("bell_single_channel", "T"), ("w", "W")])
+    def test_dense_weights_match_sparse_products(self, name, target):
+        # the dense arrays hold the sparse construction's values exactly
+        # (the signs of zero parts aside)
+        cfg = bundled_scenario(name)
+        model = build_problem(cfg)[0]
+        got = scenarios._scenario_observables(cfg, model, target)
+        ref = sparse_observables(cfg, model, target)
+        assert list(got) == list(ref)
+        for key, op in ref.items():
+            assert got[key].dtype == op.dtype, key
+            npt.assert_array_equal(got[key], op.toarray(), err_msg=key)
+
+
 def complex_amplitude_frame(config, model):
     """X -> U X U^dag for U = exp(i sum_r phi_r n_r), phi_r the phase of
     resonator r's lab-frame steady amplitude -eps (det + i kappa/2) /
@@ -314,6 +359,23 @@ class TestSpectroscopy:
         cfg = bundled_scenario("bell")
         with pytest.raises(ValueError, match="amplitude"):
             run_spectroscopy(cfg, 0, [4202.0], amplitude=3.0)
+
+    def test_scan_makes_few_sparse_constructions(self, monkeypatch):
+        # every CSR or CSC matrix scipy constructs runs the __init__ of
+        # _cs_matrix, a private scipy class.  The 81-point scan builds H,
+        # each collapse operator and L, one construction each; the real
+        # generators and the observables are dense
+        from scipy.sparse import _compressed
+        init, made = _compressed._cs_matrix.__init__, []
+
+        def counted(self, *args, **kwargs):
+            made.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(_compressed._cs_matrix, "__init__", counted)
+        run_spectroscopy(bundled_scenario("bell"), 0,
+                         np.linspace(4192.0, 4212.0, 81), amplitude=0.1)
+        assert 0 < len(made) <= 12
 
     def test_w_three_peaks_at_mode_ladder(self):
         # probe the edge qubit: it has weight in all three single-excitation
@@ -484,6 +546,24 @@ class TestReportOutput:
         assert set(header[1:]) == set(report.traces)
         n_rows = len((out / "traces.csv").read_text().splitlines()) - 1
         assert n_rows == len(report.times)
+
+    @pytest.mark.parametrize("decoherence", [True, False])
+    def test_relaxation_diagnostics(self, quick_bell, decoherence):
+        # F at the end of the fitted window, and the fit's asymptote, each
+        # less the steady F; the window the fit covers
+        cfg = quick_bell if decoherence else quick_bell.replace(
+            qubits=tuple(replace(q, t1=None, t2e=None)
+                         for q in quick_bell.qubits))
+        report = run_bell(cfg, channels="R2")
+        diag, steady = report.diagnostics, report.steady_fidelity
+        window = report.times <= cfg.t_final
+        fid = report.traces["F_target"]
+        assert diag["fit_window_us"] == [0.0, cfg.t_final]
+        assert diag["final_minus_steady_fidelity"] == (
+            fid[window][-1] - steady)
+        fit = fit_exponential(report.times[window], fid[window])
+        assert diag["fit_asymptote_minus_steady_fidelity"] == (
+            fit.asymptote - steady)
 
     def test_reports_are_bit_identical(self, quick_bell, tmp_path):
         a = write_report(run_bell(quick_bell, channels="R2"), tmp_path / "a")
