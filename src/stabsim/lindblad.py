@@ -10,21 +10,14 @@ Time evolution is exact propagation on a uniform time grid of the real x
 of rho = Q x, Q an orthonormal Hermitian basis.  :func:`evolve_shifted`
 runs one state under a family L + delta F with F = -i[N, .] diagonal on
 vec(rho); :func:`evolve` is its one-member delta = 0 family.  A_0 =
-Q^dag L Q is formed from L's CSR entries through the pair map of Q: each
-row of Q holds at most a real and an imaginary entry, in the same two
-columns for the entries rho_ab and rho_ba, so the entries of L in rows
-{u, u'} and columns {v, v'} (u', v' the transposed entries' indices) form
-a 2 x 2 block that lands on at most 4 entries of A_0, and no other entry
-does.  Each block is summed over its rows, then its columns, each term
-one product with 1, 1/sqrt 2 or +-i/sqrt 2, as the sparse product sums
-it, so A_0 is bitwise Q^dag L Q; the dense path scatters the entries into
-its array, the Chebyshev path makes one CSR matrix of them.  A_F =
-Q^dag F Q is formed the same way and is skew-symmetric.  Every call
-checks that A_0 is real (L preserves Hermiticity).  A family of more
-than one member at d^2 <= 1024 runs dense: one stacked real
-expm((A_0 + delta A_F) dt) per group of floor(1024^2 / d^4) members (the
-memory of one 1024 x 1024 propagator) and one batched product per grid
-step, a run of steps stepped into one array before it is observed.
+Re(Q^dag L Q) and the skew-symmetric A_F = Re(Q^dag F Q) are products
+with Q, sparse times dense where the family runs dense and the sparse
+product otherwise, and every call checks that Q^dag L Q is real (L
+preserves Hermiticity).  A family of more than one member at
+d^2 <= 1024 runs dense: one stacked real expm((A_0 + delta A_F) dt) per
+group of floor(1024^2 / d^4) members (the memory of one 1024 x 1024
+propagator) and one batched product per grid step, a run of steps
+stepped into one array before it is observed.
 Every other call is one Chebyshev plan (Tal-Ezer & Kosloff, J. Chem.
 Phys. 81, 3967 (1984)) for the block matrix 1 kron A_0 + diag(delta)
 kron A_F, a block of members at a time within 16 MB.  W of the block
@@ -82,10 +75,8 @@ POSITIVITY_ABORT = 1e-6
 #: d^2 of the largest dense propagator; a dense group's stacked
 #: propagators take no more than its 8 MB
 _DENSE_PROPAGATOR_MAX = 1024
-#: grid steps a dense group hands to the observer in one call: the warm
-#: 81-member d = 4 probe scan took 13.8 ms at 8 against 17.1 ms at 1
-#: (medians, one process); 16 were under 2% faster than 8 but raised
-#: peak RSS by 0.95 MB (8: 0.4 MB), and all 80 were slower, at +5 MB
+#: grid steps a dense group hands to the observer in one call, the
+#: measured optimum of the probe scan's time against its peak RSS
 _DENSE_BLOCK_STEPS = 8
 #: Chebyshev propagation: bound on the truncation error of one expansion
 _CHEBYSHEV_TOL = 1e-14
@@ -275,109 +266,15 @@ def _observable_weights(obs) -> tuple[np.ndarray, bool]:
 def _hermitian_basis(d: int) -> sp.csr_matrix:
     """Unitary Q with columns vec(E_aa), vec(E_ab + E_ba)/sqrt 2 and
     vec(i(E_ab - E_ba))/sqrt 2 (a < b): Hermitian rho = Q x with x real.
-    The propagators read Q through :func:`_pair_map`; this matrix is its
-    reference."""
+    The one construction of Q: the real generators are products with it,
+    and each row holds at most one real and one imaginary entry, which
+    the observer reads."""
     a, b = np.triu_indices(d, 1)
     col, s = d + np.arange(len(a)), np.full(len(a), math.sqrt(0.5))
     rows = np.concatenate([np.arange(d) * (d + 1), *[a + d*b, b + d*a] * 2])
     cols = np.concatenate([np.arange(d), col, col, col + len(a), col + len(a)])
     vals = np.concatenate([np.ones(d), s, s, 1j * s, -1j * s])
     return sp.csr_matrix((vals, (rows, cols)), shape=(d * d, d * d))
-
-
-def _pair_map(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(src, coef)``, each d^2 x 2: row w = i + d j of the Hermitian basis
-    Q of :func:`_hermitian_basis` holds coef[w, 0] at column src[w, 0] and
-    i coef[w, 1] at column src[w, 1], coef 0 where it holds no entry.  The
-    entry rho_ij, i < j, of pair p reads the symmetric coordinate d + p
-    with 1/sqrt 2 and the antisymmetric one d + P + p with i/sqrt 2, P the
-    number of pairs; rho_ji reads them with 1/sqrt 2 and -i/sqrt 2."""
-    a, b = np.triu_indices(d, 1)
-    pair = np.arange(len(a), dtype=np.int32)
-    src, coef = np.zeros((d * d, 2), dtype=np.int32), np.zeros((d * d, 2))
-    diag = np.arange(d) * (d + 1)
-    src[diag, 0], coef[diag, 0] = np.arange(d), 1.0
-    for w, sign in ((a + d * b, 1.0), (b + d * a, -1.0)):
-        src[w, 0], src[w, 1] = d + pair, d + len(a) + pair
-        coef[w] = math.sqrt(0.5), sign * math.sqrt(0.5)
-    return src, coef
-
-
-#: blocks of :func:`_real_triplets` summed at a time: on `bell` (21,871
-#: blocks) the sum peaks 3.84 MB above its start (tracemalloc), below the
-#: 4.0 MB of Q^dag L Q; 4,096 at a time peaked at 4.25 MB and all at once
-#: at 8.55 MB, none of them faster.  Summing each chunk's blocks into its
-#: own arrays peaked lower (2.65 MB) but raised the `bell` job's peak RSS
-#: by 0.7 MB (ru_maxrss, 6 runs each)
-_BLOCKS = 1024
-
-
-def _real_triplets(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-                   pairs: tuple[np.ndarray, np.ndarray]
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """``(r, c, a, residue)``: the nonzero entries a of Re(Q^dag M Q), each
-    once, and the largest |Im| of its entries, for the d^2 x d^2 matrix M
-    of entries (``rows``, ``cols``, ``vals``; repeated ones add) and Q of
-    ``pairs``.
-
-    Rows u and u' of Q, u' the index of the transposed entry (u' = u on
-    the diagonal), hold the same two columns, so the entries of M in rows
-    {u, u'} and columns {v, v'} form one 2 x 2 block, and each lands on
-    the at most 4 entries (src[u, p], src[v, q]) of the parts p, q that
-    rows u and v of Q hold, as conj(Q_up) m Q_vq, and no other entry of M
-    does.  Each block is summed as the product Q^dag M Q sums it: over its
-    rows, lower index first, then over its columns, each term one product
-    with an entry of Q (1, 1/sqrt 2 or +-i/sqrt 2), so A is bitwise the
-    sparse product's."""
-    src, coef = pairs
-    d, s = math.isqrt(len(src)), math.sqrt(0.5)
-    upper = (coef[:, 1] > 0).astype(np.intp)  # a + d b of a pair a < b
-    # number the blocks in the order of their keys: a stable sort takes
-    # half the time of np.unique on `bell`'s 43,519 keys and, unlike its
-    # quicksort, adds no peak RSS to the spectroscopy scan (0.35 MB)
-    key = src[rows, 0].astype(np.int64) * len(src) + src[cols, 0]
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    new = np.empty(len(key), dtype=bool)
-    new[:1] = True
-    np.not_equal(key[1:], key[:-1], out=new[1:])
-    block = np.empty(len(key), dtype=np.intp)
-    block[order] = np.cumsum(new) - 1
-    nb = int(np.count_nonzero(new))
-    del key, order, new
-    # each block's rows R[p] and columns C[q] of A, and M[2 t_u + t_v]: its
-    # entry in the lower (t = 0) or upper row and column, summed in M's
-    # order
-    u, v = np.empty(nb, dtype=np.int32), np.empty(nb, dtype=np.int32)
-    u[block], v[block] = rows, cols
-    R, C = src[u].T, src[v].T
-    block += (2 * nb) * upper[rows]
-    block += nb * upper[cols]
-    M = np.zeros((4, nb), dtype=complex)
-    np.add.at(M.reshape(-1), block, vals)
-    del block
-    A, residue = np.empty((2, 2, nb)), 0.0
-    for b in range(0, nb, _BLOCKS):
-        m, part = M[:, b:b + _BLOCKS], slice(b, b + _BLOCKS)
-        # conj(Q) of a pair's lower and upper row: (s, s) in part 0 and
-        # (i s, -i s) in part 1; Q of its columns, the conjugates.  A
-        # diagonal row or column holds 1 in part 0 and nothing in part 1.
-        # B[p, t_v] sums the rows, T[p, q] then the columns; i s x - i s y
-        # is formed as i (s x - s y), bitwise the same
-        lo, hi = s * m[:2], s * m[2:]
-        B = np.stack([lo + hi, 1j * (lo - hi)])
-        on_diag = R[0, part] < d
-        B[0][:, on_diag], B[1][:, on_diag] = m[:2, on_diag], 0.0
-        lo, hi = s * B[:, 0], s * B[:, 1]
-        T = np.stack([lo + hi, 1j * (hi - lo)], axis=1)
-        on_diag = C[0, part] < d
-        T[:, 0, on_diag], T[:, 1, on_diag] = B[:, 0, on_diag], 0.0
-        residue = max(residue, float(np.abs(T.imag).max(initial=0.0)))
-        A[:, :, part] = T.real
-    del M
-    keep = A != 0
-    return (np.broadcast_to(R[:, None], A.shape)[keep],
-            np.broadcast_to(C[None], A.shape)[keep], A[keep], residue)
 
 
 def _bessel_j(tau: float, kmax: int) -> np.ndarray:
@@ -521,9 +418,8 @@ def _chebyshev_sums(B: sp.csr_matrix, x: np.ndarray, coef: np.ndarray,
     while True:
         top = min(len(buf), K - k0)
         for i in range(max(first, 2), top):
-            # scipy's kernel accumulates y += B x in place; without the @
-            # dispatch, a zeroed temporary and a separate add a term on
-            # `bell` takes about a fifth less time (78 -> 64 us, 2 vCPUs)
+            # scipy's kernel accumulates y += B x in place, without the @
+            # dispatch, a zeroed temporary and a separate add
             buf[i] = buf[i - 2]
             csr_matvec(n, n, B.indptr, B.indices, B.data, buf[i - 1], buf[i])
         out += coef[:, k0 + first:k0 + top] @ buf[first:top]
@@ -544,8 +440,7 @@ def _rows_by_length(B: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
     indptr = np.zeros_like(B.indptr)
     np.cumsum(lengths, out=indptr[1:])
     # entry j of new row i is entry j of old row perm[i], gathered straight
-    # from B's arrays: a B[perm] copy beside B raised peak RSS by 0.4 MB on
-    # `bell` though the live data hardly grew
+    # from B's arrays, which holds less memory than a B[perm] copy beside B
     take = np.arange(B.nnz) + np.repeat(B.indptr[perm] - indptr[:-1], lengths)
     return sp.csr_matrix((B.data[take], np.argsort(perm)[B.indices[take]],
                           indptr), shape=B.shape), perm
@@ -601,10 +496,9 @@ def _chebyshev_propagate(liouvillian: Liouvillian, A: sp.csr_matrix,
     box = _numerical_range_box(liouvillian, A, number, shifts)
     c, R, m, coef, K_r, matvecs = _chebyshev_plan(box, dt, n - 1)
     s, K = coef.shape
-    # a member's s + 32 rows of Chebyshev vectors, s outputs, about 5 s
-    # rows in the observer and share of the block peaked at (12 s + 32) d^2
-    # floats on the 81-member d = 36 probe scan (s = 21); a block takes at
-    # most 16 MB, there 5 members (14.7-15.1 MB; 6 took 17.2 MB)
+    # a member's Chebyshev vectors, outputs, observer rows and share of the
+    # block peak at about (12 s + 32) d^2 floats; a block takes at most
+    # 16 MB
     size = max(1, 2 * _DENSE_PROPAGATOR_MAX ** 2
                // ((12 * s + _CHUNK_ROWS) * d2))
     for g0 in range(0, G, size):
@@ -614,8 +508,7 @@ def _chebyshev_propagate(liouvillian: Liouvillian, A: sp.csr_matrix,
             + sp.kron(sp.diags(shifts[gens]), A_F))
         N = block.shape[0]
         # equal-length rows run together, so scipy's CSR kernel predicts
-        # its row-end branch: a term on `bell` takes 57.8 -> 44.9 us, on `w`
-        # 68.7 -> 61.2 us (medians of 12 runs, 2 vCPUs), bitwise the same
+        # its row-end branch; the sums are bitwise the same
         B, perm = _rows_by_length(
             ((2.0 / R) * (block - c * sp.identity(N))).tocsr())
         unperm, nnz = np.argsort(perm), nnz or B.nnz
@@ -659,15 +552,19 @@ class _StateObserver:
     ``eigvalsh``, so the reported minimum is always an ``eigvalsh``
     value."""
 
-    def __init__(self, t_grid: np.ndarray,
-                 pairs: tuple[np.ndarray, np.ndarray], count: int,
+    def __init__(self, t_grid: np.ndarray, Q: sp.csr_matrix, count: int,
                  observables: dict | None):
-        d = math.isqrt(len(pairs[0]))
+        d = math.isqrt(Q.shape[0])
         weights = {k: _observable_weights(o)
                    for k, o in (observables or {}).items()}
         self.t_grid, self.d = t_grid, d
-        # each part of (Q x)_i is coef x[src] (see _pair_map)
-        self.src, self.coef = pairs
+        # a row of Q holds at most one real and one imaginary entry: each
+        # part of (Q x)_i is coef x[src] (coef 0 where Q has no such entry)
+        self.src, self.coef = np.zeros((d * d, 2), int), np.zeros((d * d, 2))
+        row = np.repeat(np.arange(d * d), np.diff(Q.indptr))
+        part = (Q.data.imag != 0).astype(int)
+        self.src[row, part] = Q.indices
+        self.coef[row, part] = Q.data.real + Q.data.imag
         self.is_state = {k: s for k, (_, s) in weights.items()}
         self.W = np.array([w for w, _ in weights.values()],
                           dtype=complex).reshape(len(weights), d * d).T
@@ -763,18 +660,6 @@ def _commutator_diagonal(number: np.ndarray) -> np.ndarray:
     return -1j * np.subtract.outer(number, number).ravel(order="F")
 
 
-def _assemble(triplets: tuple, n: int, dense: bool
-              ) -> np.ndarray | sp.csr_matrix:
-    """The n x n matrix of :func:`_real_triplets`' ``(r, c, a)``, each
-    entry given once: a dense array, or one CSR matrix."""
-    r, c, a = triplets
-    if not dense:
-        return sp.csr_matrix((a, (r, c)), shape=(n, n))
-    M = np.zeros((n, n))
-    M[r, c] = a
-    return M
-
-
 def evolve_shifted(liouvillian: Liouvillian, number: np.ndarray, shifts,
                    rho0: np.ndarray, t_grid: np.ndarray,
                    observables: dict | None = None) -> EvolutionResult:
@@ -809,23 +694,30 @@ def evolve_shifted(liouvillian: Liouvillian, number: np.ndarray, shifts,
         raise ValueError(f"shifts must be finite: rows {bad} are "
                          f"{shifts[bad].tolist()}")
     t_grid, y0, dt = _start(rho0, t_grid, d)
-    L, pairs = liouvillian.matrix, _pair_map(d)
-    *A, residue = _real_triplets(*_csr_triplets(L), pairs)
+    L, Q = liouvillian.matrix, _hermitian_basis(d)
+    Qh = Q.conj().T
+    F = (sp.diags(_commutator_diagonal(number))
+         if len(shifts) > 1 or shifts[0] else None)
+    dense = len(shifts) > 1 and d * d <= _DENSE_PROPAGATOR_MAX
+    if dense:
+        # sparse times dense products, which construct no sparse matrix;
+        # only the real parts are kept
+        Q_dense = Q.toarray()
+        A = Qh @ (L @ Q_dense)
+        residue = np.abs(A.imag).max(initial=0.0)
+        A = A.real.copy()
+        A_F = (Qh @ (F @ Q_dense)).real.copy()
+        del Q_dense
+    else:
+        A = (Qh @ L @ Q).tocsr()
+        residue = np.abs(A.data.imag).max(initial=0.0)
+        A = A.real
+        A_F = None if F is None else (Qh @ F @ Q).real.tocsr()
     if residue > _HERMITIAN_RTOL * np.abs(L.data).max(initial=0.0):
         raise ValueError("generator does not preserve Hermiticity")
-    dense = len(shifts) > 1 and d * d <= _DENSE_PROPAGATOR_MAX
-    A = _assemble(A, d * d, dense)
-    A_F = None
-    if len(shifts) > 1 or shifts[0]:
-        F = _commutator_diagonal(number)
-        w = np.flatnonzero(F).astype(np.int32)
-        A_F = _assemble(_real_triplets(w, w, F[w], pairs)[:3], d * d, dense)
-    # x0 = Re(Q^dag vec rho0), each coordinate summed in row order
-    src, coef = pairs
-    x0, n = np.zeros(d * d), len(t_grid)
-    np.add.at(x0, src[:, 0], coef[:, 0] * y0.real)
-    np.add.at(x0, src[:, 1], coef[:, 1] * y0.imag)
-    observe = _StateObserver(t_grid, pairs, len(shifts), observables)
+    x0, n = (Qh @ y0).real, len(t_grid)
+    observe = _StateObserver(t_grid, Q, len(shifts), observables)
+    del Q, Qh, F  # only the real generators are kept while stepping
     if dense:
         run = _dense_propagate(A, A_F, shifts, x0, n, dt, observe)
     else:

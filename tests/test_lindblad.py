@@ -123,39 +123,6 @@ class TestBuildLiouvillian:
         assert L.damping.tobytes() == (S.conj().T @ (W @ S)).toarray().tobytes()
 
 
-class TestRealMatrix:
-    """A = Re(Q^dag L Q) from L's entries through the pair map."""
-
-    @pytest.mark.parametrize("d", range(2, 9))
-    def test_random_lindbladians(self, d):
-        for seed, density in ((d, 1.0), (d + 20, 0.3)):
-            L, _ = random_lindbladian(d, seed=seed, density=density)
-            # 1j L does not preserve Hermiticity: its residue is read too
-            for M in (L.matrix, 1j * L.matrix):
-                assert_pair_map_matches_product(M)
-
-    @pytest.mark.parametrize("name", BUNDLED)
-    def test_bundled_models(self, name):
-        assert_pair_map_matches_product(
-            build_problem(bundled_scenario(name))[1].matrix)
-
-    def test_repeated_entries_add(self):
-        # a CSR matrix that stores each entry as two halves, unsummed,
-        # gives the A of the summed matrix
-        L, _ = random_lindbladian(3, seed=4)
-        M = L.matrix.tocoo()
-        rows = np.concatenate([M.row, M.row])
-        order = np.argsort(rows, kind="stable")
-        split = sp.csr_matrix(
-            (np.concatenate([0.5 * M.data, 0.5 * M.data])[order],
-             np.concatenate([M.col, M.col])[order],
-             np.searchsorted(rows[order], np.arange(M.shape[0] + 1))),
-            shape=M.shape)
-        assert not split.has_canonical_format
-        npt.assert_array_equal(real_matrix(split).toarray(),
-                               real_matrix(L.matrix).toarray())
-
-
 class TestEvolve:
     def test_exponential_decay(self):
         gamma = 0.8
@@ -266,8 +233,7 @@ class TestEvolve:
         rate, h_scale = self.MODELS[model]
         L, _ = random_lindbladian(33, seed=9, density=0.1, rate=rate,
                                   h_scale=h_scale)
-        Q = lindblad._hermitian_basis(L.dim)
-        A = (Q.conj().T @ L.matrix @ Q).real.toarray()
+        A = real_matrix(L.matrix).toarray()
         R, lo, hi = single_box(L, sp.csr_matrix(A))
         re = np.linalg.eigvalsh(0.5 * (A + A.T))
         im = np.linalg.eigvalsh(0.5j * (A.T - A))
@@ -312,8 +278,7 @@ class TestEvolve:
         # permuted product is the rows of B x, bitwise, and so is every
         # sum of an expansion
         cfg, L = bundled_bell()
-        Q = lindblad._hermitian_basis(L.dim)
-        A = (Q.conj().T @ L.matrix @ Q).real.tocsr()
+        A = real_matrix(L.matrix)
         c, R, _, coef, _, _ = lindblad._chebyshev_plan(
             single_box(L, A), cfg.t_step, 10)
         B = ((2.0 / R) * (A - c * sp.identity(A.shape[0]))).tocsr()
@@ -414,8 +379,7 @@ class TestEvolve:
         cfg = bundled_scenario(name)
         assert round(cfg.t_final / cfg.t_step) == 100
         L = build_problem(cfg)[1]
-        Q = lindblad._hermitian_basis(L.dim)
-        A = (Q.conj().T @ L.matrix @ Q).real.tocsr()
+        A = real_matrix(L.matrix)
         _, _, m, coef, _, matvecs = lindblad._chebyshev_plan(
             single_box(L, A), cfg.t_step, 100)
         assert (*coef.shape, m, matvecs) == plan
@@ -654,8 +618,8 @@ class TestEvolveMany:
         # after a positive first block, only member 1 goes negative; the
         # observer reads real coordinates x = Re(Q^dag vec(rho))
         Q = lindblad._hermitian_basis(2)
-        observe = lindblad._StateObserver(np.linspace(0.0, 1.0, 3),
-                                          lindblad._pair_map(2), 3, None)
+        observe = lindblad._StateObserver(np.linspace(0.0, 1.0, 3), Q, 3,
+                                          None)
 
         def coords(rho):
             return (Q.conj().T @ vectorize(rho)).real
@@ -701,19 +665,44 @@ class TestFamilyBlock:
         npt.assert_allclose(A_F.toarray(), dense, rtol=0, atol=1e-15)
         npt.assert_array_equal(A_F.real.toarray(), -A_F.real.toarray().T)
 
-    @pytest.mark.parametrize("d", range(2, 7))
-    def test_frame_shift_matrix_from_pairs_matches_product(self, d):
-        # A_F built from its pairs equals Re(Q^dag diag(F) Q) to 1 ulp, in
-        # the same entries, for integer and generic occupations
-        rng = np.random.default_rng(d)
-        Q = lindblad._hermitian_basis(d)
-        for number in (rng.integers(0, 3, size=d).astype(float),
-                       rng.integers(0, 3, size=d) + rng.normal(size=d)):
-            F = lindblad._commutator_diagonal(number)
-            ref = (Q.conj().T @ sp.diags(F) @ Q).real.toarray()
-            got = real_matrix(sp.diags(F).tocsr())
-            assert got.nnz == np.count_nonzero(ref)
-            npt.assert_array_max_ulp(got.toarray(), ref, maxulp=1)
+    @pytest.mark.parametrize("model", [*range(2, 9), "probe"])
+    def test_dense_and_chebyshev_formations_agree(self, monkeypatch, model):
+        # the A and A_F each path is handed: sparse times dense products
+        # where a two-member family runs dense, the sparse product where a
+        # one-member shifted family runs Chebyshev.  The two associations
+        # may round differently, within 1 ulp of max|L|; A_F is exactly
+        # skew on both
+        if model == "probe":
+            L, number, _ = self.spectroscopy_family()
+            models = [(L, number, np.eye(L.dim) / L.dim)]
+        else:
+            models = []
+            for seed, density in ((model, 1.0), (model + 20, 0.3)):
+                L, rho0 = random_lindbladian(model, seed=seed,
+                                             density=density)
+                models.append((L, np.arange(model) % 3.0, rho0))
+        formed = {}
+
+        def dense(A, A_F, *args):
+            formed["dense"] = A, A_F
+            return 0, {}
+
+        def chebyshev(liouvillian, A, A_F, *args):
+            formed["chebyshev"] = A.toarray(), A_F.toarray()
+            return 0, {}
+
+        monkeypatch.setattr(lindblad, "_dense_propagate", dense)
+        monkeypatch.setattr(lindblad, "_chebyshev_propagate", chebyshev)
+        t = np.linspace(0.0, 0.5, 3)
+        for L, number, rho0 in models:
+            formed.clear()
+            evolve_shifted(L, number, [0.0, 1.0], rho0, t)
+            evolve_shifted(L, number, [1.0], rho0, t)
+            (A, A_F), (A_cheb, A_F_cheb) = formed["dense"], formed["chebyshev"]
+            ulp = np.spacing(np.abs(L.matrix.data).max())
+            assert np.abs(A - A_cheb).max() <= ulp
+            npt.assert_array_equal(A_F, -A_F.T)
+            npt.assert_array_equal(A_F_cheb, -A_F_cheb.T)
 
     @staticmethod
     def random_family():
@@ -732,8 +721,7 @@ class TestFamilyBlock:
         # the spread of H + delta N plus J at deltas drawn inside the range
         # never exceeds the half-height R of the plan's box
         L, number, shifts = getattr(self, f"{family}_family")()
-        Q = lindblad._hermitian_basis(L.dim)
-        A = (Q.conj().T @ L.matrix @ Q).real.tocsr()
+        A = real_matrix(L.matrix)
         R, _, _ = lindblad._numerical_range_box(L, A, number, shifts)
         jump = sum(r * np.linalg.norm(op.toarray(), 2) ** 2
                    for op, r in L.collapse)
@@ -911,35 +899,11 @@ def shifted_liouvillian(L, number, delta):
                              L.collapse)
 
 
-def assert_pair_map_matches_product(M):
-    """The pair map's A, each entry once, and its imaginary residue
-    against the sparse product Q^dag M Q: every block sums the same
-    products in the same order, so they agree bitwise, inside the 1 ulp of
-    max|M| that the propagation needs."""
-    n = M.shape[0]
-    d = math.isqrt(n)
-    Q = lindblad._hermitian_basis(d)
-    ref = (Q.conj().T @ M @ Q).tocsr()
-    r, c, a, residue = lindblad._real_triplets(
-        *lindblad._csr_triplets(M), lindblad._pair_map(d))
-    assert len(np.unique(r.astype(np.int64) * n + c)) == len(r)
-    got, want = sp.csr_matrix((a, (r, c)), shape=(n, n)), ref.real.tocsr()
-    want.eliminate_zeros()
-    for A in (got, want):
-        A.sort_indices()
-    npt.assert_array_equal(got.indptr, want.indptr)
-    npt.assert_array_equal(got.indices, want.indices)
-    npt.assert_array_equal(got.data, want.data)
-    assert residue == np.abs(ref.data.imag).max(initial=0.0)
-
-
 def real_matrix(M):
-    """Re(Q^dag M Q) as the propagators form it from the pair map, for a
-    d^2 x d^2 CSR matrix M."""
-    n = M.shape[0]
-    r, c, a, _ = lindblad._real_triplets(
-        *lindblad._csr_triplets(M), lindblad._pair_map(math.isqrt(n)))
-    return sp.csr_matrix((a, (r, c)), shape=(n, n))
+    """Re(Q^dag M Q) as the Chebyshev path forms it, for a d^2 x d^2 sparse
+    matrix M."""
+    Q = lindblad._hermitian_basis(math.isqrt(M.shape[0]))
+    return (Q.conj().T @ M @ Q).tocsr().real
 
 
 def single_box(L, A):
@@ -961,8 +925,7 @@ def planned_matvecs(L, t, prop, number=None, shifts=(0.0,)):
     ``number`` and ``shifts`` (evolve's by default), checked against the
     reported ``prop``: floor(steps/s) expansions of m (K - 1) matvecs, and
     where s does not divide the steps a last one of m (K_r - 1)."""
-    Q = lindblad._hermitian_basis(L.dim)
-    A = (Q.conj().T @ L.matrix @ Q).real.tocsr()
+    A = real_matrix(L.matrix)
     number = np.zeros(L.dim) if number is None else number
     box = lindblad._numerical_range_box(L, A, number, np.asarray(shifts))
     steps = len(t) - 1
