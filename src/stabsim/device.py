@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import types
 from dataclasses import dataclass, field
 from importlib import resources
@@ -297,12 +298,18 @@ def _decode(tp: Any, raw: Any, path: str) -> Any:
         return tuple(_decode(args[0], v, f"{path}[{i}]") for i, v in enumerate(raw))
     if tp is complex:
         parts = raw if isinstance(raw, list) and len(raw) == 2 else [raw]
-        if all(type(v) in (int, float) for v in parts):
-            return complex(*parts)
-        raise ConfigError(where, "amplitude must be a number or [re, im]")
-    if type(raw) is tp or (tp is float and type(raw) is int):
-        return tp(raw)
-    raise ConfigError(where, f"must be of type {tp.__name__}")
+        if not all(type(v) in (int, float) for v in parts):
+            raise ConfigError(where, "amplitude must be a number or [re, im]")
+        value = complex(*parts)
+    elif type(raw) is tp or (tp is float and type(raw) is int):
+        value = tp(raw)
+    else:
+        raise ConfigError(where, f"must be of type {tp.__name__}")
+    # json reads the NaN and Infinity literals as floats
+    if tp in (float, complex) and not (math.isfinite(value.real)
+                                       and math.isfinite(value.imag)):
+        raise ConfigError(where, "must be finite")
+    return value
 
 
 def _encode(value: Any) -> Any:

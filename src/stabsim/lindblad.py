@@ -19,14 +19,14 @@ group of floor(1024^2 / d^4) members (the memory of one 1024 x 1024
 propagator) and one batched product per grid step, a run of steps
 stepped into one array before it is observed.
 Every other call is one Chebyshev plan (Tal-Ezer & Kosloff, J. Chem.
-Phys. 81, 3967 (1984)) for the block matrix 1 kron A_0 + diag(delta)
-kron A_F, a block of members at a time within 16 MB.  W of the block
-lies in a box of half-height R (the larger spread of H + delta N at the
-two end members, which bounds every member's as the spread is convex in
-delta, plus J = sum r_k ||O_k||_2^2) whose real extent, every member's, is both
-an analytic interval (from the damping and J) and the Gershgorin interval
-of A_0's symmetric part.  Scaled by the half-width R' (1.1 R, or R where
-that plans fewer matvecs), the box lies in a Bernstein ellipse rho; with
+Phys. 81, 3967 (1984)) for every member A_0 + delta A_F, run one member
+at a time.  W of every member lies in a box of half-height R (the larger
+spread of H + delta N at the two end members, which bounds every
+member's as the spread is convex in delta, plus J = sum r_k ||O_k||_2^2)
+whose real extent, every member's, is both an analytic interval (from
+the damping and J) and the Gershgorin interval of A_0's symmetric part.
+Scaled by the half-width R' (1.1 R, or R where that plans fewer
+matvecs), the box lies in a Bernstein ellipse rho; with
 the Crouzeix-Palencia constant 1 + sqrt 2 (SIAM J. Matrix Anal. Appl. 38,
 649 (2017)), K terms of exp(A t) err by at most (1 + sqrt 2) 2
 sum_{k>=K} |J_k(R' t)| rho^k.  K is the least count making this < 1e-14
@@ -37,8 +37,8 @@ each from its own Bessel coefficients (Kosloff, Annu. Rev. Phys. Chem.
 substeps a step to minimize the real matvecs on the grid.
 
 Both propagators hand their states' x to one observer a block at a time
-(a run of grid steps of a dense group, or one expansion's outputs for a
-block of members), which builds each state once, exactly Hermitian,
+(a run of grid steps of a dense group, or one expansion's outputs for
+one member), which builds each state once, exactly Hermitian,
 evaluates the observables and monitors trace and positivity
 (:class:`_StateObserver`) at every stored point, never enforcing them;
 no trajectory is kept.
@@ -120,17 +120,13 @@ class SteadyStateError(RuntimeError):
 class Liouvillian:
     """Sparse superoperator for one Hamiltonian and its ``(operator, rate)``
     collapse pairs, with their damping D = sum r_k O_k^dag O_k as a dense
-    array (from the pairs by :func:`_damping` where not given)."""
+    array (:func:`_damping`)."""
 
     space: CompositeSpace
     matrix: sp.csr_matrix
     hamiltonian: sp.csr_matrix
     collapse: list[tuple[sp.csr_matrix, float]]
-    damping: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.damping is None:
-            self.damping = _damping(self.collapse, self.dim)
+    damping: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -487,36 +483,25 @@ def _chebyshev_propagate(liouvillian: Liouvillian, A: sp.csr_matrix,
                          dt: float, observe: _StateObserver
                          ) -> tuple[int, dict]:
     """``(matvecs, propagator)`` of propagating x0 over n grid points under
-    every A + delta A_F, delta in ``shifts``, by Chebyshev propagation of
-    the block matrix 1 kron A + diag(delta) kron A_F under one plan, a
-    block of members at a time within 16 MB.  Each expansion's outputs go
-    to ``observe`` as they are made.  A one-member delta = 0 family
-    (``A_F`` None) multiplies A itself."""
-    d2, G, nnz = A.shape[0], len(shifts), None
+    every A + delta A_F, delta in ``shifts``, by Chebyshev propagation under
+    one plan, one member at a time.  Each expansion's outputs go to
+    ``observe`` as they are made.  A one-member delta = 0 family (``A_F``
+    None) multiplies A itself."""
+    d2 = A.shape[0]
     box = _numerical_range_box(liouvillian, A, number, shifts)
     c, R, m, coef, K_r, matvecs = _chebyshev_plan(box, dt, n - 1)
     s, K = coef.shape
-    # a member's Chebyshev vectors, outputs, observer rows and share of the
-    # block peak at about (12 s + 32) d^2 floats; a block takes at most
-    # 16 MB
-    size = max(1, 2 * _DENSE_PROPAGATOR_MAX ** 2
-               // ((12 * s + _CHUNK_ROWS) * d2))
-    for g0 in range(0, G, size):
-        gens = slice(g0, min(g0 + size, G))
-        block = A if A_F is None else (
-            sp.kron(sp.identity(gens.stop - g0), A)
-            + sp.kron(sp.diags(shifts[gens]), A_F))
-        N = block.shape[0]
+    for g, delta in enumerate(shifts):
+        gens = slice(g, g + 1)
+        M = A if A_F is None else A + delta * A_F
         # equal-length rows run together, so scipy's CSR kernel predicts
         # its row-end branch; the sums are bitwise the same
         B, perm = _rows_by_length(
-            ((2.0 / R) * (block - c * sp.identity(N))).tocsr())
-        unperm, nnz = np.argsort(perm), nnz or B.nnz
-        out = np.empty((s, N))
-        out[0] = np.tile(x0, gens.stop - g0)
-        observe(gens, slice(0, 1), out[:1].reshape(-1, 1, d2))
-        x = out[0, perm]
-        buf = np.empty((min(_CHUNK_ROWS, K), N))
+            ((2.0 / R) * (M - c * sp.identity(d2))).tocsr())
+        unperm = np.argsort(perm)
+        out, buf = np.empty((s, d2)), np.empty((min(_CHUNK_ROWS, K), d2))
+        observe(gens, slice(0, 1), x0[None, None])
+        x = x0[perm]
         for j in range(0, n - 1, s):
             # the last expansion may serve r < s grid points with K_r terms
             r = min(s, n - 1 - j)
@@ -525,12 +510,10 @@ def _chebyshev_propagate(liouvillian: Liouvillian, A: sp.csr_matrix,
                 _chebyshev_sums(B, x, coef[:r, :K if r == s else K_r], buf,
                                 rows)
                 x = rows[-1]
-            # a row per grid point, the members' x end to end -> X[g, j]
-            observe(gens, slice(j + 1, j + 1 + r),
-                    rows[:, unperm].reshape(r, -1, d2).transpose(1, 0, 2))
-    return G * matvecs, dict(method="chebyshev", terms=K, substeps=m,
-                             outputs_per_expansion=s, half_width=R,
-                             matrix_nnz=nnz)
+            observe(gens, slice(j + 1, j + 1 + r), rows[None, :, unperm])
+    return len(shifts) * matvecs, dict(
+        method="chebyshev", terms=K, substeps=m, outputs_per_expansion=s,
+        half_width=R, matrix_nnz=B.nnz)
 
 
 class _StateObserver:
@@ -670,13 +653,13 @@ def evolve_shifted(liouvillian: Liouvillian, number: np.ndarray, shifts,
     Every call checks that L preserves Hermiticity, then steps rho's real
     coordinates: a family of more than one member at d^2 <= 1024 runs
     dense, every other call, :func:`evolve` included, one Chebyshev plan
-    for the family's block matrix, a block of members at a time within
-    16 MB (see the module docstring).  The result holds each observable
-    as a ``(len(shifts), len(t_grid))`` array, a row per delta, and the
+    for all members, run one member at a time (see the module
+    docstring).  The result holds each observable as a
+    ``(len(shifts), len(t_grid))`` array, a row per delta, and the
     family's diagnostics: the largest ``max_trace_drift``, the
     ``max_hermiticity_defect`` (0.0, see :func:`evolve`), the smallest
-    ``min_eigenvalue``, the ``rhs_evaluations`` summed over members (a
-    block matvec counts one per member) and one ``propagator`` record.
+    ``min_eigenvalue``, the ``rhs_evaluations`` summed over members and
+    one ``propagator`` record.
     Raises ``ValueError`` for no shifts, non-finite shifts (naming their
     rows) or a ``number`` that is not one value per basis state, besides
     the errors of :func:`evolve`; an :class:`EvolutionError` names the
@@ -749,8 +732,8 @@ def evolve(liouvillian: Liouvillian, rho0: np.ndarray,
     other entries but m are None), the ``terms`` K of an expansion, the
     ``substeps`` m of a step, the grid points s an expansion serves
     (``outputs_per_expansion``), its ``half_width`` R' (1/us) and the
-    nonzeros of the real matrix it multiplies (``matrix_nnz``; a family's
-    first block's).
+    nonzeros of the real matrix it multiplies (``matrix_nnz``; a
+    family's last member's).
     """
     res = evolve_shifted(liouvillian, np.zeros(liouvillian.dim), [0.0], rho0,
                          t_grid, observables)

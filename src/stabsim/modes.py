@@ -170,12 +170,11 @@ def kerr_coefficients(basis: NormalModeBasis, alphas) -> KerrCoefficients:
 
 def cooling_matrix(basis: NormalModeBasis, kerr: KerrCoefficients, k: int,
                    n_bar: float, chi_kk: float | None = None,
-                   alphas=None, c_bar: complex | None = None,
-                   kappa: float | None = None) -> CoolingMatrix:
+                   alphas=None, kappa: float | None = None) -> CoolingMatrix:
     """Cooling matrix of resonator ``k`` under a drive holding ``n_bar`` photons.
 
-    ``exact`` uses the cross-Kerr tensor: d_lp = 2 c_bar eta[k,k,l,p] with
-    c_bar the classical resonator amplitude (default sqrt(n_bar)).
+    ``exact`` uses the cross-Kerr tensor: d_lp = 2 sqrt(n_bar) eta[k,k,l,p],
+    sqrt(n_bar) the classical resonator amplitude.
     ``approx`` uses the dedicated-resonator shortcut
     2 sqrt(n_bar) chi_kk M_kl M_kp.  Pass the dispersive shift ``chi_kk``
     explicitly (e.g. a measured value), or pass the qubit anharmonicities
@@ -185,9 +184,7 @@ def cooling_matrix(basis: NormalModeBasis, kerr: KerrCoefficients, k: int,
         raise ValueError("n_bar must be nonnegative")
     if not 0 <= k < basis.n_resonators:
         raise IndexError(f"resonator index {k} out of range")
-    if c_bar is None:
-        c_bar = math.sqrt(n_bar)
-    exact = 2.0 * c_bar * kerr.eta[k, k, :, :]
+    exact = 2.0 * math.sqrt(n_bar) * kerr.eta[k, k, :, :]
     rows = np.arange(basis.n_qubits)
     mq = basis.m[np.ix_(rows, list(basis.qubit_columns))]
     if chi_kk is None:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .device import (
     ResonatorDrive, PumpDrive, ScenarioConfig, derive_rates,
-    scenario_to_jsonable,
+    scenario_to_jsonable, validate_config,
 )
 from .hamiltonian import (
     HamiltonianModel, build_collapse_set, build_dispersive,
@@ -464,7 +464,7 @@ def run_spectroscopy(config: ScenarioConfig, drive_target: int,
     naming their rows and values.
     """
     j_min = min((j for j in config.couplings if j > 0), default=math.inf)
-    if amplitude > j_min / 3.0:
+    if abs(amplitude) > j_min / 3.0:
         raise ValueError("probe amplitude must be well below the coupling J")
     if not 0 <= drive_target < config.n_qubits:
         raise IndexError("drive target out of range")
@@ -562,6 +562,7 @@ def _sweep_point(args) -> tuple[float, float, float, float, str | None]:
     config, axis, value = args
     try:
         cfg = _apply_axis(config, axis, value)
+        validate_config(cfg)
         _, liouv = build_problem(cfg)
         steadym = steady_state(liouv, tol=cfg.solver.steady_tol)
         fid = _target_fidelity(liouv.space, steadym.rho, "T")
@@ -579,8 +580,10 @@ def run_sweep(config: ScenarioConfig, axis: str, values,
     Two-qubit configs only: the fidelity is that of T and the rate is the
     S -> T transfer rate.  Points run independently on immutable configs
     (optionally in a process pool); output rows follow the order of
-    ``values`` regardless of completion order.  A failed point records its
-    error and the sweep continues.
+    ``values`` regardless of completion order.  Each point's config is
+    checked as a loaded scenario is (:func:`~stabsim.device.validate_config`).
+    A failed point, a refused config included, records its error and the
+    sweep continues.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")

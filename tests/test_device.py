@@ -1,4 +1,5 @@
 import json
+import math
 from importlib import resources
 
 import pytest
@@ -181,8 +182,16 @@ class TestCodec:
          "duplicate mode label 'Q1'"),
         (lambda d: d["resonators"][1].update(label="Q2"),
          "resonators[1].label", "duplicate mode label 'Q2'"),
+        (lambda d: d["qubits"][0].update(t1=math.nan), "qubits[0].t1",
+         "must be finite"),
+        (lambda d: d["raman"][0].update(n_bar=math.nan), "raman[0].n_bar",
+         "must be finite"),
+        (lambda d: d.update(t_final=math.inf), "t_final", "must be finite"),
+        (lambda d: d["pumps"][0].update(amplitudes=[[math.nan, 0], 0.5]),
+         "pumps[0].amplitudes[0]", "must be finite"),
     ], ids=["no-name", "truncations-key", "convention", "no-t1", "amplitude",
-            "qubit-label", "resonator-label"])
+            "qubit-label", "resonator-label", "nan-t1", "nan-n-bar",
+            "infinite-t-final", "nan-amplitude"])
     def test_malformed_document_names_path(self, edit, path, message):
         with pytest.raises(ConfigError) as info:
             load_scenario(_bell_doc(edit))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -15,7 +16,7 @@ from stabsim.hilbert import (
     number_op, partial_trace,
 )
 from stabsim.lindblad import (
-    EvolutionError, Liouvillian, SteadyStateError, build_liouvillian, evolve,
+    EvolutionError, SteadyStateError, build_liouvillian, evolve,
     evolve_shifted, residual_norm, steady_state, unvectorize, vectorize,
 )
 from stabsim.scenarios import _probe_family, build_problem
@@ -169,8 +170,8 @@ class TestEvolve:
 
     # evolve runs the Chebyshev expansion at both sizes.  A family of two
     # members runs dense at d = 4, where the stacked propagators batch, and
-    # as one Chebyshev block at d = 33 (d^2 = 1089 > 1024); the
-    # sparser d = 33 model keeps the dense reference affordable
+    # under one Chebyshev plan, a member at a time, at d = 33 (d^2 = 1089
+    # > 1024); the sparser d = 33 model keeps the dense reference affordable
     PATHS = [(4, 1.0, False), (33, 0.1, True)]
     # (collapse rate, H scale) of the generic model and of two more run on
     # both paths: a strongly damped one, and one whose H is scaled up until
@@ -296,7 +297,7 @@ class TestEvolve:
 
     @staticmethod
     def runs(L):
-        """evolve and a two-member family of L (dense or block)."""
+        """evolve and a two-member family of L (dense or Chebyshev)."""
         yield lambda rho0, t: evolve(L, rho0, t)
         yield lambda rho0, t: evolve_shifted(L, np.arange(L.dim) % 2.0,
                                              [0.0, 0.5], rho0, t)
@@ -335,12 +336,11 @@ class TestEvolve:
         t = np.linspace(0.0, 0.5, 3)
         for d, density in [(4, 1.0), (33, 0.1)]:
             L, rho0 = random_lindbladian(d, seed=5, density=density)
-            bad = Liouvillian(L.space, 1j * L.matrix, L.hamiltonian,
-                              L.collapse)
+            bad = replace(L, matrix=1j * L.matrix)
             with pytest.raises(ValueError, match="preserve Hermiticity"):
                 evolve(bad, rho0, t)
         L, rho0 = random_lindbladian(4, seed=5)
-        bad = Liouvillian(L.space, 1j * L.matrix, L.hamiltonian, L.collapse)
+        bad = replace(L, matrix=1j * L.matrix)
         with pytest.raises(ValueError, match="preserve Hermiticity"):
             evolve_shifted(bad, np.arange(4) % 2.0, [0.0, 1.0], rho0, t)
 
@@ -452,8 +452,7 @@ class TestEvolve:
         space = tls_space()
         decay = build_liouvillian(space, np.zeros((2, 2)),
                                   [(lowering_op(space, 0), 1.0)])
-        reversed_decay = Liouvillian(space, -decay.matrix, decay.hamiltonian,
-                                     decay.collapse)
+        reversed_decay = replace(decay, matrix=-decay.matrix)
         with pytest.raises(EvolutionError, match="t=0.7 us") as exc:
             evolve(reversed_decay, np.eye(2) / 2, np.linspace(0, 2, 21))
         assert exc.value.diagnostics["t"] == pytest.approx(0.7)
@@ -605,8 +604,7 @@ class TestEvolveMany:
         space = tls_space()
         decay = build_liouvillian(space, np.zeros((2, 2)),
                                   [(lowering_op(space, 0), 1.0)])
-        reversed_decay = Liouvillian(space, -decay.matrix, decay.hamiltonian,
-                                     decay.collapse)
+        reversed_decay = replace(decay, matrix=-decay.matrix)
         with pytest.raises(EvolutionError,
                            match="generator 0 at t=0.7 us") as exc:
             evolve_shifted(reversed_decay, [0.0, 1.0], [0.0, 1.0, -2.0],
@@ -649,8 +647,8 @@ class TestEvolveMany:
 
 
 class TestFamilyBlock:
-    """The Chebyshev block 1 kron A + diag(delta) kron A_F of a family and
-    the one box its plan takes."""
+    """The Chebyshev members A + delta A_F of a family, run one at a time,
+    and the one box their plan takes."""
 
     def test_frame_shift_matrix_is_real_and_skew(self):
         # Q^dag F Q, formed as the propagator forms it, has an exactly zero
@@ -732,7 +730,7 @@ class TestFamilyBlock:
             assert spread + jump <= R
 
     def test_block_rows_match_rebuilt_members(self):
-        # every row of a five-member block against evolve of that member's
+        # every row of a five-member family against evolve of that member's
         # generator built from scratch
         L, number, shifts = self.random_family()
         rng = np.random.default_rng(0)
@@ -748,36 +746,26 @@ class TestFamilyBlock:
             npt.assert_allclose(row, ref.observables["n"], rtol=0,
                                 atol=1e-13)
 
-    def test_member_blocks_split_the_family(self, monkeypatch):
-        # the five members fit one block; with room for two members' rows
-        # the same plan runs blocks of 2, 2 and 1 to the same result
+    def test_members_run_one_at_a_time(self, monkeypatch):
+        # one plan, and one reordered matrix of d^2 rows per member; the
+        # record's nonzeros are the last member's and the matvecs 5 times
+        # the plan's
         L, number, shifts = self.random_family()
         _, rho0 = random_lindbladian(33, seed=1, density=0.1)
         t = np.linspace(0.0, 0.5, 6)
-        obs = {"n": number_op(L.space, 0)}
-        reorder, blocks = lindblad._rows_by_length, []
+        reorder, members = lindblad._rows_by_length, []
 
         def counting(B):
-            blocks.append(B.shape[0] // 33 ** 2)
+            members.append((B.shape[0], B.nnz))
             return reorder(B)
 
         monkeypatch.setattr(lindblad, "_rows_by_length", counting)
-        whole = evolve_shifted(L, number, shifts, rho0, t, observables=obs)
-        assert blocks == [5]
-        monkeypatch.setattr(lindblad, "_DENSE_PROPAGATOR_MAX", 380)
-        split = evolve_shifted(L, number, shifts, rho0, t, observables=obs)
-        assert blocks == [5, 2, 2, 1]
-        npt.assert_allclose(split.observables["n"], whole.observables["n"],
-                            rtol=0, atol=1e-14)
-        assert (split.diagnostics["rhs_evaluations"]
-                == whole.diagnostics["rhs_evaluations"])
-        # one plan: only the nonzeros, the first block's, differ
-        plan, split_plan = (dict(res.diagnostics["propagator"])
-                            for res in (whole, split))
-        assert split_plan.pop("matrix_nnz") < plan.pop("matrix_nnz")
-        assert split_plan == plan
-        assert split.diagnostics["min_eigenvalue"] == pytest.approx(
-            whole.diagnostics["min_eigenvalue"], abs=1e-14)
+        res = evolve_shifted(L, number, shifts, rho0, t)
+        assert [rows for rows, _ in members] == [33 ** 2] * 5
+        prop = res.diagnostics["propagator"]
+        assert prop["matrix_nnz"] == members[-1][1]
+        assert res.diagnostics["rhs_evaluations"] == 5 * planned_matvecs(
+            L, t, prop, number, shifts)
 
 
 class TestPositivityCertificate:

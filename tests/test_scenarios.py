@@ -356,9 +356,11 @@ class TestSpectroscopy:
         assert result.diagnostics["rhs_evaluations"] == 0
 
     def test_strong_probe_rejected(self):
+        # a negative amplitude is the same probe up to a phase
         cfg = bundled_scenario("bell")
-        with pytest.raises(ValueError, match="amplitude"):
-            run_spectroscopy(cfg, 0, [4202.0], amplitude=3.0)
+        for amplitude in (3.0, -3.0):
+            with pytest.raises(ValueError, match="amplitude"):
+                run_spectroscopy(cfg, 0, [4202.0], amplitude=amplitude)
 
     def test_scan_makes_few_sparse_constructions(self, monkeypatch):
         # every CSR or CSC matrix scipy constructs runs the __init__ of
@@ -490,6 +492,16 @@ class TestSweep:
         assert result.errors[1] is None
         assert result.steady_residual[1] <= quick_bell.solver.steady_tol
         assert 1e-8 < result.kernel_gap[1] <= 1.0
+
+    def test_point_config_validated(self):
+        # a point's config is refused as a loaded scenario would be, not run
+        cfg = bundled_scenario("bell_single_channel")
+        for axis, value, error in [
+                ("n_bar", -0.5, "ConfigError: raman[1].n_bar: "),
+                ("T1", 5.0, "ConfigError: qubits[0].t2e: ")]:
+            result = run_sweep(cfg, axis, [value])
+            assert result.errors[0].startswith(error)
+            assert math.isnan(result.steady_fidelity[0])
 
     def test_parallel_workers_match_serial(self, quick_bell):
         cfg = quick_bell.replace(t_final=2.0)
