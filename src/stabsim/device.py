@@ -191,21 +191,23 @@ def derive_g(resonator: ResonatorParams, qubit: QubitParams) -> float:
 # -- validation -------------------------------------------------------------
 
 def validate_config(cfg: ScenarioConfig) -> None:
+    """Raise :class:`ConfigError` naming the first field out of bounds.
+    Every bound is written so that NaN fails it."""
     L = len(cfg.qubits)
     if L == 0:
         raise ConfigError("qubits", "at least one qubit required")
     for i, q in enumerate(cfg.qubits):
         p = f"qubits[{i}]"
-        if q.t1 is not None and q.t1 <= 0:
+        if q.t1 is not None and not q.t1 > 0:
             raise ConfigError(f"{p}.t1", "must be positive")
-        if q.t2e is not None and q.t2e <= 0:
+        if q.t2e is not None and not q.t2e > 0:
             raise ConfigError(f"{p}.t2e", "must be positive")
         if q.t1 is not None and q.t2e is not None and q.t2e > 2 * q.t1 * _T2E_SLACK:
             raise ConfigError(f"{p}.t2e", f"exceeds 2*t1 (+{(_T2E_SLACK-1)*100:.0f}%)")
     if len(cfg.resonators) != L:
         raise ConfigError("resonators", f"expected {L} entries, got {len(cfg.resonators)}")
     for i, r in enumerate(cfg.resonators):
-        if r.kappa <= 0:
+        if not r.kappa > 0:
             raise ConfigError(f"resonators[{i}].kappa", "must be positive")
     labels: set[str] = set()
     for path, mode in ([(f"qubits[{i}]", q) for i, q in enumerate(cfg.qubits)]
@@ -226,11 +228,11 @@ def validate_config(cfg: ScenarioConfig) -> None:
     if len(cfg.raman) != L:
         raise ConfigError("raman", f"expected {L} entries, got {len(cfg.raman)}")
     for i, d in enumerate(cfg.raman):
-        if d.n_bar < 0:
+        if not d.n_bar >= 0:
             raise ConfigError(f"raman[{i}].n_bar", "must be nonnegative")
-    if cfg.t_final <= 0:
+    if not cfg.t_final > 0:
         raise ConfigError("t_final", "must be positive")
-    if cfg.t_step <= 0:
+    if not cfg.t_step > 0:
         raise ConfigError("t_step", "must be positive")
     tr = cfg.truncations
     if tr.qubit_dim < 2 or tr.resonator_dim < 2:

@@ -16,7 +16,9 @@ product otherwise, and every call checks that Q^dag L Q is real (L
 preserves Hermiticity).  A family of more than one member at
 d^2 <= 1024 runs dense: one stacked real expm((A_0 + delta A_F) dt) per
 group of floor(1024^2 / d^4) members (the memory of one 1024 x 1024
-propagator) and one batched product per grid step, a run of steps
+propagator), by Pade 13 with scaling and squaring, each member scaled
+by its own power of 2 (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
+(2005)), and one batched product per grid step, a run of steps
 stepped into one array before it is observed.
 Every other call is one Chebyshev plan (Tal-Ezer & Kosloff, J. Chem.
 Phys. 81, 3967 (1984)) for every member A_0 + delta A_F, run one member
@@ -46,11 +48,12 @@ no trajectory is kept.
 The steady state is one matrix-free Arnoldi run: the no-jump (Sylvester)
 part of L is inverted from one eigendecomposition of the effective
 Hamiltonian (Bartels & Stewart, Commun. ACM 15, 820 (1972)) and
-preconditions L, and ARPACK's implicitly restarted Arnoldi (Lehoucq,
-Sorensen & Yang, ARPACK Users' Guide, SIAM (1998)), bounded in restarts,
-finds the preconditioned operator's two largest eigenvalues.  Their gap
-checks that the kernel is unique, and the eigenvector of the first is the
-steady state.
+preconditions L, and a thick-restart Arnoldi run (Krylov-Schur; Stewart,
+SIAM J. Matrix Anal. Appl. 23, 601 (2001)), bounded in restarts, finds
+the preconditioned operator's two largest eigenvalues.  Their gap checks
+that the kernel is unique, and the eigenvector of the first is the
+steady state.  Both kernels are numpy code: stabsim loads neither
+scipy.linalg nor scipy.sparse.linalg.
 """
 
 from __future__ import annotations
@@ -62,9 +65,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm
 from scipy.sparse._sparsetools import csr_matvec
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
 from .hilbert import CompositeSpace
 
@@ -99,9 +100,20 @@ _EIG_SPLIT = 1e-4
 #: smallest measured gap of a bundled scenario (decoherence-free
 #: bell_single_channel) is ~1.5e-4, a degenerate kernel reads ~1e-16
 _MIN_KERNEL_GAP = 1e-8
-#: Arnoldi restarts allowed to the steady-state run, about 10x the most a
-#: bundled scenario needs (17: `w` at qubit_dim 3)
+#: Arnoldi passes (restarts) allowed to the steady-state run, about 9x the
+#: most a bundled scenario needs (21: `w` at qubit_dim 3)
 _EIGS_MAXITER = 180
+#: Krylov basis size of the steady-state run, ARPACK's default for two
+#: eigenpairs, and the Ritz vectors each restart keeps
+_KRYLOV_DIM = 20
+_KRYLOV_KEEP = 11
+#: Higham's Pade 13 coefficients b_0 .. b_13 and the 1-norm theta_13 up
+#: to which it needs no scaling
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
 
 
 class EvolutionError(RuntimeError):
@@ -264,13 +276,24 @@ def _hermitian_basis(d: int) -> sp.csr_matrix:
     vec(i(E_ab - E_ba))/sqrt 2 (a < b): Hermitian rho = Q x with x real.
     The one construction of Q: the real generators are products with it,
     and each row holds at most one real and one imaginary entry, which
-    the observer reads."""
+    the observer reads.  Q is made from its CSR arrays, known in closed
+    form: row a (d + 1) holds 1 in column a, and rows a + d b and b + d a
+    hold sqrt 1/2 in column d + k and +-i sqrt 1/2 in column
+    d + k + d (d - 1)/2, for the k-th pair (a, b)."""
     a, b = np.triu_indices(d, 1)
-    col, s = d + np.arange(len(a)), np.full(len(a), math.sqrt(0.5))
-    rows = np.concatenate([np.arange(d) * (d + 1), *[a + d*b, b + d*a] * 2])
-    cols = np.concatenate([np.arange(d), col, col, col + len(a), col + len(a)])
-    vals = np.concatenate([np.ones(d), s, s, 1j * s, -1j * s])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(d * d, d * d))
+    pair, s = d + np.arange(len(a), dtype=np.int32), math.sqrt(0.5)
+    count = np.full(d * d, 2, dtype=np.int32)
+    count[::d + 1] = 1
+    indptr = np.zeros(d * d + 1, dtype=np.int32)
+    np.cumsum(count, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1], dtype=complex)
+    indices[indptr[:-1:d + 1]], data[indptr[:-1:d + 1]] = np.arange(d), 1.0
+    for rows, sign in ((a + d * b, 1.0), (b + d * a, -1.0)):
+        at = indptr[rows]
+        indices[at], data[at] = pair, s
+        indices[at + 1], data[at + 1] = pair + len(a), sign * 1j * s
+    return sp.csr_matrix((data, indices, indptr), shape=(d * d, d * d))
 
 
 def _bessel_j(tau: float, kmax: int) -> np.ndarray:
@@ -448,12 +471,54 @@ def _dense_group_size(n: int) -> int:
     return max(1, _DENSE_PROPAGATOR_MAX ** 2 // n ** 2)
 
 
+def _expm(P: np.ndarray) -> np.ndarray:
+    """exp of each member of the real (g, n, n) stack ``P``, which it
+    overwrites: Pade 13 with scaling and squaring (Higham, SIAM J. Matrix
+    Anal. Appl. 26, 1179 (2005)).  Each member is scaled by its own 2^-s
+    to a 1-norm of at most theta_13, and its approximant is squared s
+    times."""
+    g, n, _ = P.shape
+    norm = np.abs(P).sum(axis=1).max(axis=1)
+    # a non-finite member takes s = 0 and stays non-finite for the observer
+    norm[~np.isfinite(norm)] = 0.0
+    s = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
+    P *= np.ldexp(1.0, -s)[:, None, None]
+    # the powers A^2, A^4, A^6 of every member, and from them in one
+    # product the four sums C_k of the approximant r = (V - U)^-1 (V + U),
+    # U = A (A^6 C_0 + C_1) and V = A^6 C_2 + C_3
+    b = _PADE13
+    sums = np.array([[b[9], b[11], b[13]], [b[3], b[5], b[7]],
+                     [b[8], b[10], b[12]], [b[2], b[4], b[6]]])
+    Z = np.empty((3, g, n, n))
+    np.matmul(P, P, out=Z[0])
+    np.matmul(Z[0], Z[0], out=Z[1])
+    np.matmul(Z[1], Z[0], out=Z[2])
+    C = (sums @ Z.reshape(3, -1)).reshape(4, g, n, n)
+    diag = np.arange(n)
+    C[1, :, diag, diag] += b[1]
+    C[3, :, diag, diag] += b[0]
+    # A^2 and A^4 are spent: their rows take the products
+    C[1] += np.matmul(Z[2], C[0], out=Z[0])
+    U = np.matmul(P, C[1], out=Z[1])
+    V = C[3]
+    V += np.matmul(Z[2], C[2], out=Z[0])
+    V_minus_U = np.subtract(V, U, out=Z[0])
+    V += U
+    R = np.linalg.solve(V_minus_U, V)
+    del Z, C, U, V, V_minus_U  # freed for the squarings' products
+    for k in range(s.max()):
+        live = np.flatnonzero(s > k)
+        M = R[live]
+        R[live] = M @ M
+    return R
+
+
 def _dense_propagate(A: np.ndarray, A_F: np.ndarray, shifts: np.ndarray,
                      x0: np.ndarray, n: int, dt: float,
                      observe: _StateObserver) -> tuple[int, dict]:
     """``(matvecs, propagator)`` of stepping x by expm((A + delta A_F) dt),
-    delta in ``shifts``: one stacked real expm per group of members, its
-    stack written straight into the array expm reads, and one batched
+    delta in ``shifts``: one stacked real :func:`_expm` per group of
+    members, which overwrites the stack it is handed, and one batched
     product per grid step.  The t = 0 states, then each run of
     ``_DENSE_BLOCK_STEPS`` grid steps, go to ``observe`` in one call."""
     size = _dense_group_size(len(x0))
@@ -462,7 +527,7 @@ def _dense_propagate(A: np.ndarray, A_F: np.ndarray, shifts: np.ndarray,
         P = shifts[gens, None, None] * A_F
         P += A
         P *= dt
-        P = expm(P)
+        P = _expm(P)
         X = np.repeat(x0[None, :], len(P), axis=0)
         observe(gens, slice(0, 1), X[:, None])
         block = np.empty((len(P), _DENSE_BLOCK_STEPS, len(x0)))
@@ -678,7 +743,8 @@ def evolve_shifted(liouvillian: Liouvillian, number: np.ndarray, shifts,
                          f"{shifts[bad].tolist()}")
     t_grid, y0, dt = _start(rho0, t_grid, d)
     L, Q = liouvillian.matrix, _hermitian_basis(d)
-    Qh = Q.conj().T
+    # Q^dag: the CSC matrix of Q's conjugated arrays, one construction
+    Qh = sp.csc_matrix((Q.data.conj(), Q.indices, Q.indptr), shape=Q.shape)
     F = (sp.diags(_commutator_diagonal(number))
          if len(shifts) > 1 or shifts[0] else None)
     dense = len(shifts) > 1 and d * d <= _DENSE_PROPAGATOR_MAX
@@ -790,6 +856,56 @@ def _no_jump_inverse(liouvillian: Liouvillian
     return solve, {"shift": sigma, "cond_V": float(np.linalg.cond(V))}
 
 
+def _krylov_schur(apply: Callable[[np.ndarray], np.ndarray], v0: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """``(mu, vecs)``: the two eigenvalues of largest modulus of the linear
+    map ``apply``, largest first, and their unit eigenvectors as columns,
+    by a thick-restart Arnoldi run started at ``v0`` (Krylov-Schur; Stewart,
+    SIAM J. Matrix Anal. Appl. 23, 601 (2001)).
+
+    Each pass grows an orthonormal basis V to m = min(20, n) columns
+    (classical Gram-Schmidt, twice), keeping K V = V H + v b^dag.  A Ritz
+    pair (theta, V y) has the residual |b^dag y|; both wanted pairs are
+    converged at |b^dag y| <= eps max(|theta|, eps^(2/3)), ARPACK's test
+    at tol = 0.  Otherwise the next pass starts from the 11 Ritz vectors
+    of largest |theta|: for an orthonormal basis Z of their y,
+    H Z = Z (Z^dag H Z), so V Z, Z^dag H Z and Z^dag b keep the relation.
+    At n <= m the basis spans the space, b is 0 and the pairs are exact.
+    Raises :class:`SteadyStateError` when ``_EIGS_MAXITER`` passes leave
+    them unconverged."""
+    n = len(v0)
+    m = min(_KRYLOV_DIM, n)
+    eps = np.finfo(float).eps
+    V = np.empty((m + 1, n), dtype=complex)
+    H = np.zeros((m + 1, m), dtype=complex)  # row m holds b^dag
+    V[0] = v0 / np.linalg.norm(v0)
+    kept = 0
+    for _ in range(_EIGS_MAXITER):
+        for j in range(kept, m):
+            w = apply(V[j])
+            for _twice in range(2):
+                h = (V[:j + 1] @ w.conj()).conj()
+                w -= h @ V[:j + 1]
+                H[:j + 1, j] += h
+            if j + 1 < n:
+                H[j + 1, j] = beta = np.linalg.norm(w)
+                V[j + 1] = w / beta
+        theta, Y = np.linalg.eig(H[:m])
+        order = np.argsort(-np.abs(theta), kind="stable")
+        theta, Y = theta[order], Y[:, order]
+        if (np.abs(H[m] @ Y[:, :2])
+                <= eps * np.maximum(np.abs(theta[:2]), eps ** (2 / 3))).all():
+            return theta[:2], V[:m].T @ Y[:, :2]
+        kept = _KRYLOV_KEEP
+        Z = np.linalg.qr(Y[:, :kept])[0]
+        V[:kept], V[kept] = Z.T @ V[:m], V[m]
+        S, b = Z.conj().T @ H[:m] @ Z, H[m] @ Z
+        H[:] = 0.0
+        H[:kept, :kept], H[kept, :kept] = S, b
+    raise SteadyStateError(f"kernel gap unresolved: no Arnoldi convergence "
+                           f"in {_EIGS_MAXITER} restarts")
+
+
 def steady_state(liouvillian: Liouvillian, tol: float = 1e-6) -> SteadyState:
     """Solve L(rho) = 0 with unit trace, matrix-free.
 
@@ -819,15 +935,9 @@ def steady_state(liouvillian: Liouvillian, tol: float = 1e-6) -> SteadyState:
         applications += 1
         return x - solve(L @ x)
 
-    K = LinearOperator((n, n), matvec=apply_k, dtype=complex)
     # a fixed start vector keeps the reported gap reproducible
     v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
-    try:
-        mu, vecs = eigs(K, k=2, which="LM", v0=v0, maxiter=_EIGS_MAXITER)
-    except ArpackNoConvergence as exc:
-        raise SteadyStateError(
-            f"kernel gap unresolved: no Arnoldi convergence in "
-            f"{_EIGS_MAXITER} restarts") from exc
+    mu, vecs = _krylov_schur(apply_k, v0)
     info["iterations"] = applications
     gap = 1.0 - float(np.abs(mu).min())
     info["kernel_gap"] = gap
@@ -835,9 +945,9 @@ def steady_state(liouvillian: Liouvillian, tol: float = 1e-6) -> SteadyState:
         raise SteadyStateError(
             f"steady state is not unique: kernel gap 1 - |mu_2| = {gap:.2e}")
 
-    # ARPACK's vector carries an arbitrary phase: dividing by the complex
+    # the eigenvector carries an arbitrary phase: dividing by the complex
     # trace removes it before the Hermitian part is taken
-    x = vecs[:, np.argmax(np.abs(mu))]
+    x = vecs[:, 0]
     x = x / x[np.arange(d) * (d + 1)].sum()
     rho = unvectorize(x, d)
     rho = (rho + rho.conj().T) / (2 * np.trace(rho).real)

@@ -461,8 +461,10 @@ def run_spectroscopy(config: ScenarioConfig, drive_target: int,
     are the scan's ``diagnostics``; without frequencies they read zero
     drift, defect and ``rhs_evaluations`` and None for ``min_eigenvalue``
     and ``propagator``.  Raises ``ValueError`` for non-finite frequencies,
-    naming their rows and values.
+    naming their rows and values, and for a non-finite amplitude.
     """
+    if not np.isfinite(amplitude):
+        raise ValueError(f"probe amplitude must be finite, got {amplitude}")
     j_min = min((j for j in config.couplings if j > 0), default=math.inf)
     if abs(amplitude) > j_min / 3.0:
         raise ValueError("probe amplitude must be well below the coupling J")
@@ -583,7 +585,9 @@ def run_sweep(config: ScenarioConfig, axis: str, values,
     ``values`` regardless of completion order.  Each point's config is
     checked as a loaded scenario is (:func:`~stabsim.device.validate_config`).
     A failed point, a refused config included, records its error and the
-    sweep continues.
+    sweep continues.  Raises ``ValueError`` for a NaN value, or an infinite
+    one on an axis other than ``T1`` and ``T_phi`` (where inf means no
+    channel), naming its rows and values.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
@@ -591,6 +595,14 @@ def run_sweep(config: ScenarioConfig, axis: str, values,
         raise ValueError(f"sweeps need a two-qubit config (target T, rate "
                          f"S -> T), got {config.n_qubits} qubits")
     values = np.asarray(list(values), dtype=float)
+    # inf means "no channel" on the coherence-time axes alone
+    inf_ok = axis in ("T1", "T_phi")
+    bad = np.flatnonzero(np.isnan(values) if inf_ok
+                         else ~np.isfinite(values)).tolist()
+    if bad:
+        raise ValueError(f"{axis} values must be finite"
+                         f"{' or inf' if inf_ok else ''}: rows {bad} are "
+                         f"{values[bad].tolist()}")
     jobs = [(config, axis, float(v)) for v in values]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

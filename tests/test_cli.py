@@ -167,3 +167,25 @@ def test_import_leaves_out_optimize_and_special():
                          env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_runs_load_neither_scipy_linalg_nor_sparse_linalg():
+    # a steady state and a dense scan run on numpy's own kernels; the two
+    # subpackages take about 9.5 MB of every process
+    src = str(Path(stabsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, stabsim, stabsim.cli\n"
+        "from stabsim.device import bundled_scenario\n"
+        "from stabsim.lindblad import steady_state\n"
+        "from stabsim.scenarios import build_problem, run_spectroscopy\n"
+        "cfg = bundled_scenario('bell_single_channel')\n"
+        "steady_state(build_problem(cfg)[1], tol=cfg.solver.steady_tol)\n"
+        "run_spectroscopy(bundled_scenario('bell'), 0,"
+        " [4200.0, 4202.0, 4204.0], 0.1)\n"
+        "print(sorted({'scipy.linalg', 'scipy.sparse.linalg'}"
+        " & set(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 from importlib import resources
 
 import pytest
@@ -292,4 +294,30 @@ class TestConfigInvariants:
     def test_t_final_positive(self):
         cfg = bundled_scenario("bell").replace(t_final=0.0)
         with pytest.raises(ConfigError, match="t_final"):
+            validate_config(cfg)
+
+    # one NaN field of the bell config, by its path
+    NAN_EDITS = {
+        "qubits[0].t1": lambda c: c.replace(
+            qubits=(dataclasses.replace(c.qubits[0], t1=math.nan),
+                    c.qubits[1])),
+        "qubits[1].t2e": lambda c: c.replace(
+            qubits=(c.qubits[0],
+                    dataclasses.replace(c.qubits[1], t2e=math.nan))),
+        "resonators[0].kappa": lambda c: c.replace(
+            resonators=(dataclasses.replace(c.resonators[0], kappa=math.nan),
+                        c.resonators[1])),
+        "raman[1].n_bar": lambda c: c.replace(
+            raman=(c.raman[0],
+                   dataclasses.replace(c.raman[1], n_bar=math.nan))),
+        "t_final": lambda c: c.replace(t_final=math.nan),
+        "t_step": lambda c: c.replace(t_step=math.nan),
+    }
+
+    @pytest.mark.parametrize("path", list(NAN_EDITS))
+    def test_nan_refused(self, path):
+        # a config built in code skips the codec's finiteness check, and
+        # NaN passes any comparison written as the refusal
+        cfg = self.NAN_EDITS[path](bundled_scenario("bell"))
+        with pytest.raises(ConfigError, match=re.escape(path)):
             validate_config(cfg)

@@ -489,6 +489,27 @@ class TestEvolveMany:
     """One state under the family L + delta F of :func:`evolve_shifted`,
     one stacked result."""
 
+    def test_stacked_expm_matches_scipy(self):
+        # 1-norms from 1e-3 to 1e2 take from 0 to 5 squarings, each member
+        # its own; scipy's expm, one member at a time, is the reference
+        rng = np.random.default_rng(11)
+        P = rng.standard_normal((12, 16, 16))
+        norms = np.geomspace(1e-3, 1e2, len(P))
+        P *= (norms / np.abs(P).sum(axis=1).max(axis=1))[:, None, None]
+        ref = expm(P)
+        out = lindblad._expm(P.copy())
+        err = (np.abs(out - ref).max(axis=(1, 2))
+               / np.abs(ref).max(axis=(1, 2)))
+        assert err.max() <= 1e-13
+        # a non-finite member stays non-finite, for the observer to name,
+        # and leaves the others' bits alone
+        P[3, 0, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            bad = lindblad._expm(P)
+        assert not np.isfinite(bad[3]).all()
+        others = np.arange(len(P)) != 3
+        npt.assert_array_equal(bad[others], out[others])
+
     @pytest.mark.parametrize("d,density,shifts,t", [
         (4, 1.0, [-1.3, 0.0, 2.2], np.linspace(0.0, 5.0, 21)),
         (33, 0.1, [-2.1, -0.4, 0.0, 1.7, 3.2], np.linspace(0.0, 0.5, 6)),
@@ -1041,22 +1062,36 @@ class TestSteadyState:
             steady_state(L, tol=1e-20)
 
     def test_eigenvector_phase_is_removed(self, monkeypatch, lu_steady_state):
-        # ARPACK's eigenvector carries an arbitrary phase; rotate it so its
-        # trace is 0.3i, where taking the Hermitian part first leaves only
-        # rounding noise
+        # an eigenvector carries an arbitrary phase; rotate the solver's so
+        # its trace is 0.3i, where taking the Hermitian part first leaves
+        # only rounding noise
         L, _ = random_lindbladian(5, seed=7)
         trace_idx = np.arange(L.dim) * (L.dim + 1)
-        arpack = lindblad.eigs
+        solver = lindblad._krylov_schur
 
         def rotated_eigs(*args, **kwargs):
-            mu, vecs = arpack(*args, **kwargs)
+            mu, vecs = solver(*args, **kwargs)
             tr = vecs[trace_idx].sum(axis=0)
             return mu, vecs * np.exp(-1j * np.angle(tr)) * (1j * 0.3)
 
-        monkeypatch.setattr(lindblad, "eigs", rotated_eigs)
+        monkeypatch.setattr(lindblad, "_krylov_schur", rotated_eigs)
         ss = steady_state(L, tol=1e-9)
         npt.assert_allclose(ss.rho, lu_steady_state(L),
                             rtol=0, atol=1e-10)
+
+    def test_basis_spanning_the_space_gives_exact_pairs(self,
+                                                        lu_steady_state):
+        # d = 2: n = 4 <= 20 basis vectors span the space after n
+        # applications of K, so the Ritz pairs are K's own
+        L, _ = random_lindbladian(2, seed=4)
+        solve, _ = lindblad._no_jump_inverse(L)
+        K = np.eye(4) - np.column_stack(
+            [solve(L.matrix @ e) for e in np.eye(4, dtype=complex)])
+        mu = np.sort(np.abs(np.linalg.eigvals(K)))[::-1]
+        ss = steady_state(L, tol=1e-12)
+        assert ss.info["iterations"] == 4
+        assert ss.info["kernel_gap"] == pytest.approx(1 - mu[1], abs=1e-13)
+        npt.assert_allclose(ss.rho, lu_steady_state(L), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("name", ["bell", "bell_pump2",
                                       "bell_single_channel", "w"])

@@ -362,6 +362,13 @@ class TestSpectroscopy:
             with pytest.raises(ValueError, match="amplitude"):
                 run_spectroscopy(cfg, 0, [4202.0], amplitude=amplitude)
 
+    def test_non_finite_amplitude_refused(self):
+        cfg = bundled_scenario("bell")
+        for amplitude in (math.nan, math.inf):
+            with pytest.raises(ValueError,
+                               match="probe amplitude must be finite"):
+                run_spectroscopy(cfg, 0, [4202.0], amplitude=amplitude)
+
     def test_scan_makes_few_sparse_constructions(self, monkeypatch):
         # every CSR or CSC matrix scipy constructs runs the __init__ of
         # _cs_matrix, a private scipy class.  The 81-point scan builds H,
@@ -502,6 +509,20 @@ class TestSweep:
             result = run_sweep(cfg, axis, [value])
             assert result.errors[0].startswith(error)
             assert math.isnan(result.steady_fidelity[0])
+
+    def test_non_finite_values_refused(self):
+        # no point runs: NaN is refused on every axis, inf off the
+        # coherence times, where it means no channel
+        cfg = bundled_scenario("bell_single_channel")
+        for axis, values, message in [
+                ("n_bar", [0.5, math.nan], "n_bar values must be finite: "
+                                           r"rows \[1\] are \[nan\]"),
+                ("kappa", [math.inf], "kappa values must be finite: "
+                                      r"rows \[0\] are \[inf\]"),
+                ("T1", [math.nan, math.inf], "T1 values must be finite or "
+                                             r"inf: rows \[0\] are \[nan\]")]:
+            with pytest.raises(ValueError, match=message):
+                run_sweep(cfg, axis, values)
 
     def test_parallel_workers_match_serial(self, quick_bell):
         cfg = quick_bell.replace(t_final=2.0)
