@@ -38,12 +38,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import rates
 from .device import ScenarioConfig, PumpDrive, derive_rates
 from .hilbert import (
-    QUBIT, RESONATOR, CompositeSpace, ModeSpec, _ladder_triplets, basis_state,
+    QUBIT, RESONATOR, CompositeSpace, ModeSpec, basis_state, ladder_op,
     lowering_op, number_op,
 )
 
@@ -65,7 +64,7 @@ class DrivenResonator:
 @dataclass
 class HamiltonianModel:
     space: CompositeSpace
-    H: sp.csr_matrix
+    H: np.ndarray
     #: the resonators in the model, in mode order after the qubits
     resonators: tuple[DrivenResonator, ...] = ()
 
@@ -188,13 +187,14 @@ def build_dispersive(config: ScenarioConfig) -> HamiltonianModel:
 
     The space is :func:`model_space`: undriven resonators are left out, and
     each driven one is built in the frame displaced by its classical steady
-    amplitude.  H = D + T + T^dag: every diagonal term (detunings,
-    anharmonicity, cross-Kerr, static Stark shift, two-pump manifold
-    shift) is one array D over the occupation table, and T holds the
-    terms of :func:`~stabsim.hilbert.ladder_op`'s rule: the hopping
-    b_i^dag b_i+1, the displacement coupling D_r n_q and the pump raising
-    b_i^dag.  D, each ladder term and its conjugate transpose are one
-    triplet set, so H is Hermitian by construction and made CSR once.  Raises
+    amplitude.  H = diag(D) + sum (T + T^dag), a dense array: every
+    diagonal term (detunings, anharmonicity, cross-Kerr, static Stark
+    shift, two-pump manifold shift) is one array D over the occupation
+    table, and each T is a coefficient times one
+    :func:`~stabsim.hilbert.ladder_op`: the hopping b_i^dag b_i+1, the
+    displacement coupling D_r n_q and the pump raising b_i^dag.  Adding
+    each T with its conjugate transpose makes H Hermitian by
+    construction.  Raises
     ``ValueError`` for more than two pumps, or for two pumps whose
     frequency separation is not at least ten times both pump amplitudes
     (the static two-pump construction is only valid in that regime).
@@ -224,19 +224,10 @@ def build_dispersive(config: ScenarioConfig) -> HamiltonianModel:
         ladder.append((K * r.alpha, {mode: -1}, n_q))
     pumps, shift = _pump_terms(space, config)
 
-    d = space.total_dim
-    rows, cols, vals = [np.arange(d)], [np.arange(d)], [sum(diagonal) + shift]
+    H = np.diag(sum(diagonal) + shift).astype(complex)
     for coef, steps, weight in ladder + pumps:
-        r, c, factor = _ladder_triplets(space, steps, weight)
-        rows += [r, c]
-        cols += [c, r]
-        vals += [coef * factor, np.conj(coef) * factor]
-    # + 0j makes the values complex and their zeros positive, as the sum of
-    # sparse terms leaves them
-    H = sp.csr_matrix((np.concatenate(vals) + 0j,
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(d, d))
-    H.eliminate_zeros()
+        T = coef * ladder_op(space, steps, weight)
+        H += T + T.conj().T
     return HamiltonianModel(space, H, drives)
 
 
@@ -278,7 +269,7 @@ def _pump_terms(space: CompositeSpace, config: ScenarioConfig
 
 # -- collapse operators ----------------------------------------------------------
 
-def build_collapse_set(config: ScenarioConfig) -> list[tuple[sp.csr_matrix, float]]:
+def build_collapse_set(config: ScenarioConfig) -> list[tuple[np.ndarray, float]]:
     """Photon loss on every resonator in the model, relaxation and dephasing
     on every qubit, as ``(operator, rate)`` pairs on :func:`model_space`.
 

@@ -1,4 +1,4 @@
-"""Truncated-Fock composite Hilbert spaces and sparse operator constructors.
+"""Truncated-Fock composite Hilbert spaces and operator constructors.
 
 Conventions used throughout the package:
 
@@ -11,9 +11,10 @@ Conventions used throughout the package:
   dimensions of all later modes.  Operators and state vectors are built
   from the table, every off-diagonal operator by the one occupation-shift
   rule, :func:`ladder_op`.
-* Operators are ``scipy.sparse`` CSR matrices and density matrices are
-  dense d x d arrays, each passed together with the
-  :class:`CompositeSpace` it acts on.
+* Operators and density matrices are dense complex d x d arrays, each
+  passed together with the :class:`CompositeSpace` it acts on.  Sparse
+  storage is kept for the d^2 x d^2 Liouville-space matrices
+  (:mod:`stabsim.lindblad`).
 
 The truncated lowering operator satisfies ``[n, a] = -a`` exactly except on
 the top Fock level of each mode, where the truncation removes the matrix
@@ -28,7 +29,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 QUBIT = "qubit"
 RESONATOR = "resonator"
@@ -114,11 +114,13 @@ class CompositeSpace:
 
 # -- constructors ---------------------------------------------------------
 
-def _ladder_triplets(space: CompositeSpace, steps: dict[int, int],
-                     weight: np.ndarray | None = None
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(rows, cols, factors)`` of :func:`ladder_op`'s entries, the rows
-    ascending."""
+def ladder_op(space: CompositeSpace, steps: dict[int, int],
+              weight: np.ndarray | None = None) -> np.ndarray:
+    """Occupation shift by ``steps`` ({mode index: +1 or -1}): each basis
+    state whose modes can all move within their truncations goes to the
+    moved state, with the bosonic factor sqrt(max(n_i, n_i + s_i)) of each
+    mode, multiplied in mode order, times ``weight`` of the state it leaves
+    (one value per basis state)."""
     occ, dims, steps = space.occupations, space.dims, sorted(steps.items())
     movable = np.ones(space.total_dim, dtype=bool)
     for i, s in steps:
@@ -127,8 +129,6 @@ def _ladder_triplets(space: CompositeSpace, steps: dict[int, int],
         if s not in (-1, 1):
             raise ValueError(f"mode {i}: a step must be +1 or -1, got {s}")
         movable &= (occ[i] > 0) if s < 0 else (occ[i] < dims[i] - 1)
-    if weight is not None:
-        movable &= weight != 0
     cols = np.flatnonzero(movable)
     moved = occ[:, cols]
     factor = np.ones(len(cols))
@@ -137,41 +137,23 @@ def _ladder_triplets(space: CompositeSpace, steps: dict[int, int],
         factor *= np.sqrt(np.maximum(occ[i, cols], moved[i]))
     if weight is not None:
         factor *= weight[cols]
-    # each moved index is its column's plus one offset, so the rows ascend
-    return space.index(moved), cols, factor
-
-
-def ladder_op(space: CompositeSpace, steps: dict[int, int],
-              weight: np.ndarray | None = None) -> sp.csr_matrix:
-    """Occupation shift by ``steps`` ({mode index: +1 or -1}): each basis
-    state whose modes can all move within their truncations goes to the
-    moved state, with the bosonic factor sqrt(max(n_i, n_i + s_i)) of each
-    mode, multiplied in mode order, times ``weight`` of the state it leaves
-    (one value per basis state; a zero weight drops the entry)."""
-    rows, cols, factor = _ladder_triplets(space, steps, weight)
-    # row k's entries start at the count of rows below k
     d = space.total_dim
-    indptr = np.searchsorted(rows, np.arange(d + 1))
-    return sp.csr_matrix((factor.astype(complex), cols, indptr), shape=(d, d))
+    op = np.zeros((d, d), dtype=complex)
+    op[space.index(moved), cols] = factor
+    return op
 
 
-def lowering_op(space: CompositeSpace, mode_index: int) -> sp.csr_matrix:
+def lowering_op(space: CompositeSpace, mode_index: int) -> np.ndarray:
     """Truncated annihilation operator of one mode: weight sqrt(n_i) from
     each basis state with n_i > 0 to the one with n_i - 1."""
     return ladder_op(space, {mode_index: -1})
 
 
-def number_op(space: CompositeSpace, mode_index: int) -> sp.csr_matrix:
-    """Occupation-number operator of one mode, diag(n_i), its zeros not
-    stored."""
+def number_op(space: CompositeSpace, mode_index: int) -> np.ndarray:
+    """Occupation-number operator of one mode, diag(n_i)."""
     if not 0 <= mode_index < len(space.modes):
         raise IndexError(f"mode index {mode_index} out of range")
-    n = space.occupations[mode_index]
-    d = space.total_dim
-    cols = np.flatnonzero(n)
-    indptr = np.searchsorted(cols, np.arange(d + 1))
-    return sp.csr_matrix((n[cols].astype(complex), cols, indptr),
-                         shape=(d, d))
+    return np.diag(space.occupations[mode_index]).astype(complex)
 
 
 def basis_state(space: CompositeSpace, occupations: Sequence[int]) -> np.ndarray:

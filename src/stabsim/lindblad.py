@@ -130,14 +130,14 @@ class SteadyStateError(RuntimeError):
 
 @dataclass
 class Liouvillian:
-    """Sparse superoperator for one Hamiltonian and its ``(operator, rate)``
-    collapse pairs, with their damping D = sum r_k O_k^dag O_k as a dense
-    array (:func:`_damping`)."""
+    """Sparse d^2 x d^2 superoperator for one Hamiltonian and its
+    ``(operator, rate)`` collapse pairs, which are dense d x d arrays, as is
+    their damping D = sum r_k O_k^dag O_k."""
 
     space: CompositeSpace
     matrix: sp.csr_matrix
-    hamiltonian: sp.csr_matrix
-    collapse: list[tuple[sp.csr_matrix, float]]
+    hamiltonian: np.ndarray
+    collapse: list[tuple[np.ndarray, float]]
     damping: np.ndarray
 
     @property
@@ -147,14 +147,9 @@ class Liouvillian:
     @cached_property
     def norms(self) -> np.ndarray:
         """||O_k||_2^2 of each channel, the largest eigenvalue of
-        O_k^dag O_k, which is formed as :func:`_damping` forms D."""
-        out = np.zeros(len(self.collapse))
-        for k, (op, _) in enumerate(self.collapse):
-            at, left, right = _row_pairs(op)
-            gram = np.zeros((self.dim, self.dim), dtype=complex)
-            np.add.at(gram, at, left * right)
-            out[k] = np.linalg.eigvalsh(gram)[-1]
-        return out
+        O_k^dag O_k."""
+        return np.array([np.linalg.eigvalsh(op.conj().T @ op)[-1]
+                         for op, _ in self.collapse])
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -165,71 +160,47 @@ def unvectorize(v: np.ndarray, d: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape(d, d, order="F")
 
 
-def _csr_triplets(op: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray,
-                                              np.ndarray]:
-    """``(rows, cols, values)`` of a CSR matrix's stored entries, in order."""
-    rows = np.repeat(np.arange(op.shape[0], dtype=np.int32), np.diff(op.indptr))
-    return rows, op.indices, op.data
+def _array(op, name: str) -> np.ndarray:
+    """``op`` as a complex array.  Hilbert-space operators are dense d x d
+    arrays; a scipy sparse matrix is refused."""
+    if sp.issparse(op):
+        raise ValueError(f"{name} must be a dense array (Hilbert-space "
+                         f"operators are d x d numpy arrays), not a scipy "
+                         f"sparse matrix")
+    return np.asarray(op, dtype=complex)
 
 
-def _row_pairs(op: sp.csr_matrix
-               ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
-    """``((b, c), conj(O_ab), O_ac)`` for every ordered pair of stored
-    entries of one row a of ``op``, row by row: the terms of O^dag O."""
-    _, cols, vals = _csr_triplets(op)
-    count = np.diff(op.indptr)
-    per = np.repeat(count, count)  # entries in each entry's row
-    e = np.repeat(np.arange(op.nnz), per)
-    f = (np.repeat(np.repeat(op.indptr[:-1], count), per)
-         + np.arange(len(e)) - np.repeat(np.cumsum(per) - per, per))
-    return (cols[e], cols[f]), vals[e].conj(), vals[f]
-
-
-def _damping(collapse: list, d: int) -> np.ndarray:
-    """D = sum_k r_k O_k^dag O_k as a dense d x d array: entry (b, c) sums
-    conj(O_ab) (r O_ac) over the rows a holding both, channel after
-    channel and row after row, one pair of stored entries per term: the
-    order of the sparse product S^dag (W S) of the stacked O_k and their
-    rates, so D is bitwise that product."""
-    damping = np.zeros((d, d), dtype=complex)
-    for op, rate in collapse:
-        at, left, right = _row_pairs(op)
-        np.add.at(damping, at, left * (rate * right))
-    return damping
-
-
-def _as_csr(op) -> sp.csr_matrix:
-    """A complex CSR matrix of a sparse or dense operator, itself if it is
-    one."""
-    if sp.issparse(op) and op.format == "csr" and op.dtype == complex:
-        return op
-    return sp.csr_matrix(op, dtype=complex)
+def _entries(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, cols, values)`` of the nonzero entries of X, row by row,
+    the indices int32 (d^2 < 2^31 here), which halves their transients."""
+    rows, cols = (i.astype(np.int32) for i in np.nonzero(X))
+    return rows, cols, X[rows, cols]
 
 
 def build_liouvillian(space: CompositeSpace, H, collapse) -> Liouvillian:
     """Vectorized generator -i[H, .] + sum rate * D(L) on ``space``, for H
-    and ``(operator, rate)`` collapse pairs as sparse or dense matrices,
+    and ``(operator, rate)`` collapse pairs as dense d x d arrays,
     assembled as the no-jump part rho -> -i(Heff rho - rho Heff^dag) of
-    Heff = H - (i/2) D, D = sum r_k O_k^dag O_k (:func:`_damping`, kept on
+    Heff = H - (i/2) D, D = sum r_k O_k^dag O_k (dense products, kept on
     the result), plus the jumps sum r_k conj(O_k) kron O_k.
 
     Every term is a Kronecker product, written straight into one COO
     triplet set: kron(X, Y) has X_ab Y_ce at row a d + c, column b d + e;
     the CSR conversion sums the duplicates once.  Raises ``ValueError``
-    for an operator that is not d x d or a negative rate.
+    for a scipy sparse operator, an operator that is not d x d or a
+    negative rate.
     """
     d = space.total_dim
-    H = _as_csr(H)
-    collapse = [(_as_csr(op), rate) for op, rate in collapse]
+    H = _array(H, "H")
+    collapse = [(_array(op, "a collapse operator"), rate)
+                for op, rate in collapse]
     if any(op.shape != (d, d) for op in [H] + [op for op, _ in collapse]):
         raise ValueError(f"an operator does not act on the space of dim {d}")
     if any(rate < 0 for _, rate in collapse):
         raise ValueError("collapse rates must be nonnegative")
-    damping = _damping(collapse, d)
-    heff = H.toarray() - 0.5j * damping
-    # int32 triplets (d^2 < 2^31 here) halve the index transients
-    a, b = (i.astype(np.int32) for i in np.nonzero(heff))
-    v = heff[a, b]
+    damping = sum((op.conj().T @ (rate * op) for op, rate in collapse),
+                  np.zeros((d, d), dtype=complex))
+    a, b, v = _entries(H - 0.5j * damping)
     c = d * np.arange(d, dtype=np.int32)[:, None]
     # -i (1 kron Heff) and +i (conj(Heff) kron 1)
     rows = [(c + a).ravel(), (d * a + c // d).ravel()]
@@ -238,7 +209,7 @@ def build_liouvillian(space: CompositeSpace, H, collapse) -> Liouvillian:
             np.broadcast_to(1j * v.conj(), (d, len(v))).ravel()]
     for op, rate in collapse:
         if rate:
-            o_row, o_col, o_val = _csr_triplets(op)
+            o_row, o_col, o_val = _entries(op)
             rows.append((d * o_row[:, None] + o_row).ravel())
             cols.append((d * o_col[:, None] + o_col).ravel())
             vals.append((rate * np.outer(o_val.conj(), o_val)).ravel())
@@ -260,10 +231,7 @@ class EvolutionResult:
 def _observable_weights(obs) -> tuple[np.ndarray, bool]:
     """``(w, is_state)`` with tr(O rho) = w . vec(rho).  A state vector psi
     stands for O = |psi><psi|; its value is a fidelity, hence real."""
-    if sp.issparse(obs):
-        O = obs.toarray()
-    else:
-        O = np.asarray(obs, dtype=complex)
+    O = _array(obs, "an observable")
     is_state = O.ndim == 1
     if is_state:
         O = np.outer(O, O.conj())
@@ -353,7 +321,7 @@ def _numerical_range_box(liouvillian: Liouvillian, A: sp.csr_matrix,
     the intersection of the analytic interval [-max D - J, -min D + J]
     (D = sum r_k O_k^dag O_k) with that part's Gershgorin interval.
     """
-    H = liouvillian.hamiltonian.toarray()
+    H = liouvillian.hamiltonian
     jump = sum(r * norm for (_, r), norm in zip(liouvillian.collapse,
                                                 liouvillian.norms))
     lam = np.linalg.eigvalsh(liouvillian.damping)
@@ -781,25 +749,25 @@ def evolve(liouvillian: Liouvillian, rho0: np.ndarray,
     """Propagate rho exactly along the uniform ``t_grid`` (us) by one
     Chebyshev propagation of its real Hermitian-basis coordinates.
 
-    ``rho0`` is the state at ``t_grid[0]``.  Observables may be sparse or
-    dense matrices (expectation values) or state vectors (fidelities).
-    Raises ``ValueError`` for a grid that is not a uniform increasing
-    ``linspace``, a ``rho0`` that is not d x d or not Hermitian (relative
-    ``1e-12``) or an L that does not preserve Hermiticity;
-    :class:`EvolutionError` on non-finite values or a positivity violation
-    below ``-1e-6``.  ``diagnostics["min_eigenvalue"]`` is the smallest
-    eigenvalue of rho over the grid, from ``eigvalsh`` at t = 0 and on
-    every block a Cholesky certificate does not clear (see
-    :class:`_StateObserver`); ``max_trace_drift`` is the largest
-    |tr rho - 1|.  States built from real coordinates are exactly
-    Hermitian: ``max_hermiticity_defect`` (|rho - rho^dag|) reads 0.0.
-    ``diagnostics["propagator"]`` holds the ``method`` (``chebyshev``;
-    ``dense_expm`` only for a dense family of :func:`evolve_shifted`, whose
-    other entries but m are None), the ``terms`` K of an expansion, the
-    ``substeps`` m of a step, the grid points s an expansion serves
-    (``outputs_per_expansion``), its ``half_width`` R' (1/us) and the
-    nonzeros of the real matrix it multiplies (``matrix_nnz``; a
-    family's last member's).
+    ``rho0`` is the state at ``t_grid[0]``.  Observables may be dense d x d
+    arrays (expectation values) or state vectors (fidelities).  Raises
+    ``ValueError`` for a scipy sparse observable, a grid that is not a
+    uniform increasing ``linspace``, a ``rho0`` that is not d x d or not
+    Hermitian (relative ``1e-12``) or an L that does not preserve
+    Hermiticity; :class:`EvolutionError` on non-finite values or a
+    positivity violation below ``-1e-6``.
+    ``diagnostics["min_eigenvalue"]`` is the smallest eigenvalue of rho
+    over the grid, from ``eigvalsh`` at t = 0 and on every block a Cholesky
+    certificate does not clear (see :class:`_StateObserver`);
+    ``max_trace_drift`` is the largest |tr rho - 1|.  States built from
+    real coordinates are exactly Hermitian: ``max_hermiticity_defect``
+    (|rho - rho^dag|) reads 0.0.  ``diagnostics["propagator"]`` holds the
+    ``method`` (``chebyshev``; ``dense_expm`` only for a dense family of
+    :func:`evolve_shifted`, whose other entries but m are None), the
+    ``terms`` K of an expansion, the ``substeps`` m of a step, the grid
+    points s an expansion serves (``outputs_per_expansion``), its
+    ``half_width`` R' (1/us) and the nonzeros of the real matrix it
+    multiplies (``matrix_nnz``; a family's last member's).
     """
     res = evolve_shifted(liouvillian, np.zeros(liouvillian.dim), [0.0], rho0,
                          t_grid, observables)
@@ -841,8 +809,7 @@ def _no_jump_inverse(liouvillian: Liouvillian
     if not sigma > 0:
         raise SteadyStateError(
             "steady state is not unique: the generator has no dissipation")
-    heff = (liouvillian.hamiltonian.toarray()
-            - 0.5j * (damping + sigma * np.eye(d)))
+    heff = liouvillian.hamiltonian - 0.5j * (damping + sigma * np.eye(d))
     split = _EIG_SPLIT * np.abs(heff).max() * np.linspace(-1.0, 1.0, d)
     lam, V = np.linalg.eig(heff + np.diag(split))
     W = np.linalg.inv(V)

@@ -37,7 +37,7 @@ from .hamiltonian import (
     single_excitation_modes,
 )
 from .hilbert import (
-    CompositeSpace, _ladder_triplets, coherent_state, coherent_tail,
+    CompositeSpace, coherent_state, coherent_tail, lowering_op,
     partial_trace, product_state,
 )
 from .lindblad import (
@@ -165,17 +165,12 @@ def _qubit_projector(full_space: CompositeSpace, qspace: CompositeSpace,
 
 def _lab_photon_operator(space: CompositeSpace, mode: int,
                          alpha: float) -> np.ndarray:
-    """Lab-frame photon number c^dag c + alpha (c^dag + c) + alpha^2 of the
+    """Lab-frame photon number c^dag c + alpha (c + c^dag) + alpha^2 of the
     resonator at ``mode``, from the frame displaced by its real classical
-    steady amplitude ``alpha``, as a dense array from the entries of c."""
-    rows, cols, factor = _ladder_triplets(space, {mode: -1})
-    d = space.total_dim
-    op = np.zeros((d, d), dtype=complex)
-    op[rows, cols] = op[cols, rows] = alpha * factor
-    number = np.zeros(d)
-    number[cols] = factor * factor
-    op[np.arange(d), np.arange(d)] = number + alpha ** 2
-    return op
+    steady amplitude ``alpha``."""
+    c = lowering_op(space, mode)
+    return (c.conj().T @ c + alpha * (c + c.conj().T)
+            + alpha ** 2 * np.eye(space.total_dim))
 
 
 def _qubit_state_labels(n: int) -> list[str]:
@@ -461,8 +456,12 @@ def run_spectroscopy(config: ScenarioConfig, drive_target: int,
     are the scan's ``diagnostics``; without frequencies they read zero
     drift, defect and ``rhs_evaluations`` and None for ``min_eigenvalue``
     and ``propagator``.  Raises ``ValueError`` for non-finite frequencies,
-    naming their rows and values, and for a non-finite amplitude.
+    naming their rows and values, for a non-finite amplitude and for a
+    ``duration`` that is not positive and finite, before any build.
     """
+    if not 0 < duration < math.inf:
+        raise ValueError(f"probe duration must be positive and finite, "
+                         f"got {duration}")
     if not np.isfinite(amplitude):
         raise ValueError(f"probe amplitude must be finite, got {amplitude}")
     j_min = min((j for j in config.couplings if j > 0), default=math.inf)

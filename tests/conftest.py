@@ -46,8 +46,10 @@ def lu_steady_state():
 GROUND, INTERMEDIATE, TARGET = 0, 1, 2
 
 
-def _ketbra(i: int, j: int) -> sp.csr_matrix:
-    return sp.csr_matrix(([1.0 + 0j], ([i], [j])), shape=(3, 3))
+def _ketbra(i: int, j: int) -> np.ndarray:
+    op = np.zeros((3, 3), dtype=complex)
+    op[i, j] = 1.0
+    return op
 
 
 def three_level_liouvillian(p: ThreeLevelParams) -> Liouvillian:

@@ -159,7 +159,7 @@ def _single_exc(model, cfg):
         occ = [0] * len(space.modes)
         occ[i] = 1
         idx.append(space.index(occ))
-    return model.H.toarray()[np.ix_(idx, idx)]
+    return model.H[np.ix_(idx, idx)]
 
 
 def test_criterion_4_three_level_oracle_equivalence():
@@ -198,7 +198,7 @@ def test_criterion_6_photon_calibration_and_stark_shift():
         H = (TWO_PI * delta) * n + (TWO_PI * eps) * (c + c.conj().T)
         liouv = build_liouvillian(space, H, [(c, TWO_PI * kappa)])
         ss = steady_state(liouv, tol=1e-8)
-        n_sim = float(np.real((n.toarray() @ ss.rho).trace()))
+        n_sim = float(np.real((n @ ss.rho).trace()))
         worst = max(worst, abs(n_sim / n_bar - 1.0))
     check("criterion 6a", worst <= 0.01,
           f"max photon-number error = {worst * 100:.3f}% (<= 1%)")

@@ -40,8 +40,7 @@ def single_excitation_block(model, config):
         occ = [0] * len(space.modes)
         occ[i] = 1
         idx.append(space.index(occ))
-    H = model.H.toarray()
-    return H[np.ix_(idx, idx)]
+    return model.H[np.ix_(idx, idx)]
 
 
 def drives_off(cfg):
@@ -123,8 +122,8 @@ class TestDispersive:
         # the ladder terms give the Kronecker products' entries exactly
         H = build_dispersive(config).H
         ref = kron_hamiltonian(config)
-        assert H.nnz == np.count_nonzero(ref)
-        npt.assert_array_equal(H.toarray(), ref)
+        assert np.count_nonzero(H) == np.count_nonzero(ref)
+        npt.assert_array_equal(H, ref)
 
     def test_bell_single_excitation_gap(self):
         cfg = drives_off(bundled_scenario("bell"))
@@ -147,7 +146,7 @@ class TestDispersive:
     def test_all_couplings_off_is_diagonal(self):
         cfg = drives_off(bundled_scenario("bell")).replace(
             couplings=(0.0,))
-        H = build_dispersive(cfg).H.toarray()
+        H = build_dispersive(cfg).H
         off = H - np.diag(np.diag(H))
         assert np.abs(off).max() < 1e-12
 
@@ -200,7 +199,7 @@ class TestDispersive:
         # (the undriven R1 is not in the space)
         g0 = space.index((0, 0, 0))
         g1 = space.index((0, 0, 1))
-        assert abs(disp.H.toarray()[g0, g1]) < 1e-12
+        assert abs(disp.H[g0, g1]) < 1e-12
         assert abs(disp.resonators[0].alpha) ** 2 == pytest.approx(0.74, rel=1e-12)
 
     def test_qubit_only_space(self):
@@ -255,7 +254,7 @@ def build_jaynes_cummings(config):
     frame = drive_freqs[0] if drive_freqs else config.qubits[0].working_freq
 
     d = space.total_dim
-    H = sp.csr_matrix((d, d), dtype=complex)
+    H = np.zeros((d, d), dtype=complex)
     b = [lowering_op(space, i) for i in range(L)]
 
     for i, q in enumerate(config.qubits):
@@ -317,7 +316,7 @@ def jc_derived_chi(config, k=0):
         raman=(type(config.raman[k])(detuning=0.0),),
     )
     space, H = build_jaynes_cummings(sub)
-    evals, evecs = np.linalg.eigh(H.toarray())
+    evals, evecs = np.linalg.eigh(H)
 
     def energy_of(occ):
         target = basis_state(space, occ)
@@ -344,7 +343,7 @@ class TestJaynesCummings:
         # chi = 0 the displaced frame adds nothing to H
         disp = build_dispersive(cfg.replace(raman=tuple(
             ResonatorDrive(detuning=d.detuning, n_bar=1.0) for d in raman)))
-        npt.assert_allclose(H_jc.toarray(), disp.H.toarray(), atol=1e-9)
+        npt.assert_allclose(H_jc, disp.H, atol=1e-9)
 
     def test_refuses_mixed_drive_frequencies(self):
         cfg = bundled_scenario("bell")  # two channels at distinct frequencies
@@ -387,7 +386,7 @@ class TestJaynesCummings:
         space, H_jc = build_jaynes_cummings(cfg)
         disp = build_dispersive(cfg)
         gap_d = np.ptp(np.linalg.eigvalsh(single_excitation_block(disp, cfg)))
-        vals, vecs = np.linalg.eigh(H_jc.toarray())
+        vals, vecs = np.linalg.eigh(H_jc)
         qubit_states = [basis_state(space, (1, 0, 0, 0)),
                         basis_state(space, (0, 1, 0, 0))]
         picked = []
@@ -444,7 +443,7 @@ class TestPumps:
         ee = space.index((1, 1, 0, 0))
         ge = space.index((0, 1, 0, 0))
         eg = space.index((1, 0, 0, 0))
-        H = model.H.toarray()
+        H = model.H
         s_element = (H[ee, eg] - H[ee, ge]) / math.sqrt(2)
         assert abs(s_element) / TWO_PI == pytest.approx(math.sqrt(2) * 0.53,
                                                         rel=1e-9)

@@ -99,6 +99,21 @@ class TestBuildLiouvillian:
             build_liouvillian(space, np.zeros((2, 2)),
                               [(lowering_op(space, 0), -0.1)])
 
+    def test_sparse_operators_refused(self):
+        # Hilbert-space operators are dense arrays, with no conversion path
+        space = tls_space()
+        a = lowering_op(space, 0)
+        L = build_liouvillian(space, np.zeros((2, 2)), [(a, 1.0)])
+        dense = "must be a dense array"
+        with pytest.raises(ValueError, match=f"H {dense}"):
+            build_liouvillian(space, sp.csr_matrix((2, 2)), [(a, 1.0)])
+        with pytest.raises(ValueError, match=f"collapse operator {dense}"):
+            build_liouvillian(space, np.zeros((2, 2)),
+                              [(sp.csr_matrix(a), 1.0)])
+        with pytest.raises(ValueError, match=f"observable {dense}"):
+            evolve(L, np.eye(2) / 2, np.linspace(0.0, 1.0, 5),
+                   observables={"n": sp.csr_matrix(number_op(space, 0))})
+
     @pytest.mark.parametrize("d", [3, 8])
     def test_stored_damping_is_the_rate_weighted_gram_sum(self, d):
         # D = sum r_k O_k^dag O_k and each ||O_k||_2^2, against dense
@@ -117,9 +132,11 @@ class TestBuildLiouvillian:
     @pytest.mark.parametrize("name", BUNDLED)
     def test_bundled_damping_is_the_stacked_product(self, name):
         # bitwise the sparse product S^dag (W S) of the stacked operators
-        # S and their rates W, which sums the same terms in the same order
+        # S and their rates W: an entry of a ladder operator's O^dag O is
+        # one product, so the dense products sum the same terms in order
         L = build_problem(bundled_scenario(name))[1]
-        S = sp.vstack([op for op, _ in L.collapse], format="csr")
+        S = sp.vstack([sp.csr_matrix(op) for op, _ in L.collapse],
+                      format="csr")
         W = sp.diags(np.repeat([r for _, r in L.collapse], L.dim))
         assert L.damping.tobytes() == (S.conj().T @ (W @ S)).toarray().tobytes()
 
@@ -192,10 +209,10 @@ class TestEvolve:
                                      h_scale=h_scale)
         assert (d * d > lindblad._DENSE_PROPAGATOR_MAX) is block_family
         t = np.linspace(0.0, 0.5, 3) if block_family else np.linspace(0, 5, 21)
-        spread = np.ptp(np.linalg.eigvalsh(L.hamiltonian.toarray()))
+        spread = np.ptp(np.linalg.eigvalsh(L.hamiltonian))
         if model == "damped":
             # mean damping tr(sum r O^dag O)/d against H's spectral spread
-            damping = sum(r * np.linalg.norm(op.toarray()) ** 2
+            damping = sum(r * np.linalg.norm(op) ** 2
                           for op, r in L.collapse) / d
             assert damping > 10 * spread
         if model == "fast":
@@ -463,7 +480,7 @@ class TestEvolve:
         op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi /= np.linalg.norm(psi)
-        lin = sp.csr_matrix(op.T)
+        lin = op.T
         t = np.linspace(0.0, 3.0, 13)
         res, rhos = evolved_states(
             L, rho0, t, observables={"op": op, "lin": lin, "psi": psi})
@@ -742,9 +759,8 @@ class TestFamilyBlock:
         L, number, shifts = getattr(self, f"{family}_family")()
         A = real_matrix(L.matrix)
         R, _, _ = lindblad._numerical_range_box(L, A, number, shifts)
-        jump = sum(r * np.linalg.norm(op.toarray(), 2) ** 2
-                   for op, r in L.collapse)
-        H = L.hamiltonian.toarray()
+        jump = sum(r * np.linalg.norm(op, 2) ** 2 for op, r in L.collapse)
+        H = L.hamiltonian
         rng = np.random.default_rng(2)
         for delta in rng.uniform(shifts.min(), shifts.max(), 40):
             spread = np.ptp(np.linalg.eigvalsh(H + np.diag(delta * number)))
@@ -904,7 +920,7 @@ def family_states(L, number, shifts, rho0, t):
 
 def shifted_liouvillian(L, number, delta):
     """The generator of H + delta diag(``number``), built from scratch."""
-    return build_liouvillian(L.space, L.hamiltonian + sp.diags(delta * number),
+    return build_liouvillian(L.space, L.hamiltonian + np.diag(delta * number),
                              L.collapse)
 
 
@@ -1048,7 +1064,8 @@ class TestSteadyState:
             steady_state(L)
 
     def test_kernel_gap_run_is_bounded(self, monkeypatch):
-        # this model's kernel-gap run needs 4 Arnoldi restarts
+        # this model's kernel-gap run takes 7 Krylov-Schur passes (74
+        # applications of K)
         L, _ = random_lindbladian(5, seed=7)
         monkeypatch.setattr(lindblad, "_EIGS_MAXITER", 3)
         with pytest.raises(SteadyStateError,
