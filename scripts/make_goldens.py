@@ -6,9 +6,10 @@ acceptance suite checks new runs against them.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
-from stabsim.device import QubitParams, bundled_scenario
+from stabsim.device import bundled_scenario
 from stabsim.scenarios import run_bell, run_w
 
 GOLDENS = Path(__file__).resolve().parent.parent / "goldens"
@@ -27,14 +28,12 @@ def summarize(report):
 
 def no_decoherence(cfg):
     return cfg.replace(qubits=tuple(
-        QubitParams(q.label, q.omega_q, q.alpha, None, None, q.working_freq)
-        for q in cfg.qubits))
+        replace(q, t1=None, t2e=None) for q in cfg.qubits))
 
 
 def t1_only(cfg):
     return cfg.replace(qubits=tuple(
-        QubitParams(q.label, q.omega_q, q.alpha, 27.0, None, q.working_freq)
-        for q in cfg.qubits))
+        replace(q, t1=27.0, t2e=None) for q in cfg.qubits))
 
 
 def main():

@@ -13,11 +13,12 @@ steady-state residual, kernel gap, error).  Run from anywhere:
 
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from stabsim.device import QubitParams, bundled_scenario
+from stabsim.device import bundled_scenario
 from stabsim.scenarios import run_bell, run_sweep, write_sweep
 
 
@@ -26,8 +27,7 @@ def decoherence_table(outdir: Path):
 
     def with_times(t1, t2e):
         return cfg.replace(qubits=tuple(
-            QubitParams(q.label, q.omega_q, q.alpha, t1, t2e, q.working_freq)
-            for q in cfg.qubits))
+            replace(q, t1=t1, t2e=t2e) for q in cfg.qubits))
 
     rows = []
     for label, variant in (("none", with_times(None, None)),

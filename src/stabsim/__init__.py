@@ -2,7 +2,7 @@
 
 Library layout:
 
-* :mod:`stabsim.hilbert` -- truncated-Fock spaces, sparse operators, states
+* :mod:`stabsim.hilbert` -- truncated-Fock spaces, dense operators, states
 * :mod:`stabsim.device` -- device parameters and scenario configuration
 * :mod:`stabsim.hamiltonian` -- rotating-frame models and collapse operators
 * :mod:`stabsim.modes` -- normal-mode analysis, Kerr tensors, cooling matrix

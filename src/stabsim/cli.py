@@ -28,10 +28,19 @@ def _load_config(path: str | None, fallback: str) -> ScenarioConfig:
 
 
 def _parse_values(spec: str) -> np.ndarray:
-    if ":" in spec:
+    """``start:stop:count`` or a comma list as an array (an argparse
+    ``type``: a malformed spec is a usage error)."""
+    try:
+        if ":" not in spec:
+            return np.asarray([float(v) for v in spec.split(",")])
         start, stop, count = spec.split(":")
-        return np.linspace(float(start), float(stop), int(count))
-    return np.asarray([float(v) for v in spec.split(",")])
+        if int(count) >= 0:
+            return np.linspace(float(start), float(stop), int(count))
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"{spec!r} is neither start:stop:count with count >= 0 nor a comma "
+        f"list of numbers")
 
 
 def _cmd_bell(args) -> int:
@@ -55,20 +64,18 @@ def _cmd_w(args) -> int:
 
 def _cmd_spectroscopy(args) -> int:
     config = _load_config(args.config, "bell")
-    freqs = _parse_values(args.freqs)
-    result = run_spectroscopy(config, args.target, freqs, args.amplitude)
+    result = run_spectroscopy(config, args.target, args.freqs, args.amplitude)
     out = write_spectroscopy(result, args.out)
-    print(f"{len(freqs)} points -> {out}")
+    print(f"{len(args.freqs)} points -> {out}")
     return 0
 
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args.config, "bell_single_channel")
-    values = _parse_values(args.values)
-    result = run_sweep(config, args.axis, values, workers=args.workers)
+    result = run_sweep(config, args.axis, args.values, workers=args.workers)
     out = write_sweep(result, args.out)
     failed = sum(1 for e in result.errors if e)
-    print(f"{len(values)} points ({failed} failed) -> {out}")
+    print(f"{len(args.values)} points ({failed} failed) -> {out}")
     return 0
 
 
@@ -148,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectroscopy", help="weak-probe population spectra")
     add_common(p, "spectroscopy_run")
     p.add_argument("--target", type=int, default=0, help="driven qubit index")
-    p.add_argument("--freqs", required=True,
+    p.add_argument("--freqs", required=True, type=_parse_values,
                    help="start:stop:count or comma list, MHz")
     p.add_argument("--amplitude", type=float, default=0.1, help="probe MHz")
     p.set_defaults(func=_cmd_spectroscopy)
@@ -156,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="steady fidelity and rate vs one axis")
     add_common(p, "sweep_run")
     p.add_argument("--axis", choices=SWEEP_AXES, required=True)
-    p.add_argument("--values", required=True,
+    p.add_argument("--values", required=True, type=_parse_values,
                    help="start:stop:count or comma list")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_sweep)

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
-from .hilbert import QUBIT, CompositeSpace, ModeSpec
-
 DEPHASING_CONVENTIONS = ("direct", "pure_dephasing")
 
 #: tolerance on the physical bound T2e <= 2*T1
@@ -240,16 +238,12 @@ def validate_config(cfg: ScenarioConfig) -> None:
     if cfg.dephasing_convention not in DEPHASING_CONVENTIONS:
         raise ConfigError("dephasing_convention",
                           f"must be one of {DEPHASING_CONVENTIONS}")
-    if cfg.initial_state != "ground":
-        # the named states are defined in hamiltonian, which imports this
-        # module; a name depends only on the number of qubits
-        from .hamiltonian import named_qubit_state
-        space = CompositeSpace(ModeSpec(f"q{i}", QUBIT, tr.qubit_dim)
-                               for i in range(L))
-        try:
-            named_qubit_state(space, cfg.initial_state)
-        except ValueError as exc:
-            raise ConfigError("initial_state", str(exc)) from None
+    # the named states are defined in hamiltonian, which imports this module
+    from .hamiltonian import named_qubit_state, qubit_space
+    try:
+        named_qubit_state(qubit_space(cfg), cfg.initial_state)
+    except ValueError as exc:
+        raise ConfigError("initial_state", str(exc)) from None
 
 
 # -- JSON (de)serialization --------------------------------------------------
@@ -258,7 +252,7 @@ def validate_config(cfg: ScenarioConfig) -> None:
 # required key, a missing optional key takes the field's default, and
 # documents list the keys in field order.  Where JSON differs from the
 # fields the types decide: a ``complex`` is a number or ``[re, im]``, a tuple
-# is a list, and a union takes the first branch that fits.
+# is a list, and an optional field (``X | None``) is null or an X.
 
 def _decode(tp: Any, raw: Any, path: str) -> Any:
     """``raw`` (parsed JSON) as a ``tp``; ``path`` names it in errors, and
@@ -284,16 +278,9 @@ def _decode(tp: Any, raw: Any, path: str) -> Any:
         except ValueError as exc:  # a field's own check, e.g. the convention
             raise ConfigError(where, str(exc)) from None
     args = get_args(tp)
-    if get_origin(tp) in (Union, types.UnionType):
-        if raw is None and type(None) in args:
-            return None
-        branches = [a for a in args if a is not type(None)]
-        for branch in branches[:-1]:
-            try:
-                return _decode(branch, raw, path)
-            except ConfigError:
-                pass
-        return _decode(branches[-1], raw, path)
+    if get_origin(tp) in (Union, types.UnionType):  # always X | None
+        (branch,) = (a for a in args if a is not type(None))
+        return None if raw is None else _decode(branch, raw, path)
     if get_origin(tp) is tuple:
         if not isinstance(raw, list):
             raise ConfigError(where, "must be a list")

@@ -16,10 +16,9 @@ closed forms against the steady state of this model's Lindblad generator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-TWO_PI = 2.0 * math.pi
+from .rates import TWO_PI
 
 
 @dataclass(frozen=True)

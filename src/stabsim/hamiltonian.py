@@ -45,8 +45,8 @@ from .hilbert import (
     QUBIT, RESONATOR, CompositeSpace, ModeSpec, basis_state, ladder_op,
     lowering_op, number_op,
 )
-
-TWO_PI = 2.0 * math.pi
+from .modes import QuadraticForm, normal_modes, qubit_chain
+from .rates import TWO_PI
 
 
 @dataclass(frozen=True)
@@ -89,21 +89,10 @@ def qubit_excitations(space: CompositeSpace) -> np.ndarray:
 
 
 def single_excitation_modes(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (MHz, ascending, absolute) and eigenvectors of the
-    single-excitation qubit block at the working bias."""
-    L = config.n_qubits
-    h = np.zeros((L, L))
-    for i, q in enumerate(config.qubits):
-        h[i, i] = q.working_freq
-    for i, j in enumerate(config.couplings):
-        h[i, i + 1] = h[i + 1, i] = -j
-    vals, vecs = np.linalg.eigh(h)
-    # deterministic sign: largest-magnitude component positive
-    for k in range(L):
-        idx = np.argmax(np.abs(vecs[:, k]))
-        if vecs[idx, k] < 0:
-            vecs[:, k] = -vecs[:, k]
-    return vals, vecs
+    """Eigenvalues (MHz, ascending, absolute) and sign-fixed eigenvectors
+    of the single-excitation block :func:`~stabsim.modes.qubit_chain`."""
+    basis = normal_modes(QuadraticForm(qubit_chain(config), config.n_qubits, 0))
+    return basis.eigenvalues, basis.m
 
 
 _NAMED_TWO_QUBIT = {
@@ -128,13 +117,15 @@ _NAMED_THREE_QUBIT = {
 def named_qubit_state(space: CompositeSpace, name: str) -> np.ndarray:
     """Named qubit-array state on a qubit-only composite space.
 
-    Product states are spelled with g/e letters; the entangled one- and
-    two-excitation eigenstates use their conventional letters (T/S for two
-    qubits, W/A/B and C/D/E for three).
+    Product states are spelled with g/e letters, and ``"ground"`` is the
+    all-g one; the entangled one- and two-excitation eigenstates use their
+    conventional letters (T/S for two qubits, W/A/B and C/D/E for three).
     """
     n = space.n_qubits
     if space.n_resonators:
         raise ValueError("named states are defined on qubit-only spaces")
+    if name == "ground":
+        name = "g" * n
     if len(name) == n and set(name) <= {"g", "e"}:
         return basis_state(space, tuple(1 if ch == "e" else 0 for ch in name))
     terms = {2: _NAMED_TWO_QUBIT, 3: _NAMED_THREE_QUBIT}.get(n, {}).get(name)

@@ -8,9 +8,9 @@ Conventions used throughout the package:
   ``occupations[i, k]`` of mode i.  :meth:`CompositeSpace.index` is the one
   ordering rule, row-major over the occupations: ``(n_0, ..., n_{m-1})``
   sits at ``n_0*s_0 + ... + n_{m-1}`` where ``s_i`` is the product of the
-  dimensions of all later modes.  Operators and state vectors are built
-  from the table, every off-diagonal operator by the one occupation-shift
-  rule, :func:`ladder_op`.
+  dimensions of all later modes.  Only the table and :func:`partial_trace`
+  read that layout: operators and states are built from the table, every
+  off-diagonal operator by the one occupation-shift rule, :func:`ladder_op`.
 * Operators and density matrices are dense complex d x d arrays, each
   passed together with the :class:`CompositeSpace` it acts on.  Sparse
   storage is kept for the d^2 x d^2 Liouville-space matrices
@@ -183,20 +183,6 @@ def coherent_tail(dim: int, alpha: complex) -> float:
     x = float(abs(alpha)) ** 2
     kept = math.exp(-x) * sum(x ** n / math.factorial(n) for n in range(dim))
     return max(0.0, 1.0 - kept)
-
-
-def product_state(space: CompositeSpace, factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Tensor product of per-mode state vectors: entry k is the product of
-    f_i[n_i(k)] over the modes, multiplied in mode order."""
-    if len(factors) != len(space.modes):
-        raise ValueError("one factor per mode required")
-    psi = np.ones(space.total_dim, dtype=complex)
-    for f, mode, n in zip(factors, space.modes, space.occupations):
-        f = np.asarray(f, dtype=complex).ravel()
-        if f.size != mode.dim:
-            raise ValueError(f"factor size {f.size} does not match dim {mode.dim}")
-        psi *= f[n]
-    return psi
 
 
 # -- functionals ----------------------------------------------------------

@@ -103,15 +103,20 @@ class CoolingMatrix:
         return self.kappa_ratio >= 5.0
 
 
+def qubit_chain(config: ScenarioConfig) -> np.ndarray:
+    """The L x L qubit block: working frequencies on the diagonal, -J
+    between neighbours (MHz)."""
+    h = np.diag([float(q.working_freq) for q in config.qubits])
+    for i, j in enumerate(config.couplings):
+        h[i, i + 1] = h[i + 1, i] = -j
+    return h
+
+
 def build_quadratic_form(config: ScenarioConfig) -> QuadraticForm:
     """Dedicated-resonator layout: qubit chain plus one resonator per qubit."""
     L = config.n_qubits
-    n = 2 * L
-    m = np.zeros((n, n))
-    for i, q in enumerate(config.qubits):
-        m[i, i] = q.working_freq
-    for i, j in enumerate(config.couplings):
-        m[i, i + 1] = m[i + 1, i] = -j
+    m = np.zeros((2 * L, 2 * L))
+    m[:L, :L] = qubit_chain(config)
     for i, res in enumerate(config.resonators):
         m[L + i, L + i] = res.omega_r
         g = derive_g(res, config.qubits[i])

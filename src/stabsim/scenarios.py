@@ -22,7 +22,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -38,11 +40,12 @@ from .hamiltonian import (
 )
 from .hilbert import (
     CompositeSpace, coherent_state, coherent_tail, lowering_op,
-    partial_trace, product_state,
+    partial_trace,
 )
 from .lindblad import (
     Liouvillian, build_liouvillian, evolve, evolve_shifted, steady_state,
 )
+from .rates import TWO_PI
 
 #: extension of the time window used to read off a plateau when the
 #: configuration has no decoherence (us)
@@ -150,17 +153,26 @@ def fit_exponential(times, values) -> ExponentialFit:
 
 # -- scenario plumbing -----------------------------------------------------------
 
+@lru_cache(maxsize=8)
+def _projector_entries(space: CompositeSpace, qspace: CompositeSpace
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions of the basis-state pairs of ``space`` whose resonator
+    occupations agree, and of their qubit states in a ``qspace`` matrix
+    (cached: a run builds a dozen projectors on one space)."""
+    occ, n = space.occupations, qspace.n_qubits
+    q = qspace.index(occ[:n])
+    rows, cols = np.nonzero((occ[n:, :, None] == occ[n:, None, :]).all(axis=0))
+    return rows * space.total_dim + cols, q[rows] * qspace.total_dim + q[cols]
+
+
 def _qubit_projector(full_space: CompositeSpace, qspace: CompositeSpace,
                      psi_q: np.ndarray) -> np.ndarray:
-    """|psi><psi| on the qubit factor, identity on resonators, as a dense
-    array: the qubits lead the basis order, so entry (q r, q' r') is
-    psi_q psi_q'^* where the resonator states r = r' agree, else 0."""
-    proj = np.outer(psi_q, psi_q.conj())
-    nq, res_dim = qspace.total_dim, full_space.total_dim // qspace.total_dim
-    out = np.zeros((nq, res_dim, nq, res_dim), dtype=complex)
-    r = np.arange(res_dim)
-    out[:, r, :, r] = proj
-    return out.reshape(full_space.total_dim, full_space.total_dim)
+    """|psi><psi| on the qubits times the resonator identity: entry (k, k')
+    is psi_q psi_q'^* at their qubit states where their resonators agree."""
+    entries, qubit_entries = _projector_entries(full_space, qspace)
+    out = np.zeros((full_space.total_dim,) * 2, dtype=complex)
+    np.put(out, entries, np.outer(psi_q, psi_q.conj()).take(qubit_entries))
+    return out
 
 
 def _lab_photon_operator(space: CompositeSpace, mode: int,
@@ -191,16 +203,13 @@ def initial_density(config: ScenarioConfig, model: HamiltonianModel,
     In the displaced frame an empty lab resonator is the coherent state at
     minus the classical drive amplitude.
     """
+    qspace, occ = qubit_space(config), model.space.occupations
+    dim, n = config.truncations.resonator_dim, config.n_qubits
+    psi = np.ones(model.space.total_dim, dtype=complex)
+    for mode, r in enumerate(model.resonators, start=n):
+        psi *= coherent_state(dim, -r.alpha)[occ[mode]]
     name = config.initial_state if initial is None else initial
-    if name == "ground":
-        name = "g" * config.n_qubits
-    psi_q = named_qubit_state(qubit_space(config), name)
-    space = model.space
-    res_space = CompositeSpace(space.modes[space.n_qubits:])
-    dim = config.truncations.resonator_dim
-    psi_r = product_state(res_space, [coherent_state(dim, -r.alpha)
-                                      for r in model.resonators])
-    psi = np.kron(psi_q, psi_r)
+    psi *= named_qubit_state(qspace, name)[qspace.index(occ[:n])]
     return np.outer(psi, psi.conj())
 
 
@@ -214,21 +223,18 @@ def _has_qubit_decoherence(config: ScenarioConfig) -> bool:
 
 def _scenario_observables(config: ScenarioConfig, model: HamiltonianModel,
                           target: str) -> dict:
-    qspace = qubit_space(config)
-    space = model.space
-    obs: dict = {}
-    for label in _qubit_state_labels(config.n_qubits):
-        obs[f"P_{label}"] = _qubit_projector(space, qspace,
-                                             named_qubit_state(qspace, label))
-    for label in _eigenstate_labels(config.n_qubits):
-        obs[f"P_{label}"] = _qubit_projector(space, qspace,
-                                             named_qubit_state(qspace, label))
-    obs["F_target"] = _qubit_projector(space, qspace,
-                                       named_qubit_state(qspace, target))
+    qspace, space, n = qubit_space(config), model.space, config.n_qubits
+
+    def projector(label: str) -> np.ndarray:
+        return _qubit_projector(space, qspace, named_qubit_state(qspace, label))
+
+    obs = {f"P_{label}": projector(label)
+           for label in _qubit_state_labels(n) + _eigenstate_labels(n)}
+    obs["F_target"] = projector(target)
     # an undriven resonator is not in the model and stays empty
     photons = dict.fromkeys((r.label for r in config.resonators),
                             np.zeros((space.total_dim,) * 2))
-    for mode, r in enumerate(model.resonators, start=config.n_qubits):
+    for mode, r in enumerate(model.resonators, start=n):
         photons[r.label] = _lab_photon_operator(space, mode, r.alpha)
     obs.update((f"n_{label}", op) for label, op in photons.items())
     return obs
@@ -438,7 +444,7 @@ def _probe_family(config: ScenarioConfig, amps: tuple, freqs
         raman=tuple(ResonatorDrive(detuning=d.detuning, n_bar=0.0)
                     for d in config.raman))
     model, base = build_problem(probe)
-    shifts = -2.0 * math.pi * (np.asarray(freqs) - freqs[0])
+    shifts = -TWO_PI * (np.asarray(freqs) - freqs[0])
     return base, qubit_excitations(model.space), shifts
 
 
@@ -456,18 +462,27 @@ def run_spectroscopy(config: ScenarioConfig, drive_target: int,
     are the scan's ``diagnostics``; without frequencies they read zero
     drift, defect and ``rhs_evaluations`` and None for ``min_eigenvalue``
     and ``propagator``.  Raises ``ValueError`` for non-finite frequencies,
-    naming their rows and values, for a non-finite amplitude and for a
-    ``duration`` that is not positive and finite, before any build.
+    naming their rows and values, for a non-finite or zero amplitude, for
+    a ``drive_target`` that is not an integer index and for a ``duration``
+    that is not positive and finite, before any build; a probe that
+    drives nothing would read an all-ground scan.
     """
     if not 0 < duration < math.inf:
         raise ValueError(f"probe duration must be positive and finite, "
                          f"got {duration}")
     if not np.isfinite(amplitude):
         raise ValueError(f"probe amplitude must be finite, got {amplitude}")
+    if amplitude == 0:
+        raise ValueError("probe amplitude must be nonzero")
     j_min = min((j for j in config.couplings if j > 0), default=math.inf)
     if abs(amplitude) > j_min / 3.0:
         raise ValueError("probe amplitude must be well below the coupling J")
-    if not 0 <= drive_target < config.n_qubits:
+    try:
+        target = operator.index(drive_target)
+    except TypeError:
+        raise ValueError(f"drive target must be an integer qubit index, "
+                         f"got {drive_target!r}") from None
+    if not 0 <= target < config.n_qubits:
         raise IndexError("drive target out of range")
 
     freqs = np.asarray(freq_range, dtype=float)
@@ -478,9 +493,9 @@ def run_spectroscopy(config: ScenarioConfig, drive_target: int,
     labels = _qubit_state_labels(config.n_qubits)
     qspace = qubit_space(config)
     obs = {lab: np.asarray(named_qubit_state(qspace, lab)) for lab in labels}
-    amps = tuple(amplitude if i == drive_target else 0.0
+    amps = tuple(amplitude if i == target else 0.0
                  for i in range(config.n_qubits))
-    ground = named_qubit_state(qspace, "g" * config.n_qubits)
+    ground = named_qubit_state(qspace, "ground")
     rho0 = np.outer(ground, ground.conj())
     t_grid = np.linspace(0.0, duration, 81)
     sel = t_grid >= duration / 2.0

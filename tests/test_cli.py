@@ -140,6 +140,27 @@ class TestSpectroscopyCommand:
         assert diag["rhs_evaluations"] == 5 * 80
         assert diag["propagator"]["method"] == "dense_expm"
 
+    @pytest.mark.parametrize("command, flag, spec", [
+        ("spectroscopy", "--freqs", "1:2"),
+        ("spectroscopy", "--freqs", "1:2:x"),
+        ("spectroscopy", "--freqs", "4192:4212:-3"),
+        ("spectroscopy", "--freqs", "4200,,4201"),
+        ("sweep", "--values", "0.5:1:2:3"),
+        ("sweep", "--values", "a,b"),
+    ])
+    def test_malformed_value_spec_is_a_usage_error(self, quick_config,
+                                                   tmp_path, capsys, command,
+                                                   flag, spec):
+        extra = ["--axis", "n_bar"] if command == "sweep" else []
+        with pytest.raises(SystemExit) as exit_:
+            cli_main([command, "--config", str(quick_config), flag, spec,
+                      "--out", str(tmp_path / "out"), *extra])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {spec!r} is neither start:stop:count " \
+            "with count >= 0 nor a comma list of numbers" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("freqs,named", [
         ("nan,4200", "rows [0] are [nan]"),
         ("4200,inf", "rows [1] are [inf]"),

@@ -285,7 +285,7 @@ class TestDeriveG:
 
 
 class TestConfigInvariants:
-    @pytest.mark.parametrize("name", ["xyz", "gge"])
+    @pytest.mark.parametrize("name", ["xyz", "gge", "Ground", "W"])
     def test_initial_state_name_checked(self, name):
         cfg = bundled_scenario("bell").replace(initial_state=name)
         with pytest.raises(ConfigError, match="initial_state.*unknown named"):

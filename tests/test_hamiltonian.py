@@ -503,6 +503,9 @@ class TestModeHelpers:
                 psi = np.zeros(qs.total_dim, dtype=complex)
                 psi[qs.index(tuple(int(ch == "e") for ch in name))] = 1.0
                 npt.assert_array_equal(named_qubit_state(qs, name), psi)
+            # "ground" is the all-g state
+            npt.assert_array_equal(named_qubit_state(qs, "ground"),
+                                   named_qubit_state(qs, "g" * n))
 
     def test_single_excitation_modes_sorted(self):
         vals, vecs = single_excitation_modes(bundled_scenario("w"))

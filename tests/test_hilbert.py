@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from stabsim.hilbert import (
     QUBIT, RESONATOR, CompositeSpace, ModeSpec, basis_state, coherent_state,
     coherent_tail, ladder_op, lowering_op, number_op, partial_trace,
-    product_state,
 )
 
 
@@ -195,21 +194,6 @@ class TestBasisStates:
         assert coherent_tail(dim, alpha) == pytest.approx(
             np.sum(np.abs(psi[dim:]) ** 2), rel=1e-10, abs=1e-16)
 
-    def test_product_state(self):
-        sp = space_of(2, 2)
-        psi = product_state(sp, [np.array([0, 1]), np.array([1, 0])])
-        npt.assert_array_equal(psi, basis_state(sp, (1, 0)))
-        # random factors: the same products as the np.kron chain
-        rng = np.random.default_rng(5)
-        for dims, n_qubits in KRON_SPACES:
-            factors = [rng.normal(size=d) + 1j * rng.normal(size=d)
-                       for d in dims]
-            ref = np.ones(1, dtype=complex)
-            for f in factors:
-                ref = np.kron(ref, f)
-            npt.assert_array_equal(
-                product_state(mixed_space(dims, n_qubits), factors), ref)
-
     def test_index_of_occupation_table(self):
         # the table's columns are the basis states in order, and a table
         # is checked like a single tuple
@@ -239,10 +223,9 @@ class TestBasisStates:
             sp.occupations[0, 0] = 1
 
     def test_space_without_modes(self):
-        # the resonator factor of a qubit-only model
+        # one basis state, with no occupations
         empty = CompositeSpace([])
         assert empty.occupations.shape == (0, 1)
-        npt.assert_array_equal(product_state(empty, []), [1.0])
 
 
 class TestPartialTrace:

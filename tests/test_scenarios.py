@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import warnings
@@ -14,8 +15,8 @@ from stabsim import scenarios
 from stabsim.device import (
     PumpDrive, ResonatorDrive, Truncations, bundled_scenario,
 )
-from stabsim.hamiltonian import named_qubit_state, qubit_space
-from stabsim.hilbert import lowering_op
+from stabsim.hamiltonian import build_dispersive, named_qubit_state, qubit_space
+from stabsim.hilbert import coherent_state, lowering_op
 from stabsim.lindblad import _commutator_diagonal, build_liouvillian, evolve
 from stabsim.scenarios import (
     DegenerateDataError, FitError, _probe_family, _qubit_state_labels,
@@ -240,6 +241,37 @@ class TestObservables:
             assert got[key].dtype == op.dtype, key
             npt.assert_array_equal(got[key], op.toarray(), err_msg=key)
 
+    @pytest.mark.parametrize("name, qubit_dim, channels", [
+        ("bell", 2, "both"), ("w", 2, "both"), ("bell", 3, "both"),
+        ("bell_single_channel", 2, "R1")])
+    def test_table_reads_match_kronecker_products(self, name, qubit_dim,
+                                                  channels):
+        # the projectors and rho0 read off the occupation table equal the
+        # Kronecker constructions bit for bit: |psi><psi| x 1_res, and
+        # psi_q x (x) coherent(-alpha); w leaves its undriven R1 out, and
+        # bell_single_channel on R1 is qubit-only
+        cfg = bundled_scenario(name)
+        cfg = scenarios._select_channels(cfg.replace(truncations=replace(
+            cfg.truncations, qubit_dim=qubit_dim)), channels)
+        model = build_dispersive(cfg)
+        qspace, n = qubit_space(cfg), cfg.n_qubits
+        eye = np.eye(model.space.total_dim // qspace.total_dim)
+        coherent = functools.reduce(np.kron, [
+            coherent_state(cfg.truncations.resonator_dim, -r.alpha)
+            for r in model.resonators], np.ones(1))
+        for label in _qubit_state_labels(n) + scenarios._eigenstate_labels(n):
+            psi = named_qubit_state(qspace, label)
+            npt.assert_array_equal(
+                scenarios._qubit_projector(model.space, qspace, psi),
+                np.kron(np.outer(psi, psi.conj()), eye), err_msg=label)
+            ref = np.kron(psi, coherent)
+            npt.assert_array_equal(
+                scenarios.initial_density(cfg, model, label),
+                np.outer(ref, ref.conj()), err_msg=label)
+        npt.assert_array_equal(
+            scenarios.initial_density(cfg, model),
+            scenarios.initial_density(cfg, model, cfg.initial_state))
+
 
 def complex_amplitude_frame(config, model):
     """X -> U X U^dag for U = exp(i sum_r phi_r n_r), phi_r the phase of
@@ -366,6 +398,22 @@ class TestSpectroscopy:
             with pytest.raises(ValueError,
                                match="probe amplitude must be finite"):
                 run_spectroscopy(cfg, 0, [4202.0], amplitude=amplitude)
+
+    @pytest.mark.parametrize("target, amplitude, named", [
+        (0.5, 0.1, "drive target must be an integer qubit index, got 0.5"),
+        ("0", 0.1, "drive target must be an integer qubit index"),
+        (0, 0.0, "probe amplitude must be nonzero"),
+        (np.int64(1), -0.0, "probe amplitude must be nonzero")])
+    def test_probe_that_drives_nothing_refused(self, monkeypatch, target,
+                                               amplitude, named):
+        # refused by name before any build: either probe reads all-ground
+        monkeypatch.setattr(scenarios, "build_problem", None)
+        cfg = bundled_scenario("bell")
+        with pytest.raises(ValueError, match=named):
+            run_spectroscopy(cfg, target, [4202.0], amplitude=amplitude)
+        # a numpy integer is an index (no frequencies: nothing is built)
+        assert run_spectroscopy(cfg, np.int64(1), [],
+                                amplitude=0.1).frequencies.size == 0
 
     def test_bad_duration_refused(self, monkeypatch):
         # refused by name before any build, NaN without a warning
