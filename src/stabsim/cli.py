@@ -43,6 +43,16 @@ def _parse_values(spec: str) -> np.ndarray:
         f"list of numbers")
 
 
+def _parse_workers(spec: str) -> int:
+    """A process count of at least 1 (an argparse ``type``)."""
+    try:
+        if int(spec) >= 1:
+            return int(spec)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{spec!r} is not an integer >= 1")
+
+
 def _cmd_bell(args) -> int:
     config = _load_config(args.config, "bell")
     report = run_bell(config, channels=args.channels, pumps=args.pumps,
@@ -165,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", choices=SWEEP_AXES, required=True)
     p.add_argument("--values", required=True, type=_parse_values,
                    help="start:stop:count or comma list")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_parse_workers, default=1)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("rates", help="golden-rule rate table for a scenario")

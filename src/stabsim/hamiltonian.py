@@ -45,7 +45,6 @@ from .hilbert import (
     QUBIT, RESONATOR, CompositeSpace, ModeSpec, basis_state, ladder_op,
     lowering_op, number_op,
 )
-from .modes import QuadraticForm, normal_modes, qubit_chain
 from .rates import TWO_PI
 
 
@@ -88,11 +87,19 @@ def qubit_excitations(space: CompositeSpace) -> np.ndarray:
     return space.occupations[:space.n_qubits].sum(axis=0)
 
 
+def qubit_chain(config: ScenarioConfig) -> np.ndarray:
+    """The L x L qubit block: working frequencies on the diagonal, -J
+    between neighbours (MHz)."""
+    h = np.diag([float(q.working_freq) for q in config.qubits])
+    for i, j in enumerate(config.couplings):
+        h[i, i + 1] = h[i + 1, i] = -j
+    return h
+
+
 def single_excitation_modes(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (MHz, ascending, absolute) and sign-fixed eigenvectors
-    of the single-excitation block :func:`~stabsim.modes.qubit_chain`."""
-    basis = normal_modes(QuadraticForm(qubit_chain(config), config.n_qubits, 0))
-    return basis.eigenvalues, basis.m
+    """Eigenvalues (MHz, ascending, absolute) and eigenvectors (columns) of
+    the single-excitation block :func:`qubit_chain`."""
+    return np.linalg.eigh(qubit_chain(config))
 
 
 _NAMED_TWO_QUBIT = {

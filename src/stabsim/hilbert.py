@@ -8,9 +8,10 @@ Conventions used throughout the package:
   ``occupations[i, k]`` of mode i.  :meth:`CompositeSpace.index` is the one
   ordering rule, row-major over the occupations: ``(n_0, ..., n_{m-1})``
   sits at ``n_0*s_0 + ... + n_{m-1}`` where ``s_i`` is the product of the
-  dimensions of all later modes.  Only the table and :func:`partial_trace`
-  read that layout: operators and states are built from the table, every
-  off-diagonal operator by the one occupation-shift rule, :func:`ladder_op`.
+  dimensions of all later modes.  Only the table and ``index`` read that
+  layout: operators and states are built from the table, every off-diagonal
+  operator by the one occupation-shift rule, :func:`ladder_op`, and the
+  partial trace and its adjoint X (x) 1 by one map, :func:`traced_pairs`.
 * Operators and density matrices are dense complex d x d arrays, each
   passed together with the :class:`CompositeSpace` it acts on.  Sparse
   storage is kept for the d^2 x d^2 Liouville-space matrices
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -187,25 +188,39 @@ def coherent_tail(dim: int, alpha: complex) -> float:
 
 # -- functionals ----------------------------------------------------------
 
+@lru_cache(maxsize=8)
+def traced_pairs(space: CompositeSpace, keep: tuple[int, ...]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """``(pairs, kept)``, read-only and cached on the space's equality: the
+    flat positions in a d x d matrix of the basis-state pairs whose modes
+    outside ``keep`` (sorted mode indices) agree, and of their kept-mode
+    states in a matrix on the kept modes.  Tr_rest rho sums rho at ``pairs``
+    into ``kept``; its adjoint X (x) 1 places X at ``kept`` into ``pairs``."""
+    occ = space.occupations
+    rest = [i for i in range(len(space.modes)) if i not in keep]
+    sub = CompositeSpace(space.modes[k] for k in keep)
+    q = sub.index(occ[list(keep)])
+    rows, cols = np.nonzero((occ[rest, :, None] == occ[rest, None, :]).all(axis=0))
+    pairs, kept = rows * space.total_dim + cols, q[rows] * sub.total_dim + q[cols]
+    pairs.flags.writeable = kept.flags.writeable = False
+    return pairs, kept
+
+
 def partial_trace(space: CompositeSpace, rho: np.ndarray, keep: Iterable[int]
                   ) -> np.ndarray:
     """Reduced density matrix of the d x d ``rho`` on the kept modes
-    (indices into ``space.modes``)."""
-    keep = sorted(set(keep))
+    (indices into ``space.modes``), summed through :func:`traced_pairs`."""
+    keep = tuple(sorted(set(keep)))
     if not keep:
         raise ValueError("keep set must be nonempty")
-    nmodes = len(space.modes)
-    if any(not 0 <= k < nmodes for k in keep):
+    if any(not 0 <= k < len(space.modes) for k in keep):
         raise IndexError("keep index out of range")
     d = space.total_dim
     rho = np.asarray(rho)
     if rho.shape != (d, d):
         raise ValueError(f"rho has shape {rho.shape}, not {(d, d)}")
-    dims = space.dims
-    arr = rho.reshape(dims + dims)
-    # trace out the complement, highest axis first so indices stay valid
-    for k in sorted(set(range(nmodes)) - set(keep), reverse=True):
-        nd = arr.ndim // 2
-        arr = np.trace(arr, axis1=k, axis2=k + nd)
-    kept = math.prod(dims[k] for k in keep)
-    return arr.reshape(kept, kept)
+    pairs, kept = traced_pairs(space, keep)
+    m = math.prod(space.dims[k] for k in keep)
+    out = np.zeros(m * m, dtype=rho.dtype)
+    np.add.at(out, kept, rho.reshape(-1)[pairs])
+    return out.reshape(m, m)

@@ -187,8 +187,9 @@ def build_liouvillian(space: CompositeSpace, H, collapse) -> Liouvillian:
     Every term is a Kronecker product, written straight into one COO
     triplet set: kron(X, Y) has X_ab Y_ce at row a d + c, column b d + e;
     the CSR conversion sums the duplicates once.  Raises ``ValueError``
-    for a scipy sparse operator, an operator that is not d x d or a
-    negative rate.
+    for a scipy sparse operator, an operator that is not d x d, a
+    non-finite entry of H or of the k-th collapse operator, or a negative
+    or non-finite rate, naming H or k.
     """
     d = space.total_dim
     H = _array(H, "H")
@@ -196,8 +197,14 @@ def build_liouvillian(space: CompositeSpace, H, collapse) -> Liouvillian:
                 for op, rate in collapse]
     if any(op.shape != (d, d) for op in [H] + [op for op, _ in collapse]):
         raise ValueError(f"an operator does not act on the space of dim {d}")
-    if any(rate < 0 for _, rate in collapse):
-        raise ValueError("collapse rates must be nonnegative")
+    if not np.isfinite(H).all():
+        raise ValueError("H has a non-finite entry")
+    for k, (op, rate) in enumerate(collapse):
+        if not np.isfinite(op).all():
+            raise ValueError(f"collapse operator {k} has a non-finite entry")
+        if not 0 <= rate < math.inf:
+            raise ValueError(f"collapse rates must be nonnegative and finite: "
+                             f"operator {k} has rate {rate}")
     damping = sum((op.conj().T @ (rate * op) for op, rate in collapse),
                   np.zeros((d, d), dtype=complex))
     a, b, v = _entries(H - 0.5j * damping)
@@ -693,10 +700,11 @@ def evolve_shifted(liouvillian: Liouvillian, number: np.ndarray, shifts,
     ``max_hermiticity_defect`` (0.0, see :func:`evolve`), the smallest
     ``min_eigenvalue``, the ``rhs_evaluations`` summed over members and
     one ``propagator`` record.
-    Raises ``ValueError`` for no shifts, non-finite shifts (naming their
-    rows) or a ``number`` that is not one value per basis state, besides
-    the errors of :func:`evolve`; an :class:`EvolutionError` names the
-    failing ``generator`` (its row) in its message and diagnostics.
+    Raises ``ValueError`` for no shifts, a ``number`` that is not one
+    value per basis state, or non-finite shifts or ``number`` entries
+    (naming their rows), besides the errors of :func:`evolve`; an
+    :class:`EvolutionError` names the failing ``generator`` (its row) in
+    its message and diagnostics.
     """
     shifts = np.asarray(shifts, dtype=float).ravel()
     d = liouvillian.dim
@@ -705,10 +713,11 @@ def evolve_shifted(liouvillian: Liouvillian, number: np.ndarray, shifts,
         raise ValueError(f"number has shape {number.shape}, not ({d},)")
     if not len(shifts):
         raise ValueError("no generators to evolve")
-    if not np.isfinite(shifts).all():
-        bad = np.flatnonzero(~np.isfinite(shifts)).tolist()
-        raise ValueError(f"shifts must be finite: rows {bad} are "
-                         f"{shifts[bad].tolist()}")
+    for name, x in (("number", number), ("shifts", shifts)):
+        if not np.isfinite(x).all():
+            bad = np.flatnonzero(~np.isfinite(x)).tolist()
+            raise ValueError(f"{name} must be finite: rows {bad} are "
+                             f"{x[bad].tolist()}")
     t_grid, y0, dt = _start(rho0, t_grid, d)
     L, Q = liouvillian.matrix, _hermitian_basis(d)
     # Q^dag: the CSC matrix of Q's conjugated arrays, one construction

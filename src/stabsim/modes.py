@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import ScenarioConfig, derive_g
+from .hamiltonian import qubit_chain
 
 SYMMETRY_TOL = 1e-9
 
@@ -101,15 +102,6 @@ class CoolingMatrix:
         if self.kappa_ratio is None:
             return None
         return self.kappa_ratio >= 5.0
-
-
-def qubit_chain(config: ScenarioConfig) -> np.ndarray:
-    """The L x L qubit block: working frequencies on the diagonal, -J
-    between neighbours (MHz)."""
-    h = np.diag([float(q.working_freq) for q in config.qubits])
-    for i, j in enumerate(config.couplings):
-        h[i, i + 1] = h[i + 1, i] = -j
-    return h
 
 
 def build_quadratic_form(config: ScenarioConfig) -> QuadraticForm:

@@ -24,7 +24,6 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +39,7 @@ from .hamiltonian import (
 )
 from .hilbert import (
     CompositeSpace, coherent_state, coherent_tail, lowering_op,
-    partial_trace,
+    partial_trace, traced_pairs,
 )
 from .lindblad import (
     Liouvillian, build_liouvillian, evolve, evolve_shifted, steady_state,
@@ -153,25 +152,11 @@ def fit_exponential(times, values) -> ExponentialFit:
 
 # -- scenario plumbing -----------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _projector_entries(space: CompositeSpace, qspace: CompositeSpace
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions of the basis-state pairs of ``space`` whose resonator
-    occupations agree, and of their qubit states in a ``qspace`` matrix
-    (cached: a run builds a dozen projectors on one space)."""
-    occ, n = space.occupations, qspace.n_qubits
-    q = qspace.index(occ[:n])
-    rows, cols = np.nonzero((occ[n:, :, None] == occ[n:, None, :]).all(axis=0))
-    return rows * space.total_dim + cols, q[rows] * qspace.total_dim + q[cols]
-
-
-def _qubit_projector(full_space: CompositeSpace, qspace: CompositeSpace,
-                     psi_q: np.ndarray) -> np.ndarray:
-    """|psi><psi| on the qubits times the resonator identity: entry (k, k')
-    is psi_q psi_q'^* at their qubit states where their resonators agree."""
-    entries, qubit_entries = _projector_entries(full_space, qspace)
-    out = np.zeros((full_space.total_dim,) * 2, dtype=complex)
-    np.put(out, entries, np.outer(psi_q, psi_q.conj()).take(qubit_entries))
+def _qubit_projector(space: CompositeSpace, psi_q: np.ndarray) -> np.ndarray:
+    """|psi><psi| (x) 1_res: the adjoint of the qubits' partial trace."""
+    pairs, kept = traced_pairs(space, tuple(range(space.n_qubits)))
+    out = np.zeros((space.total_dim,) * 2, dtype=complex)
+    np.put(out, pairs, np.outer(psi_q, psi_q.conj()).take(kept))
     return out
 
 
@@ -179,9 +164,10 @@ def _lab_photon_operator(space: CompositeSpace, mode: int,
                          alpha: float) -> np.ndarray:
     """Lab-frame photon number c^dag c + alpha (c + c^dag) + alpha^2 of the
     resonator at ``mode``, from the frame displaced by its real classical
-    steady amplitude ``alpha``."""
+    steady amplitude ``alpha``.  The nonzero entries of c lie in distinct
+    rows and columns, so c^dag c is diagonal: the column sums of |c|^2."""
     c = lowering_op(space, mode)
-    return (c.conj().T @ c + alpha * (c + c.conj().T)
+    return (np.diag((abs(c) ** 2).sum(axis=0)) + alpha * (c + c.conj().T)
             + alpha ** 2 * np.eye(space.total_dim))
 
 
@@ -226,7 +212,7 @@ def _scenario_observables(config: ScenarioConfig, model: HamiltonianModel,
     qspace, space, n = qubit_space(config), model.space, config.n_qubits
 
     def projector(label: str) -> np.ndarray:
-        return _qubit_projector(space, qspace, named_qubit_state(qspace, label))
+        return _qubit_projector(space, named_qubit_state(qspace, label))
 
     obs = {f"P_{label}": projector(label)
            for label in _qubit_state_labels(n) + _eigenstate_labels(n)}
@@ -563,7 +549,7 @@ def measure_transfer_rate(config: ScenarioConfig, source: str = "S",
     model, liouv = build_problem(bare)
     rho0 = initial_density(bare, model, source)
     qspace = qubit_space(bare)
-    obs = {"P_src": _qubit_projector(model.space, qspace,
+    obs = {"P_src": _qubit_projector(model.space,
                                      named_qubit_state(qspace, source))}
     t_grid = np.linspace(0.0, window, 121)
     res = evolve(liouv, rho0, t_grid, observables=obs)
@@ -601,13 +587,15 @@ def run_sweep(config: ScenarioConfig, axis: str, values,
     A failed point, a refused config included, records its error and the
     sweep continues.  Raises ``ValueError`` for a NaN value, or an infinite
     one on an axis other than ``T1`` and ``T_phi`` (where inf means no
-    channel), naming its rows and values.
+    channel), naming its rows and values, and for ``workers`` below 1.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
     if config.n_qubits != 2:
         raise ValueError(f"sweeps need a two-qubit config (target T, rate "
                          f"S -> T), got {config.n_qubits} qubits")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     values = np.asarray(list(values), dtype=float)
     # inf means "no channel" on the coherence-time axes alone
     inf_ok = axis in ("T1", "T_phi")

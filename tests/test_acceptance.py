@@ -282,8 +282,8 @@ def test_criterion_8_directionality():
     model, liouv = build_problem(bare)
     rho0 = initial_density(bare, model, "T")
     qsp = qubit_space(bare)
-    obs = {"P_S": _qubit_projector(model.space, qsp, named_qubit_state(qsp, "S")),
-           "P_T": _qubit_projector(model.space, qsp, named_qubit_state(qsp, "T"))}
+    obs = {"P_S": _qubit_projector(model.space, named_qubit_state(qsp, "S")),
+           "P_T": _qubit_projector(model.space, named_qubit_state(qsp, "T"))}
     t = np.linspace(0.0, 6.0, 121)
     resv = evolve(liouv, rho0, t, observables=obs)
     tail = t >= 4.0
@@ -314,7 +314,7 @@ def test_criterion_9_lindblad_integrity(single_channel_triple,
     b = lu_steady_state(liouv)
     qsp = qubit_space(cfg)
     psi = named_qubit_state(qsp, "T")
-    proj = _qubit_projector(model.space, qsp, psi)
+    proj = _qubit_projector(model.space, psi)
     fa = float(np.real((proj @ a).diagonal().sum()))
     fb = float(np.real((proj @ b).diagonal().sum()))
     check("criterion 9b", abs(fa - fb) <= 1e-4,

@@ -80,6 +80,18 @@ class TestSweepCommand:
         lines = (out / "traces.csv").read_text().splitlines()
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("spec", ["0", "-3", "two"])
+    def test_workers_below_one_is_a_usage_error(self, quick_config, tmp_path,
+                                                capsys, spec):
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(["sweep", "--config", str(quick_config), "--axis",
+                      "n_bar", "--values", "0.5", "--workers", spec,
+                      "--out", str(tmp_path / "out")])
+        assert exit_.value.code == 2
+        assert f"argument --workers: {spec!r} is not an integer >= 1" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestRatesCommand:
     def test_prints_forward_reverse_table(self, capsys):
@@ -177,36 +189,45 @@ class TestSpectroscopyCommand:
         assert not (tmp_path / "spec").exists()
 
 
-def test_import_leaves_out_optimize_and_special():
-    # the two subpackages take about 0.15 s to import, and no stabsim
-    # module needs them
+def loaded_after(code: str, modules: set[str]) -> str:
+    """The sorted list of ``modules`` that a fresh interpreter has loaded
+    after running ``code``, as it prints it."""
     src = str(Path(stabsim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys, stabsim, stabsim.cli; print(sorted("
-            "{'scipy.optimize', 'scipy.special'} & set(sys.modules)))")
+    code += f"\nimport sys; print(sorted({modules!r} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+#: a steady state and a dense scan, through the package's public names
+RUN_STEADY_AND_SCAN = (
+    "from stabsim.device import bundled_scenario\n"
+    "from stabsim.lindblad import steady_state\n"
+    "from stabsim.scenarios import build_problem, run_spectroscopy\n"
+    "cfg = bundled_scenario('bell_single_channel')\n"
+    "steady_state(build_problem(cfg)[1], tol=cfg.solver.steady_tol)\n"
+    "run_spectroscopy(bundled_scenario('bell'), 0,"
+    " [4200.0, 4202.0, 4204.0], 0.1)")
+
+
+def test_import_leaves_out_optimize_and_special():
+    # the two subpackages take about 0.15 s to import, and no stabsim
+    # module needs them
+    assert loaded_after("import stabsim, stabsim.cli",
+                        {"scipy.optimize", "scipy.special"}) == "[]"
 
 
 def test_runs_load_neither_scipy_linalg_nor_sparse_linalg():
     # a steady state and a dense scan run on numpy's own kernels; the two
     # subpackages take about 9.5 MB of every process
-    src = str(Path(stabsim.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = (
-        "import sys, stabsim, stabsim.cli\n"
-        "from stabsim.device import bundled_scenario\n"
-        "from stabsim.lindblad import steady_state\n"
-        "from stabsim.scenarios import build_problem, run_spectroscopy\n"
-        "cfg = bundled_scenario('bell_single_channel')\n"
-        "steady_state(build_problem(cfg)[1], tol=cfg.solver.steady_tol)\n"
-        "run_spectroscopy(bundled_scenario('bell'), 0,"
-        " [4200.0, 4202.0, 4204.0], 0.1)\n"
-        "print(sorted({'scipy.linalg', 'scipy.sparse.linalg'}"
-        " & set(sys.modules)))\n")
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         env={**os.environ, "PYTHONPATH": path},
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "[]"
+    assert loaded_after("import stabsim, stabsim.cli\n" + RUN_STEADY_AND_SCAN,
+                        {"scipy.linalg", "scipy.sparse.linalg"}) == "[]"
+
+
+def test_runs_without_the_cli_leave_out_modes():
+    # the normal-mode analysis serves the rate table alone; a run reads
+    # the qubit chain from hamiltonian
+    assert loaded_after("import stabsim\n" + RUN_STEADY_AND_SCAN,
+                        {"stabsim.modes"}) == "[]"

@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from stabsim.hilbert import (
     QUBIT, RESONATOR, CompositeSpace, ModeSpec, basis_state, coherent_state,
     coherent_tail, ladder_op, lowering_op, number_op, partial_trace,
+    traced_pairs,
 )
 
 
@@ -36,6 +40,36 @@ def kron_oracle(dims, mode, local):
         op = sps.kron(op, local if i == mode else sps.identity(d),
                       format="csr")
     return op
+
+
+def partial_bras(dims, keep):
+    """The maps V_j = (x)_i (1 if i in keep else <j_i|), one per state j of
+    the traced modes, as Kronecker products: Tr_rest rho = sum_j V_j rho
+    V_j^dag and X (x) 1 = sum_j V_j^dag X V_j."""
+    rest = [d for i, d in enumerate(dims) if i not in keep]
+    for j in np.ndindex(*rest):
+        bras = iter(j)
+        factors = [np.eye(d) if i in keep else np.eye(d)[[next(bras)]]
+                   for i, d in enumerate(dims)]
+        yield functools.reduce(np.kron, factors, np.ones((1, 1)))
+
+
+def index_sum_trace(dims, rho, keep):
+    """Tr_rest rho by explicit summation over the row-major indices: entry
+    (a, b) sums rho at ((a, r), (b, r)) over the traced modes' states r."""
+    kdims = [dims[i] for i in keep]
+    rest = [i for i in range(len(dims)) if i not in keep]
+    out = np.zeros((np.prod(kdims, dtype=int),) * 2, dtype=complex)
+    for a, b in itertools.product(np.ndindex(*kdims), repeat=2):
+        for r in np.ndindex(*[dims[i] for i in rest]):
+            ka, kb = [0] * len(dims), [0] * len(dims)
+            for i, x, y in zip(keep, a, b):
+                ka[i], kb[i] = x, y
+            for i, x in zip(rest, r):
+                ka[i] = kb[i] = x
+            out[np.ravel_multi_index(a, kdims), np.ravel_multi_index(b, kdims)] \
+                += rho[np.ravel_multi_index(ka, dims), np.ravel_multi_index(kb, dims)]
+    return out
 
 
 def random_density(rng, d):
@@ -264,6 +298,62 @@ class TestPartialTrace:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             partial_trace(space_of(2, 3), np.eye(4) / 4, [0])
+
+    def test_every_keep_matches_index_summation_and_kronecker_oracles(self):
+        # every nonempty keep subset: leading, middle, trailing and
+        # resonator-only modes alike
+        rng = np.random.default_rng(5)
+        for dims, n_qubits in KRON_SPACES:
+            space = mixed_space(dims, n_qubits)
+            d = space.total_dim
+            rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            for size in range(1, len(dims) + 1):
+                for keep in itertools.combinations(range(len(dims)), size):
+                    got = partial_trace(space, rho, keep)
+                    for ref in (index_sum_trace(dims, rho, keep),
+                                sum(V @ rho @ V.T
+                                    for V in partial_bras(dims, keep))):
+                        npt.assert_allclose(got, ref, rtol=0, atol=1e-12,
+                                            err_msg=str(keep))
+
+    def test_unsorted_and_duplicate_keeps_are_the_sorted_set(self):
+        space = mixed_space((3, 3, 4, 4), 2)
+        rho = random_density(np.random.default_rng(3), space.total_dim)
+        ref = partial_trace(space, rho, [1, 3])
+        for keep in ([3, 1], [1, 3, 1], (3, 3, 1)):
+            npt.assert_array_equal(partial_trace(space, rho, keep), ref)
+        with pytest.raises(IndexError, match="out of range"):
+            partial_trace(space, rho, [1, 4])
+
+    def test_shared_map_is_the_adjoint_of_the_trace(self):
+        # X (x) 1 placed through the map the trace sums through:
+        # tr((X (x) 1) rho) = tr(X Tr_rest rho), and X (x) 1 is the
+        # Kronecker sum_j V_j^dag X V_j
+        rng = np.random.default_rng(9)
+        for dims, n_qubits in KRON_SPACES:
+            space = mixed_space(dims, n_qubits)
+            d = space.total_dim
+            rho = random_density(rng, d)
+            for keep in ((0,), (len(dims) - 1,), tuple(range(1, len(dims)))):
+                if not keep:
+                    continue
+                pairs, kept = traced_pairs(space, keep)
+                m = int(np.prod([dims[i] for i in keep]))
+                X = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+                lifted = np.zeros((d, d), dtype=complex)
+                np.put(lifted, pairs, X.take(kept))
+                npt.assert_array_equal(lifted, sum(
+                    V.T @ X @ V for V in partial_bras(dims, keep)))
+                assert np.trace(lifted @ rho) == pytest.approx(
+                    np.trace(X @ partial_trace(space, rho, keep)),
+                    rel=1e-13, abs=1e-13)
+
+    def test_map_is_cached_on_space_equality_and_read_only(self):
+        pairs, kept = traced_pairs(space_of(2, 3), (0,))
+        assert traced_pairs(space_of(2, 3), (0,))[0] is pairs
+        for a in (pairs, kept):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)

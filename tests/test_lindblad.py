@@ -99,6 +99,25 @@ class TestBuildLiouvillian:
             build_liouvillian(space, np.zeros((2, 2)),
                               [(lowering_op(space, 0), -0.1)])
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_rejected_by_operator(self, rate):
+        # NaN passes a rate < 0 test; refused before evolve or
+        # steady_state read it
+        space = tls_space()
+        a = lowering_op(space, 0)
+        with pytest.raises(ValueError, match="nonnegative and finite: "
+                                             f"operator 1 has rate {rate}"):
+            build_liouvillian(space, np.zeros((2, 2)), [(a, 0.5), (a, rate)])
+
+    @pytest.mark.parametrize("where", ["H", "collapse operator 0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_operator_rejected_by_name(self, where, value):
+        space = tls_space()
+        H, a = np.zeros((2, 2)), lowering_op(space, 0)
+        (H if where == "H" else a)[1, 1] = value
+        with pytest.raises(ValueError, match=f"^{where} has a non-finite"):
+            build_liouvillian(space, H, [(a, 0.5), (number_op(space, 0), 0.1)])
+
     def test_sparse_operators_refused(self):
         # Hilbert-space operators are dense arrays, with no conversion path
         space = tls_space()
@@ -682,6 +701,13 @@ class TestEvolveMany:
                                              + rows):
             evolve_shifted(L, np.arange(4) % 2.0, shifts, rho0,
                            np.linspace(0.0, 0.5, 3))
+
+    def test_non_finite_number_rejected(self):
+        L, rho0 = random_lindbladian(4, seed=5)
+        with pytest.raises(ValueError, match=r"number must be finite: rows "
+                                             r"\[1, 3\] are \[nan, inf\]"):
+            evolve_shifted(L, np.array([0.0, np.nan, 1.0, np.inf]),
+                           [0.0, 1.0], rho0, np.linspace(0.0, 0.5, 3))
 
 
 class TestFamilyBlock:

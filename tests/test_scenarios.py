@@ -262,7 +262,7 @@ class TestObservables:
         for label in _qubit_state_labels(n) + scenarios._eigenstate_labels(n):
             psi = named_qubit_state(qspace, label)
             npt.assert_array_equal(
-                scenarios._qubit_projector(model.space, qspace, psi),
+                scenarios._qubit_projector(model.space, psi),
                 np.kron(np.outer(psi, psi.conj()), eye), err_msg=label)
             ref = np.kron(psi, coherent)
             npt.assert_array_equal(
@@ -582,6 +582,14 @@ class TestSweep:
                                              r"inf: rows \[0\] are \[nan\]")]:
             with pytest.raises(ValueError, match=message):
                 run_sweep(cfg, axis, values)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        # refused, not run in one process
+        with pytest.raises(ValueError, match="workers must be at least 1, "
+                                             f"got {workers}"):
+            run_sweep(bundled_scenario("bell_single_channel"), "n_bar",
+                      [0.5], workers=workers)
 
     def test_parallel_workers_match_serial(self, quick_bell):
         cfg = quick_bell.replace(t_final=2.0)
