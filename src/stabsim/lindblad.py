@@ -10,9 +10,9 @@ Time evolution is exact propagation on a uniform time grid of the real x
 of rho = Q x, Q an orthonormal Hermitian basis.  :func:`evolve_shifted`
 runs one state under a family L + delta F with F = -i[N, .] diagonal on
 vec(rho); :func:`evolve` is its one-member delta = 0 family.  A_0 =
-Re(Q^dag L Q) and the skew-symmetric A_F = Re(Q^dag F Q) are products
-with Q, sparse times dense where the family runs dense and the sparse
-product otherwise, and every call checks that Q^dag L Q is real (L
+Re(Q^dag L Q) and the skew-symmetric A_F = Re(Q^dag F Q) are formed
+once, as sparse products with Q, on either path (the dense one makes
+them dense), and every call checks that Q^dag L Q is real (L
 preserves Hermiticity).  A family of more than one member at
 d^2 <= 1024 runs dense: one stacked real expm((A_0 + delta A_F) dt) per
 group of floor(1024^2 / d^4) members (the memory of one 1024 x 1024
@@ -52,7 +52,8 @@ preconditions L, and a thick-restart Arnoldi run (Krylov-Schur; Stewart,
 SIAM J. Matrix Anal. Appl. 23, 601 (2001)), bounded in restarts, finds
 the preconditioned operator's two largest eigenvalues.  Their gap checks
 that the kernel is unique, and the eigenvector of the first is the
-steady state.  Both kernels are numpy code: stabsim loads neither
+steady state, refused if its smallest eigenvalue is below
+-POSITIVITY_ABORT.  Both kernels are numpy code: stabsim loads neither
 scipy.linalg nor scipy.sparse.linalg.
 """
 
@@ -71,7 +72,7 @@ from .hilbert import CompositeSpace
 
 SYLVESTER_ARNOLDI = "sylvester_arnoldi"
 
-#: positivity violation that aborts an evolution
+#: positivity violation that aborts an evolution or a steady state
 POSITIVITY_ABORT = 1e-6
 #: d^2 of the largest dense propagator; a dense group's stacked
 #: propagators take no more than its 8 MB
@@ -181,8 +182,9 @@ def build_liouvillian(space: CompositeSpace, H, collapse) -> Liouvillian:
     """Vectorized generator -i[H, .] + sum rate * D(L) on ``space``, for H
     and ``(operator, rate)`` collapse pairs as dense d x d arrays,
     assembled as the no-jump part rho -> -i(Heff rho - rho Heff^dag) of
-    Heff = H - (i/2) D, D = sum r_k O_k^dag O_k (dense products, kept on
-    the result), plus the jumps sum r_k conj(O_k) kron O_k.
+    Heff = H - (i/2) D, D = sum r_k O_k^dag O_k (summed from each O_k's
+    nonzero entries, kept on the result), plus the jumps
+    sum r_k conj(O_k) kron O_k.
 
     Every term is a Kronecker product, written straight into one COO
     triplet set: kron(X, Y) has X_ab Y_ce at row a d + c, column b d + e;
@@ -205,8 +207,18 @@ def build_liouvillian(space: CompositeSpace, H, collapse) -> Liouvillian:
         if not 0 <= rate < math.inf:
             raise ValueError(f"collapse rates must be nonnegative and finite: "
                              f"operator {k} has rate {rate}")
-    damping = sum((op.conj().T @ (rate * op) for op, rate in collapse),
-                  np.zeros((d, d), dtype=complex))
+    entries = [(_entries(op), rate) for op, rate in collapse]
+    damping = np.zeros((d, d), dtype=complex)
+    for (o_row, o_col, o_val), rate in entries:
+        # O^dag (r O): every pair of entries p, q in one row of O adds
+        # conj(O_p) r O_q at (col p, col q).  The entries run row by row:
+        # p's row holds k[p] of them from index first[p]
+        first = np.searchsorted(o_row, o_row)
+        k = np.searchsorted(o_row, o_row, side="right") - first
+        p = np.repeat(np.arange(len(o_row)), k)
+        q = np.arange(len(p)) + np.repeat(first + k - np.cumsum(k), k)
+        np.add.at(damping, (o_col[p], o_col[q]),
+                  o_val[p].conj() * (rate * o_val[q]))
     a, b, v = _entries(H - 0.5j * damping)
     c = d * np.arange(d, dtype=np.int32)[:, None]
     # -i (1 kron Heff) and +i (conj(Heff) kron 1)
@@ -214,9 +226,8 @@ def build_liouvillian(space: CompositeSpace, H, collapse) -> Liouvillian:
     cols = [(c + b).ravel(), (d * b + c // d).ravel()]
     vals = [np.broadcast_to(-1j * v, (d, len(v))).ravel(),
             np.broadcast_to(1j * v.conj(), (d, len(v))).ravel()]
-    for op, rate in collapse:
+    for (o_row, o_col, o_val), rate in entries:
         if rate:
-            o_row, o_col, o_val = _entries(op)
             rows.append((d * o_row[:, None] + o_row).ravel())
             cols.append((d * o_col[:, None] + o_col).ravel())
             vals.append((rate * np.outer(o_val.conj(), o_val)).ravel())
@@ -488,14 +499,15 @@ def _expm(P: np.ndarray) -> np.ndarray:
     return R
 
 
-def _dense_propagate(A: np.ndarray, A_F: np.ndarray, shifts: np.ndarray,
-                     x0: np.ndarray, n: int, dt: float,
+def _dense_propagate(A: sp.csr_matrix, A_F: sp.csr_matrix,
+                     shifts: np.ndarray, x0: np.ndarray, n: int, dt: float,
                      observe: _StateObserver) -> tuple[int, dict]:
     """``(matvecs, propagator)`` of stepping x by expm((A + delta A_F) dt),
-    delta in ``shifts``: one stacked real :func:`_expm` per group of
-    members, which overwrites the stack it is handed, and one batched
-    product per grid step.  The t = 0 states, then each run of
+    delta in ``shifts``, with A and A_F made dense: one stacked real
+    :func:`_expm` per group of members, which overwrites its stack, and one
+    batched product per grid step.  The t = 0 states, then each run of
     ``_DENSE_BLOCK_STEPS`` grid steps, go to ``observe`` in one call."""
+    A, A_F = A.toarray(), A_F.toarray()
     size = _dense_group_size(len(x0))
     for g0 in range(0, len(shifts), size):
         gens = slice(g0, min(g0 + size, len(shifts)))
@@ -724,27 +736,16 @@ def evolve_shifted(liouvillian: Liouvillian, number: np.ndarray, shifts,
     Qh = sp.csc_matrix((Q.data.conj(), Q.indices, Q.indptr), shape=Q.shape)
     F = (sp.diags(_commutator_diagonal(number))
          if len(shifts) > 1 or shifts[0] else None)
-    dense = len(shifts) > 1 and d * d <= _DENSE_PROPAGATOR_MAX
-    if dense:
-        # sparse times dense products, which construct no sparse matrix;
-        # only the real parts are kept
-        Q_dense = Q.toarray()
-        A = Qh @ (L @ Q_dense)
-        residue = np.abs(A.imag).max(initial=0.0)
-        A = A.real.copy()
-        A_F = (Qh @ (F @ Q_dense)).real.copy()
-        del Q_dense
-    else:
-        A = (Qh @ L @ Q).tocsr()
-        residue = np.abs(A.data.imag).max(initial=0.0)
-        A = A.real
-        A_F = None if F is None else (Qh @ F @ Q).real.tocsr()
-    if residue > _HERMITIAN_RTOL * np.abs(L.data).max(initial=0.0):
+    A = (Qh @ L @ Q).tocsr()
+    if (np.abs(A.data.imag).max(initial=0.0)
+            > _HERMITIAN_RTOL * np.abs(L.data).max(initial=0.0)):
         raise ValueError("generator does not preserve Hermiticity")
+    A = A.real
+    A_F = None if F is None else (Qh @ F @ Q).real.tocsr()
     x0, n = (Qh @ y0).real, len(t_grid)
     observe = _StateObserver(t_grid, Q, len(shifts), observables)
     del Q, Qh, F  # only the real generators are kept while stepping
-    if dense:
+    if len(shifts) > 1 and d * d <= _DENSE_PROPAGATOR_MAX:
         run = _dense_propagate(A, A_F, shifts, x0, n, dt, observe)
     else:
         run = _chebyshev_propagate(liouvillian, A, A_F, number, shifts, x0,
@@ -894,11 +895,12 @@ def steady_state(liouvillian: Liouvillian, tol: float = 1e-6) -> SteadyState:
     K is one sparse L matvec plus four dense d x d products; no d^2 x d^2
     matrix is formed or factorized.  A gap 1 - |mu_2| below ``1e-8``
     raises :class:`SteadyStateError`, as do a run that does not converge
-    in ``_EIGS_MAXITER`` restarts and a residual ``||L vec(rho)||_inf``
-    above ``tol``.  Otherwise rho is the eigenvector of mu_1 = 1, scaled
-    to unit trace.  ``info`` holds ``iterations`` (applications of K),
-    ``kernel_gap``, ``shift`` and ``cond_V`` (of the split Heff's
-    eigenvectors).
+    in ``_EIGS_MAXITER`` restarts, a residual ``||L vec(rho)||_inf``
+    above ``tol`` and a smallest eigenvalue of rho below ``-1e-6``.
+    Otherwise rho is the eigenvector of mu_1 = 1, scaled to unit trace.
+    ``info`` holds ``iterations`` (applications of K), ``kernel_gap``,
+    ``shift``, ``cond_V`` (of the split Heff's eigenvectors) and
+    ``min_eigenvalue`` (rho's smallest, from ``eigvalsh``).
     """
     d = liouvillian.dim
     n = d * d
@@ -932,4 +934,8 @@ def steady_state(liouvillian: Liouvillian, tol: float = 1e-6) -> SteadyState:
         raise SteadyStateError(
             f"steady-state residual {res:.3e} exceeds tolerance {tol:.1e} "
             f"after {applications} Arnoldi iterations")
+    info["min_eigenvalue"] = min_eig = float(np.linalg.eigvalsh(rho)[0])
+    if min_eig < -POSITIVITY_ABORT:
+        raise SteadyStateError(
+            f"steady state is not positive: min eigenvalue {min_eig:.3e}")
     return SteadyState(rho, res, SYLVESTER_ARNOLDI, info)

@@ -49,13 +49,13 @@ from .rates import TWO_PI
 #: extension of the time window used to read off a plateau when the
 #: configuration has no decoherence (us)
 PLATEAU_WINDOW = 30.0
-#: exponential fit: least tau (us); the step in log tau that ends it; the
-#: step taken even if it raises the cost, as rounding hides a decrease that
-#: small; and the step budget
+#: exponential fit: least tau (us); most tau in time spans of the data,
+#: short of the ~1e6 spans where rounding in exp(-t/tau) ~ 1 - t/tau
+#: swamps f' and can fake its change of sign; the bracket width in log tau
+#: that ends it
 _FIT_MIN_TAU = 1e-6
+_FIT_MAX_SPANS = 1e5
 _FIT_XTOL = 1e-13
-_FIT_TRUST_STEP = 1e-6
-_FIT_MAX_STEPS = 100
 #: fewest samples an exponential fit takes
 _FIT_MIN_SAMPLES = 5
 
@@ -81,19 +81,18 @@ class ExponentialFit:
 
 
 def fit_exponential(times, values) -> ExponentialFit:
-    """Least-squares fit of a + b exp(-t/tau) with tau >= 1e-6 us; returns
-    the rate 1/tau.
+    """Least-squares fit of a + b exp(-t/tau) with 1e-6 us <= tau <= 1e5
+    time spans; returns the rate 1/tau.
 
     Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413
-    (1973)): for a fixed tau, a and b are a linear fit, so only u = log tau
-    is iterated, from tau = span/5.  A step is -f'/f'' on the projected
-    cost f(u), f'' taken from the secant of the last two f' where that is
-    positive, else from Gauss-Newton; it moves u by at most 1 and is
-    halved while it raises the cost.  A step below 1e-13 ends the fit.
-    Raises ``ValueError`` for fewer than 5 samples or a non-finite one,
-    :class:`DegenerateDataError` for a constant trace and
-    :class:`FitError` after 100 steps (a straight line, whose tau is
-    infinite, never ends).
+    (1973)): for a fixed tau, a and b are a linear fit, so only the
+    projected cost f(u) of u = log tau is minimized.  From tau = span/5, u
+    steps by 1 downhill until f' changes sign, and the bracket is bisected
+    to a width of 1e-13; tau is 1e-6 where f' >= 0 there.  Raises
+    ``ValueError`` for fewer than 5 samples or a non-finite one,
+    :class:`DegenerateDataError` for a constant trace or equal times and
+    :class:`FitError` where f' still falls at the largest tau (a straight
+    line, whose tau is infinite, never brackets).
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -103,51 +102,46 @@ def fit_exponential(times, values) -> ExponentialFit:
         raise ValueError("times and values must be finite")
     if np.ptp(values) < 1e-12:
         raise DegenerateDataError("constant trace cannot determine a rate")
+    if not np.ptp(times) > 0:
+        raise DegenerateDataError("equal times cannot determine a rate")
     y = values - values.mean()
 
     def project(u):
-        """``(cost, e, ec, b, r)`` at tau = exp(u), ec = e centred: a drops
-        out with the centring, and r = y - b ec is orthogonal to 1 and e."""
+        """``(tau f', e, b, r)`` at tau = exp(u): with e centred to ec, a
+        drops out and r = y - b ec is orthogonal to 1 and e, so the cost
+        f(u) = |r|^2/2 has f' = -b g . r for g = de/du = e t/tau."""
         e = np.exp(-times * math.exp(-u))
         ec = e - e.mean()
         if not ec.any():  # e is constant: no b, no fit
-            return math.inf, e, ec, math.nan, y
+            return math.nan, e, math.nan, y
         b = (ec @ y) / (ec @ ec)
         r = y - b * ec
-        return float(r @ r), e, ec, b, r
+        # g centred, as r is orthogonal to 1 only up to rounding
+        g = e * times
+        return -b * ((g - g.mean()) @ r), e, b, r
 
     u_min = math.log(_FIT_MIN_TAU)
     u = math.log(max((times[-1] - times[0]) / 5.0, 1e-3))
-    cost, e, ec, b, r = project(u)
-    last = None  # (u, f') of the previous point
-    for _ in range(_FIT_MAX_STEPS):
-        # f = |r|^2/2 has f' = r . r' = -b g . r and Gauss-Newton f'' =
-        # |r'|^2, where r' = -b P g - (g . r) ec/|ec|^2, g = de/du = e t/tau
-        # (centred) and P projects off 1 and e
-        g = e * times * math.exp(-u)
-        g -= g.mean()
-        gr, ee = g @ r, ec @ ec
-        pg = g - (ec @ g / ee) * ec
-        grad = -b * gr
-        curv = b * b * (pg @ pg) + gr * gr / ee
-        secant = (grad - last[1]) / (u - last[0]) if last else 0.0
-        step = -grad / (secant if secant > 0 else curv) if grad else 0.0
-        if not math.isfinite(step):
-            break
-        new = max(u + min(max(step, -1.0), 1.0), u_min)
-        if abs(new - u) <= _FIT_XTOL:
-            a = values.mean() - b * e.mean()
-            return ExponentialFit(rate=math.exp(-u), asymptote=float(a),
-                                  amplitude=float(b),
-                                  residual=math.sqrt(cost / times.size))
-        trial = project(new)
-        while trial[0] > cost and abs(new - u) > _FIT_TRUST_STEP:
-            new = u + 0.5 * (new - u)
-            trial = project(new)
-        last = (u, grad)
-        u, (cost, e, ec, b, r) = new, trial
-    raise FitError(f"exponential fit did not converge (tau = "
-                   f"{math.exp(u):.4g} us)")
+    u_max = max(math.log(_FIT_MAX_SPANS * np.ptp(times)), u)
+    last, slope = u, project(u)[0]
+    step, end = (-1.0, u_min) if slope > 0 else (1.0, u_max)
+    while slope * step < 0 and u != end:  # downhill; NaN ends the walk
+        last, u = u, min(max(u + step, u_min), u_max)
+        slope = project(u)[0]
+    if math.isnan(slope) or (slope * step < 0 and end == u_max):
+        raise FitError(f"exponential fit did not converge (tau = "
+                       f"{math.exp(u):.4g} us)")
+    if slope * step >= 0:  # bracketed; else f' > 0 at the least tau, kept
+        lo, hi = sorted((last, u))
+        while hi - lo > _FIT_XTOL:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if project(mid)[0] < 0 else (lo, mid)
+        u = 0.5 * (lo + hi)
+    _, e, b, r = project(u)
+    return ExponentialFit(rate=math.exp(-u),
+                          asymptote=float(values.mean() - b * e.mean()),
+                          amplitude=float(b),
+                          residual=math.sqrt((r @ r) / times.size))
 
 
 # -- scenario plumbing -----------------------------------------------------------
@@ -304,19 +298,19 @@ def _run_scenario(config: ScenarioConfig, target: str, scenario_name: str,
     if (fid < -1e-9).any() or (fid > 1 + 1e-9).any():
         raise RuntimeError("target fidelity left [0, 1]")
 
+    # the steady solve's evidence, none for a plateau
+    evidence = dict.fromkeys(("iterations", "kernel_gap", "min_eigenvalue"))
     if decohering:
         steadym = steady_state(liouv, tol=config.solver.steady_tol)
         steady_fid = _target_fidelity(liouv.space, steadym.rho, target)
         steady_method = steadym.method
         steady_res = steadym.residual
-        iterations = steadym.info["iterations"]
-        kernel_gap = steadym.info["kernel_gap"]
+        evidence = {k: steadym.info[k] for k in evidence}
     else:
         tail = fid[t_grid >= 0.8 * t_end]
         steady_fid = float(tail.mean())
         steady_method = "trajectory_plateau"
         steady_res = float(np.ptp(tail))
-        iterations = kernel_gap = None
 
     fitted_rate = fitted_tau = asymptote = None
     try:
@@ -339,8 +333,7 @@ def _run_scenario(config: ScenarioConfig, target: str, scenario_name: str,
         fitted_rate=fitted_rate,
         fitted_tau=fitted_tau,
         diagnostics={**result.diagnostics, "steady_state": {
-            "method": steady_method, "residual": steady_res,
-            "iterations": iterations, "kernel_gap": kernel_gap},
+            "method": steady_method, "residual": steady_res, **evidence},
             # how far the fitted window ends from the steady state
             "final_minus_steady_fidelity": float(fid[window][-1]) - steady_fid,
             "fit_asymptote_minus_steady_fidelity":

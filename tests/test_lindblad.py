@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from scipy.special import jv
 
 from stabsim import lindblad
-from stabsim.device import QubitParams, bundled_scenario
+from stabsim.device import QubitParams, Truncations, bundled_scenario
 from stabsim.hamiltonian import named_qubit_state
 from stabsim.hilbert import (
     QUBIT, CompositeSpace, ModeSpec, basis_state, lowering_op,
@@ -150,14 +150,21 @@ class TestBuildLiouvillian:
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_bundled_damping_is_the_stacked_product(self, name):
-        # bitwise the sparse product S^dag (W S) of the stacked operators
-        # S and their rates W: an entry of a ladder operator's O^dag O is
-        # one product, so the dense products sum the same terms in order
-        L = build_problem(bundled_scenario(name))[1]
-        S = sp.vstack([sp.csr_matrix(op) for op, _ in L.collapse],
-                      format="csr")
-        W = sp.diags(np.repeat([r for _, r in L.collapse], L.dim))
-        assert L.damping.tobytes() == (S.conj().T @ (W @ S)).toarray().tobytes()
+        # bitwise the dense sum of O^dag (r O) and the sparse product
+        # S^dag (W S) of the stacked operators S and their rates W, at
+        # qd 2 (r 4) and qd 3 (r 3): an entry of a ladder operator's
+        # O^dag O is one product, so every route sums the same terms
+        for truncations in (Truncations(2, 4), Truncations(3, 3)):
+            cfg = bundled_scenario(name).replace(truncations=truncations)
+            L = build_problem(cfg)[1]
+            dense = sum((op.conj().T @ (r * op) for op, r in L.collapse),
+                        np.zeros((L.dim, L.dim), dtype=complex))
+            assert L.damping.tobytes() == dense.tobytes()
+            S = sp.vstack([sp.csr_matrix(op) for op, _ in L.collapse],
+                          format="csr")
+            W = sp.diags(np.repeat([r for _, r in L.collapse], L.dim))
+            stacked = (S.conj().T @ (W @ S)).toarray()
+            assert L.damping.tobytes() == stacked.tobytes()
 
 
 class TestEvolve:
@@ -549,7 +556,8 @@ class TestEvolveMany:
     @pytest.mark.parametrize("d,density,shifts,t", [
         (4, 1.0, [-1.3, 0.0, 2.2], np.linspace(0.0, 5.0, 21)),
         (33, 0.1, [-2.1, -0.4, 0.0, 1.7, 3.2], np.linspace(0.0, 0.5, 6)),
-    ], ids=["dense", "chebyshev"])
+        (32, 1.0, [-0.8, 1.5], np.linspace(0.0, 0.2, 5)),
+    ], ids=["dense", "chebyshev", "dense_largest"])
     def test_each_result_matches_evolve(self, d, density, shifts, t):
         # each row against evolve of the generator of H + delta N built
         # from scratch.  The family has one propagator record and counts
@@ -729,11 +737,10 @@ class TestFamilyBlock:
 
     @pytest.mark.parametrize("model", [*range(2, 9), "probe"])
     def test_dense_and_chebyshev_formations_agree(self, monkeypatch, model):
-        # the A and A_F each path is handed: sparse times dense products
-        # where a two-member family runs dense, the sparse product where a
-        # one-member shifted family runs Chebyshev.  The two associations
-        # may round differently, within 1 ulp of max|L|; A_F is exactly
-        # skew on both
+        # the A and A_F each path is handed, a two-member family's to the
+        # dense path and a one-member shifted family's to Chebyshev: both
+        # are the one sparse product, within 1 ulp of max|L|, and A_F is
+        # exactly skew on both
         if model == "probe":
             L, number, _ = self.spectroscopy_family()
             models = [(L, number, np.eye(L.dim) / L.dim)]
@@ -746,7 +753,7 @@ class TestFamilyBlock:
         formed = {}
 
         def dense(A, A_F, *args):
-            formed["dense"] = A, A_F
+            formed["dense"] = A.toarray(), A_F.toarray()
             return 0, {}
 
         def chebyshev(liouvillian, A, A_F, *args):
@@ -1142,6 +1149,18 @@ class TestSteadyState:
         cfg = bundled_scenario(name)
         ss = steady_state(build_problem(cfg)[1], tol=cfg.solver.steady_tol)
         assert ss.residual <= 1e-13
+        assert ss.info["min_eigenvalue"] >= -1e-12
+
+    def test_non_positive_state_refused(self, monkeypatch):
+        # a vector whose state has eigenvalue -0.5; the residual gate is
+        # opened so that the positivity check alone refuses it
+        L, _ = random_lindbladian(3, seed=7)
+        bad = vectorize(np.diag([1.0, 0.5, -0.5]).astype(complex))
+        monkeypatch.setattr(lindblad, "_krylov_schur", lambda apply, v0: (
+            np.array([1.0, 0.5]), np.column_stack([bad, bad])))
+        with pytest.raises(SteadyStateError, match="not positive: min "
+                                                   "eigenvalue -5.000e-01"):
+            steady_state(L, tol=math.inf)
 
     def test_residual_norm(self):
         space = tls_space()

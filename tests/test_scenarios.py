@@ -110,6 +110,18 @@ class TestFitExponential:
         with pytest.raises(FitError, match="did not converge"):
             fit_exponential(np.arange(10.0), np.arange(10.0))
 
+    def test_equal_times_degenerate(self):
+        # no time span: no rate, and no bound on tau in spans
+        with pytest.raises(DegenerateDataError, match="equal times"):
+            fit_exponential(np.full(20, 2.0), np.linspace(0.0, 1.0, 20))
+
+    def test_slow_drift_fits(self):
+        # tau = 50 time spans, a slow sweep point's nearly straight trace,
+        # lies well inside the walk's bound on tau
+        t = np.linspace(0.0, 10.0, 101)
+        fit = fit_exponential(t, 0.3 + 0.5 * np.exp(-t / 500.0))
+        assert fit.tau == pytest.approx(500.0, rel=1e-6)
+
 
 class TestScenarioRuns:
     def test_bell_report_contract(self, quick_bell):
@@ -429,10 +441,10 @@ class TestSpectroscopy:
 
     def test_scan_makes_few_sparse_constructions(self, monkeypatch):
         # every CSR or CSC matrix scipy constructs runs the __init__ of
-        # _cs_matrix, a private scipy class.  The 81-point scan constructs
-        # L, the Hermitian basis Q and its adjoint Q^dag, one each; H, the
-        # collapse operators, the real generators and the observables are
-        # dense arrays
+        # _cs_matrix, a private scipy class.  A scan constructs L, the
+        # Hermitian basis Q, its adjoint Q^dag and the real generators'
+        # sparse products once, whatever its frequencies; H, the collapse
+        # operators and the observables are dense arrays
         from scipy.sparse import _compressed
         init, made = _compressed._cs_matrix.__init__, []
 
@@ -441,9 +453,14 @@ class TestSpectroscopy:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(_compressed._cs_matrix, "__init__", counted)
-        run_spectroscopy(bundled_scenario("bell"), 0,
-                         np.linspace(4192.0, 4212.0, 81), amplitude=0.1)
-        assert sorted(made) == ["csc_matrix", "csr_matrix", "csr_matrix"]
+        counts = []
+        for points in (2, 81):
+            made.clear()
+            run_spectroscopy(bundled_scenario("bell"), 0,
+                             np.linspace(4192.0, 4212.0, points),
+                             amplitude=0.1)
+            counts.append(sorted(made))
+        assert counts[0] == counts[1]
 
     def test_w_three_peaks_at_mode_ladder(self):
         # probe the edge qubit: it has weight in all three single-excitation
@@ -629,6 +646,7 @@ class TestReportOutput:
         assert steady["residual"] <= quick_bell.solver.steady_tol
         assert type(steady["iterations"]) is int and steady["iterations"] > 0
         assert 1e-8 < steady["kernel_gap"] <= 1.0
+        assert steady["min_eigenvalue"] >= -1e-12
         for key in ("max_trace_drift", "max_hermiticity_defect",
                     "min_eigenvalue", "rhs_evaluations"):
             assert key in payload["diagnostics"]
