@@ -499,15 +499,14 @@ def _expm(P: np.ndarray) -> np.ndarray:
     return R
 
 
-def _dense_propagate(A: sp.csr_matrix, A_F: sp.csr_matrix,
-                     shifts: np.ndarray, x0: np.ndarray, n: int, dt: float,
+def _dense_propagate(A: np.ndarray, A_F: np.ndarray, shifts: np.ndarray,
+                     x0: np.ndarray, n: int, dt: float,
                      observe: _StateObserver) -> tuple[int, dict]:
     """``(matvecs, propagator)`` of stepping x by expm((A + delta A_F) dt),
-    delta in ``shifts``, with A and A_F made dense: one stacked real
-    :func:`_expm` per group of members, which overwrites its stack, and one
-    batched product per grid step.  The t = 0 states, then each run of
+    delta in ``shifts``: one stacked real :func:`_expm` per group of
+    members, which overwrites the stack it is handed, and one batched
+    product per grid step.  The t = 0 states, then each run of
     ``_DENSE_BLOCK_STEPS`` grid steps, go to ``observe`` in one call."""
-    A, A_F = A.toarray(), A_F.toarray()
     size = _dense_group_size(len(x0))
     for g0 in range(0, len(shifts), size):
         gens = slice(g0, min(g0 + size, len(shifts)))
@@ -734,20 +733,21 @@ def evolve_shifted(liouvillian: Liouvillian, number: np.ndarray, shifts,
     L, Q = liouvillian.matrix, _hermitian_basis(d)
     # Q^dag: the CSC matrix of Q's conjugated arrays, one construction
     Qh = sp.csc_matrix((Q.data.conj(), Q.indices, Q.indptr), shape=Q.shape)
-    F = (sp.diags(_commutator_diagonal(number))
+    F = (sp.diags(_commutator_diagonal(number), format="csc")
          if len(shifts) > 1 or shifts[0] else None)
-    A = (Qh @ L @ Q).tocsr()
+    A = Qh @ L @ Q
     if (np.abs(A.data.imag).max(initial=0.0)
             > _HERMITIAN_RTOL * np.abs(L.data).max(initial=0.0)):
         raise ValueError("generator does not preserve Hermiticity")
-    A = A.real
-    A_F = None if F is None else (Qh @ F @ Q).real.tocsr()
+    A_F = None if F is None else Qh @ F @ Q
     x0, n = (Qh @ y0).real, len(t_grid)
     observe = _StateObserver(t_grid, Q, len(shifts), observables)
-    del Q, Qh, F  # only the real generators are kept while stepping
+    del Q, Qh, F  # each path keeps only the real generators, in its own format
     if len(shifts) > 1 and d * d <= _DENSE_PROPAGATOR_MAX:
+        A, A_F = A.toarray().real.copy(), A_F.toarray().real.copy()
         run = _dense_propagate(A, A_F, shifts, x0, n, dt, observe)
     else:
+        A, A_F = A.real.tocsr(), None if A_F is None else A_F.real.tocsr()
         run = _chebyshev_propagate(liouvillian, A, A_F, number, shifts, x0,
                                    n, dt, observe)
     return observe.result(*run)

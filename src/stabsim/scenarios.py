@@ -50,11 +50,11 @@ from .rates import TWO_PI
 #: configuration has no decoherence (us)
 PLATEAU_WINDOW = 30.0
 #: exponential fit: least tau (us); most tau in time spans of the data,
-#: short of the ~1e6 spans where rounding in exp(-t/tau) ~ 1 - t/tau
-#: swamps f' and can fake its change of sign; the bracket width in log tau
-#: that ends it
+#: where the trace's curvature, ~(span/tau)^2 of b, still stands well
+#: above the error of a propagated trace (a slower drift reads as a line
+#: and is refused); the bracket width in log tau that ends it
 _FIT_MIN_TAU = 1e-6
-_FIT_MAX_SPANS = 1e5
+_FIT_MAX_SPANS = 1e3
 _FIT_XTOL = 1e-13
 #: fewest samples an exponential fit takes
 _FIT_MIN_SAMPLES = 5
@@ -81,7 +81,7 @@ class ExponentialFit:
 
 
 def fit_exponential(times, values) -> ExponentialFit:
-    """Least-squares fit of a + b exp(-t/tau) with 1e-6 us <= tau <= 1e5
+    """Least-squares fit of a + b exp(-t/tau) with 1e-6 us <= tau <= 1e3
     time spans; returns the rate 1/tau.
 
     Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413

@@ -753,7 +753,7 @@ class TestFamilyBlock:
         formed = {}
 
         def dense(A, A_F, *args):
-            formed["dense"] = A.toarray(), A_F.toarray()
+            formed["dense"] = A, A_F
             return 0, {}
 
         def chebyshev(liouvillian, A, A_F, *args):

@@ -442,9 +442,11 @@ class TestSpectroscopy:
     def test_scan_makes_few_sparse_constructions(self, monkeypatch):
         # every CSR or CSC matrix scipy constructs runs the __init__ of
         # _cs_matrix, a private scipy class.  A scan constructs L, the
-        # Hermitian basis Q, its adjoint Q^dag and the real generators'
-        # sparse products once, whatever its frequencies; H, the collapse
-        # operators and the observables are dense arrays
+        # Hermitian basis Q and its adjoint Q^dag (one each), two for the
+        # diagonal F in CSC and the 11 scipy makes in the sparse products
+        # Q^dag L Q and Q^dag F Q, once whatever its frequencies; H, the
+        # collapse operators, the observables and the real generators the
+        # dense path steps are dense arrays
         from scipy.sparse import _compressed
         init, made = _compressed._cs_matrix.__init__, []
 
@@ -461,6 +463,7 @@ class TestSpectroscopy:
                              amplitude=0.1)
             counts.append(sorted(made))
         assert counts[0] == counts[1]
+        assert counts[1] == ["csc_matrix"] * 13 + ["csr_matrix"] * 3
 
     def test_w_three_peaks_at_mode_ladder(self):
         # probe the edge qubit: it has weight in all three single-excitation
