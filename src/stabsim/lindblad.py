@@ -55,20 +55,55 @@ that the kernel is unique, and the eigenvector of the first is the
 steady state, refused if its smallest eigenvalue is below
 -POSITIVITY_ABORT.  Both kernels are numpy code: stabsim loads neither
 scipy.linalg nor scipy.sparse.linalg.
+
+The d^2 x d^2 matrices are :class:`CSR` records; each operation on them
+calls the compiled kernel scipy.sparse would call, with the same
+arguments, so every sum is scipy's, bitwise.  Only that extension is
+loaded, never scipy.sparse's Python layer (:func:`_load_sparsetools`).
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
+                                 FileFinder)
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec
 
 from .hilbert import CompositeSpace
+
+
+def _load_sparsetools():
+    """scipy's compiled sparse kernels, the extension module
+    scipy.sparse._sparsetools, without running scipy.sparse's __init__
+    (whose array-API layer loads numpy.testing, numpy.f2py and numpy.ma).
+    A loaded module is reused; one loaded here is registered under its own
+    name, so that a later ``import scipy.sparse`` takes the same module.
+    Raises ``ImportError`` naming the file where it is missing."""
+    name = "scipy.sparse._sparsetools"
+    if name not in sys.modules:
+        scipy = importlib.util.find_spec("scipy")
+        folder = os.path.join(os.path.dirname(scipy.origin) if scipy
+                              else "scipy", "sparse")
+        spec = FileFinder(folder, (ExtensionFileLoader, EXTENSION_SUFFIXES)
+                          ).find_spec(name)
+        if spec is None:
+            raise ImportError(f"scipy's sparse kernels {folder}{os.sep}"
+                              f"_sparsetools{EXTENSION_SUFFIXES[0]} are "
+                              f"missing")
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+_sparsetools = _load_sparsetools()
+csr_matvec = _sparsetools.csr_matvec
 
 SYLVESTER_ARNOLDI = "sylvester_arnoldi"
 
@@ -129,14 +164,105 @@ class SteadyStateError(RuntimeError):
     """Steady-state solve failed to converge or is not unique."""
 
 
+@dataclass(eq=False)
+class CSR:
+    """A sparse matrix as scipy's CSR arrays: row i holds the entries
+    ``data[indptr[i]:indptr[i + 1]]`` in the columns ``indices[...]``, the
+    indices int32.  A matrix in CSC is the record of its transpose."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        y = np.zeros(self.shape[0], dtype=np.result_type(self.data, x))
+        csr_matvec(*self.shape, self.indptr, self.indices, self.data, x, y)
+        return y
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.data.dtype)
+        _sparsetools.csr_todense(*self.shape, self.indptr, self.indices,
+                                 self.data, out)
+        return out
+
+
+def _empty(rows: int, size: int, dtype) -> tuple:
+    """``(indptr, indices, data)`` for a kernel to fill, in its order."""
+    return (np.empty(rows + 1, dtype=np.int32), np.empty(size, dtype=np.int32),
+            np.empty(size, dtype=dtype))
+
+
+def _record(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+            shape: tuple[int, int]) -> CSR:
+    """The record of a kernel's output cut to its nnz entries, copied where
+    that frees more than half of them, as scipy prunes."""
+    nnz = int(indptr[-1])
+    if nnz < len(data) // 2:
+        return CSR(data[:nnz].copy(), indices[:nnz].copy(), indptr, shape)
+    return CSR(data[:nnz], indices[:nnz], indptr, shape)
+
+
+def _from_triplets(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                   n: int) -> CSR:
+    """The n x n sum of the ``(rows, cols, vals)`` entries less its exact
+    zeros, as scipy's COO -> CSR conversion and ``eliminate_zeros`` make
+    it."""
+    out = _empty(n, len(vals), vals.dtype)
+    _sparsetools.coo_tocsr(n, n, len(vals), rows, cols, vals, *out)
+    # sorting sorted rows would reorder equal columns, and their sums; on
+    # a canonical matrix the sum of duplicates changes nothing
+    if not _sparsetools.csr_has_sorted_indices(n, *out[:2]):
+        _sparsetools.csr_sort_indices(n, *out)
+    _sparsetools.csr_sum_duplicates(n, n, *out)
+    _sparsetools.csr_eliminate_zeros(n, n, *out)
+    return _record(*out, (n, n))
+
+
+def _diagonal_matrix(values: np.ndarray) -> CSR:
+    """diag(``values``) less its zero entries, as scipy's DIA -> CSR
+    conversion leaves it."""
+    i = np.arange(len(values), dtype=np.int32)
+    return _from_triplets(i, i, values, len(values))
+
+
+def _transpose(A: CSR) -> CSR:
+    out = _empty(A.shape[1], A.nnz, A.data.dtype)
+    _sparsetools.csr_tocsc(*A.shape, A.indptr, A.indices, A.data, *out)
+    return _record(*out, A.shape[::-1])
+
+
+def _matmul(A: CSR, B: CSR) -> CSR:
+    m, n = A.shape[0], B.shape[1]
+    out = _empty(m, _sparsetools.csr_matmat_maxnnz(
+        m, n, A.indptr, A.indices, B.indptr, B.indices),
+        np.result_type(A.data, B.data))
+    _sparsetools.csr_matmat(m, n, A.indptr, A.indices, A.data, B.indptr,
+                            B.indices, B.data, *out)
+    return _record(*out, (m, n))
+
+
+def _binop(kernel, A: CSR, B: CSR) -> CSR:
+    """A op B by ``csr_plus_csr`` or ``csr_minus_csr``, which keep no zero
+    result."""
+    out = _empty(A.shape[0], A.nnz + B.nnz, np.result_type(A.data, B.data))
+    kernel(*A.shape, A.indptr, A.indices, A.data, B.indptr, B.indices,
+           B.data, *out)
+    return _record(*out, A.shape)
+
+
 @dataclass
 class Liouvillian:
-    """Sparse d^2 x d^2 superoperator for one Hamiltonian and its
-    ``(operator, rate)`` collapse pairs, which are dense d x d arrays, as is
-    their damping D = sum r_k O_k^dag O_k."""
+    """Sparse d^2 x d^2 superoperator, a :class:`CSR` record, for one
+    Hamiltonian and its ``(operator, rate)`` collapse pairs, which are
+    dense d x d arrays, as is their damping D = sum r_k O_k^dag O_k."""
 
     space: CompositeSpace
-    matrix: sp.csr_matrix
+    matrix: CSR
     hamiltonian: np.ndarray
     collapse: list[tuple[np.ndarray, float]]
     damping: np.ndarray
@@ -148,9 +274,14 @@ class Liouvillian:
     @cached_property
     def norms(self) -> np.ndarray:
         """||O_k||_2^2 of each channel, the largest eigenvalue of
-        O_k^dag O_k."""
-        return np.array([np.linalg.eigvalsh(op.conj().T @ op)[-1]
-                         for op, _ in self.collapse])
+        O_k^dag O_k.  Where every row of O_k holds at most one nonzero (a
+        ladder or a number operator), O_k^dag O_k is diagonal and this is
+        the largest column sum of |O_k|^2."""
+        return np.array([
+            (op.conj() * op).real.sum(axis=0).max()
+            if (np.count_nonzero(op, axis=1) <= 1).all()
+            else np.linalg.eigvalsh(op.conj().T @ op)[-1]
+            for op, _ in self.collapse])
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -163,8 +294,10 @@ def unvectorize(v: np.ndarray, d: int) -> np.ndarray:
 
 def _array(op, name: str) -> np.ndarray:
     """``op`` as a complex array.  Hilbert-space operators are dense d x d
-    arrays; a scipy sparse matrix is refused."""
-    if sp.issparse(op):
+    arrays; a scipy sparse matrix is refused (none exists unless
+    scipy.sparse is loaded)."""
+    sparse = sys.modules.get("scipy.sparse")
+    if sparse is not None and sparse.issparse(op):
         raise ValueError(f"{name} must be a dense array (Hilbert-space "
                          f"operators are d x d numpy arrays), not a scipy "
                          f"sparse matrix")
@@ -184,11 +317,12 @@ def build_liouvillian(space: CompositeSpace, H, collapse) -> Liouvillian:
     assembled as the no-jump part rho -> -i(Heff rho - rho Heff^dag) of
     Heff = H - (i/2) D, D = sum r_k O_k^dag O_k (summed from each O_k's
     nonzero entries, kept on the result), plus the jumps
-    sum r_k conj(O_k) kron O_k.
+    sum r_k conj(O_k) kron O_k, as a :class:`CSR` record.
 
     Every term is a Kronecker product, written straight into one COO
     triplet set: kron(X, Y) has X_ab Y_ce at row a d + c, column b d + e;
-    the CSR conversion sums the duplicates once.  Raises ``ValueError``
+    the CSR conversion sums the duplicates once and drops the exact
+    cancellations (the commutator's diagonal).  Raises ``ValueError``
     for a scipy sparse operator, an operator that is not d x d, a
     non-finite entry of H or of the k-th collapse operator, or a negative
     or non-finite rate, naming H or k.
@@ -231,11 +365,8 @@ def build_liouvillian(space: CompositeSpace, H, collapse) -> Liouvillian:
             rows.append((d * o_row[:, None] + o_row).ravel())
             cols.append((d * o_col[:, None] + o_col).ravel())
             vals.append((rate * np.outer(o_val.conj(), o_val)).ravel())
-    L = sp.csr_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(d * d, d * d))
-    # exact cancellations (the commutator's diagonal) are not kept
-    L.eliminate_zeros()
+    L = _from_triplets(np.concatenate(rows), np.concatenate(cols),
+                       np.concatenate(vals), d * d)
     return Liouvillian(space, L, H, collapse, damping)
 
 
@@ -257,7 +388,7 @@ def _observable_weights(obs) -> tuple[np.ndarray, bool]:
     return O.reshape(-1), is_state
 
 
-def _hermitian_basis(d: int) -> sp.csr_matrix:
+def _hermitian_basis(d: int) -> CSR:
     """Unitary Q with columns vec(E_aa), vec(E_ab + E_ba)/sqrt 2 and
     vec(i(E_ab - E_ba))/sqrt 2 (a < b): Hermitian rho = Q x with x real.
     The one construction of Q: the real generators are products with it,
@@ -279,7 +410,7 @@ def _hermitian_basis(d: int) -> sp.csr_matrix:
         at = indptr[rows]
         indices[at], data[at] = pair, s
         indices[at + 1], data[at + 1] = pair + len(a), sign * 1j * s
-    return sp.csr_matrix((data, indices, indptr), shape=(d * d, d * d))
+    return CSR(data, indices, indptr, (d * d, d * d))
 
 
 def _bessel_j(tau: float, kmax: int) -> np.ndarray:
@@ -324,7 +455,7 @@ def _chebyshev_terms(tau: float, log_rho: float) -> int | None:
     return None
 
 
-def _numerical_range_box(liouvillian: Liouvillian, A: sp.csr_matrix,
+def _numerical_range_box(liouvillian: Liouvillian, A: CSR,
                          number: np.ndarray, shifts: np.ndarray
                          ) -> tuple[float, float, float]:
     """``(R, lo, hi)``: the numerical range of every member A + delta A_F,
@@ -347,9 +478,12 @@ def _numerical_range_box(liouvillian: Liouvillian, A: sp.csr_matrix,
                      H + np.diag(delta * number) if delta else H))
                  for delta in {shifts.min(), shifts.max()})
     R = float(spread + jump) or 1.0
-    sym = (A + A.T).tocsr()
-    centre = sym.diagonal()
-    radius = abs(sym) @ np.ones(A.shape[0]) - np.abs(centre)
+    sym = _binop(_sparsetools.csr_plus_csr, A, _transpose(A))
+    centre = np.empty(A.shape[0])
+    _sparsetools.csr_diagonal(0, *A.shape, sym.indptr, sym.indices, sym.data,
+                              centre)
+    radius = (replace(sym, data=np.abs(sym.data)) @ np.ones(A.shape[0])
+              - np.abs(centre))
     return (R, max(-lam[-1] - jump, 0.5 * (centre - radius).min()),
             min(-lam[0] + jump, 0.5 * (centre + radius).max()))
 
@@ -410,7 +544,7 @@ def _chebyshev_plan(box: tuple[float, float, float], h: float, steps: int
     return c, wide, m, coef * np.exp(c * times)[:, None], K_r, matvecs
 
 
-def _chebyshev_sums(B: sp.csr_matrix, x: np.ndarray, coef: np.ndarray,
+def _chebyshev_sums(B: CSR, x: np.ndarray, coef: np.ndarray,
                     buf: np.ndarray, out: np.ndarray) -> None:
     """out[j] = sum_k coef[j, k] S_k x with S_0 = 1, S_1 = B/2 and
     S_k+1 = B S_k + S_k-1, the S_k written into the rows of ``buf`` and
@@ -423,8 +557,8 @@ def _chebyshev_sums(B: sp.csr_matrix, x: np.ndarray, coef: np.ndarray,
     while True:
         top = min(len(buf), K - k0)
         for i in range(max(first, 2), top):
-            # scipy's kernel accumulates y += B x in place, without the @
-            # dispatch, a zeroed temporary and a separate add
+            # the kernel accumulates y += B x in place, without a zeroed
+            # temporary and a separate add
             buf[i] = buf[i - 2]
             csr_matvec(n, n, B.indptr, B.indices, B.data, buf[i - 1], buf[i])
         out += coef[:, k0 + first:k0 + top] @ buf[first:top]
@@ -435,7 +569,7 @@ def _chebyshev_sums(B: sp.csr_matrix, x: np.ndarray, coef: np.ndarray,
         k0, first = k0 + top - 2, 2
 
 
-def _rows_by_length(B: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
+def _rows_by_length(B: CSR) -> tuple[CSR, np.ndarray]:
     """``(P B P^T, perm)``: B's rows and columns both relabelled by the
     stable order ``perm`` of its row lengths, each row's entries kept in
     their stored order, so that (P B P^T) x[perm] = (B x)[perm] with every
@@ -447,8 +581,8 @@ def _rows_by_length(B: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
     # entry j of new row i is entry j of old row perm[i], gathered straight
     # from B's arrays, which holds less memory than a B[perm] copy beside B
     take = np.arange(B.nnz) + np.repeat(B.indptr[perm] - indptr[:-1], lengths)
-    return sp.csr_matrix((B.data[take], np.argsort(perm)[B.indices[take]],
-                          indptr), shape=B.shape), perm
+    unperm = np.argsort(perm).astype(np.int32)
+    return CSR(B.data[take], unperm[B.indices[take]], indptr, B.shape), perm
 
 
 def _dense_group_size(n: int) -> int:
@@ -528,8 +662,8 @@ def _dense_propagate(A: np.ndarray, A_F: np.ndarray, shifts: np.ndarray,
         outputs_per_expansion=None, half_width=None, matrix_nnz=None)
 
 
-def _chebyshev_propagate(liouvillian: Liouvillian, A: sp.csr_matrix,
-                         A_F: sp.csr_matrix | None, number: np.ndarray,
+def _chebyshev_propagate(liouvillian: Liouvillian, A: CSR,
+                         A_F: CSR | None, number: np.ndarray,
                          shifts: np.ndarray, x0: np.ndarray, n: int,
                          dt: float, observe: _StateObserver
                          ) -> tuple[int, dict]:
@@ -544,11 +678,14 @@ def _chebyshev_propagate(liouvillian: Liouvillian, A: sp.csr_matrix,
     s, K = coef.shape
     for g, delta in enumerate(shifts):
         gens = slice(g, g + 1)
-        M = A if A_F is None else A + delta * A_F
-        # equal-length rows run together, so scipy's CSR kernel predicts
-        # its row-end branch; the sums are bitwise the same
-        B, perm = _rows_by_length(
-            ((2.0 / R) * (M - c * sp.identity(d2))).tocsr())
+        M = (A if A_F is None
+             else _binop(_sparsetools.csr_plus_csr, A,
+                         replace(A_F, data=A_F.data * delta)))
+        M = _binop(_sparsetools.csr_minus_csr, M,
+                   _diagonal_matrix(np.full(d2, c)))
+        # equal-length rows run together, so the CSR kernel predicts its
+        # row-end branch; the sums are bitwise the same
+        B, perm = _rows_by_length(replace(M, data=M.data * (2.0 / R)))
         unperm = np.argsort(perm)
         out, buf = np.empty((s, d2)), np.empty((min(_CHUNK_ROWS, K), d2))
         observe(gens, slice(0, 1), x0[None, None])
@@ -586,7 +723,7 @@ class _StateObserver:
     ``eigvalsh``, so the reported minimum is always an ``eigvalsh``
     value."""
 
-    def __init__(self, t_grid: np.ndarray, Q: sp.csr_matrix, count: int,
+    def __init__(self, t_grid: np.ndarray, Q: CSR, count: int,
                  observables: dict | None):
         d = math.isqrt(Q.shape[0])
         weights = {k: _observable_weights(o)
@@ -731,23 +868,30 @@ def evolve_shifted(liouvillian: Liouvillian, number: np.ndarray, shifts,
                              f"{x[bad].tolist()}")
     t_grid, y0, dt = _start(rho0, t_grid, d)
     L, Q = liouvillian.matrix, _hermitian_basis(d)
-    # Q^dag: the CSC matrix of Q's conjugated arrays, one construction
-    Qh = sp.csc_matrix((Q.data.conj(), Q.indices, Q.indptr), shape=Q.shape)
-    F = (sp.diags(_commutator_diagonal(number), format="csc")
-         if len(shifts) > 1 or shifts[0] else None)
-    A = Qh @ L @ Q
-    if (np.abs(A.data.imag).max(initial=0.0)
+    # Q^dag X Q on transposes, as scipy forms it with Q^dag in CSC (whose
+    # arrays are those of conj(Q)): the record of (Q^dag X Q)^T is
+    # Q^T (X^T conj(Q)), for X^T = X the diagonal F
+    Qt, Qc = _transpose(Q), replace(Q, data=Q.data.conj())
+    At = _matmul(Qt, _matmul(_transpose(L), Qc))
+    if (np.abs(At.data.imag).max(initial=0.0)
             > _HERMITIAN_RTOL * np.abs(L.data).max(initial=0.0)):
         raise ValueError("generator does not preserve Hermiticity")
-    A_F = None if F is None else Qh @ F @ Q
-    x0, n = (Qh @ y0).real, len(t_grid)
+    A_Ft = (_matmul(Qt, _matmul(
+                _diagonal_matrix(_commutator_diagonal(number)), Qc))
+            if len(shifts) > 1 or shifts[0] else None)
+    x0, n = np.zeros(d * d, dtype=complex), len(t_grid)
+    _sparsetools.csc_matvec(*Qc.shape, Qc.indptr, Qc.indices, Qc.data, y0,
+                            x0)
+    x0 = x0.real
     observe = _StateObserver(t_grid, Q, len(shifts), observables)
-    del Q, Qh, F  # each path keeps only the real generators, in its own format
+    del Q, Qt, Qc  # each path keeps only the real generators, in its own format
     if len(shifts) > 1 and d * d <= _DENSE_PROPAGATOR_MAX:
-        A, A_F = A.toarray().real.copy(), A_F.toarray().real.copy()
+        A, A_F = (X.toarray().T.real.copy() for X in (At, A_Ft))
         run = _dense_propagate(A, A_F, shifts, x0, n, dt, observe)
     else:
-        A, A_F = A.real.tocsr(), None if A_F is None else A_F.real.tocsr()
+        A, A_F = (None if X is None
+                  else _transpose(replace(X, data=X.data.real))
+                  for X in (At, A_Ft))
         run = _chebyshev_propagate(liouvillian, A, A_F, number, shifts, x0,
                                    n, dt, observe)
     return observe.result(*run)

@@ -11,6 +11,13 @@ from stabsim.hilbert import QUBIT, CompositeSpace, ModeSpec, lowering_op
 from stabsim.lindblad import Liouvillian, build_liouvillian, unvectorize
 
 
+def scipy_csr(record) -> sp.csr_matrix:
+    """The scipy matrix of a :class:`~stabsim.lindblad.CSR` record, sharing
+    its arrays."""
+    return sp.csr_matrix((record.data, record.indices, record.indptr),
+                         shape=record.shape)
+
+
 def direct_steady_state(liouvillian) -> np.ndarray:
     """Unit-trace kernel of L from one sparse LU solve.
 
@@ -18,7 +25,7 @@ def direct_steady_state(liouvillian) -> np.ndarray:
     L's entries: a steady state solves both L x = 0 and tr(x) = 1, hence
     (L + w e_0 tr) x = w e_0.  Affordable only for small d^2.
     """
-    L = liouvillian.matrix
+    L = scipy_csr(liouvillian.matrix)
     d = liouvillian.dim
     n = d * d
     weight = float(np.abs(L.data).mean())

@@ -226,6 +226,48 @@ def test_runs_load_neither_scipy_linalg_nor_sparse_linalg():
                         {"scipy.linalg", "scipy.sparse.linalg"}) == "[]"
 
 
+#: a short Chebyshev evolve of the bundled bell model
+RUN_EVOLVE = (
+    "import numpy as np\n"
+    "from stabsim.lindblad import evolve\n"
+    "L = build_problem(bundled_scenario('bell'))[1]\n"
+    "rho0 = np.zeros((L.dim, L.dim)); rho0[0, 0] = 1.0\n"
+    "res = evolve(L, rho0, np.linspace(0.0, 0.05, 3), {'p': rho0})\n")
+
+
+def test_runs_leave_out_scipy_sparse_and_numpy_test_layers():
+    # stabsim loads scipy's compiled sparse kernels alone: scipy.sparse
+    # would load scipy's array-API layer, which loads numpy.testing,
+    # numpy.f2py and numpy.ma, about half the import time of stabsim
+    assert loaded_after(
+        "import stabsim, stabsim.cli\n" + RUN_STEADY_AND_SCAN + "\n"
+        + RUN_EVOLVE, {"scipy.sparse", "numpy.testing", "numpy.f2py",
+                       "numpy.ma"}) == "[]"
+
+
+def test_scipy_sparse_before_or_after_shares_the_kernels():
+    # scipy.sparse, imported before stabsim's first run or after it, takes
+    # the one kernel module that stabsim runs on, and the run's bits do not
+    # depend on the order
+    load = "import scipy.sparse, scipy.sparse._compressed\n"
+    run = ("import gc, hashlib, sys, types\n"
+           "import stabsim\n" + RUN_STEADY_AND_SCAN + "\n" + RUN_EVOLVE
+           + "rho = steady_state(L).rho\n")
+    report = (
+        "from stabsim import lindblad\n"
+        "kernels = sys.modules['scipy.sparse._sparsetools']\n"
+        "print(hashlib.sha256(res.observables['p'].tobytes()"
+        " + rho.tobytes()).hexdigest(),\n"
+        "      sum(isinstance(m, types.ModuleType)"
+        " and m.__name__ == kernels.__name__ for m in gc.get_objects()),\n"
+        "      lindblad._sparsetools is kernels"
+        " is scipy.sparse._compressed._sparsetools)\n")
+    before = loaded_after(load + run + report, set())
+    after = loaded_after(run + load + report, set())
+    assert before == after
+    assert before.split()[1:3] == ["1", "True"]
+
+
 def test_runs_without_the_cli_leave_out_modes():
     # the normal-mode analysis serves the rate table alone; a run reads
     # the qubit chain from hamiltonian

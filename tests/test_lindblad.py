@@ -1,5 +1,8 @@
 import math
+import re
+import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -8,6 +11,7 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.special import jv
 
+from conftest import scipy_csr
 from stabsim import lindblad
 from stabsim.device import QubitParams, Truncations, bundled_scenario
 from stabsim.hamiltonian import named_qubit_state
@@ -148,6 +152,30 @@ class TestBuildLiouvillian:
         npt.assert_allclose(L.norms, [np.linalg.norm(o, 2) ** 2
                                       for o, _ in pairs], rtol=1e-13)
 
+    def test_norms_against_eigvalsh(self):
+        # a dense O takes eigvalsh; an O with one nonzero per row (columns
+        # shared) reads the largest column sum of |O|^2
+        rng = np.random.default_rng(1)
+        dense = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        single = np.zeros((6, 6), dtype=complex)
+        single[np.arange(6), [0, 0, 2, 5, 2, 0]] = dense[0]
+        single[3] = 0.0
+        L = make_liouvillian(np.zeros((6, 6)), [(dense, 1.0), (single, 2.0)],
+                             dims=[6])
+        ref = [np.linalg.eigvalsh(o.conj().T @ o)[-1] for o in (dense, single)]
+        assert L.norms[0] == ref[0]
+        npt.assert_allclose(L.norms[1], ref[1], rtol=1e-14)
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_norms_are_eigvalsh_bitwise(self, name):
+        # every bundled channel is a ladder or a number operator
+        for truncations in (Truncations(2, 4), Truncations(3, 3)):
+            cfg = bundled_scenario(name).replace(truncations=truncations)
+            L = build_problem(cfg)[1]
+            ref = np.array([np.linalg.eigvalsh(op.conj().T @ op)[-1]
+                            for op, _ in L.collapse])
+            assert L.norms.tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("name", BUNDLED)
     def test_bundled_damping_is_the_stacked_product(self, name):
         # bitwise the dense sum of O^dag (r O) and the sparse product
@@ -165,6 +193,172 @@ class TestBuildLiouvillian:
             W = sp.diags(np.repeat([r for _, r in L.collapse], L.dim))
             stacked = (S.conj().T @ (W @ S)).toarray()
             assert L.damping.tobytes() == stacked.tobytes()
+
+
+class TestCSR:
+    """Every operation on the CSR records against scipy.sparse's result,
+    bitwise: the records' arrays are those scipy makes."""
+
+    @staticmethod
+    def record(S):
+        return lindblad.CSR(S.data, S.indices, S.indptr, S.shape)
+
+    @staticmethod
+    def assert_same(rec, ref):
+        """``rec`` holds the CSR arrays of scipy's ``ref`` (of its
+        transpose, for a CSC ``ref``), bit for bit."""
+        shape = ref.shape[::-1] if ref.format == "csc" else ref.shape
+        assert rec.shape == shape
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(rec, name), getattr(ref, name)
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
+
+    @staticmethod
+    def random(rng, n, dtype, density=0.3):
+        """A random n x n scipy CSR matrix with empty rows 1 and n - 2."""
+        X = rng.normal(size=(n, n))
+        if dtype is complex:
+            X = X + 1j * rng.normal(size=(n, n))
+        X *= rng.random((n, n)) < density
+        X[[1, n - 2]] = 0.0
+        return sp.csr_matrix(X)
+
+    def test_kernels_loaded_once_and_missing_file_named(self, monkeypatch,
+                                                        tmp_path):
+        name = "scipy.sparse._sparsetools"
+        assert lindblad._load_sparsetools() is sys.modules[name]
+        monkeypatch.delitem(sys.modules, name)
+        monkeypatch.setattr(lindblad.importlib.util, "find_spec",
+                            lambda _: SimpleNamespace(
+                                origin=str(tmp_path / "__init__.py")))
+        with pytest.raises(ImportError, match=re.escape(
+                str(tmp_path / "sparse" / "_sparsetools"))):
+            lindblad._load_sparsetools()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("presorted", [False, True])
+    def test_triplet_assembly(self, dtype, presorted):
+        # duplicates, cancellations that sum to exact zeros (dropped) and
+        # empty rows; presorted triplets are sorted but not canonical, so
+        # the rows are summed without a sort
+        rng = np.random.default_rng(7)
+        n, k = 12, 300
+        rows, cols = (rng.integers(0, n - 3, size=k).astype(np.int32)
+                      for _ in range(2))
+        vals = rng.normal(size=k).astype(dtype)
+        if dtype is complex:
+            vals += 1j * rng.normal(size=k)
+        rows, cols = np.r_[rows, rows[:40]], np.r_[cols, cols[:40]]
+        vals = np.r_[vals, -vals[:40]]
+        if presorted:
+            order = np.lexsort((cols, rows))
+            rows, cols, vals = rows[order], cols[order], vals[order]
+        ref = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        ref.eliminate_zeros()
+        got = lindblad._from_triplets(rows, cols, vals, n)
+        self.assert_same(got, ref)
+        assert np.diff(got.indptr)[[n - 3, n - 1]].tolist() == [0, 0]
+
+    def test_all_zero_generator(self):
+        # the commutator of H = 0 and no channel: no triplet at all
+        L = make_liouvillian(np.zeros((3, 3), dtype=complex), [])
+        ref = sp.csr_matrix((np.zeros(0, dtype=complex),
+                             (np.zeros(0, np.int32), np.zeros(0, np.int32))),
+                            shape=(9, 9))
+        ref.eliminate_zeros()
+        self.assert_same(L.matrix, ref)
+        assert not L.matrix.toarray().any()
+        assert (L.matrix @ np.ones(9, dtype=complex)).tobytes() == bytes(144)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_transpose_product_sum_and_reads(self, dtype):
+        rng = np.random.default_rng(3)
+        A, B = (self.random(rng, 15, dtype) for _ in range(2))
+        a, b = self.record(A), self.record(B)
+        self.assert_same(lindblad._transpose(a), A.tocsc())
+        self.assert_same(lindblad._matmul(a, b), A @ B)
+        plus, minus = (lindblad._sparsetools.csr_plus_csr,
+                       lindblad._sparsetools.csr_minus_csr)
+        self.assert_same(lindblad._binop(plus, a, b), A + B)
+        self.assert_same(lindblad._binop(plus, a, lindblad._transpose(a)),
+                         A + A.T)
+        # an exact cancellation leaves no entry
+        self.assert_same(lindblad._binop(minus, a, a), A - A)
+        assert lindblad._binop(minus, a, a).nnz == 0
+        x = rng.normal(size=15).astype(dtype)
+        assert (a @ x).tobytes() == (A @ x).tobytes()
+        assert a.toarray().tobytes() == A.toarray().tobytes()
+
+    @pytest.mark.parametrize("c", [0.0, 0.7])
+    def test_identity_shift_and_scale(self, c):
+        # (2/R)(A + delta A_F - c 1), the matrix a Chebyshev member runs;
+        # at c = 0 the shift's diagonal is empty, as scipy's DIA -> CSR
+        # conversion leaves it
+        rng = np.random.default_rng(5)
+        A, A_F = (self.random(rng, 15, float) for _ in range(2))
+        delta, scale = 1.7, 2.0 / 3.1
+        ref = (scale * (A + delta * A_F - c * sp.identity(15))).tocsr()
+        shift = lindblad._diagonal_matrix(np.full(15, c))
+        assert shift.nnz == (15 if c else 0)
+        M = lindblad._binop(lindblad._sparsetools.csr_plus_csr,
+                            self.record(A), self.record(delta * A_F))
+        M = lindblad._binop(lindblad._sparsetools.csr_minus_csr, M, shift)
+        self.assert_same(replace(M, data=M.data * scale), ref)
+
+    def test_diagonal_matrix_drops_zeros(self):
+        F = lindblad._commutator_diagonal(np.array([0.0, 1.0, 1.0, 2.5]))
+        self.assert_same(lindblad._diagonal_matrix(F),
+                         sp.diags(F, format="csc"))
+        assert lindblad._diagonal_matrix(F).nnz == 10
+
+    def test_box_reads_scipy_gershgorin_interval(self):
+        L, _ = random_lindbladian(6, seed=2, density=0.5)
+        A = real_matrix(L.matrix)
+        R, lo, hi = single_box(L, self.record(A))
+        sym = (A + A.T).tocsr()
+        centre = sym.diagonal()
+        radius = abs(sym) @ np.ones(A.shape[0]) - np.abs(centre)
+        jump = sum(r * n for (_, r), n in zip(L.collapse, L.norms))
+        lam = np.linalg.eigvalsh(L.damping)
+        assert lo == max(-lam[-1] - jump, 0.5 * (centre - radius).min())
+        assert hi == min(-lam[0] + jump, 0.5 * (centre + radius).max())
+
+    @pytest.mark.parametrize("shifts", [[0.0, 1.0], [1.0]],
+                             ids=["dense", "chebyshev"])
+    def test_real_generators_and_start(self, monkeypatch, shifts):
+        # A = Re(Q^dag L Q), A_F = Re(Q^dag F Q) and x0 = Re(Q^dag vec rho0)
+        # as each path is handed them, against scipy's products with Q^dag
+        # in CSC
+        L, rho0 = random_lindbladian(5, seed=4, density=0.5)
+        number = np.arange(5) % 3.0
+        Q = scipy_csr(lindblad._hermitian_basis(5))
+        Qh = sp.csc_matrix((Q.data.conj(), Q.indices, Q.indptr),
+                           shape=Q.shape)
+        F = sp.diags(lindblad._commutator_diagonal(number), format="csc")
+        A, A_F = Qh @ scipy_csr(L.matrix) @ Q, Qh @ F @ Q
+        x0 = (Qh @ vectorize(rho0)).real
+        handed = {}
+
+        def dense(A, A_F, shifts, x0, *args):
+            handed.update(A=A, A_F=A_F, x0=x0)
+            return 0, {}
+
+        def chebyshev(liouvillian, A, A_F, number, shifts, x0, *args):
+            handed.update(A=A, A_F=A_F, x0=x0)
+            return 0, {}
+
+        monkeypatch.setattr(lindblad, "_dense_propagate", dense)
+        monkeypatch.setattr(lindblad, "_chebyshev_propagate", chebyshev)
+        evolve_shifted(L, number, shifts, rho0, np.linspace(0.0, 0.5, 3))
+        assert handed["x0"].tobytes() == x0.tobytes()
+        if len(shifts) > 1:
+            for name, ref in (("A", A), ("A_F", A_F)):
+                assert (handed[name].tobytes()
+                        == ref.toarray().real.copy().tobytes()), name
+        else:
+            self.assert_same(handed["A"], A.real.tocsr())
+            self.assert_same(handed["A_F"], A_F.real.tocsr())
 
 
 class TestEvolve:
@@ -379,11 +573,11 @@ class TestEvolve:
         t = np.linspace(0.0, 0.5, 3)
         for d, density in [(4, 1.0), (33, 0.1)]:
             L, rho0 = random_lindbladian(d, seed=5, density=density)
-            bad = replace(L, matrix=1j * L.matrix)
+            bad = replace(L, matrix=replace(L.matrix, data=1j * L.matrix.data))
             with pytest.raises(ValueError, match="preserve Hermiticity"):
                 evolve(bad, rho0, t)
         L, rho0 = random_lindbladian(4, seed=5)
-        bad = replace(L, matrix=1j * L.matrix)
+        bad = replace(L, matrix=replace(L.matrix, data=1j * L.matrix.data))
         with pytest.raises(ValueError, match="preserve Hermiticity"):
             evolve_shifted(bad, np.arange(4) % 2.0, [0.0, 1.0], rho0, t)
 
@@ -495,7 +689,8 @@ class TestEvolve:
         space = tls_space()
         decay = build_liouvillian(space, np.zeros((2, 2)),
                                   [(lowering_op(space, 0), 1.0)])
-        reversed_decay = replace(decay, matrix=-decay.matrix)
+        reversed_decay = replace(
+            decay, matrix=replace(decay.matrix, data=-decay.matrix.data))
         with pytest.raises(EvolutionError, match="t=0.7 us") as exc:
             evolve(reversed_decay, np.eye(2) / 2, np.linspace(0, 2, 21))
         assert exc.value.diagnostics["t"] == pytest.approx(0.7)
@@ -669,7 +864,8 @@ class TestEvolveMany:
         space = tls_space()
         decay = build_liouvillian(space, np.zeros((2, 2)),
                                   [(lowering_op(space, 0), 1.0)])
-        reversed_decay = replace(decay, matrix=-decay.matrix)
+        reversed_decay = replace(
+            decay, matrix=replace(decay.matrix, data=-decay.matrix.data))
         with pytest.raises(EvolutionError,
                            match="generator 0 at t=0.7 us") as exc:
             evolve_shifted(reversed_decay, [0.0, 1.0], [0.0, 1.0, -2.0],
@@ -685,7 +881,7 @@ class TestEvolveMany:
                                           None)
 
         def coords(rho):
-            return (Q.conj().T @ vectorize(rho)).real
+            return (scipy_csr(Q).conj().T @ vectorize(rho)).real
 
         good = coords(np.eye(2) / 2)
         observe(slice(0, 3), slice(0, 1), np.array([good] * 3)[:, None])
@@ -727,7 +923,7 @@ class TestFamilyBlock:
         # imaginary part, so taking its real part drops nothing
         rng = np.random.default_rng(6)
         number = rng.integers(0, 3, size=7) + rng.normal(size=7)
-        Q = lindblad._hermitian_basis(7)
+        Q = scipy_csr(lindblad._hermitian_basis(7))
         F = lindblad._commutator_diagonal(number)
         A_F = Q.conj().T @ sp.diags(F) @ Q
         assert not A_F.imag.toarray().any()
@@ -960,8 +1156,8 @@ def shifted_liouvillian(L, number, delta):
 def real_matrix(M):
     """Re(Q^dag M Q) as the Chebyshev path forms it, for a d^2 x d^2 sparse
     matrix M."""
-    Q = lindblad._hermitian_basis(math.isqrt(M.shape[0]))
-    return (Q.conj().T @ M @ Q).tocsr().real
+    Q = scipy_csr(lindblad._hermitian_basis(math.isqrt(M.shape[0])))
+    return (Q.conj().T @ scipy_csr(M) @ Q).tocsr().real
 
 
 def single_box(L, A):
